@@ -1,16 +1,16 @@
 """Hot inner loops with optional numba acceleration.
 
-Every kernel has two implementations: an @njit version and a pure-numpy
-version that executes the same arithmetic in the same order, so results
-agree bit for bit. Selection order:
+The distance and accumulation kernels have two implementations: an @njit
+version and a pure-numpy version that executes the same arithmetic in the
+same order, so results agree bit for bit. Selection order:
 
   * numba missing            -> numpy path
   * MOVERB_PURE_NUMPY=1      -> numpy path (set before import)
   * otherwise                -> numba path
 
-The benchmark in benchmarks/bench_kernels.py calls both paths directly.
-fastmath stays off: reassociation would break the deterministic summation
-contract that makes renders worker-count invariant.
+Trajectory restoration (upsample_stream) runs as numpy/BLAS matrix
+products on every path. fastmath stays off: reassociation would break the
+deterministic summation contract that makes renders worker-count invariant.
 """
 
 import math
@@ -139,52 +139,42 @@ def accumulate_images(out, streams, tau, amp, offset, d0):
 # ---------------------------------------------------------------------------
 # windowed-sinc interpolation of a coarse stream onto a dense grid
 #
-# Output sample m sits at coarse time m / factor. Only `factor` distinct
-# fractional phases exist, so the kernel values live in a precomputed
-# (factor, 2*halfwidth + 1) table whose rows are normalized to sum to one
-# (constants interpolate exactly). Out-of-range taps clamp to the edge
-# sample, which hold-extrapolates the stream.
+# Output sample m = b * factor + p sits at coarse time b + p / factor. Only
+# `factor` distinct fractional phases exist, so the kernel values live in a
+# precomputed (factor, 2*halfwidth + 1) table whose rows are normalized to
+# sum to one (constants interpolate exactly). Out-of-range taps clamp to the
+# edge sample, which hold-extrapolates the stream.
+#
+# Polyphase form: block b of the output is the 2*halfwidth + 1 coarse
+# samples around b dotted with every table row, so the output, seen as
+# (blocks, factor), is the matrix product frames @ table.T. It is computed in
+# tiles of a shape fixed by `factor`, aligned to multiples of the tile's row
+# count, so a sample's value does not depend on out_len (OpenBLAS sums in an
+# order that varies with the operand shapes). Each tile product stays under
+# OpenBLAS's threading threshold, so it runs on the calling thread, and the
+# working set is one tile whatever the factor. A column-major table (as
+# trajectory._phase_table returns) makes each slice of table.T a row-major
+# operand, which runs faster than a transposed one. Numpy only: the BLAS
+# summation order is not a loop a jit twin could reproduce bit for bit.
 
-
-def _upsample_numpy(coarse, table, factor, out):
-    n_coarse = coarse.shape[0]
-    halfspan = (table.shape[1] - 1) // 2
-    m = np.arange(out.shape[0], dtype=np.int64)
-    base = m // factor
-    phase = (m % factor).astype(np.int64)
-    out[:] = 0.0
-    for col in range(table.shape[1]):
-        j = np.clip(base + (col - halfspan), 0, n_coarse - 1)
-        out += table[phase, col] * coarse[j]
-    return out
-
-
-if HAS_NUMBA:
-
-    @numba.njit(cache=True, nogil=True)
-    def _upsample_numba(coarse, table, factor, out):  # pragma: no cover - jit
-        n_coarse = coarse.shape[0]
-        n_taps = table.shape[1]
-        halfspan = (n_taps - 1) // 2
-        for m in range(out.shape[0]):
-            base = m // factor
-            phase = m % factor
-            acc = 0.0
-            for col in range(n_taps):
-                j = base + (col - halfspan)
-                if j < 0:
-                    j = 0
-                elif j >= n_coarse:
-                    j = n_coarse - 1
-                acc += table[phase, col] * coarse[j]
-            out[m] = acc
-        return out
+# OpenBLAS computes a gemm of at most this many multiply-adds on one thread
+_BLAS_SERIAL_MACS = 1 << 18
+_TILE_MIN_ROWS = 8
 
 
 def upsample_stream(coarse, table, factor, out_len):
     """Interpolate a coarse sequence to out_len samples at `factor` x rate."""
     coarse = np.ascontiguousarray(coarse, dtype=np.float64)
+    span = table.shape[1]
+    halfspan = (span - 1) // 2
+    cols = min(factor, _BLAS_SERIAL_MACS // (_TILE_MIN_ROWS * span))
+    rows = _BLAS_SERIAL_MACS // (cols * span)
+    window = np.arange(rows)[:, None] + np.arange(-halfspan, halfspan + 1)
+    tile = np.empty((rows, factor))
     out = np.empty(out_len, dtype=np.float64)
-    if USE_NUMBA:
-        return _upsample_numba(coarse, table, factor, out)
-    return _upsample_numpy(coarse, table, factor, out)
+    for start in range(0, out_len, tile.size):
+        frames = coarse[np.clip(window + start // factor, 0, coarse.shape[0] - 1)]
+        for p0 in range(0, factor, cols):
+            np.matmul(frames, table[p0 : p0 + cols].T, out=tile[:, p0 : p0 + cols])
+        out[start : start + tile.size] = tile.ravel()[: out_len - start]
+    return out

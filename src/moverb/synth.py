@@ -61,7 +61,6 @@ class SynthesisConfig:
     t60: float = None
     sound_speed: float = 343.0
     d_min: float = 0.05
-    summation: str = "pairwise"
     modulate: str = "receiver"
     workers: int = 1
     eval_budget: float = 2.0e9
@@ -81,8 +80,6 @@ class SynthesisConfig:
             raise ValueError("sound_speed must be > 0")
         if self.d_min <= 0:
             raise ValueError("d_min must be > 0")
-        if self.summation != "pairwise":
-            raise ValueError("summation policy must be 'pairwise'")
         if self.modulate not in ("receiver", "source"):
             raise ValueError("modulate must be 'receiver' or 'source'")
         if self.workers < 1:
@@ -105,15 +102,6 @@ class DelayStreams:
     specs: list
     d: np.ndarray
     eval_count: int = 0
-
-    def tau(self, cfg):
-        """Delay in samples at the audio rate."""
-        return self.rate * self.d / cfg.sound_speed
-
-    def amplitude(self, cfg):
-        """Spreading gain with the distance floor applied."""
-        beta = np.array([s.beta for s in self.specs])
-        return beta[:, None] / (4.0 * np.pi * np.maximum(self.d, cfg.d_min))
 
     def image_count(self):
         return len(self.specs)
@@ -169,12 +157,16 @@ def merge_streams(low, high):
     if low.d.shape[1] != high.d.shape[1]:
         raise ValueError("stream lengths differ")
     specs = list(low.specs) + list(high.specs)
-    d = np.vstack([low.d, high.d])
-    order = sorted(range(len(specs)), key=lambda i: specs[i])
+    order = sorted(range(len(specs)), key=specs.__getitem__)
+    dest = np.argsort(order)
+    n_low = low.image_count()
+    d = np.empty((len(specs), low.d.shape[1]))
+    d[dest[:n_low]] = low.d
+    d[dest[n_low:]] = high.d
     return DelayStreams(
         rate=low.rate,
         specs=[specs[i] for i in order],
-        d=d[order],
+        d=d,
         eval_count=low.eval_count + high.eval_count,
     )
 

@@ -238,7 +238,11 @@ def _phase_table(factor):
 
     Row r holds the kernel sampled at r/factor - i for tap offsets
     i in [-halfwidth, halfwidth]; rows sum to one so constants pass
-    through exactly and the interpolator has zero net group delay.
+    through exactly and the interpolator has zero net group delay. The
+    rows are the polyphase branches of the interpolator: output block b
+    is the (2*halfwidth + 1)-sample coarse window around b times table.T.
+    The table is stored column-major, so a slice of its rows, transposed,
+    is a contiguous operand for the restoration kernel's BLAS products.
     """
     hw = UPSAMPLE_HALFWIDTH
     offsets = np.arange(-hw, hw + 1, dtype=np.float64)
@@ -253,6 +257,7 @@ def _phase_table(factor):
         ) / np.i0(UPSAMPLE_KAISER_BETA)
         row = np.sinc(arg) * window
         table[r] = row / row.sum()
+    table = np.asfortranarray(table)
     table.flags.writeable = False
     return table
 
@@ -262,6 +267,9 @@ def bandlimited_upsample(samples, factor, out_len):
 
     Output index m sits at input time m / factor; the result is trimmed or
     edge-padded to out_len. Exact on constant inputs; endpoints hold.
+    Each call restores one sequence by polyphase matrix products over
+    tiles whose shape depends only on factor, so a sample's value depends
+    neither on what else is being restored nor on out_len.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:

@@ -3,10 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moverb.room import Room
+from moverb._kernels import distance_streams
+from moverb.room import Room, as_arrays, enumerate_images
+from moverb.synth import high_order_distances
 from moverb.trajectory import (
+    UPSAMPLE_HALFWIDTH,
     Trajectory,
     TrajectorySpec,
+    _phase_table,
     bandlimited_upsample,
     bandwidth_estimate,
     decimate,
@@ -20,6 +24,22 @@ RATE = 16000.0
 
 def make_room(dims=(5.0, 6.0, 4.0)):
     return Room(dims=np.array(dims, dtype=float), wall_reflection=np.full(6, 0.9))
+
+
+def direct_tap_sum(coarse, factor, out_len):
+    """Reference restoration: the windowed-sinc sum, one pass per tap.
+
+    Output m takes phase m % factor of the table against the coarse
+    samples around m // factor, with out-of-range taps clamped to the ends.
+    """
+    table = _phase_table(factor)
+    m = np.arange(out_len)
+    base, phase = m // factor, m % factor
+    out = np.zeros(out_len)
+    for col in range(table.shape[1]):
+        j = np.clip(base + col - UPSAMPLE_HALFWIDTH, 0, coarse.size - 1)
+        out += table[phase, col] * coarse[j]
+    return out
 
 
 class TestTrajectoryContainer:
@@ -172,6 +192,42 @@ class TestUpsample:
         ref = np.interp(fine_axis, np.arange(100.0), coarse)
         guard = 34 * factor
         assert np.max(np.abs(out[guard:-guard] - ref[guard:-guard])) < 1e-4
+
+    @pytest.mark.parametrize("factor", [2, 16, 100, 3200])
+    @pytest.mark.parametrize("n_coarse", [1, 2, 9])
+    @pytest.mark.parametrize("length", ["multiple", "partial", "short"])
+    def test_matches_direct_tap_sum(self, factor, n_coarse, length):
+        out_len = {
+            "multiple": n_coarse * factor,
+            "partial": n_coarse * factor + factor // 2 + 1,
+            "short": max(1, factor // 2),
+        }[length]
+        coarse = np.random.default_rng(factor + n_coarse).standard_normal(n_coarse)
+        out = bandlimited_upsample(coarse, factor, out_len)
+        assert out.shape == (out_len,)
+        assert np.max(np.abs(out - direct_tap_sum(coarse, factor, out_len))) <= 1e-12
+
+    @pytest.mark.parametrize("factor", [2, 100, 1009, 3200])
+    def test_samples_do_not_depend_on_out_len(self, factor):
+        coarse = np.random.default_rng(factor).standard_normal(40)
+        full = bandlimited_upsample(coarse, factor, 37 * factor + 5)
+        for out_len in (1, factor - 1, 4 * factor + 3, 9 * factor, 30 * factor + 1):
+            part = bandlimited_upsample(coarse, factor, out_len)
+            assert np.array_equal(part, full[:out_len])
+
+    def test_far_streams_equal_per_row_restoration(self, room_5x6x4, mic_std):
+        spec = TrajectorySpec(
+            kind="sine", duration=1.3, bandwidth_limit=2.0, speed_max=1.0, seed=2
+        )
+        tr = generate(spec, RATE, room_5x6x4)
+        factor = 800
+        coarse = decimate(tr, factor)
+        images = [sp for sp in enumerate_images(room_5x6x4, 2) if sp.order == 2]
+        far = high_order_distances(images, coarse, mic_std, room_5x6x4, len(tr), factor)
+        offset, sign, _, _ = as_arrays(images, room_5x6x4)
+        coarse_d = distance_streams(offset, sign, mic_std.pos, coarse.positions)
+        for row, coarse_row in zip(far.d, coarse_d):
+            assert np.array_equal(row, bandlimited_upsample(coarse_row, factor, len(tr)))
 
 
 class TestDecimate:
