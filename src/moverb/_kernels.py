@@ -1,65 +1,24 @@
-"""Hot inner loops with optional numba acceleration.
+"""Hot inner loops, in numpy.
 
-The distance and accumulation kernels have two implementations: an @njit
-version and a pure-numpy version that executes the same arithmetic in the
-same order, so results agree bit for bit. Selection order:
-
-  * numba missing            -> numpy path
-  * MOVERB_PURE_NUMPY=1      -> numpy path (set before import)
-  * otherwise                -> numba path
-
-Trajectory restoration (upsample_stream) runs as numpy/BLAS matrix
-products on every path. fastmath stays off: reassociation would break the
-deterministic summation contract that makes renders worker-count invariant.
+Every kernel is elementwise along time or works on tiles whose shape does
+not depend on where a render's time chunks fall, so evaluating a range of
+samples gives the same bits as evaluating the whole stream and slicing it.
+That is what lets the synthesis engine walk the output in chunks.
 """
-
-import math
-import os
 
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("MOVERB_PURE_NUMPY", "") == "1"
-
-try:
-    import numba
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
-    HAS_NUMBA = False
-
-USE_NUMBA = HAS_NUMBA and not _FORCE_NUMPY
-
 
 def using_numba():
-    """True when the accelerated path is active for this process."""
-    return USE_NUMBA
+    """Always False: every kernel runs on numpy.
+
+    Kept so that records stamped with the kernel path stay comparable.
+    """
+    return False
 
 
 # ---------------------------------------------------------------------------
 # per-image distance streams
-
-
-def _distance_numpy(offset, sign, mic, pos, out):
-    for i in range(offset.shape[0]):
-        dx = offset[i, 0] + sign[i, 0] * pos[:, 0] - mic[0]
-        dy = offset[i, 1] + sign[i, 1] * pos[:, 1] - mic[1]
-        dz = offset[i, 2] + sign[i, 2] * pos[:, 2] - mic[2]
-        out[i] = np.sqrt(dx * dx + dy * dy + dz * dz)
-    return out
-
-
-if HAS_NUMBA:
-
-    @numba.njit(cache=True, nogil=True)
-    def _distance_numba(offset, sign, mic, pos, out):  # pragma: no cover - jit
-        for i in range(offset.shape[0]):
-            for t in range(pos.shape[0]):
-                dx = offset[i, 0] + sign[i, 0] * pos[t, 0] - mic[0]
-                dy = offset[i, 1] + sign[i, 1] * pos[t, 1] - mic[1]
-                dz = offset[i, 2] + sign[i, 2] * pos[t, 2] - mic[2]
-                out[i, t] = math.sqrt(dx * dx + dy * dy + dz * dz)
-        return out
 
 
 def distance_streams(offset, sign, mic, pos):
@@ -73,9 +32,12 @@ def distance_streams(offset, sign, mic, pos):
     mic = np.ascontiguousarray(mic, dtype=np.float64)
     pos = np.ascontiguousarray(pos, dtype=np.float64)
     out = np.empty((offset.shape[0], pos.shape[0]), dtype=np.float64)
-    if USE_NUMBA:
-        return _distance_numba(offset, sign, mic, pos, out)
-    return _distance_numpy(offset, sign, mic, pos, out)
+    for i in range(offset.shape[0]):
+        dx = offset[i, 0] + sign[i, 0] * pos[:, 0] - mic[0]
+        dy = offset[i, 1] + sign[i, 1] * pos[:, 1] - mic[1]
+        dz = offset[i, 2] + sign[i, 2] * pos[:, 2] - mic[2]
+        out[i] = np.sqrt(dx * dx + dy * dy + dz * dz)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -87,9 +49,19 @@ def distance_streams(offset, sign, mic, pos):
 # accumulated into out. Image order inside the block is the summation order.
 
 
-def _accumulate_numpy(out, streams, tau, amp, offset, d0):
+def accumulate_images(out, streams, tau, amp, offset, d0, start=0):
+    """Sum amp-weighted fractionally delayed signal copies into out.
+
+    out: (T,) accumulator for output indices start .. start + T - 1,
+    streams: (M+1, Ls) branch streams shared by all images, tau/amp: (S, T)
+    per-image delay (samples) and gain at those indices, offset: integer
+    shift applied to both the delay and the read index (cancels in the
+    resolved signal time), d0: nominal branch delay. start only moves the
+    read index, so a range of output samples gets the same bits as the
+    whole stream does.
+    """
     n_branches, stream_len = streams.shape
-    t_idx = np.arange(out.shape[0], dtype=np.int64)
+    t_idx = np.arange(start, start + out.shape[0], dtype=np.int64)
     for i in range(tau.shape[0]):
         shifted = tau[i] + offset
         d_int = np.floor(shifted - d0)
@@ -102,38 +74,6 @@ def _accumulate_numpy(out, streams, tau, amp, offset, d0):
             acc = acc * mu + streams[k].take(idx_c)
         out += np.where(valid, amp[i] * acc, 0.0)
     return out
-
-
-if HAS_NUMBA:
-
-    @numba.njit(cache=True, nogil=True)
-    def _accumulate_numba(out, streams, tau, amp, offset, d0):  # pragma: no cover - jit
-        n_branches, stream_len = streams.shape
-        for i in range(tau.shape[0]):
-            for n in range(out.shape[0]):
-                shifted = tau[i, n] + offset
-                d_int = math.floor(shifted - d0)
-                mu = shifted - d0 - d_int
-                idx = n + offset - int(d_int)
-                if 0 <= idx < stream_len:
-                    acc = streams[n_branches - 1, idx]
-                    for k in range(n_branches - 2, -1, -1):
-                        acc = acc * mu + streams[k, idx]
-                    out[n] += amp[i, n] * acc
-        return out
-
-
-def accumulate_images(out, streams, tau, amp, offset, d0):
-    """Sum amp-weighted fractionally delayed signal copies into out.
-
-    out: (T,) accumulator, streams: (M+1, Ls) branch streams shared by all
-    images, tau/amp: (S, T) per-image delay (samples) and gain, offset:
-    integer shift applied to both the delay and the read index (cancels in
-    the resolved signal time), d0: nominal branch delay.
-    """
-    if USE_NUMBA:
-        return _accumulate_numba(out, streams, tau, amp, offset, d0)
-    return _accumulate_numpy(out, streams, tau, amp, offset, d0)
 
 
 # ---------------------------------------------------------------------------
@@ -149,32 +89,46 @@ def accumulate_images(out, streams, tau, amp, offset, d0):
 # samples around b dotted with every table row, so the output, seen as
 # (blocks, factor), is the matrix product frames @ table.T. It is computed in
 # tiles of a shape fixed by `factor`, aligned to multiples of the tile's row
-# count, so a sample's value does not depend on out_len (OpenBLAS sums in an
-# order that varies with the operand shapes). Each tile product stays under
-# OpenBLAS's threading threshold, so it runs on the calling thread, and the
-# working set is one tile whatever the factor. A column-major table (as
-# trajectory._phase_table returns) makes each slice of table.T a row-major
-# operand, which runs faster than a transposed one. Numpy only: the BLAS
-# summation order is not a loop a jit twin could reproduce bit for bit.
+# count, so a sample's value does not depend on which range is asked for
+# (OpenBLAS sums in an order that varies with the operand shapes). Each tile
+# product stays under OpenBLAS's threading threshold, so it runs on the
+# calling thread, and the working set is one tile whatever the factor. A
+# column-major table (as trajectory._phase_table returns) makes each slice
+# of table.T a row-major operand, which runs faster than a transposed one.
 
 # OpenBLAS computes a gemm of at most this many multiply-adds on one thread
 _BLAS_SERIAL_MACS = 1 << 18
 _TILE_MIN_ROWS = 8
 
 
-def upsample_stream(coarse, table, factor, out_len):
-    """Interpolate a coarse sequence to out_len samples at `factor` x rate."""
+def _tile_shape(factor, span):
+    """(rows, cols) of one restoration product: rows blocks x cols phases."""
+    cols = min(factor, _BLAS_SERIAL_MACS // (_TILE_MIN_ROWS * span))
+    return _BLAS_SERIAL_MACS // (cols * span), cols
+
+
+def tile_len(factor, span):
+    """Output samples one restoration tile covers; ranges start at multiples."""
+    return _tile_shape(factor, span)[0] * factor
+
+
+def upsample_stream(coarse, table, factor, out_len, start=0):
+    """Samples [start, out_len) of a coarse sequence at `factor` x rate.
+
+    start must be a multiple of tile_len(factor, table.shape[1]).
+    """
     coarse = np.ascontiguousarray(coarse, dtype=np.float64)
     span = table.shape[1]
     halfspan = (span - 1) // 2
-    cols = min(factor, _BLAS_SERIAL_MACS // (_TILE_MIN_ROWS * span))
-    rows = _BLAS_SERIAL_MACS // (cols * span)
-    window = np.arange(rows)[:, None] + np.arange(-halfspan, halfspan + 1)
+    rows, cols = _tile_shape(factor, span)
     tile = np.empty((rows, factor))
-    out = np.empty(out_len, dtype=np.float64)
-    for start in range(0, out_len, tile.size):
-        frames = coarse[np.clip(window + start // factor, 0, coarse.shape[0] - 1)]
+    if start % tile.size or not 0 <= start <= out_len:
+        raise ValueError("start must be a tile boundary within the output")
+    window = np.arange(rows)[:, None] + np.arange(-halfspan, halfspan + 1)
+    out = np.empty(out_len - start, dtype=np.float64)
+    for t0 in range(start, out_len, tile.size):
+        frames = coarse[np.clip(window + t0 // factor, 0, coarse.shape[0] - 1)]
         for p0 in range(0, factor, cols):
             np.matmul(frames, table[p0 : p0 + cols].T, out=tile[:, p0 : p0 + cols])
-        out[start : start + tile.size] = tile.ravel()[: out_len - start]
+        out[t0 - start : t0 - start + tile.size] = tile.ravel()[: out_len - t0]
     return out

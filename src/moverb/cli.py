@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 usage or invalid parameters, 3 I/O failure,
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -76,21 +77,7 @@ def _load_engine(args):
     if args.workers is not None:
         overrides["workers"] = args.workers
     if overrides:
-        from dataclasses import replace
-
-        cfg = io_formats.EngineConfig(
-            room=cfg.room,
-            mic=cfg.mic,
-            synth=replace(cfg.synth, **overrides),
-            trajectory_spec=cfg.trajectory_spec,
-            trajectory_file=cfg.trajectory_file,
-            farrow_m=cfg.farrow_m,
-            farrow_l=cfg.farrow_l,
-            farrow_alpha=cfg.farrow_alpha,
-            farrow_grid=cfg.farrow_grid,
-            farrow_file=cfg.farrow_file,
-            margin=cfg.margin,
-        )
+        cfg = replace(cfg, synth=replace(cfg.synth, **overrides))
     if cfg.trajectory_file:
         traj = io_formats.read_trajectory(cfg.trajectory_file)
     else:

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.io import wavfile
 
 from .farrow import FarrowFilter
-from .room import MicPosition, Room
+from .room import MicPosition, Room, attenuation
 from .synth import SynthesisConfig
 from .trajectory import Trajectory, TrajectorySpec
 
@@ -29,13 +29,20 @@ def write_wav(path, rate, samples):
 
 
 def read_wav(path):
-    """Returns (rate, float64 samples); rejects multichannel files."""
+    """Returns (rate, float64 samples in [-1, 1)); rejects multichannel files.
+
+    Integer codes map onto [-1, 1) by the full-scale step 2^(bits - 1):
+    signed formats read x / 2^(bits - 1), 8-bit (unsigned, offset 128)
+    reads (x - 128) / 128. Float files pass through unscaled.
+    """
     rate, data = wavfile.read(path)
     if data.ndim != 1:
         raise ValueError("expected mono audio")
-    if data.dtype.kind == "i":
-        data = data.astype(np.float64) / float(np.iinfo(data.dtype).max)
-    return float(rate), np.asarray(data, dtype=np.float64)
+    if data.dtype.kind not in "iu":
+        return float(rate), data.astype(np.float64)
+    full_scale = 2.0 ** (8 * data.dtype.itemsize - 1)
+    offset = full_scale if data.dtype.kind == "u" else 0.0
+    return float(rate), (data.astype(np.float64) - offset) / full_scale
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +254,9 @@ def write_image_debug_csv(path, streams, image_index, cfg):
     """Columns n, d_i, tau_i, A_i for one image of a stream set."""
     if not 0 <= image_index < streams.image_count():
         raise ValueError("image index out of range")
-    d = streams.d[image_index]
+    d = streams.evaluate(image_index, image_index + 1, 0, streams.length)[0]
     tau = streams.rate * d / cfg.sound_speed
-    spec = streams.specs[image_index]
-    amp = spec.beta / (4.0 * np.pi * np.maximum(d, cfg.d_min))
+    amp = attenuation(streams.specs[image_index].beta, np.maximum(d, cfg.d_min))
     with open(path, "w") as fh:
         fh.write("n,d_i,tau_i,A_i\n")
         for n in range(d.size):

@@ -166,8 +166,11 @@ def image_distance(spec, source_pos, mic, room):
 
 
 def attenuation(beta, distance):
-    """Spherical-spreading amplitude beta / (4 pi d)."""
-    if distance <= 0:
+    """Spherical-spreading amplitude beta / (4 pi d), elementwise.
+
+    beta and distance are scalars or arrays that broadcast together.
+    """
+    if np.any(np.asarray(distance) <= 0):
         raise ValueError("attenuation requires distance > 0 (clamp first)")
     return beta / (4.0 * np.pi * distance)
 

@@ -17,23 +17,39 @@ orders of magnitude below the audio rate, so distances of far (high-order)
 images can be sampled at fs / N and reconstructed. Near images keep the
 full rate: their distance curves carry the strongest nonlinearity.
 
-Summation is deterministic by construction: images are partitioned into
-fixed blocks of 32 in enumeration order, each block accumulates
-sequentially, and block results merge in a fixed pairwise tree. Worker
-count changes scheduling only, never the arithmetic, so outputs are
-bit-identical for any number of workers.
+No per-image stream is ever held at full length. A DelayStreams value
+describes its rows (image geometry and path for exact rows, coarse
+samples for restored ones), and synthesize walks the output in fixed time
+chunks of CHUNK_SAMPLES, rounded up to whole restoration tiles. One job
+per (chunk, block of 32 images) evaluates that block's distances over the
+chunk, forms delay and gain, and accumulates into a buffer one chunk long.
+Beyond the input, the output and the coarse samples, memory is
+O(workers x block x chunk) whatever the image count or the clip length.
+The thread pool runs distances, restoration and accumulation.
+
+Summation order is fixed per output sample: images are partitioned into
+fixed blocks of 32 in enumeration order, each block accumulates its images
+in sequence, and a chunk's block buffers merge in a fixed pairwise tree.
+Every per-sample step is elementwise, and restoration computes whole tiles
+whose shape does not depend on the chunk. Chunk length and worker count
+change only the scheduling, never the arithmetic, so they never change the
+output bits.
 """
 
+import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels, farrow
-from .room import as_arrays, as_mic, enumerate_images, image_distance
-from .trajectory import bandlimited_upsample, decimate
+from .room import as_arrays, as_mic, attenuation, enumerate_images, image_distance
+from .trajectory import _phase_table, decimate
 
 SUMMATION_BLOCK = 32
+# output samples per job, rounded up to whole restoration tiles
+CHUNK_SAMPLES = 16384
 
 
 class BudgetError(RuntimeError):
@@ -89,61 +105,129 @@ class SynthesisConfig:
 
 
 @dataclass(frozen=True)
-class DelayStreams:
-    """Per-image distance streams plus the specs they belong to.
+class _ExactRows:
+    """Rows evaluated exactly on a path; past its end they hold the last value."""
 
-    d holds meters, shape (S, T) at `rate` samples per second, rows in the
-    same order as `specs`. eval_count tallies how many distance
-    evaluations produced the streams (coarse evaluations for decimated
-    images), for cost reporting.
+    offset: np.ndarray
+    sign: np.ndarray
+    mic: np.ndarray
+    positions: np.ndarray
+    tile = 1
+
+    def evaluate(self, sel, start, stop):
+        last = self.positions.shape[0] - 1
+        pos = self.positions[min(start, last) : min(stop, last + 1)]
+        d = _kernels.distance_streams(self.offset[sel], self.sign[sel], self.mic, pos)
+        if d.shape[1] < stop - start:
+            d = np.pad(d, ((0, 0), (0, stop - start - d.shape[1])), mode="edge")
+        return d
+
+
+@dataclass(frozen=True)
+class _RestoredRows:
+    """Rows restored from coarse distance samples, as bandlimited_upsample does.
+
+    Restoration computes whole tiles, so a range is computed from the tile
+    boundary at or before its start and then sliced.
+    """
+
+    coarse: np.ndarray
+    factor: int
+    table: np.ndarray
+
+    @property
+    def tile(self):
+        return _kernels.tile_len(self.factor, self.table.shape[1])
+
+    def evaluate(self, sel, start, stop):
+        first = start - start % self.tile
+        out = np.empty((len(sel), stop - start))
+        for k, j in enumerate(sel):
+            row = _kernels.upsample_stream(
+                self.coarse[j], self.table, self.factor, stop, first
+            )
+            out[k] = row[start - first :]
+        return out
+
+
+@dataclass(frozen=True)
+class DelayStreams:
+    """Per-image distance streams, described rather than stored.
+
+    Row i belongs to specs[i] and holds meters at `rate` samples per
+    second for `length` samples. groups hold what rows are computed from
+    (exact rows: image geometry and path; restored rows: coarse samples),
+    and rows[i] is (group number, row within that group). evaluate()
+    computes any range of rows and samples; d builds the whole (S, length)
+    array. eval_count tallies the distance evaluations the streams stand
+    for (coarse evaluations for decimated images), for cost reporting.
     """
 
     rate: float
     specs: list
-    d: np.ndarray
+    length: int
+    groups: tuple
+    rows: np.ndarray
     eval_count: int = 0
 
     def image_count(self):
         return len(self.specs)
 
+    def evaluate(self, a, b, start, stop):
+        """Distances of rows a..b-1 over samples [start, stop)."""
+        if not 0 <= start <= stop <= self.length:
+            raise ValueError("sample range outside the streams")
+        out = np.empty((b - a, stop - start))
+        group, index = self.rows[a:b, 0], self.rows[a:b, 1]
+        for g, rows in enumerate(self.groups):
+            mask = group == g
+            if mask.any():
+                out[mask] = rows.evaluate(index[mask], start, stop)
+        return out
+
+    @property
+    def d(self):
+        """The whole (S, length) distance array, built on demand."""
+        return self.evaluate(0, self.image_count(), 0, self.length)
+
+
+def _one_group(rate, images, length, group, eval_count):
+    rows = np.zeros((len(images), 2), dtype=np.int64)
+    rows[:, 1] = np.arange(len(images))
+    return DelayStreams(
+        rate=rate,
+        specs=list(images),
+        length=length,
+        groups=(group,),
+        rows=rows,
+        eval_count=eval_count,
+    )
+
 
 def low_order_distances(images, traj, mic, room):
     """Exact per-sample distances for the near (low-order) image set."""
-    if not images:
-        return DelayStreams(rate=traj.rate, specs=[], d=np.zeros((0, len(traj))))
     offset, sign, _, _ = as_arrays(images, room)
-    d = _kernels.distance_streams(offset, sign, mic.pos, traj.positions)
-    return DelayStreams(
-        rate=traj.rate, specs=list(images), d=d, eval_count=d.size
-    )
+    group = _ExactRows(offset, sign, mic.pos, traj.positions)
+    return _one_group(traj.rate, images, len(traj), group, len(images) * len(traj))
 
 
 def high_order_distances(images, traj_coarse, mic, room, out_len, factor):
     """Distances sampled on the coarse trajectory, upsampled to out_len.
 
     Per image the number of distance evaluations is the coarse length,
-    ceil(out_len / factor) plus edge holds, instead of out_len.
+    ceil(out_len / factor) plus edge holds, instead of out_len. The coarse
+    samples are computed here; restoration runs when the streams are
+    evaluated. At factor 1 the rows are exact distances on the path.
     """
-    if not images:
-        return DelayStreams(
-            rate=traj_coarse.rate * factor, specs=[], d=np.zeros((0, out_len))
-        )
     offset, sign, _, _ = as_arrays(images, room)
-    coarse = _kernels.distance_streams(offset, sign, mic.pos, traj_coarse.positions)
     if factor == 1:
-        d = coarse[:, :out_len]
-        if d.shape[1] < out_len:
-            d = np.pad(d, ((0, 0), (0, out_len - d.shape[1])), mode="edge")
+        group = _ExactRows(offset, sign, mic.pos, traj_coarse.positions)
     else:
-        d = np.empty((coarse.shape[0], out_len))
-        for i in range(coarse.shape[0]):
-            d[i] = bandlimited_upsample(coarse[i], factor, out_len)
-    return DelayStreams(
-        rate=traj_coarse.rate * factor,
-        specs=list(images),
-        d=d,
-        eval_count=coarse.size,
-    )
+        coarse = _kernels.distance_streams(offset, sign, mic.pos, traj_coarse.positions)
+        # the table is built here, once, not by concurrent render jobs
+        group = _RestoredRows(coarse, int(factor), _phase_table(int(factor)))
+    evals = len(images) * len(traj_coarse)
+    return _one_group(traj_coarse.rate * factor, images, out_len, group, evals)
 
 
 def merge_streams(low, high):
@@ -154,43 +238,100 @@ def merge_streams(low, high):
         return low
     if low.rate != high.rate:
         raise ValueError("stream rates differ")
-    if low.d.shape[1] != high.d.shape[1]:
+    if low.length != high.length:
         raise ValueError("stream lengths differ")
     specs = list(low.specs) + list(high.specs)
     order = sorted(range(len(specs)), key=specs.__getitem__)
-    dest = np.argsort(order)
-    n_low = low.image_count()
-    d = np.empty((len(specs), low.d.shape[1]))
-    d[dest[:n_low]] = low.d
-    d[dest[n_low:]] = high.d
+    high_rows = high.rows + np.array([len(low.groups), 0])
     return DelayStreams(
         rate=low.rate,
         specs=[specs[i] for i in order],
-        d=d,
+        length=low.length,
+        groups=low.groups + high.groups,
+        rows=np.concatenate([low.rows, high_rows])[order],
         eval_count=low.eval_count + high.eval_count,
     )
 
 
-def _pairwise_merge(buffers):
-    """Fixed-topology pairwise tree sum; independent of evaluation order."""
-    while len(buffers) > 1:
-        merged = []
-        for i in range(0, len(buffers) - 1, 2):
-            merged.append(buffers[i] + buffers[i + 1])
-        if len(buffers) % 2:
-            merged.append(buffers[-1])
-        buffers = merged
-    return buffers[0]
+class _PairwiseSum:
+    """Sum of buffers added in order, in a fixed pairwise tree.
+
+    The tree adds buffers 2k and 2k + 1 level by level and carries an odd
+    last one up: ((b0 + b1) + (b2 + b3)) + b4 for five. It is kept as a
+    stack of complete subtrees, so O(log n) buffers are alive at once.
+    """
+
+    def __init__(self):
+        self._stack = []  # (leaf count, partial sum)
+
+    def add(self, buf):
+        leaves = 1
+        while self._stack and self._stack[-1][0] == leaves:
+            left = self._stack.pop()[1]
+            left += buf
+            buf = left
+            leaves *= 2
+        self._stack.append((leaves, buf))
+
+    def total(self):
+        acc = self._stack.pop()[1]
+        while self._stack:
+            left = self._stack.pop()[1]
+            left += acc
+            acc = left
+        return acc
+
+
+def _in_order(job, tasks, workers):
+    """Yield job(*task) for each task in order, at most 2 x workers queued."""
+    if workers == 1 or len(tasks) == 1:
+        for task in tasks:
+            yield job(*task)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for task in tasks:
+            pending.append(pool.submit(job, *task))
+            if len(pending) > 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
+def _walk(job, pieces, blocks, workers):
+    """Run job(a, b, start, stop) for every piece and block.
+
+    job returns (buffer, peak). Returns the pieces' buffers, each summed
+    over the blocks in the pairwise tree, and the largest peak.
+    """
+    tasks = [(*blk, *piece) for piece in pieces for blk in blocks]
+    results = _in_order(job, tasks, workers)
+    out, top = [], -np.inf
+    for _ in pieces:
+        tree = _PairwiseSum()
+        for _ in blocks:
+            buf, peak = next(results)
+            tree.add(buf)
+            top = max(top, peak)
+        out.append(tree.total())
+    return out, top
+
+
+def _output_len(s, d_max, rate, f, cfg):
+    tau_max = rate * float(d_max) / cfg.sound_speed
+    return s.size + int(np.ceil(tau_max)) + f.branch_len
 
 
 def synthesize(s, streams, f, cfg):
     """Render the moving-image mixture of s at the receiver.
 
-    Output length is len(s) + ceil(max delay) + L. Distance streams
-    shorter than that are hold-extended (the tail rings with the final
-    geometry). The delay request is shifted by L samples and the branch
-    stream read index shifted back by the same amount, which keeps every
-    request above the filter latency without physically padding the input.
+    Output length is len(s) + ceil(max delay) + L, the maximum taken over
+    the whole streams. Past the end of the streams every row holds its
+    last value (the tail rings with the final geometry); streams that run
+    past the output are evaluated to their end for the maximum, then cut.
+    The delay request is shifted by L samples and the branch stream read
+    index shifted back by the same amount, which keeps every request above
+    the filter latency without physically padding the input.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
@@ -200,54 +341,79 @@ def synthesize(s, streams, f, cfg):
     n_images = streams.image_count()
     if n_images == 0:
         return np.zeros(s.size + f.branch_len)
-    tau_max = streams.rate * float(streams.d.max()) / cfg.sound_speed
-    out_len = s.size + int(np.ceil(tau_max)) + f.branch_len
-    if streams.d.shape[1] < out_len:
-        pad = out_len - streams.d.shape[1]
-        d_ext = np.pad(streams.d, ((0, 0), (0, pad)), mode="edge")
-    else:
-        d_ext = streams.d[:, :out_len]
-    tau = streams.rate * d_ext / cfg.sound_speed
     beta = np.array([sp.beta for sp in streams.specs])
-    amp = beta[:, None] / (4.0 * np.pi * np.maximum(d_ext, cfg.d_min))
-
-    shift = f.branch_len  # keeps tau + shift >= D0 for every physical delay
     blocks = [
-        slice(i, min(i + SUMMATION_BLOCK, n_images))
-        for i in range(0, n_images, SUMMATION_BLOCK)
+        (a, min(a + SUMMATION_BLOCK, n_images))
+        for a in range(0, n_images, SUMMATION_BLOCK)
     ]
-
     if cfg.modulate == "source":
-        # gain applied at emission time: delay the pre-modulated signal,
-        # one branch pass per image (validation path)
-        ones = np.ones((1, out_len))
-        buffers = []
-        for blk in blocks:
-            buf = np.zeros(out_len)
-            for i in range(blk.start, blk.stop):
-                gain = amp[i, : s.size]
-                branch = farrow.branch_filter(s * gain, f)
-                _kernels.accumulate_images(
-                    buf, branch, tau[i : i + 1], ones, shift, f.nominal_delay
-                )
-            buffers.append(buf)
-        return _pairwise_merge(buffers)
+        return _synthesize_source(s, streams, beta, blocks, f, cfg)
 
     branch = farrow.branch_filter(s, f)
+    shift = f.branch_len  # keeps tau + shift >= D0 for every physical delay
+    length = streams.length
+    last = np.empty(n_images)
 
-    def run_block(blk):
-        buf = np.zeros(out_len)
+    def accumulate(d, a, b, start):
+        # d is the job's own array: the gain floor clamps it in place
+        tau = streams.rate * d / cfg.sound_speed
+        amp = attenuation(beta[a:b, None], np.maximum(d, cfg.d_min, out=d))
+        buf = np.zeros(d.shape[1])
         _kernels.accumulate_images(
-            buf, branch, tau[blk], amp[blk], shift, f.nominal_delay
+            buf, branch, tau, amp, shift, f.nominal_delay, start
         )
         return buf
 
-    if cfg.workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            buffers = list(pool.map(run_block, blocks))
-    else:
-        buffers = [run_block(blk) for blk in blocks]
-    return _pairwise_merge(buffers)
+    def path_job(a, b, start, stop):
+        d = streams.evaluate(a, b, start, stop)
+        if stop == length:
+            last[a:b] = d[:, -1]
+        peak = d.max()  # before accumulate clamps d in place
+        return accumulate(d, a, b, start), peak
+
+    def tail_job(a, b, start, stop):
+        d = np.repeat(last[a:b, None], stop - start, axis=1)
+        return accumulate(d, a, b, start), -np.inf
+
+    chunk = math.lcm(*(g.tile for g in streams.groups))
+    chunk *= -(-CHUNK_SAMPLES // chunk)
+    pieces = [(t, min(t + chunk, length)) for t in range(0, length, chunk)]
+    out, d_max = _walk(path_job, pieces, blocks, cfg.workers)
+    out_len = _output_len(s, d_max, streams.rate, f, cfg)
+    if out_len > length:
+        first = length - length % chunk
+        tail = [
+            (max(t, length), min(t + chunk, out_len))
+            for t in range(first, out_len, chunk)
+        ]
+        out += _walk(tail_job, tail, blocks, cfg.workers)[0]
+    return np.concatenate(out)[:out_len]
+
+
+def _synthesize_source(s, streams, beta, blocks, f, cfg):
+    """Gain applied at emission time: delay the pre-modulated signal.
+
+    One branch pass per image (validation path), one image row at a time;
+    a first pass over the rows finds the output length.
+    """
+    length = streams.length
+    d_max = max(streams.evaluate(i, i + 1, 0, length).max() for i in range(len(beta)))
+    out_len = _output_len(s, d_max, streams.rate, f, cfg)
+    ones = np.ones((1, out_len))
+    tree = _PairwiseSum()
+    for a, b in blocks:
+        buf = np.zeros(out_len)
+        for i in range(a, b):
+            d = streams.evaluate(i, i + 1, 0, min(length, out_len))
+            d = np.pad(d, ((0, 0), (0, out_len - d.shape[1])), mode="edge")
+            gain = attenuation(beta[i], np.maximum(d[0, : s.size], cfg.d_min))
+            branch = farrow.branch_filter(s * gain, f)
+            tau = streams.rate * d / cfg.sound_speed
+            _kernels.accumulate_images(
+                buf, branch, tau, ones, f.branch_len, f.nominal_delay
+            )
+        tree.add(buf)
+    return tree.total()
 
 
 def select_images(room, traj, mic, cfg):

@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from moverb import farrow, io_formats
 from moverb.io_formats import (
@@ -44,6 +45,24 @@ class TestWavRoundTrip:
     def test_rejects_non_1d(self, tmp_path):
         with pytest.raises(ValueError):
             write_wav(tmp_path / "b.wav", RATE, np.zeros((10, 2)))
+
+    @pytest.mark.parametrize(
+        "dtype, low, high",
+        [
+            (np.uint8, 0, 255),
+            (np.int16, -(2**15), 2**15 - 1),
+            (np.int32, -(2**31), 2**31 - 1),
+            (np.float32, -1.0, np.nextafter(np.float32(1.0), np.float32(0.0))),
+        ],
+    )
+    def test_extreme_codes_read_inside_unit_range(self, tmp_path, dtype, low, high):
+        path = tmp_path / "x.wav"
+        wavfile.write(path, int(RATE), np.array([low, high, low], dtype=dtype))
+        rate, y = read_wav(path)
+        assert rate == RATE and y.dtype == np.float64
+        assert y[0] == -1.0 and y[2] == -1.0
+        assert -1.0 < y[1] < 1.0
+        assert y[1] >= 1.0 - 2.0 ** -7  # one step below full scale, 8 bits or more
 
 
 class TestTrajectoryFile:

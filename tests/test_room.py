@@ -149,6 +149,17 @@ class TestAttenuation:
     def test_rejects_nonpositive_distance(self):
         with pytest.raises(ValueError):
             attenuation(1.0, 0.0)
+        with pytest.raises(ValueError):
+            attenuation(1.0, np.array([2.0, 0.0]))
+
+    def test_arrays_match_scalar_calls(self):
+        beta = np.array([[0.5], [0.9]])
+        d = np.array([[0.05, 2.0, 7.5], [1.0, 3.0, 40.0]])
+        got = attenuation(beta, d)
+        assert got.shape == d.shape
+        for i in range(2):
+            for j in range(3):
+                assert got[i, j] == attenuation(float(beta[i, 0]), float(d[i, j]))
 
 
 class TestBeta:

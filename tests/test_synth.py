@@ -1,8 +1,11 @@
-import numpy as np
-import pytest
+import sys
+import tracemalloc
 from dataclasses import replace
 
-from moverb import _kernels, synth
+import numpy as np
+import pytest
+
+from moverb import _kernels, farrow, synth
 from moverb.room import MicPosition, Room, as_arrays, enumerate_images
 from moverb.synth import (
     DelayStreams,
@@ -280,6 +283,144 @@ class TestDeterminism:
         assert np.array_equal(a, b)
 
 
+def whole_array_render(s, streams, f, cfg):
+    """Receiver-modulated render with every stream held whole.
+
+    The arithmetic synthesize must reproduce bit for bit: per-block Horner
+    accumulation over the full output, then the level-by-level pairwise
+    sum of the block buffers.
+    """
+    d = streams.d
+    tau_max = streams.rate * float(d.max()) / cfg.sound_speed
+    out_len = s.size + int(np.ceil(tau_max)) + f.branch_len
+    if d.shape[1] < out_len:
+        d = np.pad(d, ((0, 0), (0, out_len - d.shape[1])), mode="edge")
+    d = d[:, :out_len]
+    tau = streams.rate * d / cfg.sound_speed
+    beta = np.array([sp.beta for sp in streams.specs])
+    amp = beta[:, None] / (4.0 * np.pi * np.maximum(d, cfg.d_min))
+    branch = farrow.branch_filter(s, f)
+    buffers = []
+    for a in range(0, len(beta), synth.SUMMATION_BLOCK):
+        blk = slice(a, a + synth.SUMMATION_BLOCK)
+        buf = np.zeros(out_len)
+        _kernels.accumulate_images(
+            buf, branch, tau[blk], amp[blk], f.branch_len, f.nominal_delay
+        )
+        buffers.append(buf)
+    while len(buffers) > 1:
+        merged = [buffers[i] + buffers[i + 1] for i in range(0, len(buffers) - 1, 2)]
+        if len(buffers) % 2:
+            merged.append(buffers[-1])
+        buffers = merged
+    return buffers[0]
+
+
+def traced_peak_mb(call):
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+class TestChunkedWalk:
+    # chunk lengths are rounded up to whole restoration tiles: 25600
+    # samples at N=3200, 4032 at N=2, 1 at N=1, so these give 3, 2 and 1
+    # chunks over 3.5 s at N=3200 and many more at the smaller N
+    CHUNKS = (700, 30000, 10**9)
+
+    @pytest.mark.parametrize("factor", [3200, 2, 1])
+    @pytest.mark.parametrize("path", ["shorter", "same", "longer"])
+    def test_bits_do_not_depend_on_chunk_length(
+        self, factor, path, filt, room_5x6x4, mic_std, monkeypatch
+    ):
+        n = 56000
+        t_len = {"shorter": 33600, "same": n, "longer": 84000}[path]
+        tr = moving_traj(t_len, duration=t_len / RATE, seed=5)
+        cfg = SynthesisConfig(max_order=3, decimation=factor)
+        x = np.random.default_rng(factor).standard_normal(n)
+        streams = prepare_streams(tr, room_5x6x4, mic_std, cfg)
+        want = whole_array_render(x, streams, filt, cfg)
+        if path == "longer":
+            assert want.size < t_len  # the walk must cut the path's tail
+        for chunk in self.CHUNKS:
+            monkeypatch.setattr(synth, "CHUNK_SAMPLES", chunk)
+            got = synthesize(x, streams, filt, cfg)
+            assert np.array_equal(got, want), f"chunk {chunk} changed the output"
+
+    def test_workers_do_not_change_bits_with_small_chunks(
+        self, filt, room_5x6x4, mic_std, monkeypatch
+    ):
+        monkeypatch.setattr(synth, "CHUNK_SAMPLES", 1000)
+        n = 8000
+        tr = moving_traj(n, duration=0.5, seed=6)
+        cfg = SynthesisConfig(max_order=3, decimation=1)
+        x = np.random.default_rng(7).standard_normal(n)
+        want = whole_array_render(
+            x, prepare_streams(tr, room_5x6x4, mic_std, cfg), filt, cfg
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the jobs' threads often
+        try:
+            for workers in (1, 2, 8):
+                got = render(
+                    x, tr, room_5x6x4, mic_std, filt, replace(cfg, workers=workers)
+                )
+                assert np.array_equal(got, want), f"workers={workers} changed bits"
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_source_and_receiver_modulation_agree_on_a_static_path(
+        self, filt, room_5x6x4, mic_std
+    ):
+        # a static path has the same gain at emission and arrival, so the
+        # two conventions agree up to the filter's rounding
+        n = 3000
+        tr = static_traj([2.0, 3.5, 2.0], n)
+        cfg = SynthesisConfig(max_order=2, decimation=1)
+        x = np.random.default_rng(8).standard_normal(n)
+        rx = render(x, tr, room_5x6x4, mic_std, filt, cfg)
+        tx = render(x, tr, room_5x6x4, mic_std, filt, replace(cfg, modulate="source"))
+        assert rx.size == tx.size
+        assert np.max(np.abs(rx - tx)) <= 1e-12 * np.max(np.abs(rx))
+
+    def test_output_length_when_every_distance_is_clamped(
+        self, filt, room_5x6x4, mic_std
+    ):
+        # source on the mic: the gain floor must not leak into the length
+        n = 500
+        tr = static_traj(mic_std.pos, n)
+        cfg = SynthesisConfig(max_order=0, decimation=1)
+        y = render(np.ones(n), tr, room_5x6x4, mic_std, filt, cfg)
+        assert y.size == n + filt.branch_len
+
+    def test_order3_ten_second_peak_memory(self, filt, room_5x6x4, mic_std):
+        n = 10 * 16000
+        tr = moving_traj(n, duration=10.0)
+        x = np.random.default_rng(9).standard_normal(n)
+        cfg = SynthesisConfig(max_order=3)
+        y, peak = traced_peak_mb(
+            lambda: render(x, tr, room_5x6x4, mic_std, filt, cfg)
+        )
+        assert y.size > n
+        # whole-array streams took 405 MB here: four (63, 160k) float64 arrays
+        assert peak < 50.0, f"peak {peak:.1f} MB"
+
+    def test_five_thousand_images_render(self, filt, room_5x6x4, mic_std):
+        n = 800  # 0.05 s
+        tr = moving_traj(n, duration=n / RATE)
+        x = np.random.default_rng(10).standard_normal(n)
+        cfg = SynthesisConfig(max_order=16)
+        assert len(select_images(room_5x6x4, tr, mic_std, cfg)) >= 5000
+        y, peak = traced_peak_mb(
+            lambda: render(x, tr, room_5x6x4, mic_std, filt, cfg)
+        )
+        assert y.size > n and np.all(np.isfinite(y))
+        assert peak < 50.0, f"peak {peak:.1f} MB"
+
+
 class TestSelectImages:
     def test_t60_cull_reduces_set(self, room_5x6x4, mic_std):
         tr = static_traj([2.0, 3.0, 2.0], 100)
@@ -293,40 +434,6 @@ class TestSelectImages:
 
         for sp in cut:
             assert image_distance(sp, tr.positions[0], mic_std, room_5x6x4) <= reach
-
-
-class TestKernelPaths:
-    def test_distance_numba_matches_numpy(self, room_5x6x4, mic_std):
-        if not _kernels.HAS_NUMBA:
-            pytest.skip("numba unavailable")
-        tr = moving_traj(3000, duration=0.1875)
-        images = enumerate_images(room_5x6x4, 2)
-        offset, sign, _, _ = as_arrays(images, room_5x6x4)
-        out_a = np.empty((len(images), len(tr)))
-        out_b = np.empty((len(images), len(tr)))
-        _kernels._distance_numba(offset, sign, mic_std.pos, tr.positions, out_a)
-        _kernels._distance_numpy(offset, sign, mic_std.pos, tr.positions, out_b)
-        assert np.array_equal(out_a, out_b)
-
-    def test_accumulate_numba_matches_numpy(self, filt):
-        if not _kernels.HAS_NUMBA:
-            pytest.skip("numba unavailable")
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal(1000)
-        streams = np.ascontiguousarray(
-            np.stack([np.convolve(x, filt.branches[k]) for k in range(4)])
-        )
-        tau = 20.0 + 5.0 * rng.random((6, 1100))
-        amp = rng.random((6, 1100))
-        out_a = np.zeros(1100)
-        out_b = np.zeros(1100)
-        _kernels._accumulate_numba(
-            out_a, streams, tau, amp, filt.branch_len, filt.nominal_delay
-        )
-        _kernels._accumulate_numpy(
-            out_b, streams, tau, amp, filt.branch_len, filt.nominal_delay
-        )
-        assert np.array_equal(out_a, out_b)
 
 
 class TestCostReport:
