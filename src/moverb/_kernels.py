@@ -4,6 +4,11 @@ Every kernel is elementwise along time or works on tiles whose shape does
 not depend on where a render's time chunks fall, so evaluating a range of
 samples gives the same bits as evaluating the whole stream and slicing it.
 That is what lets the synthesis engine walk the output in chunks.
+
+The per-sample kernels (distances and Horner accumulation) work one image
+row at a time in scratch rows allocated once per call, with in-place
+ufuncs that keep each element's operands and operation order, so they
+allocate nothing per step and give the bits of the plain expressions.
 """
 
 import numpy as np
@@ -26,17 +31,27 @@ def distance_streams(offset, sign, mic, pos):
 
     offset: (S, 3) lattice translation in meters, sign: (S, 3) +-1 per axis,
     mic: (3,), pos: (T, 3) source path. Returns (S, T) float64.
+
+    Each row is built in place in a (3, T) scratch array, axis by axis:
+    (offset + sign * p) - mic, squared, summed as (dx^2 + dy^2) + dz^2 and
+    square-rooted into the output row.
     """
     offset = np.ascontiguousarray(offset, dtype=np.float64)
     sign = np.ascontiguousarray(sign, dtype=np.float64)
     mic = np.ascontiguousarray(mic, dtype=np.float64)
-    pos = np.ascontiguousarray(pos, dtype=np.float64)
-    out = np.empty((offset.shape[0], pos.shape[0]), dtype=np.float64)
-    for i in range(offset.shape[0]):
-        dx = offset[i, 0] + sign[i, 0] * pos[:, 0] - mic[0]
-        dy = offset[i, 1] + sign[i, 1] * pos[:, 1] - mic[1]
-        dz = offset[i, 2] + sign[i, 2] * pos[:, 2] - mic[2]
-        out[i] = np.sqrt(dx * dx + dy * dy + dz * dz)
+    pos_t = np.array(np.asarray(pos, dtype=np.float64).T, order="C")
+    out = np.empty((offset.shape[0], pos_t.shape[1]), dtype=np.float64)
+    delta = np.empty_like(pos_t)
+    for i, row in enumerate(out):
+        for ax in range(3):
+            t = delta[ax]
+            np.multiply(sign[i, ax], pos_t[ax], out=t)
+            np.add(offset[i, ax], t, out=t)
+            t -= mic[ax]
+        np.multiply(delta, delta, out=delta)
+        np.add(delta[0], delta[1], out=row)
+        row += delta[2]
+        np.sqrt(row, out=row)
     return out
 
 
@@ -59,20 +74,38 @@ def accumulate_images(out, streams, tau, amp, offset, d0, start=0):
     resolved signal time), d0: nominal branch delay. start only moves the
     read index, so a range of output samples gets the same bits as the
     whole stream does.
+
+    Each image row runs in place in five (T,) scratch rows allocated once
+    per call. Reads gather with mode="clip"; a read index outside the
+    streams contributes +0.0, and the mask that zeroes those entries is
+    built only for rows that have one.
     """
     n_branches, stream_len = streams.shape
-    t_idx = np.arange(start, start + out.shape[0], dtype=np.int64)
+    n = out.shape[0]
+    if n == 0:
+        return out
+    base = np.arange(start + offset, start + offset + n, dtype=np.int64)
+    x = np.empty(n)  # shifted - d0, then the fraction mu
+    d_int = np.empty(n)
+    idx = np.empty(n, dtype=np.int64)
+    acc = np.empty(n)
+    tmp = np.empty(n)
     for i in range(tau.shape[0]):
-        shifted = tau[i] + offset
-        d_int = np.floor(shifted - d0)
-        mu = shifted - d0 - d_int
-        idx = t_idx + offset - d_int.astype(np.int64)
-        valid = (idx >= 0) & (idx < stream_len)
-        idx_c = np.clip(idx, 0, stream_len - 1)
-        acc = streams[n_branches - 1].take(idx_c)
+        np.add(tau[i], offset, out=x)
+        x -= d0
+        np.floor(x, out=d_int)
+        x -= d_int
+        np.copyto(idx, d_int, casting="unsafe")
+        np.subtract(base, idx, out=idx)
+        streams[n_branches - 1].take(idx, out=acc, mode="clip")
         for k in range(n_branches - 2, -1, -1):
-            acc = acc * mu + streams[k].take(idx_c)
-        out += np.where(valid, amp[i] * acc, 0.0)
+            streams[k].take(idx, out=tmp, mode="clip")
+            acc *= x
+            acc += tmp
+        acc *= amp[i]
+        if idx.min() < 0 or idx.max() >= stream_len:
+            acc[(idx < 0) | (idx >= stream_len)] = 0.0
+        out += acc
     return out
 
 

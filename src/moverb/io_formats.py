@@ -8,7 +8,6 @@ the stated precision.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.io import wavfile
 
 from .farrow import FarrowFilter
 from .room import MicPosition, Room, attenuation
@@ -25,6 +24,8 @@ def write_wav(path, rate, samples):
     x = np.asarray(samples, dtype=np.float32)
     if x.ndim != 1:
         raise ValueError("audio must be mono (1-D)")
+    from scipy.io import wavfile
+
     wavfile.write(path, int(rate), x)
 
 
@@ -35,6 +36,8 @@ def read_wav(path):
     signed formats read x / 2^(bits - 1), 8-bit (unsigned, offset 128)
     reads (x - 128) / 128. Float files pass through unscaled.
     """
+    from scipy.io import wavfile
+
     rate, data = wavfile.read(path)
     if data.ndim != 1:
         raise ValueError("expected mono audio")

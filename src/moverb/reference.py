@@ -10,11 +10,10 @@ block boundary.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import fftconvolve, hilbert
 
 from .room import as_mic, attenuation, enumerate_images, image_distance
 from .synth import BudgetError, SynthesisConfig, render
-from .trajectory import UPSAMPLE_HALFWIDTH, UPSAMPLE_KAISER_BETA, Trajectory
+from .trajectory import UPSAMPLE_HALFWIDTH, Trajectory, kaiser_sinc
 
 _DIRECT_CONV_LIMIT = 5_000_000  # ops bound below which exact O(n m) is used
 
@@ -54,14 +53,7 @@ def _sinc_kernel(frac):
     integer base places the impulse at base + frac.
     """
     hw = UPSAMPLE_HALFWIDTH
-    offsets = np.arange(-hw, hw + 1, dtype=np.float64)
-    arg = offsets - frac
-    window = np.zeros_like(arg)
-    inside = np.abs(arg) <= hw
-    u = np.clip(arg / hw, -1.0, 1.0)
-    window[inside] = np.i0(UPSAMPLE_KAISER_BETA * np.sqrt(1.0 - u[inside] ** 2))
-    window /= np.i0(UPSAMPLE_KAISER_BETA)
-    return np.sinc(arg) * window
+    return kaiser_sinc(np.arange(-hw, hw + 1, dtype=np.float64) - frac)
 
 
 def static_rir(room, source_pos, mic, rate, max_order, c=343.0, d_min=0.05):
@@ -110,6 +102,8 @@ def static_render(s, rir, rate=None):
         raise ValueError("sample rate does not match the impulse response")
     if s.size * rir.taps.size <= _DIRECT_CONV_LIMIT:
         return np.convolve(s, rir.taps)
+    from scipy.signal import fftconvolve
+
     return fftconvolve(s, rir.taps)
 
 
@@ -230,6 +224,8 @@ def compare(a, b, passband=0.8, rate=16000.0, interior=0.05, runtime_counts=None
         snr = 200.0
     else:
         snr = min(200.0, 10.0 * np.log10(ref_energy / err_energy))
+
+    from scipy.signal import hilbert
 
     analytic = hilbert(a)
     envelope = np.abs(analytic)

@@ -21,11 +21,14 @@ No per-image stream is ever held at full length. A DelayStreams value
 describes its rows (image geometry and path for exact rows, coarse
 samples for restored ones), and synthesize walks the output in fixed time
 chunks of CHUNK_SAMPLES, rounded up to whole restoration tiles. One job
-per (chunk, block of 32 images) evaluates that block's distances over the
-chunk, forms delay and gain, and accumulates into a buffer one chunk long.
-Beyond the input, the output and the coarse samples, memory is
-O(workers x block x chunk) whatever the image count or the clip length.
-The thread pool runs distances, restoration and accumulation.
+per (chunk, block of 32 images) walks its block ROW_GROUP (8) rows at a
+time: it evaluates those rows' distances over the chunk, forms their delay
+and gain, and accumulates them into a buffer one chunk long. Beyond the
+input, the output and the coarse samples, memory is
+O(workers x ROW_GROUP x chunk) whatever the image count or the clip
+length. The thread pool runs distances, restoration and accumulation. A
+clip of N samples or less restores nothing: its far rows are exact, since
+one coarse sample would hold them at a constant distance.
 
 Summation order is fixed per output sample: images are partitioned into
 fixed blocks of 32 in enumeration order, each block accumulates its images
@@ -48,6 +51,9 @@ from .room import as_arrays, as_mic, attenuation, enumerate_images, image_distan
 from .trajectory import _phase_table, decimate
 
 SUMMATION_BLOCK = 32
+# image rows whose distances, delay and gain a job holds at once; single
+# rows would make many small GIL-bound calls and stall the thread pool
+ROW_GROUP = 8
 # output samples per job, rounded up to whole restoration tiles
 CHUNK_SAMPLES = 16384
 
@@ -354,26 +360,34 @@ def synthesize(s, streams, f, cfg):
     length = streams.length
     last = np.empty(n_images)
 
-    def accumulate(d, a, b, start):
-        # d is the job's own array: the gain floor clamps it in place
+    def accumulate(buf, d, r, start):
+        # d is the group's own array: the gain floor clamps it in place
         tau = streams.rate * d / cfg.sound_speed
-        amp = attenuation(beta[a:b, None], np.maximum(d, cfg.d_min, out=d))
-        buf = np.zeros(d.shape[1])
+        amp = attenuation(
+            beta[r : r + d.shape[0], None], np.maximum(d, cfg.d_min, out=d)
+        )
         _kernels.accumulate_images(
             buf, branch, tau, amp, shift, f.nominal_delay, start
         )
-        return buf
 
     def path_job(a, b, start, stop):
-        d = streams.evaluate(a, b, start, stop)
-        if stop == length:
-            last[a:b] = d[:, -1]
-        peak = d.max()  # before accumulate clamps d in place
-        return accumulate(d, a, b, start), peak
+        buf, peak = np.zeros(stop - start), -np.inf
+        for r in range(a, b, ROW_GROUP):
+            e = min(r + ROW_GROUP, b)
+            d = streams.evaluate(r, e, start, stop)
+            if stop == length:
+                last[r:e] = d[:, -1]
+            peak = max(peak, d.max())  # before accumulate clamps d in place
+            accumulate(buf, d, r, start)
+        return buf, peak
 
     def tail_job(a, b, start, stop):
-        d = np.repeat(last[a:b, None], stop - start, axis=1)
-        return accumulate(d, a, b, start), -np.inf
+        buf = np.zeros(stop - start)
+        for r in range(a, b, ROW_GROUP):
+            e = min(r + ROW_GROUP, b)
+            d = np.repeat(last[r:e, None], stop - start, axis=1)
+            accumulate(buf, d, r, start)
+        return buf, -np.inf
 
     chunk = math.lcm(*(g.tile for g in streams.groups))
     chunk *= -(-CHUNK_SAMPLES // chunk)
@@ -428,8 +442,20 @@ def select_images(room, traj, mic, cfg):
     return images
 
 
+def _far_factor(cfg, n_samples):
+    """Decimation of the far rows: N, or 1 when the clip is N samples or less.
+
+    A clip that short leaves one coarse sample, a constant distance.
+    """
+    return cfg.decimation if n_samples > cfg.decimation else 1
+
+
 def prepare_streams(traj, room, mic, cfg, images=None):
-    """Split the image set at order K and build merged distance streams."""
+    """Split the image set at order K and build merged distance streams.
+
+    Far rows are restored from every N-th path sample, except on a clip of
+    N samples or less, where they are exact (see _far_factor).
+    """
     if traj.rate != cfg.audio_rate:
         raise ValueError("trajectory rate must equal the audio rate")
     mic = as_mic(mic)
@@ -439,10 +465,9 @@ def prepare_streams(traj, room, mic, cfg, images=None):
     low = [sp for sp in images if sp.order <= cfg.order_split]
     high = [sp for sp in images if sp.order > cfg.order_split]
     low_streams = low_order_distances(low, traj, mic, room)
-    coarse = decimate(traj, cfg.decimation)
-    high_streams = high_order_distances(
-        high, coarse, mic, room, len(traj), cfg.decimation
-    )
+    factor = _far_factor(cfg, len(traj))
+    coarse = decimate(traj, factor)
+    high_streams = high_order_distances(high, coarse, mic, room, len(traj), factor)
     return merge_streams(low_streams, high_streams)
 
 
@@ -463,6 +488,8 @@ def cost_report(cfg, images, duration):
     images: either the enumerated spec list or a plain image count (for
     budget arithmetic beyond enumerable sizes). Returns a dict with naive
     and hierarchical totals, their ratio, and the high-order-only ratio.
+    Far images count as render evaluates them, exactly on a clip of N
+    samples or less.
     """
     n_samples = int(round(duration * cfg.audio_rate))
     if isinstance(images, int):
@@ -472,7 +499,7 @@ def cost_report(cfg, images, duration):
         total = len(images)
         low = sum(1 for sp in images if sp.order <= cfg.order_split)
     high = total - low
-    coarse_len = -(-n_samples // cfg.decimation)  # ceil
+    coarse_len = -(-n_samples // _far_factor(cfg, n_samples))  # ceil
     naive = total * n_samples
     hierarchical = low * n_samples + high * coarse_len
     high_naive = high * n_samples

@@ -15,13 +15,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import _kernels
 
 UPSAMPLE_HALFWIDTH = 32
 # Kaiser shape for >= 80 dB stopband rejection: 0.1102 * (80 - 8.7)
 UPSAMPLE_KAISER_BETA = 7.857
+_PHASE_BLOCK = 256
 
 _KINDS = ("line", "circle", "sine", "filtered-noise", "waypoint-spline")
 
@@ -201,6 +201,8 @@ def generate(spec, rate, room, margin=0.3):
     waypoints = margin + (0.2 + 0.6 * rng.random((count, 3))) * usable
     if spec.speed_max == 0 and not np.allclose(waypoints, waypoints[0]):
         raise ValueError("speed_max = 0 cannot visit distinct waypoints")
+    from scipy.interpolate import CubicSpline
+
     times = np.linspace(0.0, spec.duration, count)
     spline = CubicSpline(times, waypoints, axis=0)
     pos = spline(np.clip(t, 0.0, times[-1]))
@@ -232,6 +234,22 @@ def _lowpass_columns(x, rate, cutoff):
     return out
 
 
+def kaiser_sinc(arg):
+    """Kaiser-windowed sinc at arg samples from its center, elementwise.
+
+    The window spans UPSAMPLE_HALFWIDTH samples each side; the kernel is
+    zero beyond it. The one formula behind restoration's phase table and
+    the static impulse response's fractional taps.
+    """
+    hw = UPSAMPLE_HALFWIDTH
+    u = np.clip(arg / hw, -1.0, 1.0)
+    window = np.i0(UPSAMPLE_KAISER_BETA * np.sqrt(1.0 - u**2)) / np.i0(
+        UPSAMPLE_KAISER_BETA
+    )
+    window[np.abs(arg) > hw] = 0.0
+    return np.sinc(arg) * window
+
+
 @lru_cache(maxsize=8)
 def _phase_table(factor):
     """Normalized Kaiser-windowed sinc weights for each output phase.
@@ -246,18 +264,12 @@ def _phase_table(factor):
     """
     hw = UPSAMPLE_HALFWIDTH
     offsets = np.arange(-hw, hw + 1, dtype=np.float64)
-    table = np.empty((factor, offsets.size))
-    for r in range(factor):
-        arg = r / factor - offsets
-        inside = np.abs(arg) <= hw
-        window = np.zeros_like(arg)
-        u = np.clip(arg / hw, -1.0, 1.0)
-        window[inside] = np.i0(
-            UPSAMPLE_KAISER_BETA * np.sqrt(1.0 - u[inside] ** 2)
-        ) / np.i0(UPSAMPLE_KAISER_BETA)
-        row = np.sinc(arg) * window
-        table[r] = row / row.sum()
-    table = np.asfortranarray(table)
+    table = np.empty((factor, offsets.size), order="F")
+    # blocks of rows bound the temporaries whatever the factor
+    for r0 in range(0, factor, _PHASE_BLOCK):
+        r1 = min(r0 + _PHASE_BLOCK, factor)
+        rows = kaiser_sinc(np.arange(r0, r1)[:, None] / factor - offsets)
+        table[r0:r1] = rows / rows.sum(axis=1, keepdims=True)
     table.flags.writeable = False
     return table
 

@@ -1,3 +1,5 @@
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -30,6 +32,26 @@ def run_cli(*args, cwd=None):
         text=True,
         cwd=cwd,
     )
+
+
+class TestColdStart:
+    def test_import_leaves_scipy_submodules_unloaded(self):
+        # scipy's signal, interpolate and io load on first use, not at import
+        src = str(pathlib.Path(io_formats.__file__).parents[1])
+        code = (
+            "import sys, moverb; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.interpolate', "
+            "'scipy.io') if m in sys.modules))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestWavRoundTrip:

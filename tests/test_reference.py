@@ -10,9 +10,9 @@ from moverb.reference import (
     static_render,
     static_rir,
 )
-from moverb.room import MicPosition, Room
+from moverb.room import MicPosition, Room, enumerate_images, image_distance
 from moverb.synth import BudgetError, SynthesisConfig
-from moverb.trajectory import Trajectory
+from moverb.trajectory import UPSAMPLE_HALFWIDTH, UPSAMPLE_KAISER_BETA, Trajectory
 
 from conftest import sine, snr_db
 
@@ -54,7 +54,33 @@ class TestStaticRender:
         assert rel <= 1e-10
 
 
+def reference_sinc_kernel(frac):
+    """The static response's fractional tap kernel, frozen here."""
+    hw = UPSAMPLE_HALFWIDTH
+    arg = np.arange(-hw, hw + 1, dtype=np.float64) - frac
+    window = np.zeros_like(arg)
+    inside = np.abs(arg) <= hw
+    u = np.clip(arg / hw, -1.0, 1.0)
+    window[inside] = np.i0(UPSAMPLE_KAISER_BETA * np.sqrt(1.0 - u[inside] ** 2))
+    window /= np.i0(UPSAMPLE_KAISER_BETA)
+    return np.sinc(arg) * window
+
+
 class TestStaticRIR:
+    def test_taps_match_frozen_kernel(self, room_5x6x4, mic_std):
+        src = np.array([2.0, 3.5, 2.0])
+        rir = static_rir(room_5x6x4, src, mic_std, RATE, 2)
+        hw = UPSAMPLE_HALFWIDTH
+        want = np.zeros_like(rir.taps)
+        for sp in enumerate_images(room_5x6x4, 2):
+            d = image_distance(sp, src, mic_std, room_5x6x4)
+            tau = RATE * d / 343.0
+            base = int(np.floor(tau))
+            kernel = sp.beta / (4.0 * np.pi * d) * reference_sinc_kernel(tau - base)
+            want[base - hw : base + hw + 1] += kernel
+        assert rir.taps.tobytes() == want.tobytes()
+
+
     def test_direct_tap_amplitude_and_delay(self, room_5x6x4, mic_std):
         src = np.array([2.0, 3.5, 2.0])
         rir = static_rir(room_5x6x4, src, mic_std, RATE, 0)

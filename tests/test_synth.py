@@ -1,9 +1,12 @@
 import sys
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moverb import _kernels, farrow, synth
 from moverb.room import MicPosition, Room, as_arrays, enumerate_images
@@ -37,6 +40,90 @@ def moving_traj(n, rate=RATE, seed=3, duration=None):
         kind="sine", duration=dur, bandwidth_limit=2.0, speed_max=1.0, seed=seed
     )
     return generate(spec, rate, room)
+
+
+def reference_distance_streams(offset, sign, mic, pos):
+    """The distance kernel as plain whole-row expressions, frozen here."""
+    out = np.empty((offset.shape[0], pos.shape[0]))
+    for i in range(offset.shape[0]):
+        dx = offset[i, 0] + sign[i, 0] * pos[:, 0] - mic[0]
+        dy = offset[i, 1] + sign[i, 1] * pos[:, 1] - mic[1]
+        dz = offset[i, 2] + sign[i, 2] * pos[:, 2] - mic[2]
+        out[i] = np.sqrt(dx * dx + dy * dy + dz * dz)
+    return out
+
+
+def reference_accumulate_images(out, streams, tau, amp, offset, d0, start=0):
+    """The accumulation kernel as plain whole-row expressions, frozen here."""
+    n_branches, stream_len = streams.shape
+    t_idx = np.arange(start, start + out.shape[0], dtype=np.int64)
+    for i in range(tau.shape[0]):
+        shifted = tau[i] + offset
+        d_int = np.floor(shifted - d0)
+        mu = shifted - d0 - d_int
+        idx = t_idx + offset - d_int.astype(np.int64)
+        valid = (idx >= 0) & (idx < stream_len)
+        idx_c = np.clip(idx, 0, stream_len - 1)
+        acc = streams[n_branches - 1].take(idx_c)
+        for k in range(n_branches - 2, -1, -1):
+            acc = acc * mu + streams[k].take(idx_c)
+        out += np.where(valid, amp[i] * acc, 0.0)
+    return out
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestKernelsMatchFrozenReferences:
+    """The in-place kernels give the bits of the plain expressions.
+
+    whole_array_render calls the live kernel, so only a frozen copy can
+    catch a kernel that changes its own arithmetic.
+    """
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_accumulate_images(self, seed):
+        rng = np.random.default_rng(seed)
+        n_branches = int(rng.integers(2, 6))
+        stream_len = int(rng.integers(40, 2500))
+        n = int(rng.integers(1, 2000))
+        rows = int(rng.integers(1, 6))
+        streams = rng.standard_normal((n_branches, stream_len))
+        start = int(rng.integers(0, 2500))
+        offset = int(rng.integers(0, 20))
+        d0 = float(rng.uniform(1.0, 6.0))
+        # each row's read position in the streams moves up to 0.9 samples
+        # per output sample; it leaves the streams at either end, or
+        # (every third case) stays inside them
+        t = np.arange(n)
+        first = rng.uniform(-60.0, stream_len + 60.0, size=(rows, 1))
+        read = first + rng.uniform(-0.9, 0.9, size=(rows, 1)) * t
+        if seed % 3 == 0:
+            read = np.clip(read, 1.0, stream_len - 3.0)
+        read += 0.01 * rng.standard_normal((rows, n))
+        tau = start + t + d0 - read
+        amp = rng.uniform(-1.0, 1.0, size=(rows, n))
+        init = rng.standard_normal(n)
+        want = reference_accumulate_images(
+            init.copy(), streams, tau, amp, offset, d0, start
+        )
+        got = _kernels.accumulate_images(
+            init.copy(), streams, tau, amp, offset, d0, start
+        )
+        assert same_bits(got, want)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_distance_streams(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, n = int(rng.integers(1, 9)), int(rng.integers(1, 3000))
+        offset = rng.uniform(-30.0, 30.0, size=(rows, 3))
+        sign = rng.choice([-1.0, 1.0], size=(rows, 3))
+        mic = rng.uniform(0.0, 6.0, size=3)
+        pos = rng.uniform(0.0, 6.0, size=(n, 3))
+        want = reference_distance_streams(offset, sign, mic, pos)
+        got = _kernels.distance_streams(offset, sign, mic, pos)
+        assert same_bits(got, want)
 
 
 class TestConfigValidation:
@@ -419,6 +506,86 @@ class TestChunkedWalk:
         )
         assert y.size > n and np.all(np.isfinite(y))
         assert peak < 50.0, f"peak {peak:.1f} MB"
+
+    def test_dense_render_peak_is_bounded_with_two_workers(
+        self, filt, room_5x6x4, mic_std
+    ):
+        # jobs in flight vary with thread timing; each holds ROW_GROUP rows
+        n = 16000
+        tr = moving_traj(n, duration=1.0, seed=12)
+        x = np.random.default_rng(13).standard_normal(n)
+        cfg = SynthesisConfig(max_order=8, order_split=2, t60=0.07, workers=2)
+        assert len(select_images(room_5x6x4, tr, mic_std, cfg)) > 400
+        for _ in range(3):
+            _, peak = traced_peak_mb(
+                lambda: render(x, tr, room_5x6x4, mic_std, filt, cfg)
+            )
+            assert peak < 25.0, f"peak {peak:.1f} MB"
+
+
+class TestShortClips:
+    def test_clip_of_n_samples_or_less_renders_far_rows_exactly(
+        self, filt, room_5x6x4, mic_std
+    ):
+        # one coarse sample would hold every far image at its first distance
+        n = 800  # 0.05 s
+        tr = moving_traj(n, duration=n / RATE, seed=14)
+        x = np.random.default_rng(15).standard_normal(n)
+        cfg = SynthesisConfig(max_order=3, decimation=3200)
+        got = render(x, tr, room_5x6x4, mic_std, filt, cfg)
+        want = render(x, tr, room_5x6x4, mic_std, filt, replace(cfg, decimation=1))
+        assert np.array_equal(got, want)
+
+    def test_cost_report_counts_short_clip_far_rows_at_full_rate(self, room_5x6x4):
+        cfg = SynthesisConfig(max_order=3, decimation=3200)
+        images = enumerate_images(room_5x6x4, 3)
+        short = cost_report(cfg, images, 0.05)
+        assert short["hierarchical_evals"] == short["naive_evals"]
+        longer = cost_report(cfg, images, 0.5)
+        assert longer["hierarchical_evals"] < longer["naive_evals"]
+
+
+def small_render_case(seed, n, factor):
+    tr = moving_traj(n, duration=n / RATE, seed=seed)
+    x = np.random.default_rng(seed).standard_normal(n)
+    return x, tr, SynthesisConfig(max_order=2, order_split=1, decimation=factor)
+
+
+class TestRenderProperties:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(200, 6000),
+        factor=st.sampled_from([1, 2, 7, 400]),
+        chunk=st.integers(1, 20000),
+        workers=st.sampled_from([1, 2, 3]),
+    )
+    def test_bits_do_not_depend_on_chunk_or_workers(
+        self, filt, room_5x6x4, mic_std, seed, n, factor, chunk, workers
+    ):
+        x, tr, cfg = small_render_case(seed, n, factor)
+        want = render(x, tr, room_5x6x4, mic_std, filt, cfg)
+        with mock.patch.object(synth, "CHUNK_SAMPLES", chunk):
+            got = render(
+                x, tr, room_5x6x4, mic_std, filt, replace(cfg, workers=workers)
+            )
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(200, 6000),
+        factor=st.sampled_from([1, 7, 3200]),
+        k=st.integers(-8, 8),
+    )
+    def test_power_of_two_input_scaling_is_exact(
+        self, filt, room_5x6x4, mic_std, seed, n, factor, k
+    ):
+        # scaling by 2^k is exact in every multiply and add of the render
+        x, tr, cfg = small_render_case(seed, n, factor)
+        y = render(x, tr, room_5x6x4, mic_std, filt, cfg)
+        scaled = render(np.ldexp(x, k), tr, room_5x6x4, mic_std, filt, cfg)
+        assert np.array_equal(scaled, np.ldexp(y, k))
 
 
 class TestSelectImages:

@@ -8,6 +8,7 @@ from moverb.room import Room, as_arrays, enumerate_images
 from moverb.synth import high_order_distances
 from moverb.trajectory import (
     UPSAMPLE_HALFWIDTH,
+    UPSAMPLE_KAISER_BETA,
     Trajectory,
     TrajectorySpec,
     _phase_table,
@@ -147,6 +148,33 @@ class TestGenerate:
         )
         with pytest.raises(ValueError):
             generate(spec, RATE, room, margin=0.6)
+
+
+def reference_phase_table(factor):
+    """The phase table built row by row, each row normalized on its own."""
+    hw = UPSAMPLE_HALFWIDTH
+    offsets = np.arange(-hw, hw + 1, dtype=np.float64)
+    table = np.empty((factor, offsets.size))
+    for r in range(factor):
+        arg = r / factor - offsets
+        inside = np.abs(arg) <= hw
+        window = np.zeros_like(arg)
+        u = np.clip(arg / hw, -1.0, 1.0)
+        window[inside] = np.i0(
+            UPSAMPLE_KAISER_BETA * np.sqrt(1.0 - u[inside] ** 2)
+        ) / np.i0(UPSAMPLE_KAISER_BETA)
+        row = np.sinc(arg) * window
+        table[r] = row / row.sum()
+    return table
+
+
+class TestPhaseTable:
+    @pytest.mark.parametrize("factor", [2, 16, 100, 1009, 3200])
+    def test_equals_row_by_row_build(self, factor):
+        table = _phase_table(factor)
+        want = reference_phase_table(factor)
+        assert table.tobytes(order="C") == want.tobytes()
+        assert table.flags.f_contiguous and not table.flags.writeable
 
 
 class TestUpsample:
