@@ -110,58 +110,43 @@ def accumulate_images(out, streams, tau, amp, offset, d0, start=0):
 
 
 # ---------------------------------------------------------------------------
-# windowed-sinc interpolation of a coarse stream onto a dense grid
+# Lagrange cubic restoration of a grid-node row onto the audio-rate grid
 #
-# Output sample m = b * factor + p sits at coarse time b + p / factor. Only
-# `factor` distinct fractional phases exist, so the kernel values live in a
-# precomputed (factor, 2*halfwidth + 1) table whose rows are normalized to
-# sum to one (constants interpolate exactly). Out-of-range taps clamp to the
-# edge sample, which hold-extrapolates the stream.
-#
-# Polyphase form: block b of the output is the 2*halfwidth + 1 coarse
-# samples around b dotted with every table row, so the output, seen as
-# (blocks, factor), is the matrix product frames @ table.T. It is computed in
-# tiles of a shape fixed by `factor`, aligned to multiples of the tile's row
-# count, so a sample's value does not depend on which range is asked for
-# (OpenBLAS sums in an order that varies with the operand shapes). Each tile
-# product stays under OpenBLAS's threading threshold, so it runs on the
-# calling thread, and the working set is one tile whatever the factor. A
-# column-major table (as trajectory._phase_table returns) makes each slice
-# of table.T a row-major operand, which runs faster than a transposed one.
+# Node k of a row sits at sample (k - 1) * h. Output sample m = j * h + p
+# lies in grid interval j, between nodes j + 1 and j + 2, and is the cubic
+# through nodes j .. j + 3 at phase p: the four node values dotted with
+# column p of a (4, h) weight table. Seen as (intervals, h), the output is
+# the matrix product frames @ table, where frames[j] holds nodes j .. j + 3.
+# It is computed in tiles of TILE_BLOCKS intervals, a (TILE_BLOCKS x 4) @
+# (4 x h) product whose shape depends only on h, aligned to multiples of
+# TILE_BLOCKS * h samples, so a sample's value does not depend on which
+# range is asked for (OpenBLAS sums in an order that varies with the
+# operand shapes). At h <= 400 a tile is 64 * 4 * 400 < 2^18 multiply-adds,
+# under OpenBLAS's threading threshold, so it runs on the calling thread.
+# Node indices past the row's end clamp to its last node.
 
-# OpenBLAS computes a gemm of at most this many multiply-adds on one thread
-_BLAS_SERIAL_MACS = 1 << 18
-_TILE_MIN_ROWS = 8
+TILE_BLOCKS = 64
 
 
-def _tile_shape(factor, span):
-    """(rows, cols) of one restoration product: rows blocks x cols phases."""
-    cols = min(factor, _BLAS_SERIAL_MACS // (_TILE_MIN_ROWS * span))
-    return _BLAS_SERIAL_MACS // (cols * span), cols
+def restore_cubic(nodes, table, out, start=0):
+    """Fill out with samples start .. start + out.size - 1 of a node row.
 
-
-def tile_len(factor, span):
-    """Output samples one restoration tile covers; ranges start at multiples."""
-    return _tile_shape(factor, span)[0] * factor
-
-
-def upsample_stream(coarse, table, factor, out_len, start=0):
-    """Samples [start, out_len) of a coarse sequence at `factor` x rate.
-
-    start must be a multiple of tile_len(factor, table.shape[1]).
+    nodes: (K,) grid values, table: (4, h) weights, out: C-contiguous
+    (T,) float64. start must be a multiple of TILE_BLOCKS * h. Returns out.
     """
-    coarse = np.ascontiguousarray(coarse, dtype=np.float64)
-    span = table.shape[1]
-    halfspan = (span - 1) // 2
-    rows, cols = _tile_shape(factor, span)
-    tile = np.empty((rows, factor))
-    if start % tile.size or not 0 <= start <= out_len:
-        raise ValueError("start must be a tile boundary within the output")
-    window = np.arange(rows)[:, None] + np.arange(-halfspan, halfspan + 1)
-    out = np.empty(out_len - start, dtype=np.float64)
-    for t0 in range(start, out_len, tile.size):
-        frames = coarse[np.clip(window + t0 // factor, 0, coarse.shape[0] - 1)]
-        for p0 in range(0, factor, cols):
-            np.matmul(frames, table[p0 : p0 + cols].T, out=tile[:, p0 : p0 + cols])
-        out[t0 - start : t0 - start + tile.size] = tile.ravel()[: out_len - t0]
+    step = table.shape[1]
+    size = TILE_BLOCKS * step
+    if start % size or start < 0:
+        raise ValueError("start must be a tile boundary")
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    window = np.arange(TILE_BLOCKS)[:, None] + np.arange(4)
+    last = nodes.shape[0] - 1
+    for a in range(0, out.shape[0], size):
+        frames = nodes[np.minimum(window + (start + a) // step, last)]
+        dest = out[a : a + size]
+        if dest.shape[0] == size:
+            np.matmul(frames, table, out=dest.reshape(TILE_BLOCKS, step))
+        else:
+            dest[:] = (frames @ table).ravel()[: dest.shape[0]]
     return out

@@ -175,6 +175,7 @@ def _cmd_cost(args):
         "images_low",
         "images_high",
         "samples",
+        "grid_step",
         "naive_evals",
         "hierarchical_evals",
         "reduction_ratio",

@@ -4,8 +4,9 @@ Signal flow for one render:
 
     trajectory p(n) ----------------------> per-image distances d_i(n)
         |                low orders: every audio sample
-        |                high orders: every N-th sample, then
-        |                             windowed-sinc upsampled back
+        |                high orders: exact at grid nodes every h-th
+        |                             sample, h = min(N, 400), then
+        |                             Lagrange cubic in between
         v
     d_i(n) -> delay tau_i(n) = fs d_i(n) / c   and   gain A_i(n) = b_i/(4 pi d_i)
         |
@@ -14,21 +15,25 @@ Signal flow for one render:
 
 Motion changes image distances at the trajectory bandwidth (a few Hz),
 orders of magnitude below the audio rate, so distances of far (high-order)
-images can be sampled at fs / N and reconstructed. Near images keep the
-full rate: their distance curves carry the strongest nonlinearity.
+images can be sampled at fs / h and restored by a local cubic. Near
+images keep the full rate: their distance curves carry the strongest
+nonlinearity. The cubic's error grows as h^4 times the fourth derivative
+of the distance; prepare_streams measures it on the far images nearest
+the path's start and refuses a render whose delay error exceeds
+DELAY_ERROR_BUDGET samples.
 
 No per-image stream is ever held at full length. A DelayStreams value
-describes its rows (image geometry and path for exact rows, coarse
-samples for restored ones), and synthesize walks the output in fixed time
+describes its rows (image geometry and path for exact rows, grid-node
+values for restored ones), and synthesize walks the output in fixed time
 chunks of CHUNK_SAMPLES, rounded up to whole restoration tiles. One job
 per (chunk, block of 32 images) walks its block ROW_GROUP (8) rows at a
 time: it evaluates those rows' distances over the chunk, forms their delay
 and gain, and accumulates them into a buffer one chunk long. Beyond the
-input, the output and the coarse samples, memory is
+input, the output and the grid nodes, memory is
 O(workers x ROW_GROUP x chunk) whatever the image count or the clip
 length. The thread pool runs distances, restoration and accumulation. A
-clip of N samples or less restores nothing: its far rows are exact, since
-one coarse sample would hold them at a constant distance.
+clip of N samples or less restores nothing: its far rows are exact, as at
+decimation 1.
 
 Summation order is fixed per output sample: images are partitioned into
 fixed blocks of 32 in enumeration order, each block accumulates its images
@@ -48,7 +53,7 @@ import numpy as np
 
 from . import _kernels, farrow
 from .room import as_arrays, as_mic, attenuation, enumerate_images, image_distance
-from .trajectory import _phase_table, decimate
+from .trajectory import decimate, grid_step, lagrange_table
 
 SUMMATION_BLOCK = 32
 # image rows whose distances, delay and gain a job holds at once; single
@@ -56,6 +61,10 @@ SUMMATION_BLOCK = 32
 ROW_GROUP = 8
 # output samples per job, rounded up to whole restoration tiles
 CHUNK_SAMPLES = 16384
+# largest far-image delay error a render accepts, in samples
+DELAY_ERROR_BUDGET = 0.01
+# far images, nearest the path's start first, whose delay error is probed
+PROBE_IMAGES = 4
 
 
 class BudgetError(RuntimeError):
@@ -67,8 +76,10 @@ class SynthesisConfig:
     """Engine knobs.
 
     audio_rate: output sample rate. order_split: images with order <= K
-    stay at full rate. decimation: N, the high-order distance sampling
-    divisor. max_order: image enumeration bound. t60: optional cull of
+    stay at full rate. decimation: N, which caps the grid step of
+    high-order distances: they are exact every h = min(N, 400) samples
+    and restored by a Lagrange cubic in between; N = 1 keeps every
+    distance exact. max_order: image enumeration bound. t60: optional cull of
     images whose initial path length exceeds c * t60. d_min: distance
     floor for the gain (never for the delay). modulate: "receiver" scales
     the delayed signal by the gain at arrival time; "source" scales at
@@ -131,29 +142,26 @@ class _ExactRows:
 
 @dataclass(frozen=True)
 class _RestoredRows:
-    """Rows restored from coarse distance samples, as bandlimited_upsample does.
+    """Rows restored from grid nodes, as bandlimited_upsample does.
 
-    Restoration computes whole tiles, so a range is computed from the tile
-    boundary at or before its start and then sliced.
+    nodes: (S, K) distances at the grid nodes, table: the (4, h) cubic
+    weights. Restoration computes whole tiles, so a range is computed from
+    the tile boundary at or before its start and then sliced.
     """
 
-    coarse: np.ndarray
-    factor: int
+    nodes: np.ndarray
     table: np.ndarray
 
     @property
     def tile(self):
-        return _kernels.tile_len(self.factor, self.table.shape[1])
+        return _kernels.TILE_BLOCKS * self.table.shape[1]
 
     def evaluate(self, sel, start, stop):
         first = start - start % self.tile
-        out = np.empty((len(sel), stop - start))
-        for k, j in enumerate(sel):
-            row = _kernels.upsample_stream(
-                self.coarse[j], self.table, self.factor, stop, first
-            )
-            out[k] = row[start - first :]
-        return out
+        out = np.empty((len(sel), stop - first))
+        for row, j in zip(out, sel):
+            _kernels.restore_cubic(self.nodes[j], self.table, row, first)
+        return out[:, start - first :]
 
 
 @dataclass(frozen=True)
@@ -162,11 +170,11 @@ class DelayStreams:
 
     Row i belongs to specs[i] and holds meters at `rate` samples per
     second for `length` samples. groups hold what rows are computed from
-    (exact rows: image geometry and path; restored rows: coarse samples),
+    (exact rows: image geometry and path; restored rows: grid nodes),
     and rows[i] is (group number, row within that group). evaluate()
     computes any range of rows and samples; d builds the whole (S, length)
     array. eval_count tallies the distance evaluations the streams stand
-    for (coarse evaluations for decimated images), for cost reporting.
+    for (grid-node evaluations for decimated images), for cost reporting.
     """
 
     rate: float
@@ -180,11 +188,17 @@ class DelayStreams:
         return len(self.specs)
 
     def evaluate(self, a, b, start, stop):
-        """Distances of rows a..b-1 over samples [start, stop)."""
+        """Distances of rows a..b-1 over samples [start, stop).
+
+        Rows of one group come back as that group computes them, without
+        a copy; mixed groups are gathered into one array.
+        """
         if not 0 <= start <= stop <= self.length:
             raise ValueError("sample range outside the streams")
-        out = np.empty((b - a, stop - start))
         group, index = self.rows[a:b, 0], self.rows[a:b, 1]
+        if b > a and np.all(group == group[0]):
+            return self.groups[group[0]].evaluate(index, start, stop)
+        out = np.empty((b - a, stop - start))
         for g, rows in enumerate(self.groups):
             mask = group == g
             if mask.any():
@@ -217,23 +231,24 @@ def low_order_distances(images, traj, mic, room):
     return _one_group(traj.rate, images, len(traj), group, len(images) * len(traj))
 
 
-def high_order_distances(images, traj_coarse, mic, room, out_len, factor):
-    """Distances sampled on the coarse trajectory, upsampled to out_len.
+def high_order_distances(images, nodes, mic, room, out_len, factor):
+    """Distances evaluated at the grid nodes, restored to out_len samples.
 
-    Per image the number of distance evaluations is the coarse length,
-    ceil(out_len / factor) plus edge holds, instead of out_len. The coarse
-    samples are computed here; restoration runs when the streams are
-    evaluated. At factor 1 the rows are exact distances on the path.
+    nodes is decimate(traj, factor). Per image the number of distance
+    evaluations is the node count, ceil(out_len / h) + 3 with
+    h = grid_step(factor), instead of out_len. The node distances are
+    computed here; restoration runs when the streams are evaluated. At
+    factor 1 the rows are exact distances on the path.
     """
     offset, sign, _, _ = as_arrays(images, room)
-    if factor == 1:
-        group = _ExactRows(offset, sign, mic.pos, traj_coarse.positions)
+    step = grid_step(factor)
+    if step == 1:
+        group = _ExactRows(offset, sign, mic.pos, nodes.positions)
     else:
-        coarse = _kernels.distance_streams(offset, sign, mic.pos, traj_coarse.positions)
-        # the table is built here, once, not by concurrent render jobs
-        group = _RestoredRows(coarse, int(factor), _phase_table(int(factor)))
-    evals = len(images) * len(traj_coarse)
-    return _one_group(traj_coarse.rate * factor, images, out_len, group, evals)
+        d = _kernels.distance_streams(offset, sign, mic.pos, nodes.positions)
+        group = _RestoredRows(d, lagrange_table(step))
+    evals = len(images) * len(nodes)
+    return _one_group(nodes.rate * step, images, out_len, group, evals)
 
 
 def merge_streams(low, high):
@@ -445,16 +460,45 @@ def select_images(room, traj, mic, cfg):
 def _far_factor(cfg, n_samples):
     """Decimation of the far rows: N, or 1 when the clip is N samples or less.
 
-    A clip that short leaves one coarse sample, a constant distance.
+    A clip that short renders exactly, as at decimation 1.
     """
     return cfg.decimation if n_samples > cfg.decimation else 1
+
+
+def _check_delay_error(rows, images, traj, mic, room, cfg):
+    """Refuse restored far rows whose delay misses the exact one too far.
+
+    rows: the _RestoredRows of images. Probes the PROBE_IMAGES images
+    nearest the path's start, whose distance curves bend most, at the
+    midpoint of every grid interval the path reaches, where the cubic's
+    error kernel peaks (at the path's last sample if it ends sooner).
+    Raises ValueError when the worst error exceeds DELAY_ERROR_BUDGET.
+    """
+    near = np.argsort(rows.nodes[:, 1], kind="stable")[:PROBE_IMAGES]
+    offset, sign, _, _ = as_arrays([images[i] for i in near], room)
+    step = rows.table.shape[1]
+    n = len(traj)
+    probes = np.minimum(np.arange(-(-n // step)) * step + step // 2, n - 1)
+    block, phase = np.divmod(probes, step)
+    frames = rows.nodes[near][:, block[:, None] + np.arange(4)]
+    restored = np.einsum("ijk,kj->ij", frames, rows.table[:, phase])
+    exact = _kernels.distance_streams(offset, sign, mic.pos, traj.positions[probes])
+    err = float(np.abs(restored - exact).max()) * traj.rate / cfg.sound_speed
+    if err > DELAY_ERROR_BUDGET:
+        raise ValueError(
+            f"far-image delay error {err:.3g} samples exceeds the "
+            f"{DELAY_ERROR_BUDGET} sample budget at grid step {step}; "
+            "lower decimation"
+        )
 
 
 def prepare_streams(traj, room, mic, cfg, images=None):
     """Split the image set at order K and build merged distance streams.
 
-    Far rows are restored from every N-th path sample, except on a clip of
-    N samples or less, where they are exact (see _far_factor).
+    Far rows are restored from grid nodes (see decimate), except on a clip
+    of N samples or less, where they are exact (see _far_factor). Raises
+    ValueError when the far rows' delay error, probed on the PROBE_IMAGES
+    far images nearest the path's start, exceeds DELAY_ERROR_BUDGET.
     """
     if traj.rate != cfg.audio_rate:
         raise ValueError("trajectory rate must equal the audio rate")
@@ -466,8 +510,11 @@ def prepare_streams(traj, room, mic, cfg, images=None):
     high = [sp for sp in images if sp.order > cfg.order_split]
     low_streams = low_order_distances(low, traj, mic, room)
     factor = _far_factor(cfg, len(traj))
-    coarse = decimate(traj, factor)
-    high_streams = high_order_distances(high, coarse, mic, room, len(traj), factor)
+    nodes = decimate(traj, factor)
+    high_streams = high_order_distances(high, nodes, mic, room, len(traj), factor)
+    rows = high_streams.groups[0]
+    if high and isinstance(rows, _RestoredRows):
+        _check_delay_error(rows, high, traj, mic, room, cfg)
     return merge_streams(low_streams, high_streams)
 
 
@@ -487,9 +534,10 @@ def cost_report(cfg, images, duration):
 
     images: either the enumerated spec list or a plain image count (for
     budget arithmetic beyond enumerable sizes). Returns a dict with naive
-    and hierarchical totals, their ratio, and the high-order-only ratio.
-    Far images count as render evaluates them, exactly on a clip of N
-    samples or less.
+    and hierarchical totals, their ratio, the high-order-only ratio and
+    the far images' grid step. Far images count as render evaluates
+    them: ceil(T / h) + 3 grid nodes each, or every sample on a clip of
+    N samples or less (grid step 1).
     """
     n_samples = int(round(duration * cfg.audio_rate))
     if isinstance(images, int):
@@ -499,16 +547,18 @@ def cost_report(cfg, images, duration):
         total = len(images)
         low = sum(1 for sp in images if sp.order <= cfg.order_split)
     high = total - low
-    coarse_len = -(-n_samples // _far_factor(cfg, n_samples))  # ceil
+    step = grid_step(_far_factor(cfg, n_samples))
+    nodes = n_samples if step == 1 else -(-n_samples // step) + 3
     naive = total * n_samples
-    hierarchical = low * n_samples + high * coarse_len
+    hierarchical = low * n_samples + high * nodes
     high_naive = high * n_samples
-    high_hier = high * coarse_len
+    high_hier = high * nodes
     return {
         "images_total": total,
         "images_low": low,
         "images_high": high,
         "samples": n_samples,
+        "grid_step": step,
         "naive_evals": naive,
         "hierarchical_evals": hierarchical,
         "reduction_ratio": naive / hierarchical if hierarchical else float("inf"),

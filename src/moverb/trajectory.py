@@ -3,12 +3,14 @@
 Generation (analytic lines/circles/sines, shaped noise, smoothed waypoint
 splines), rate changes, finite-difference kinematics, and an empirical
 spectral bandwidth estimator. The decimate/upsample pair is what lets the
-synthesis engine sample slowly varying image distances at a tiny fraction
-of the audio rate and reconstruct them without audible error.
+synthesis engine evaluate slowly varying image distances on a grid of
+step h = min(N, GRID_STEP) audio samples and restore the samples in
+between with a 4-tap Lagrange cubic.
 
-Edge policy: interpolation clamps to the end samples (hold-extrapolation),
-so metrics on reconstructed streams should exclude the kernel half-width
-(32 input samples) at each end.
+Edge policy: decimate adds one grid node before the path and two past its
+end, placed on a constant-acceleration extension of the path, so the
+cubic has its four nodes in every grid interval, the first and last
+included. Restoration needs no guard band at either end.
 """
 
 from dataclasses import dataclass
@@ -21,7 +23,10 @@ from . import _kernels
 UPSAMPLE_HALFWIDTH = 32
 # Kaiser shape for >= 80 dB stopband rejection: 0.1102 * (80 - 8.7)
 UPSAMPLE_KAISER_BETA = 7.857
-_PHASE_BLOCK = 256
+# largest grid step of far-image distances, in audio samples; the cubic's
+# delay error grows as h^4 and is about 1e-3 samples at h = 400 on a
+# 2 Hz, 1 m/s path
+GRID_STEP = 400
 
 _KINDS = ("line", "circle", "sine", "filtered-noise", "waypoint-spline")
 
@@ -238,8 +243,7 @@ def kaiser_sinc(arg):
     """Kaiser-windowed sinc at arg samples from its center, elementwise.
 
     The window spans UPSAMPLE_HALFWIDTH samples each side; the kernel is
-    zero beyond it. The one formula behind restoration's phase table and
-    the static impulse response's fractional taps.
+    zero beyond it. The static impulse response's fractional taps.
     """
     hw = UPSAMPLE_HALFWIDTH
     u = np.clip(arg / hw, -1.0, 1.0)
@@ -250,72 +254,96 @@ def kaiser_sinc(arg):
     return np.sinc(arg) * window
 
 
-@lru_cache(maxsize=8)
-def _phase_table(factor):
-    """Normalized Kaiser-windowed sinc weights for each output phase.
+def grid_step(factor):
+    """Grid step h of far-image distances for decimation factor N."""
+    return min(int(factor), GRID_STEP)
 
-    Row r holds the kernel sampled at r/factor - i for tap offsets
-    i in [-halfwidth, halfwidth]; rows sum to one so constants pass
-    through exactly and the interpolator has zero net group delay. The
-    rows are the polyphase branches of the interpolator: output block b
-    is the (2*halfwidth + 1)-sample coarse window around b times table.T.
-    The table is stored column-major, so a slice of its rows, transposed,
-    is a contiguous operand for the restoration kernel's BLAS products.
+
+@lru_cache(maxsize=8)
+def lagrange_table(step):
+    """(4, step) Lagrange cubic weights, one column per phase.
+
+    Column p weighs the nodes at -1, 0, 1 and 2 grid steps for the point
+    x = p / step of the way from node 0 to node 1. Read-only and shared.
     """
-    hw = UPSAMPLE_HALFWIDTH
-    offsets = np.arange(-hw, hw + 1, dtype=np.float64)
-    table = np.empty((factor, offsets.size), order="F")
-    # blocks of rows bound the temporaries whatever the factor
-    for r0 in range(0, factor, _PHASE_BLOCK):
-        r1 = min(r0 + _PHASE_BLOCK, factor)
-        rows = kaiser_sinc(np.arange(r0, r1)[:, None] / factor - offsets)
-        table[r0:r1] = rows / rows.sum(axis=1, keepdims=True)
+    x = np.arange(step) / step
+    table = np.stack(
+        [
+            -x * (x - 1.0) * (x - 2.0) / 6.0,
+            (x + 1.0) * (x - 1.0) * (x - 2.0) / 2.0,
+            -(x + 1.0) * x * (x - 2.0) / 2.0,
+            (x + 1.0) * x * (x - 1.0) / 6.0,
+        ]
+    )
     table.flags.writeable = False
     return table
 
 
 def bandlimited_upsample(samples, factor, out_len):
-    """Windowed-sinc interpolation of a scalar sequence by `factor`.
+    """Restore out_len audio-rate samples from grid nodes by decimation N.
 
-    Output index m sits at input time m / factor; the result is trimmed or
-    edge-padded to out_len. Exact on constant inputs; endpoints hold.
-    Each call restores one sequence by polyphase matrix products over
-    tiles whose shape depends only on factor, so a sample's value depends
-    neither on what else is being restored nor on out_len.
+    samples are node values as decimate lays them out: node k at sample
+    (k - 1) * h, h = grid_step(factor). Sample m is the Lagrange cubic
+    through the four nodes around it; nodes missing past the end hold the
+    last one. Exact on cubic polynomials. The cubic runs in tiles whose
+    shape depends only on h, so a sample's value depends neither on what
+    else is being restored nor on out_len. At factor 1 the samples are
+    the path's own, edge-padded to out_len.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("samples must be a nonempty 1-D sequence")
     if factor < 1 or int(factor) != factor:
         raise ValueError("factor must be a positive integer")
-    factor = int(factor)
-    if factor == 1:
+    step = grid_step(factor)
+    if step == 1:
         if out_len <= x.size:
             return x[:out_len].copy()
         return np.concatenate([x, np.full(out_len - x.size, x[-1])])
-    return _kernels.upsample_stream(x, _phase_table(factor), factor, out_len)
+    return _kernels.restore_cubic(x, lagrange_table(step), np.empty(out_len))
+
+
+def _extend(pos, steps):
+    """The path continued past pos[0] at constant acceleration.
+
+    pos runs from the end inward, one sample apart; steps are how many
+    samples past pos[0] to place each point. Velocity and acceleration
+    come from the three end samples (fewer on a shorter path), so a path
+    of constant acceleration continues exactly.
+    """
+    s = np.asarray(steps, dtype=np.float64)[:, None]
+    if len(pos) == 1:
+        return np.repeat(pos[:1], len(s), axis=0)
+    if len(pos) == 2:
+        return pos[0] + s * (pos[0] - pos[1])
+    vel = 1.5 * pos[0] - 2.0 * pos[1] + 0.5 * pos[2]
+    acc = pos[0] - 2.0 * pos[1] + pos[2]
+    return pos[0] + s * vel + (0.5 * s * s) * acc
 
 
 def decimate(traj, factor):
-    """Keep every factor-th position; rate divides by factor.
+    """Grid nodes of a path for decimation factor N.
 
-    When the measured bandwidth exceeds the output Nyquist by less than 2x
-    an anti-alias low-pass is applied first; a larger violation is passed
-    through unfiltered (the caller asked for aliasing). factor = 1 returns
-    the trajectory unchanged.
+    With h = grid_step(N) and J = ceil(len(traj) / h), node k sits at
+    sample (k - 1) * h for k = 0 .. J + 2: the path at every h-th sample,
+    one ghost node before the start and two past the end, on the path
+    extended at constant acceleration. The nodes' rate is the path's
+    divided by h. factor = 1 returns the trajectory unchanged.
     """
     if int(factor) != factor or factor < 1:
         raise ValueError("decimation factor must be a positive integer")
-    factor = int(factor)
-    if factor == 1:
+    step = grid_step(factor)
+    if step == 1:
         return traj
-    nyquist_out = 0.5 * traj.rate / factor
     pos = traj.positions
-    if len(traj) >= 2:
-        bw = bandwidth_estimate(traj)
-        if nyquist_out < bw < 2.0 * nyquist_out:
-            pos = _lowpass_columns(pos, traj.rate, 0.9 * nyquist_out)
-    return Trajectory(rate=traj.rate / factor, positions=pos[::factor])
+    n = len(traj)
+    blocks = -(-n // step)
+    nodes = np.empty((blocks + 3, 3))
+    nodes[0] = _extend(pos[:3], [step])[0]
+    nodes[1 : blocks + 1] = pos[::step]
+    past = blocks * step - (n - 1)
+    nodes[blocks + 1 :] = _extend(pos[: -4 : -1], [past, past + step])
+    return Trajectory(rate=traj.rate / step, positions=nodes)
 
 
 def velocity(traj):

@@ -383,6 +383,7 @@ class TestCliCompareAndCost:
             line.split("=", 1) for line in r.stdout.splitlines() if "=" in line
         )
         assert int(lines["naive_evals"]) == 45000 * 16000
+        assert int(lines["grid_step"]) == 400
 
 
 class TestCliUsage:

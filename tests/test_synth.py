@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moverb import _kernels, farrow, synth
+from moverb.reference import compare
 from moverb.room import MicPosition, Room, as_arrays, enumerate_images
 from moverb.synth import (
     DelayStreams,
@@ -545,6 +546,55 @@ class TestShortClips:
         assert longer["hierarchical_evals"] < longer["naive_evals"]
 
 
+class TestWholeClipFidelity:
+    """Hierarchical render against decimation=1 over the whole clip.
+
+    Only the L-sample filter edge is trimmed, so the first and last grid
+    intervals, restored through the ghost nodes, count in full.
+    """
+
+    @pytest.mark.parametrize("duration", [0.5, 1.0, 4.0, 4.125, 16.0])
+    def test_matches_the_exact_render(self, duration, filt, room_5x6x4, mic_std):
+        # 4.125 s of a 2 Hz sine ends at a displacement peak, where the
+        # path's acceleration is largest
+        n = int(round(duration * RATE))
+        tr = moving_traj(n, duration=duration, seed=16)
+        x = np.random.default_rng(17).standard_normal(n)
+        cfg = SynthesisConfig(max_order=3, order_split=1, decimation=3200)
+        got = render(x, tr, room_5x6x4, mic_std, filt, cfg)
+        want = render(x, tr, room_5x6x4, mic_std, filt, replace(cfg, decimation=1))
+        interior = (filt.branch_len + 0.5) / min(got.size, want.size)
+        rep = compare(got, want, rate=RATE, interior=interior)
+        assert rep.snr_db >= 40.0, f"{rep.snr_db:.1f} dB"
+
+
+class TestDelayErrorGuard:
+    def fast_path(self, room):
+        # an 8 Hz, 1 m/s sine: the cubic's error grows as f^3 at a fixed
+        # speed, about 64 x the 1e-3 samples of the 2 Hz paths
+        spec = TrajectorySpec(
+            kind="sine", duration=0.5, bandwidth_limit=8.0, speed_max=1.0, seed=18
+        )
+        return generate(spec, RATE, room)
+
+    def test_fast_path_raises_at_the_default_decimation(self, room_5x6x4, mic_std):
+        tr = self.fast_path(room_5x6x4)
+        cfg = SynthesisConfig(max_order=3, decimation=3200)
+        with pytest.raises(ValueError, match="grid step 400; lower decimation"):
+            prepare_streams(tr, room_5x6x4, mic_std, cfg)
+
+    def test_fast_path_renders_at_a_lower_decimation(
+        self, filt, room_5x6x4, mic_std
+    ):
+        tr = self.fast_path(room_5x6x4)
+        x = np.random.default_rng(19).standard_normal(len(tr))
+        cfg = SynthesisConfig(max_order=3, decimation=200)
+        got = render(x, tr, room_5x6x4, mic_std, filt, cfg)
+        want = render(x, tr, room_5x6x4, mic_std, filt, replace(cfg, decimation=1))
+        interior = (filt.branch_len + 0.5) / min(got.size, want.size)
+        assert compare(got, want, rate=RATE, interior=interior).snr_db >= 40.0
+
+
 def small_render_case(seed, n, factor):
     tr = moving_traj(n, duration=n / RATE, seed=seed)
     x = np.random.default_rng(seed).standard_normal(n)
@@ -624,8 +674,9 @@ class TestCostReport:
         assert rep["images_total"] == len(images)
         assert rep["images_low"] == 7
         assert rep["samples"] == 32000
-        coarse = -(-32000 // 3200)
-        want = 7 * 32000 + (len(images) - 7) * coarse
+        assert rep["grid_step"] == 400
+        nodes = -(-32000 // 400) + 3  # grid nodes, ghosts included
+        want = 7 * 32000 + (len(images) - 7) * nodes
         assert rep["hierarchical_evals"] == want
 
     def test_n1_has_no_reduction(self):

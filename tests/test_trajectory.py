@@ -3,19 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moverb._kernels import distance_streams
+from moverb._kernels import TILE_BLOCKS, distance_streams, restore_cubic
 from moverb.room import Room, as_arrays, enumerate_images
 from moverb.synth import high_order_distances
 from moverb.trajectory import (
-    UPSAMPLE_HALFWIDTH,
-    UPSAMPLE_KAISER_BETA,
     Trajectory,
     TrajectorySpec,
-    _phase_table,
     bandlimited_upsample,
     bandwidth_estimate,
     decimate,
     generate,
+    grid_step,
+    lagrange_table,
     speed_max,
     velocity,
 )
@@ -27,20 +26,31 @@ def make_room(dims=(5.0, 6.0, 4.0)):
     return Room(dims=np.array(dims, dtype=float), wall_reflection=np.full(6, 0.9))
 
 
-def direct_tap_sum(coarse, factor, out_len):
-    """Reference restoration: the windowed-sinc sum, one pass per tap.
+def direct_tap_sum(nodes, factor, out_len):
+    """Reference restoration: the Lagrange cubic, one pass per tap.
 
-    Output m takes phase m % factor of the table against the coarse
-    samples around m // factor, with out-of-range taps clamped to the ends.
+    Output m at phase x = (m % h) / h of grid interval m // h takes the
+    four nodes m // h .. m // h + 3 (node k sits at sample (k - 1) * h),
+    clamped to the last node, each weighted by its Lagrange basis
+    polynomial over the tap offsets -1, 0, 1, 2.
     """
-    table = _phase_table(factor)
+    h = grid_step(factor)
     m = np.arange(out_len)
-    base, phase = m // factor, m % factor
+    base, x = m // h, (m % h) / h
+    taps = (-1.0, 0.0, 1.0, 2.0)
     out = np.zeros(out_len)
-    for col in range(table.shape[1]):
-        j = np.clip(base + col - UPSAMPLE_HALFWIDTH, 0, coarse.size - 1)
-        out += table[phase, col] * coarse[j]
+    for k, tk in enumerate(taps):
+        weight = np.ones(out_len)
+        for ti in taps:
+            if ti != tk:
+                weight *= (x - ti) / (tk - ti)
+        out += weight * nodes[np.minimum(base + k, nodes.size - 1)]
     return out
+
+
+def grid_nodes(fn, n, h):
+    """Values of fn at the grid nodes that cover n samples at step h."""
+    return fn(np.arange(-1, -(-n // h) + 2) * float(h))
 
 
 class TestTrajectoryContainer:
@@ -150,33 +160,6 @@ class TestGenerate:
             generate(spec, RATE, room, margin=0.6)
 
 
-def reference_phase_table(factor):
-    """The phase table built row by row, each row normalized on its own."""
-    hw = UPSAMPLE_HALFWIDTH
-    offsets = np.arange(-hw, hw + 1, dtype=np.float64)
-    table = np.empty((factor, offsets.size))
-    for r in range(factor):
-        arg = r / factor - offsets
-        inside = np.abs(arg) <= hw
-        window = np.zeros_like(arg)
-        u = np.clip(arg / hw, -1.0, 1.0)
-        window[inside] = np.i0(
-            UPSAMPLE_KAISER_BETA * np.sqrt(1.0 - u[inside] ** 2)
-        ) / np.i0(UPSAMPLE_KAISER_BETA)
-        row = np.sinc(arg) * window
-        table[r] = row / row.sum()
-    return table
-
-
-class TestPhaseTable:
-    @pytest.mark.parametrize("factor", [2, 16, 100, 1009, 3200])
-    def test_equals_row_by_row_build(self, factor):
-        table = _phase_table(factor)
-        want = reference_phase_table(factor)
-        assert table.tobytes(order="C") == want.tobytes()
-        assert table.flags.f_contiguous and not table.flags.writeable
-
-
 class TestUpsample:
     def test_exact_on_constants(self):
         coarse = np.full(7, 3.25)
@@ -195,31 +178,52 @@ class TestUpsample:
         assert np.all(out[5:] == coarse[-1])
 
     def test_reconstructs_slow_sine_interior(self):
-        # a 2 Hz component sampled at 5 Hz then restored to 16 kHz
-        factor = 3200
-        rate = 16000.0
-        coarse_rate = rate / factor
-        n_coarse = 80
-        t_c = np.arange(n_coarse) / coarse_rate
-        coarse = np.sin(2 * np.pi * 2.0 * t_c / 8.0)  # 0.25 Hz, well under Nyquist
-        out_len = n_coarse * factor
-        out = bandlimited_upsample(coarse, factor, out_len)
-        t_f = np.arange(out_len) / rate
-        ref = np.sin(2 * np.pi * 2.0 * t_f / 8.0)
-        guard = 33 * factor  # kernel halfwidth, in fine samples
-        err = out[guard:-guard] - ref[guard:-guard]
-        assert np.max(np.abs(err)) < 1e-3
+        # a 0.25 Hz sine on the 40 Hz grid of N=3200, restored to 16 kHz
+        # over the whole clip, ends included
+        factor, rate, out_len = 3200, 16000.0, 256000
+        wave = lambda t: np.sin(2 * np.pi * 0.25 * t / rate)  # noqa: E731
+        nodes = grid_nodes(wave, out_len, grid_step(factor))
+        out = bandlimited_upsample(nodes, factor, out_len)
+        # cubic error bound: (h w)^4 * 3/128 = 5.6e-8 at w = 2 pi 0.25 / 16000
+        assert np.max(np.abs(out - wave(np.arange(out_len)))) < 1e-7
 
     def test_linear_phase_no_lag(self):
-        # a slow ramp comes back as the same ramp (interior): the kernel is
-        # centered, so no systematic shift is introduced
+        # a ramp comes back as the same ramp at every sample: the cubic
+        # passes through its nodes, so no shift is introduced
         factor = 16
-        coarse = np.linspace(0.0, 1.0, 100)
-        out = bandlimited_upsample(coarse, factor, 100 * factor)
-        fine_axis = np.arange(100 * factor) / factor
-        ref = np.interp(fine_axis, np.arange(100.0), coarse)
-        guard = 34 * factor
-        assert np.max(np.abs(out[guard:-guard] - ref[guard:-guard])) < 1e-4
+        ramp = lambda t: 1.0 + t / 1600.0  # noqa: E731
+        out = bandlimited_upsample(grid_nodes(ramp, 1600, factor), factor, 1600)
+        assert np.max(np.abs(out - ramp(np.arange(1600.0)))) < 1e-12
+
+    @pytest.mark.parametrize("h", [2, 7, 400])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reproduces_cubic_polynomials(self, h, seed):
+        n = 37 * h + 5
+        c = np.random.default_rng(seed).standard_normal(4)
+        poly = lambda t: np.polyval(c, t / n)  # noqa: E731
+        out = bandlimited_upsample(grid_nodes(poly, n, h), h, n)
+        want = poly(np.arange(n, dtype=np.float64))
+        assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        h=st.sampled_from([2, 7, 400]),
+        tiles=st.integers(0, 3),
+        out_len=st.integers(1, 4 * TILE_BLOCKS * 400),
+        seed=st.integers(0, 2**16),
+    )
+    def test_tile_aligned_ranges_give_the_same_bits(self, h, tiles, out_len, seed):
+        table = lagrange_table(h)
+        start = tiles * TILE_BLOCKS * h
+        nodes = np.random.default_rng(seed).standard_normal(-(-(start + out_len) // h) + 3)
+        whole = restore_cubic(nodes, table, np.empty(start + out_len + 3 * h))
+        part = restore_cubic(nodes, table, np.empty(out_len), start)
+        assert np.array_equal(part, whole[start : start + out_len])
+
+    def test_rejects_unaligned_start(self):
+        table = lagrange_table(7)
+        with pytest.raises(ValueError):
+            restore_cubic(np.zeros(9), table, np.empty(10), 7)
 
     @pytest.mark.parametrize("factor", [2, 16, 100, 3200])
     @pytest.mark.parametrize("n_coarse", [1, 2, 9])
@@ -264,14 +268,36 @@ class TestDecimate:
         assert decimate(tr, 1) is tr
 
     def test_length_and_rate(self):
+        # N=3200 caps at a 400-sample grid: 80 path nodes and 3 ghosts
         tr = Trajectory(rate=RATE, positions=np.zeros((32000, 3)))
         d = decimate(tr, 3200)
-        assert d.rate == pytest.approx(5.0)
-        assert len(d) == 10
+        assert d.rate == pytest.approx(40.0)
+        assert len(d) == 83
+
+    @pytest.mark.parametrize("factor", [2, 7, 400, 3200])
+    @pytest.mark.parametrize("n", [3, 401, 1000, 8000])
+    def test_nodes_follow_the_path_and_its_constant_acceleration_extension(
+        self, factor, n
+    ):
+        h = grid_step(factor)
+        t = np.arange(n, dtype=np.float64)[:, None]
+        path = lambda t: np.array([1.0, 2.0, 1.5]) + t * np.array(  # noqa: E731
+            [3e-5, -1e-5, 2e-5]
+        ) + t * t * np.array([2e-9, 1e-9, -3e-9])
+        d = decimate(Trajectory(rate=RATE, positions=path(t)), factor)
+        blocks = -(-n // h)
+        assert len(d) == blocks + 3
+        assert np.array_equal(d.positions[1 : blocks + 1], path(t)[::h])
+        ghosts = np.array([-1, blocks, blocks + 1], dtype=np.float64)[:, None] * h
+        got = d.positions[[0, blocks + 1, blocks + 2]]
+        # rounding of the end samples' second difference, which the
+        # extension scales by up to (2 h)^2 / 2
+        tol = 8 * np.finfo(float).eps * 2.0 * (2 * h) ** 2
+        assert np.max(np.abs(got - path(ghosts))) <= tol
 
     def test_roundtrip_preserves_smooth_path(self):
-        # decimate by 3200 then upsample: a 1 Hz path survives (coarse rate
-        # 5 Hz puts Nyquist at 2.5 Hz)
+        # decimate by 3200 then upsample: a 1 Hz path survives the cubic
+        # on a 400-sample grid
         n = 16 * 16000
         t = np.arange(n) / RATE
         pos = np.stack(
