@@ -2,7 +2,7 @@
 
 Subcommands: design (branch-filter design), trajectory (path generation),
 simulate (render audio through one of four engines), compare (fidelity
-metrics between two renders), cost (distance-evaluation arithmetic).
+metrics between two renders), cost (distance evaluations and per-sample work).
 
 Exit codes: 0 success, 2 usage or invalid parameters, 3 I/O failure,
 4 budget refusal.
@@ -180,6 +180,8 @@ def _cmd_cost(args):
         "hierarchical_evals",
         "reduction_ratio",
         "high_order_reduction",
+        "restored_samples",
+        "accumulated_samples",
     ):
         print(f"{key}={rep[key]}")
     return EXIT_OK
@@ -239,7 +241,7 @@ def build_parser():
     p.add_argument("--csv", default="", help="write per-sample csv here")
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("cost", help="naive vs hierarchical evaluation counts")
+    p = sub.add_parser("cost", help="distance evaluations and per-sample work")
     p.add_argument("--images", type=int, default=None, help="image count override")
     p.add_argument("--room", default="9 10 9", help="dims for the count estimate")
     p.add_argument("--t60", type=float, default=0.6)

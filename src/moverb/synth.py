@@ -2,38 +2,44 @@
 
 Signal flow for one render:
 
-    trajectory p(n) ----------------------> per-image distances d_i(n)
-        |                low orders: every audio sample
-        |                high orders: exact at grid nodes every h-th
-        |                             sample, h = min(N, 400), then
-        |                             Lagrange cubic in between
+    trajectory p(n) --+--> near images: distances d_i(n) at every sample
+        |             |        -> delay tau_i(n) = fs d_i(n) / c,
+        |             |           gain A_i(n) = b_i / (4 pi max(d_i, d_min))
+        |             |
+        |             +--> far images: exact distances at grid nodes every
+        |                  h-th sample, h = min(N, 400)
+        |                      -> node delay tau_k + L - D0 and node gain A_k
+        |                      -> Lagrange cubic restores both in between
         v
-    d_i(n) -> delay tau_i(n) = fs d_i(n) / c   and   gain A_i(n) = b_i/(4 pi d_i)
-        |
     input s -> branch filters (one shared pass) -> per-image fractional
-    delay taps, gain-modulated and summed in a fixed block/pairwise order
+    delay taps (Horner in the delay's fraction), gain-modulated and summed
+    in a fixed block/pairwise order
 
 Motion changes image distances at the trajectory bandwidth (a few Hz),
-orders of magnitude below the audio rate, so distances of far (high-order)
-images can be sampled at fs / h and restored by a local cubic. Near
-images keep the full rate: their distance curves carry the strongest
-nonlinearity. The cubic's error grows as h^4 times the fourth derivative
-of the distance; prepare_streams measures it on the far images nearest
-the path's start and refuses a render whose delay error exceeds
+orders of magnitude below the audio rate, so a far (high-order) image
+needs only two slow signals, its delay and its gain. Both are formed at
+grid nodes every h samples and restored by a local cubic; only the
+restoration and the Horner evaluation run at the audio rate. Near images
+keep exact per-sample distances: their distance curves carry the
+strongest nonlinearity. The cubic's error grows as h^4 times the fourth
+derivative of the distance; prepare_streams measures it on the far images
+nearest the path's start and refuses a render whose delay error exceeds
 DELAY_ERROR_BUDGET samples.
 
 No per-image stream is ever held at full length. A DelayStreams value
 describes its rows (image geometry and path for exact rows, grid-node
-values for restored ones), and synthesize walks the output in fixed time
-chunks of CHUNK_SAMPLES, rounded up to whole restoration tiles. One job
-per (chunk, block of 32 images) walks its block ROW_GROUP (8) rows at a
-time: it evaluates those rows' distances over the chunk, forms their delay
-and gain, and accumulates them into a buffer one chunk long. Beyond the
-input, the output and the grid nodes, memory is
-O(workers x ROW_GROUP x chunk) whatever the image count or the clip
-length. The thread pool runs distances, restoration and accumulation. A
-clip of N samples or less restores nothing: its far rows are exact, as at
-decimation 1.
+distances for restored ones), and synthesize walks the output in fixed
+time chunks of CHUNK_SAMPLES, rounded up to whole restoration tiles. One
+job per (chunk, block of 32 images) walks its block in enumeration order.
+Exact rows go ROW_GROUP (8) at a time: the job evaluates their distances
+over the chunk, forms delay and gain, and accumulates them into a buffer
+one chunk long. Far rows go one at a time through one kernel that
+restores the row's delay and gain into two chunk-long scratch rows and
+accumulates it; they never hold a per-sample distance. Beyond the input,
+the output and the grid nodes, memory is O(workers x ROW_GROUP x chunk)
+whatever the image count or the clip length. The thread pool runs
+distances, restoration and accumulation. A clip of N samples or less
+restores nothing: its far rows are exact, as at decimation 1.
 
 Summation order is fixed per output sample: images are partitioned into
 fixed blocks of 32 in enumeration order, each block accumulates its images
@@ -52,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, farrow
-from .room import as_arrays, as_mic, attenuation, enumerate_images, image_distance
+from .room import as_arrays, as_mic, attenuation, enumerate_images
 from .trajectory import decimate, grid_step, lagrange_table
 
 SUMMATION_BLOCK = 32
@@ -146,7 +152,9 @@ class _RestoredRows:
 
     nodes: (S, K) distances at the grid nodes, table: the (4, h) cubic
     weights. Restoration computes whole tiles, so a range is computed from
-    the tile boundary at or before its start and then sliced.
+    the tile boundary at or before its start and then sliced. synthesize
+    does not evaluate these rows: it restores delay and gain from the
+    nodes instead (_far_nodes).
     """
 
     nodes: np.ndarray
@@ -338,9 +346,34 @@ def _walk(job, pieces, blocks, workers):
     return out, top
 
 
-def _output_len(s, d_max, rate, f, cfg):
-    tau_max = rate * float(d_max) / cfg.sound_speed
+def _output_len(s, tau_max, f):
     return s.size + int(np.ceil(tau_max)) + f.branch_len
+
+
+def _far_nodes(streams, beta, fold, cfg):
+    """Grid nodes of the folded delay and of the gain of every restored group.
+
+    Returns {group number: (delay nodes, gain nodes, cubic table)}. The
+    folded delay is rate * d / c + fold at each node; the gain is
+    attenuation(beta, max(d, d_min)), so d_min is applied at the nodes.
+    """
+    far = {}
+    for g, rows in enumerate(streams.groups):
+        if isinstance(rows, _RestoredRows):
+            mine = np.flatnonzero(streams.rows[:, 0] == g)
+            b = np.zeros(rows.nodes.shape[0])
+            b[streams.rows[mine, 1]] = beta[mine]
+            delay = streams.rate * rows.nodes / cfg.sound_speed + fold
+            gain = attenuation(b[:, None], np.maximum(rows.nodes, cfg.d_min))
+            far[g] = (delay, gain, rows.table)
+    return far
+
+
+def _runs(group, a, b):
+    """Split rows a..b-1 into maximal runs of one group number."""
+    edges = np.flatnonzero(group[a + 1 : b] != group[a : b - 1]) + a + 1
+    starts = [a, *edges.tolist()]
+    return [(r, e, int(group[r])) for r, e in zip(starts, [*starts[1:], b])]
 
 
 def synthesize(s, streams, f, cfg):
@@ -353,6 +386,12 @@ def synthesize(s, streams, f, cfg):
     The delay request is shifted by L samples and the branch stream read
     index shifted back by the same amount, which keeps every request above
     the filter latency without physically padding the input.
+
+    Exact rows form delay and gain from their distances, ROW_GROUP rows at
+    a time. Restored (far) rows never hold a per-sample distance: their
+    folded delay tau + L - D0 and their gain are formed once per grid node
+    (_far_nodes) and restored inside the accumulation kernel, one row at a
+    time. A block adds its rows in enumeration order either way.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
@@ -372,8 +411,13 @@ def synthesize(s, streams, f, cfg):
 
     branch = farrow.branch_filter(s, f)
     shift = f.branch_len  # keeps tau + shift >= D0 for every physical delay
+    fold = shift - f.nominal_delay
+    far = _far_nodes(streams, beta, fold, cfg)
+    # group number of each far row, -1 for exact rows
+    group = np.where(np.isin(streams.rows[:, 0], list(far)), streams.rows[:, 0], -1)
     length = streams.length
-    last = np.empty(n_images)
+    last = np.empty(n_images)  # exact rows: distance at the path's end
+    held = np.empty((n_images, 2))  # far rows: folded delay and gain there
 
     def accumulate(buf, d, r, start):
         # d is the group's own array: the gain floor clamps it in place
@@ -386,29 +430,45 @@ def synthesize(s, streams, f, cfg):
         )
 
     def path_job(a, b, start, stop):
-        buf, peak = np.zeros(stop - start), -np.inf
-        for r in range(a, b, ROW_GROUP):
-            e = min(r + ROW_GROUP, b)
-            d = streams.evaluate(r, e, start, stop)
-            if stop == length:
-                last[r:e] = d[:, -1]
-            peak = max(peak, d.max())  # before accumulate clamps d in place
-            accumulate(buf, d, r, start)
-        return buf, peak
+        buf, peak, top = np.zeros(stop - start), -np.inf, -np.inf
+        for r, e, g in _runs(group, a, b):
+            if g >= 0:
+                delay, gain, table = far[g]
+                index = streams.rows[r:e, 1]
+                hold = held[r:e] if stop == length else None
+                x_max = _kernels.accumulate_restored(
+                    buf, branch, delay[index], gain[index], table, shift, start, hold
+                )
+                top = max(top, x_max)
+                continue
+            for r0 in range(r, e, ROW_GROUP):
+                e0 = min(r0 + ROW_GROUP, e)
+                d = streams.evaluate(r0, e0, start, stop)
+                if stop == length:
+                    last[r0:e0] = d[:, -1]
+                peak = max(peak, d.max())  # before accumulate clamps d in place
+                accumulate(buf, d, r0, start)
+        return buf, max(streams.rate * peak / cfg.sound_speed, top - fold)
 
     def tail_job(a, b, start, stop):
         buf = np.zeros(stop - start)
-        for r in range(a, b, ROW_GROUP):
-            e = min(r + ROW_GROUP, b)
-            d = np.repeat(last[r:e, None], stop - start, axis=1)
-            accumulate(buf, d, r, start)
+        for r, e, g in _runs(group, a, b):
+            if g >= 0:
+                _kernels.accumulate_held(
+                    buf, branch, held[r:e, 0], held[r:e, 1], shift, start
+                )
+                continue
+            for r0 in range(r, e, ROW_GROUP):
+                e0 = min(r0 + ROW_GROUP, e)
+                d = np.repeat(last[r0:e0, None], stop - start, axis=1)
+                accumulate(buf, d, r0, start)
         return buf, -np.inf
 
     chunk = math.lcm(*(g.tile for g in streams.groups))
     chunk *= -(-CHUNK_SAMPLES // chunk)
     pieces = [(t, min(t + chunk, length)) for t in range(0, length, chunk)]
-    out, d_max = _walk(path_job, pieces, blocks, cfg.workers)
-    out_len = _output_len(s, d_max, streams.rate, f, cfg)
+    out, tau_max = _walk(path_job, pieces, blocks, cfg.workers)
+    out_len = _output_len(s, tau_max, f)
     if out_len > length:
         first = length - length % chunk
         tail = [
@@ -427,7 +487,7 @@ def _synthesize_source(s, streams, beta, blocks, f, cfg):
     """
     length = streams.length
     d_max = max(streams.evaluate(i, i + 1, 0, length).max() for i in range(len(beta)))
-    out_len = _output_len(s, d_max, streams.rate, f, cfg)
+    out_len = _output_len(s, streams.rate * d_max / cfg.sound_speed, f)
     ones = np.ones((1, out_len))
     tree = _PairwiseSum()
     for a, b in blocks:
@@ -450,10 +510,9 @@ def select_images(room, traj, mic, cfg):
     images = enumerate_images(room, cfg.max_order)
     if cfg.t60 is not None:
         reach = cfg.sound_speed * cfg.t60
-        start = traj.positions[0]
-        images = [
-            sp for sp in images if image_distance(sp, start, mic, room) <= reach
-        ]
+        offset, sign, _, _ = as_arrays(images, room)
+        d = _kernels.distance_streams(offset, sign, mic.pos, traj.positions[:1])
+        images = [sp for sp, di in zip(images, d[:, 0]) if di <= reach]
     return images
 
 
@@ -530,14 +589,18 @@ def _count_order_leq(k):
 
 
 def cost_report(cfg, images, duration):
-    """Distance-evaluation counts: brute force vs hierarchical.
+    """Work counts of a render: distance evaluations and per-sample work.
 
     images: either the enumerated spec list or a plain image count (for
     budget arithmetic beyond enumerable sizes). Returns a dict with naive
-    and hierarchical totals, their ratio, the high-order-only ratio and
-    the far images' grid step. Far images count as render evaluates
-    them: ceil(T / h) + 3 grid nodes each, or every sample on a clip of
-    N samples or less (grid step 1).
+    and hierarchical distance-evaluation totals, their ratio, the
+    high-order-only ratio and the far images' grid step. Far images count
+    as render evaluates them: ceil(T / h) + 3 grid nodes each, or every
+    sample on a clip of N samples or less (grid step 1). The per-sample
+    work that dominates a render is counted too: restored_samples, the
+    delay and gain samples the cubic restores (2 per far image and
+    sample, none at grid step 1), and accumulated_samples, the image
+    samples the Horner pass accumulates (images x samples).
     """
     n_samples = int(round(duration * cfg.audio_rate))
     if isinstance(images, int):
@@ -563,4 +626,6 @@ def cost_report(cfg, images, duration):
         "hierarchical_evals": hierarchical,
         "reduction_ratio": naive / hierarchical if hierarchical else float("inf"),
         "high_order_reduction": (high_naive / high_hier) if high_hier else float("inf"),
+        "restored_samples": 0 if step == 1 else 2 * high * n_samples,
+        "accumulated_samples": total * n_samples,
     }

@@ -384,6 +384,9 @@ class TestCliCompareAndCost:
         )
         assert int(lines["naive_evals"]) == 45000 * 16000
         assert int(lines["grid_step"]) == 400
+        # delay and gain restored per far image and sample; all accumulated
+        assert int(lines["restored_samples"]) == 2 * (45000 - 7) * 16000
+        assert int(lines["accumulated_samples"]) == 45000 * 16000
 
 
 class TestCliUsage:

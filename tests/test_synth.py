@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from moverb import _kernels, farrow, synth
 from moverb.reference import compare
-from moverb.room import MicPosition, Room, as_arrays, enumerate_images
+from moverb.room import (
+    MicPosition,
+    Room,
+    as_arrays,
+    enumerate_images,
+    image_distance,
+)
 from moverb.synth import (
     DelayStreams,
     SynthesisConfig,
@@ -23,7 +29,13 @@ from moverb.synth import (
     select_images,
     synthesize,
 )
-from moverb.trajectory import Trajectory, TrajectorySpec, generate
+from moverb.trajectory import (
+    Trajectory,
+    TrajectorySpec,
+    bandlimited_upsample,
+    generate,
+    lagrange_table,
+)
 
 from conftest import sine, snr_db
 
@@ -70,6 +82,52 @@ def reference_accumulate_images(out, streams, tau, amp, offset, d0, start=0):
             acc = acc * mu + streams[k].take(idx_c)
         out += np.where(valid, amp[i] * acc, 0.0)
     return out
+
+
+def reference_accumulate_folded(out, streams, x, gain, offset, start=0):
+    """Accumulation of far rows from whole folded-delay rows, frozen here.
+
+    x: (T,) folded delay tau + offset - D0, gain: (T,).
+    """
+    n_branches, stream_len = streams.shape
+    t_idx = np.arange(start, start + out.shape[0], dtype=np.int64)
+    d_int = np.floor(x)
+    mu = x - d_int
+    idx = t_idx + offset - d_int.astype(np.int64)
+    valid = (idx >= 0) & (idx < stream_len)
+    idx_c = np.clip(idx, 0, stream_len - 1)
+    acc = streams[n_branches - 1].take(idx_c)
+    for k in range(n_branches - 2, -1, -1):
+        acc = acc * mu + streams[k].take(idx_c)
+    out += np.where(valid, gain * acc, 0.0)
+    return out
+
+
+def reference_restore(nodes, table, start, n):
+    """restore_cubic as one plain product per tile, frozen here."""
+    step = table.shape[1]
+    window = np.arange(_kernels.TILE_BLOCKS)[:, None] + np.arange(4)
+    tiles = []
+    for a in range(start, start + n, _kernels.TILE_BLOCKS * step):
+        frames = nodes[np.minimum(window + a // step, nodes.size - 1)]
+        tiles.append((frames @ table).ravel())
+    return np.concatenate(tiles)[:n]
+
+
+def reference_accumulate_restored(out, streams, delay, gain, table, offset, start):
+    """The far-row kernel as plain whole-row expressions, frozen here.
+
+    Returns the largest restored delay and each row's last delay and gain.
+    """
+    n = out.shape[0]
+    top, last = -np.inf, np.empty((delay.shape[0], 2))
+    for i in range(delay.shape[0]):
+        x = reference_restore(delay[i], table, start, n)
+        g = reference_restore(gain[i], table, start, n)
+        top = max(top, x.max())
+        last[i] = x[-1], g[-1]
+        reference_accumulate_folded(out, streams, x, g, offset, start)
+    return top, last
 
 
 def same_bits(a, b):
@@ -124,6 +182,76 @@ class TestKernelsMatchFrozenReferences:
         pos = rng.uniform(0.0, 6.0, size=(n, 3))
         want = reference_distance_streams(offset, sign, mic, pos)
         got = _kernels.distance_streams(offset, sign, mic, pos)
+        assert same_bits(got, want)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_distance_streams_on_rows_of_one_block_each(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        rows = int(rng.integers(1, 4))
+        n = int(rng.integers(_kernels.DISTANCE_BLOCK // 2 + 1, 30000))
+        offset = rng.uniform(-30.0, 30.0, size=(rows, 3))
+        sign = rng.choice([-1.0, 1.0], size=(rows, 3))
+        mic = rng.uniform(0.0, 6.0, size=3)
+        pos = rng.uniform(0.0, 6.0, size=(n, 3))
+        want = reference_distance_streams(offset, sign, mic, pos)
+        got = _kernels.distance_streams(offset, sign, mic, pos)
+        assert same_bits(got, want)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_accumulate_restored(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        step = int(rng.choice([2, 3, 5, 16]))
+        size = _kernels.TILE_BLOCKS * step
+        n_branches = int(rng.integers(2, 6))
+        stream_len = int(rng.integers(40, 2500))
+        n = int(rng.integers(1, 2000))
+        rows = int(rng.integers(1, 6))
+        streams = rng.standard_normal((n_branches, stream_len))
+        start = size * int(rng.integers(0, 4))
+        offset = int(rng.integers(0, 20))
+        # as many nodes as the range needs, or fewer (the last one holds)
+        k = int(rng.integers(1, (start + n) // step + 5))
+        table = lagrange_table(step)
+        t = (np.arange(k) - 1.0) * step  # the nodes' sample indices
+        if seed % 3 == 2:
+            # reads move up to 0.9 samples per sample and leave the
+            # streams at either end
+            first = rng.uniform(-60.0, stream_len + 60.0, size=(rows, 1))
+            read = first + rng.uniform(-0.9, 0.9, size=(rows, 1)) * (t - start)
+        else:
+            # reads move 1 +- 0.05 samples per sample, as for a moving
+            # source, and end within 30 samples of the streams' end: past
+            # it, or (every third case) clipped inside
+            slope = rng.uniform(0.95, 1.05, size=(rows, 1))
+            end = stream_len + rng.uniform(-30.0, 30.0, size=(rows, 1))
+            read = end + slope * (t - (start + n - 1))
+            read = np.clip(read, 2.0, stream_len - 4.0 if seed % 3 == 0 else None)
+        delay = t + offset - read + 0.01 * rng.standard_normal((rows, k))
+        gain = rng.uniform(-1.0, 1.0, size=(rows, k))
+        init = rng.standard_normal(n)
+        want = init.copy()
+        want_top, want_last = reference_accumulate_restored(
+            want, streams, delay, gain, table, offset, start
+        )
+        got, last = init.copy(), np.empty((rows, 2))
+        top = _kernels.accumulate_restored(
+            got, streams, delay, gain, table, offset, start, last
+        )
+        assert same_bits(got, want)
+        assert top == want_top
+        assert same_bits(last, want_last)
+
+    def test_accumulate_held(self):
+        # a held row is a whole row of its last value
+        rng = np.random.default_rng(7)
+        streams = rng.standard_normal((4, 900))
+        delay, gain = np.array([-3.25, 401.5, 1000.75]), np.array([0.5, -1.5, 2.0])
+        got = _kernels.accumulate_held(np.zeros(700), streams, delay, gain, 8, 300)
+        want = np.zeros(700)
+        for x, g in zip(delay, gain):
+            reference_accumulate_folded(
+                want, streams, np.full(700, x), np.full(700, g), 8, 300
+            )
         assert same_bits(got, want)
 
 
@@ -371,18 +499,80 @@ class TestDeterminism:
         assert np.array_equal(a, b)
 
 
+def pairwise_total(buffers):
+    """Level-by-level pairwise sum of the block buffers."""
+    while len(buffers) > 1:
+        merged = [buffers[i] + buffers[i + 1] for i in range(0, len(buffers) - 1, 2)]
+        if len(buffers) % 2:
+            merged.append(buffers[-1])
+        buffers = merged
+    return buffers[0]
+
+
+def edge_padded(row, out_len):
+    return np.pad(row[:out_len], (0, max(0, out_len - row.size)), mode="edge")
+
+
 def whole_array_render(s, streams, f, cfg):
     """Receiver-modulated render with every stream held whole.
 
-    The arithmetic synthesize must reproduce bit for bit: per-block Horner
-    accumulation over the full output, then the level-by-level pairwise
-    sum of the block buffers.
+    The arithmetic synthesize must reproduce bit for bit. Exact rows form
+    delay and gain from whole distance rows. Far rows form their folded
+    delay tau + L - D0 and their gain at the grid nodes and restore whole
+    rows of both with bandlimited_upsample. Each block accumulates its rows
+    in order over the full output, then the block buffers are summed in
+    the pairwise tree.
+    """
+    fold = f.branch_len - f.nominal_delay
+    beta = np.array([sp.beta for sp in streams.specs])
+    rows = []  # (restored, delay row, gain row), delay unfolded for exact rows
+    for i, (group, j) in enumerate(streams.rows):
+        nodes = getattr(streams.groups[group], "nodes", None)
+        if nodes is None:
+            d = streams.evaluate(i, i + 1, 0, streams.length)[0]
+            tau = streams.rate * d / cfg.sound_speed
+            amp = beta[i] / (4.0 * np.pi * np.maximum(d, cfg.d_min))
+            rows.append((False, tau, amp))
+        else:
+            step = streams.groups[group].table.shape[1]
+            delay = streams.rate * nodes[j] / cfg.sound_speed + fold
+            gain = beta[i] / (4.0 * np.pi * np.maximum(nodes[j], cfg.d_min))
+            rows.append(
+                (
+                    True,
+                    bandlimited_upsample(delay, step, streams.length),
+                    bandlimited_upsample(gain, step, streams.length),
+                )
+            )
+    tau_max = max(x.max() - fold if far else x.max() for far, x, _ in rows)
+    out_len = s.size + int(np.ceil(tau_max)) + f.branch_len
+    branch = farrow.branch_filter(s, f)
+    buffers = []
+    for a in range(0, len(rows), synth.SUMMATION_BLOCK):
+        buf = np.zeros(out_len)
+        for far, x, g in rows[a : a + synth.SUMMATION_BLOCK]:
+            x, g = edge_padded(x, out_len), edge_padded(g, out_len)
+            if far:
+                reference_accumulate_folded(buf, branch, x, g, f.branch_len)
+            else:
+                _kernels.accumulate_images(
+                    buf, branch, x[None], g[None], f.branch_len, f.nominal_delay
+                )
+        buffers.append(buf)
+    return pairwise_total(buffers)
+
+
+def distance_row_render(s, streams, f, cfg):
+    """Every row's delay and gain formed per sample from its distance.
+
+    The arithmetic of the engine before far rows restored their delay and
+    gain at the grid nodes: distances restored whole, then
+    tau = rate d / c and A = beta / (4 pi max(d, d_min)) at every sample.
     """
     d = streams.d
     tau_max = streams.rate * float(d.max()) / cfg.sound_speed
     out_len = s.size + int(np.ceil(tau_max)) + f.branch_len
-    if d.shape[1] < out_len:
-        d = np.pad(d, ((0, 0), (0, out_len - d.shape[1])), mode="edge")
+    d = np.pad(d, ((0, 0), (0, max(0, out_len - d.shape[1]))), mode="edge")
     d = d[:, :out_len]
     tau = streams.rate * d / cfg.sound_speed
     beta = np.array([sp.beta for sp in streams.specs])
@@ -396,12 +586,7 @@ def whole_array_render(s, streams, f, cfg):
             buf, branch, tau[blk], amp[blk], f.branch_len, f.nominal_delay
         )
         buffers.append(buf)
-    while len(buffers) > 1:
-        merged = [buffers[i] + buffers[i + 1] for i in range(0, len(buffers) - 1, 2)]
-        if len(buffers) % 2:
-            merged.append(buffers[-1])
-        buffers = merged
-    return buffers[0]
+    return pairwise_total(buffers)
 
 
 def traced_peak_mb(call):
@@ -414,9 +599,9 @@ def traced_peak_mb(call):
 
 
 class TestChunkedWalk:
-    # chunk lengths are rounded up to whole restoration tiles: 25600
-    # samples at N=3200, 4032 at N=2, 1 at N=1, so these give 3, 2 and 1
-    # chunks over 3.5 s at N=3200 and many more at the smaller N
+    # chunk lengths are rounded up to whole restoration tiles of 64 h
+    # samples: 25600 at N=3200 (h=400), 128 at N=2 and 1 at N=1, so these
+    # give 3, 2 and 1 chunks over 3.5 s at N=3200 and many more at N=2
     CHUNKS = (700, 30000, 10**9)
 
     @pytest.mark.parametrize("factor", [3200, 2, 1])
@@ -522,6 +707,38 @@ class TestChunkedWalk:
                 lambda: render(x, tr, room_5x6x4, mic_std, filt, cfg)
             )
             assert peak < 25.0, f"peak {peak:.1f} MB"
+
+
+def snr_whole_db(got, want):
+    return 10.0 * np.log10(np.sum(want**2) / np.sum((got - want) ** 2))
+
+
+class TestFarRowsMatchDistanceRows:
+    """Far rows restore delay and gain where distance rows restored d.
+
+    The cubic is linear, so the restored delay equals rate / c times the
+    restored distance up to rounding, and the restored gain differs from
+    the gain of the restored distance by the cubic's error on a 1 / d
+    curve. The tail past a short path holds each row's last values.
+    """
+
+    @pytest.mark.parametrize("factor", [3200, 2])
+    @pytest.mark.parametrize("t_len", [33600, 84000])
+    def test_render_matches_per_sample_delay_and_gain(
+        self, factor, t_len, filt, room_5x6x4, mic_std
+    ):
+        n = 56000
+        tr = moving_traj(t_len, duration=t_len / RATE, seed=20)
+        cfg = SynthesisConfig(max_order=3, decimation=factor)
+        x = np.random.default_rng(21).standard_normal(n)
+        streams = prepare_streams(tr, room_5x6x4, mic_std, cfg)
+        got = synthesize(x, streams, filt, cfg)
+        want = distance_row_render(x, streams, filt, cfg)
+        assert got.size == want.size
+        assert snr_whole_db(got, want) >= 120.0
+        if want.size > t_len:
+            tail = slice(t_len, None)
+            assert snr_whole_db(got[tail], want[tail]) >= 120.0
 
 
 class TestShortClips:
@@ -647,10 +864,61 @@ class TestSelectImages:
         cut = select_images(room_5x6x4, tr, mic_std, cut_cfg)
         assert len(cut) < len(full)
         reach = 343.0 * 0.02
-        from moverb.room import image_distance
-
         for sp in cut:
             assert image_distance(sp, tr.positions[0], mic_std, room_5x6x4) <= reach
+
+    @staticmethod
+    def culled_one_by_one(room, traj, mic, cfg):
+        reach = cfg.sound_speed * cfg.t60
+        start = traj.positions[0]
+        return [
+            sp
+            for sp in enumerate_images(room, cfg.max_order)
+            if image_distance(sp, start, mic, room) <= reach
+        ]
+
+    @pytest.mark.parametrize(
+        "max_order, t60",
+        # the benchmark scenes: far_field and brute_force, dense_images
+        [(3, None), (8, 0.07)],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_benchmark_scenes_keep_what_a_per_image_cull_keeps(
+        self, max_order, t60, seed, room_5x6x4, mic_std
+    ):
+        direction = np.random.default_rng(seed).normal(size=3)
+        spec = TrajectorySpec(
+            kind="sine",
+            duration=1.0,
+            bandwidth_limit=2.0,
+            speed_max=1.0,
+            direction=tuple(direction),
+        )
+        tr = generate(spec, RATE, room_5x6x4)
+        cfg = SynthesisConfig(max_order=max_order, order_split=1, t60=t60)
+        got = select_images(room_5x6x4, tr, mic_std, cfg)
+        if t60 is None:
+            assert got == enumerate_images(room_5x6x4, max_order)
+        else:
+            assert got == self.culled_one_by_one(room_5x6x4, tr, mic_std, cfg)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dims=st.tuples(*[st.floats(1.0, 12.0)] * 3),
+        mic_at=st.tuples(*[st.floats(0.01, 0.99)] * 3),
+        start_at=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+        max_order=st.integers(0, 7),
+        t60=st.floats(0.001, 0.2),
+    )
+    def test_keeps_what_a_per_image_cull_keeps(
+        self, dims, mic_at, start_at, max_order, t60
+    ):
+        room = Room(dims=np.array(dims), wall_reflection=0.8)
+        mic = MicPosition(pos=np.array(mic_at) * room.dims)
+        tr = static_traj(np.array(start_at) * room.dims, 2)
+        cfg = SynthesisConfig(max_order=max_order, t60=t60)
+        got = select_images(room, tr, mic, cfg)
+        assert got == self.culled_one_by_one(room, tr, mic, cfg)
 
 
 class TestCostReport:
@@ -678,8 +946,12 @@ class TestCostReport:
         nodes = -(-32000 // 400) + 3  # grid nodes, ghosts included
         want = 7 * 32000 + (len(images) - 7) * nodes
         assert rep["hierarchical_evals"] == want
+        assert rep["restored_samples"] == 2 * (len(images) - 7) * 32000
+        assert rep["accumulated_samples"] == len(images) * 32000
 
     def test_n1_has_no_reduction(self):
         cfg = SynthesisConfig(order_split=1, decimation=1)
         rep = cost_report(cfg, 1000, 1.0)
         assert rep["hierarchical_evals"] == rep["naive_evals"]
+        assert rep["restored_samples"] == 0
+        assert rep["accumulated_samples"] == 1000 * 16000
