@@ -8,13 +8,21 @@ That is what lets the synthesis engine walk the output in chunks.
 The per-sample kernels work in scratch rows allocated once per call, with
 in-place ufuncs that keep each element's operands and operation order, so
 they allocate nothing per step and give the bits of the plain expressions.
-Distances are built in blocks of rows of at most DISTANCE_BLOCK elements.
-Accumulation runs one image row at a time. Exact (near) rows arrive as
-per-sample delay and gain (accumulate_images). Far rows arrive as grid
-nodes of their folded delay and their gain, and are restored tile by tile
-and accumulated in one pass, without any per-sample distance, delay or
-gain array (accumulate_restored).
+A distance is the path's distance to the image's mirrored mic
+(mirrored_mics), one shared row expression (_distance_rows); distance
+tables are built in blocks of rows of at most DISTANCE_BLOCK elements.
+Accumulation runs one image row at a time through one Horner pass
+(_horner_row). Exact (near) rows arrive as their mirrored mic and
+spreading coefficient, and their distance, folded delay and gain are
+formed in scratch rows (accumulate_exact). Far rows arrive as grid nodes
+of their folded delay and their gain, and are restored tile by tile
+(accumulate_restored). Neither holds a per-row array longer than the
+range. Rows held at one delay and gain past the path's end read
+contiguous runs of the streams (accumulate_held). accumulate_images
+takes per-sample delay and gain arrays, for emission-time modulation.
 """
+
+import math
 
 import numpy as np
 
@@ -35,39 +43,62 @@ def using_numba():
 DISTANCE_BLOCK = 2**14
 
 
+def mirrored_mics(offset, sign, mic):
+    """Each image's mic mirrored into the path's frame, sign * (mic - offset).
+
+    sign is +-1 per axis, so |offset + sign * p - mic| = |p - q| with
+    q = sign * (mic - offset): an image's distance is the path's distance
+    to its mirrored mic. offset, sign: (S, 3), mic: (3,). Returns (S, 3).
+    """
+    return sign * (mic - offset)
+
+
+def _distance_rows(q, pos_t, out, tmp):
+    """Fill out with |p - q|: (dx^2 + dy^2) + dz^2 with dx = p_x - q_x, rooted.
+
+    pos_t: (3, T) path, axis by axis; q[ax] broadcasts against pos_t[ax]
+    to out's shape (a scalar for one row, an (R, 1) column for R rows).
+    tmp is scratch of out's shape.
+    """
+    np.subtract(pos_t[0], q[0], out=out)
+    np.multiply(out, out, out=out)
+    for ax in (1, 2):
+        np.subtract(pos_t[ax], q[ax], out=tmp)
+        np.multiply(tmp, tmp, out=tmp)
+        out += tmp
+    np.sqrt(out, out=out)
+
+
 def distance_streams(offset, sign, mic, pos):
     """Euclidean distance from each mirrored source to the mic, per sample.
 
     offset: (S, 3) lattice translation in meters, sign: (S, 3) +-1 per axis,
-    mic: (3,), pos: (T, 3) source path. Returns (S, T) float64.
+    mic: (3,), pos: (T, 3) source path. Returns (S, T) float64: each row is
+    the path's distance to the image's mirrored mic (mirrored_mics).
 
-    Rows are built in blocks of max(1, DISTANCE_BLOCK // T), in place in a
-    (3, rows, T) scratch array, axis by axis: (offset + sign * p) - mic,
-    squared, summed as (dx^2 + dy^2) + dz^2 and square-rooted into the
-    output rows.
+    Rows are built in blocks of max(1, DISTANCE_BLOCK // T), in place in
+    the output with one block of scratch, by the same row arithmetic the
+    exact-row kernel uses (accumulate_exact).
     """
-    offset = np.ascontiguousarray(offset, dtype=np.float64)
-    sign = np.ascontiguousarray(sign, dtype=np.float64)
-    mic = np.ascontiguousarray(mic, dtype=np.float64)
+    q = mirrored_mics(
+        np.asarray(offset, dtype=np.float64),
+        np.asarray(sign, dtype=np.float64),
+        np.asarray(mic, dtype=np.float64),
+    )
     pos_t = np.array(np.asarray(pos, dtype=np.float64).T, order="C")
-    n_rows, n = offset.shape[0], pos_t.shape[1]
+    n_rows, n = q.shape[0], pos_t.shape[1]
     out = np.empty((n_rows, n), dtype=np.float64)
     step = max(1, DISTANCE_BLOCK // max(n, 1))
-    scratch = np.empty((3, min(step, n_rows), n))
+    tmp = np.empty((min(step, n_rows), n))
+    if step == 1:
+        # one row at a time, by integer index: numpy loops 1-D operands faster
+        for a in range(n_rows):
+            _distance_rows(q[a], pos_t, out[a], tmp[0])
+        return out
+    q_cols = q.T[:, :, None]
     for a in range(0, n_rows, step):
-        # one-row blocks index by integer: numpy loops 1-D operands faster
-        blk = a if step == 1 else slice(a, a + step)
-        rows = out[blk]
-        delta = scratch[:, 0] if step == 1 else scratch[:, : rows.shape[0]]
-        for ax in range(3):
-            t = delta[ax]
-            np.multiply(sign[blk, ax, None], pos_t[ax], out=t)
-            np.add(offset[blk, ax, None], t, out=t)
-            t -= mic[ax]
-        np.multiply(delta, delta, out=delta)
-        np.add(delta[0], delta[1], out=rows)
-        rows += delta[2]
-        np.sqrt(rows, out=rows)
+        rows = out[a : a + step]
+        _distance_rows(q_cols[:, a : a + step], pos_t, rows, tmp[: rows.shape[0]])
     return out
 
 
@@ -136,6 +167,52 @@ def accumulate_images(out, streams, tau, amp, offset, d0, start=0):
     return out
 
 
+def accumulate_exact(
+    out, streams, q, pos, coef, scale, fold, d_min, offset, start=0, last=None
+):
+    """Sum exact rows, formed per sample from the path, into out.
+
+    q: (S, 3) mirrored mics (mirrored_mics), pos: (T, 3) the path at the
+    output indices start .. start + T - 1, coef: (S,) spreading
+    coefficients beta / (4 pi), scale: rate / c in samples per meter,
+    fold: L - D0. out, streams, offset and start are as in
+    accumulate_images. Per row, scratch rows one range long receive the
+    distance d = |p - q| (the arithmetic of distance_streams), the folded
+    delay x = d * scale + fold and the gain coef / max(d, d_min); one
+    Horner pass then reads the streams. d >= 0 gives x >= fold, so with
+    the row's largest x every read is bounded, and the out-of-stream scan
+    is skipped when both bounds lie inside the streams. last, if given,
+    is an (S, 2) array that receives each row's x and gain at the range's
+    final sample. Returns the largest distance (-inf when there is
+    nothing to add).
+    """
+    n = out.shape[0]
+    if n == 0 or q.shape[0] == 0:
+        return -np.inf
+    pos_t = np.array(pos.T, order="C")
+    base = np.arange(start + offset, start + offset + n, dtype=np.int64)
+    d, x = np.empty(n), np.empty(n)
+    scratch = _scratch(n)
+    # the reads' upper bound, from x >= fold
+    below_end = int(base[-1]) - math.floor(fold) < streams.shape[1]
+    top = -np.inf
+    for i in range(q.shape[0]):
+        _distance_rows(q[i], pos_t, d, scratch[3])
+        d_max = float(d.max())
+        top = max(top, d_max)
+        np.multiply(d, scale, out=x)
+        x += fold
+        # d becomes the gain
+        np.maximum(d, d_min, out=d)
+        np.divide(coef[i], d, out=d)
+        if last is not None:
+            last[i] = x[-1], d[-1]
+        # rounding is monotone, so the largest x is the largest d's
+        inside = below_end and int(base[0]) - math.floor(d_max * scale + fold) >= 0
+        _horner_row(out, streams, x, d, base, scratch, inside)
+    return top
+
+
 def accumulate_restored(out, streams, delay, gain, table, offset, start=0, last=None):
     """Sum far rows, restored from their grid nodes, into out.
 
@@ -183,21 +260,35 @@ def accumulate_restored(out, streams, delay, gain, table, offset, start=0, last=
 
 
 def accumulate_held(out, streams, delay, gain, offset, start=0):
-    """Sum far rows held at one folded delay and gain into out.
+    """Sum rows held at one folded delay and gain into out.
 
     delay, gain: (S,) per-row folded delay x = tau + offset - D0 and gain,
     constant over the range; the rest is as in accumulate_restored. This is
     the tail past a path's end, where each row keeps its last values.
+
+    A held row reads one contiguous run of the streams, at one fraction:
+    floor(x) and the fraction are taken once, and only the part of the run
+    that lies inside the streams is read and added. Outside it the row
+    contributes nothing, as the masked reads of _horner_row do.
     """
     n = out.shape[0]
-    if n == 0:
-        return out
-    base = np.arange(start + offset, start + offset + n, dtype=np.int64)
-    x = np.empty(n)
-    scratch = _scratch(n)
-    for i in range(delay.shape[0]):
-        x.fill(delay[i])
-        _horner_row(out, streams, x, gain[i], base, scratch)
+    n_branches, stream_len = streams.shape
+    acc = np.empty(n)
+    for x, g in zip(delay.tolist(), gain.tolist()):
+        d_int = math.floor(x)
+        mu = x - d_int
+        first = start + offset - d_int
+        lo, hi = max(0, -first), min(n, stream_len - first)
+        if lo >= hi:
+            continue
+        reads = slice(first + lo, first + hi)
+        a = acc[: hi - lo]
+        np.copyto(a, streams[n_branches - 1, reads])
+        for k in range(n_branches - 2, -1, -1):
+            a *= mu
+            a += streams[k, reads]
+        a *= g
+        out[lo:hi] += a
     return out
 
 

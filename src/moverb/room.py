@@ -95,14 +95,16 @@ class ImageSourceSpec:
     beta: float
 
 
-def _axis_reflections(j):
-    # Walls hit along one axis for signed mirror index j: a ray reaching
-    # unfolded cell j crosses |j| wall planes, alternating starting with the
-    # wall on the side j points to.
-    if j >= 0:
-        return j // 2, (j + 1) // 2  # (minus-wall hits, plus-wall hits)
-    a = -j
-    return (a + 1) // 2, a // 2
+def _axis_hits(j):
+    """Walls hit along an axis for signed mirror indices j, elementwise.
+
+    A ray reaching unfolded cell j crosses |j| wall planes, alternating
+    starting with the wall on the side j points to. Returns (minus-wall
+    hits, plus-wall hits).
+    """
+    a = np.abs(j)
+    more, fewer = (a + 1) // 2, a // 2
+    return np.where(j >= 0, fewer, more), np.where(j >= 0, more, fewer)
 
 
 def enumerate_images(room, max_order):
@@ -110,37 +112,42 @@ def enumerate_images(room, max_order):
 
     Ordering is deterministic: ascending order, then lexicographic lattice,
     then parity. max_order = 0 yields exactly the direct source.
+
+    The mirror indices (jx, jy, jz) with |jx| + |jy| + |jz| <= max_order
+    are built as arrays. beta is the product over the axes of
+    w_minus ** h_minus * w_plus ** h_plus, taken from a table of each
+    wall's powers and multiplied axis by axis in x, y, z order.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
     walls = room.wall_reflection
-    specs = []
-    rng = range(-max_order, max_order + 1)
-    for jx in rng:
-        rem_x = max_order - abs(jx)
-        for jy in range(-rem_x, rem_x + 1):
-            rem_y = rem_x - abs(jy)
-            for jz in range(-rem_y, rem_y + 1):
-                js = (jx, jy, jz)
-                beta = 1.0
-                lattice = []
-                parity = []
-                for k, j in enumerate(js):
-                    q = j % 2
-                    lattice.append((j + q) // 2)
-                    parity.append(bool(q))
-                    h_minus, h_plus = _axis_reflections(j)
-                    beta *= walls[2 * k] ** h_minus * walls[2 * k + 1] ** h_plus
-                specs.append(
-                    ImageSourceSpec(
-                        order=abs(jx) + abs(jy) + abs(jz),
-                        lattice=tuple(lattice),
-                        parity=tuple(parity),
-                        beta=float(beta),
-                    )
-                )
-    specs.sort()
-    return specs
+    powers = np.array([[w**h for h in range(max_order + 1)] for w in walls])
+    # (jx, jy) pairs, then every jz each pair leaves room for
+    jx, jy = np.divmod(np.arange((2 * max_order + 1) ** 2), 2 * max_order + 1)
+    jx, jy = jx - max_order, jy - max_order
+    rem = max_order - np.abs(jx) - np.abs(jy)
+    jx, jy, rem = jx[rem >= 0], jy[rem >= 0], rem[rem >= 0]
+    count = 2 * rem + 1
+    first = np.cumsum(count) - count
+    jz = np.arange(count.sum()) - np.repeat(first + rem, count)
+    js = np.stack([np.repeat(jx, count), np.repeat(jy, count), jz])
+    parity = js % 2
+    lattice = (js + parity) // 2
+    order = np.abs(js).sum(axis=0)
+    h_minus, h_plus = _axis_hits(js)
+    axis = np.arange(3)[:, None]
+    factor = powers[2 * axis, h_minus] * powers[2 * axis + 1, h_plus]
+    beta = factor[0] * factor[1] * factor[2]
+    rank = np.lexsort((*parity[::-1], *lattice[::-1], order))
+    return [
+        ImageSourceSpec(order=o, lattice=tuple(lat), parity=tuple(par), beta=b)
+        for o, lat, par, b in zip(
+            order[rank].tolist(),
+            lattice[:, rank].T.tolist(),
+            parity[:, rank].T.astype(bool).tolist(),
+            beta[rank].tolist(),
+        )
+    ]
 
 
 def image_position(spec, source_pos, room):

@@ -2,9 +2,10 @@
 
 Signal flow for one render:
 
-    trajectory p(n) --+--> near images: distances d_i(n) at every sample
-        |             |        -> delay tau_i(n) = fs d_i(n) / c,
-        |             |           gain A_i(n) = b_i / (4 pi max(d_i, d_min))
+    trajectory p(n) --+--> near images: distance d_i(n) = |p(n) - q_i| to
+        |             |    the mirrored mic q_i at every sample
+        |             |        -> folded delay fs d_i(n) / c + L - D0,
+        |             |           gain A_i(n) = (b_i / 4 pi) / max(d_i, d_min)
         |             |
         |             +--> far images: exact distances at grid nodes every
         |                  h-th sample, h = min(N, 400)
@@ -31,15 +32,17 @@ describes its rows (image geometry and path for exact rows, grid-node
 distances for restored ones), and synthesize walks the output in fixed
 time chunks of CHUNK_SAMPLES, rounded up to whole restoration tiles. One
 job per (chunk, block of 32 images) walks its block in enumeration order.
-Exact rows go ROW_GROUP (8) at a time: the job evaluates their distances
-over the chunk, forms delay and gain, and accumulates them into a buffer
-one chunk long. Far rows go one at a time through one kernel that
-restores the row's delay and gain into two chunk-long scratch rows and
-accumulates it; they never hold a per-sample distance. Beyond the input,
-the output and the grid nodes, memory is O(workers x ROW_GROUP x chunk)
-whatever the image count or the clip length. The thread pool runs
-distances, restoration and accumulation. A clip of N samples or less
-restores nothing: its far rows are exact, as at decimation 1.
+Every row goes on its own through one kernel that fills chunk-long
+scratch rows and accumulates the row into a buffer one chunk long. An
+exact row's kernel forms its distance, folded delay and gain there; a
+far row's kernel restores its folded delay and gain there, so it never
+holds a per-sample distance. Past the path's end every row holds its
+folded delay and gain at the path's last sample; the tail adds them on
+the calling thread. Beyond the input, the output and the grid nodes,
+memory is O(workers x chunk) whatever the image count or the clip
+length. The thread pool runs distances, restoration and accumulation. A
+clip of N samples or less restores nothing: its far rows are exact, as
+at decimation 1.
 
 Summation order is fixed per output sample: images are partitioned into
 fixed blocks of 32 in enumeration order, each block accumulates its images
@@ -62,9 +65,6 @@ from .room import as_arrays, as_mic, attenuation, enumerate_images
 from .trajectory import decimate, grid_step, lagrange_table
 
 SUMMATION_BLOCK = 32
-# image rows whose distances, delay and gain a job holds at once; single
-# rows would make many small GIL-bound calls and stall the thread pool
-ROW_GROUP = 8
 # output samples per job, rounded up to whole restoration tiles
 CHUNK_SAMPLES = 16384
 # largest far-image delay error a render accepts, in samples
@@ -154,7 +154,7 @@ class _RestoredRows:
     weights. Restoration computes whole tiles, so a range is computed from
     the tile boundary at or before its start and then sliced. synthesize
     does not evaluate these rows: it restores delay and gain from the
-    nodes instead (_far_nodes).
+    nodes instead (_row_terms).
     """
 
     nodes: np.ndarray
@@ -350,23 +350,30 @@ def _output_len(s, tau_max, f):
     return s.size + int(np.ceil(tau_max)) + f.branch_len
 
 
-def _far_nodes(streams, beta, fold, cfg):
-    """Grid nodes of the folded delay and of the gain of every restored group.
+def _row_terms(streams, beta, fold, cfg):
+    """What the rows of every group are accumulated from.
 
-    Returns {group number: (delay nodes, gain nodes, cubic table)}. The
-    folded delay is rate * d / c + fold at each node; the gain is
-    attenuation(beta, max(d, d_min)), so d_min is applied at the nodes.
+    Returns {group number: terms}. A restored group gives (delay nodes,
+    gain nodes, cubic table): the folded delay rate * d / c + fold and the
+    gain attenuation(beta, max(d, d_min)) at every grid node, so d_min is
+    applied at the nodes. An exact group gives (mirrored mics, spreading
+    coefficients attenuation(beta, 1)), from which accumulate_exact forms
+    delay and gain at every sample.
     """
-    far = {}
+    terms = {}
     for g, rows in enumerate(streams.groups):
-        if isinstance(rows, _RestoredRows):
-            mine = np.flatnonzero(streams.rows[:, 0] == g)
-            b = np.zeros(rows.nodes.shape[0])
-            b[streams.rows[mine, 1]] = beta[mine]
+        mine = np.flatnonzero(streams.rows[:, 0] == g)
+        restored = isinstance(rows, _RestoredRows)
+        b = np.zeros((rows.nodes if restored else rows.offset).shape[0])
+        b[streams.rows[mine, 1]] = beta[mine]
+        if restored:
             delay = streams.rate * rows.nodes / cfg.sound_speed + fold
             gain = attenuation(b[:, None], np.maximum(rows.nodes, cfg.d_min))
-            far[g] = (delay, gain, rows.table)
-    return far
+            terms[g] = (delay, gain, rows.table)
+        else:
+            q = _kernels.mirrored_mics(rows.offset, rows.sign, rows.mic)
+            terms[g] = (q, attenuation(b, 1.0))
+    return terms
 
 
 def _runs(group, a, b):
@@ -387,11 +394,13 @@ def synthesize(s, streams, f, cfg):
     index shifted back by the same amount, which keeps every request above
     the filter latency without physically padding the input.
 
-    Exact rows form delay and gain from their distances, ROW_GROUP rows at
-    a time. Restored (far) rows never hold a per-sample distance: their
-    folded delay tau + L - D0 and their gain are formed once per grid node
-    (_far_nodes) and restored inside the accumulation kernel, one row at a
-    time. A block adds its rows in enumeration order either way.
+    Rows are accumulated one at a time, in enumeration order within each
+    block. Exact rows form their distance to the mirrored mic, their
+    folded delay tau + L - D0 and their gain per sample, in the kernel's
+    scratch rows. Restored (far) rows never hold a per-sample distance:
+    their folded delay and gain are formed once per grid node
+    (_row_terms) and restored inside the accumulation kernel. The tail
+    holds every row at its folded delay and gain at the path's end.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
@@ -412,56 +421,35 @@ def synthesize(s, streams, f, cfg):
     branch = farrow.branch_filter(s, f)
     shift = f.branch_len  # keeps tau + shift >= D0 for every physical delay
     fold = shift - f.nominal_delay
-    far = _far_nodes(streams, beta, fold, cfg)
-    # group number of each far row, -1 for exact rows
-    group = np.where(np.isin(streams.rows[:, 0], list(far)), streams.rows[:, 0], -1)
+    scale = streams.rate / cfg.sound_speed
+    terms = _row_terms(streams, beta, fold, cfg)
     length = streams.length
-    last = np.empty(n_images)  # exact rows: distance at the path's end
-    held = np.empty((n_images, 2))  # far rows: folded delay and gain there
-
-    def accumulate(buf, d, r, start):
-        # d is the group's own array: the gain floor clamps it in place
-        tau = streams.rate * d / cfg.sound_speed
-        amp = attenuation(
-            beta[r : r + d.shape[0], None], np.maximum(d, cfg.d_min, out=d)
-        )
-        _kernels.accumulate_images(
-            buf, branch, tau, amp, shift, f.nominal_delay, start
-        )
+    held = np.empty((n_images, 2))  # folded delay and gain at the path's end
 
     def path_job(a, b, start, stop):
         buf, peak, top = np.zeros(stop - start), -np.inf, -np.inf
-        for r, e, g in _runs(group, a, b):
-            if g >= 0:
-                delay, gain, table = far[g]
-                index = streams.rows[r:e, 1]
-                hold = held[r:e] if stop == length else None
+        for r, e, g in _runs(streams.rows[:, 0], a, b):
+            index = streams.rows[r:e, 1]
+            hold = held[r:e] if stop == length else None
+            rows = streams.groups[g]
+            if isinstance(rows, _RestoredRows):
+                delay, gain, table = terms[g]
                 x_max = _kernels.accumulate_restored(
                     buf, branch, delay[index], gain[index], table, shift, start, hold
                 )
                 top = max(top, x_max)
-                continue
-            for r0 in range(r, e, ROW_GROUP):
-                e0 = min(r0 + ROW_GROUP, e)
-                d = streams.evaluate(r0, e0, start, stop)
-                if stop == length:
-                    last[r0:e0] = d[:, -1]
-                peak = max(peak, d.max())  # before accumulate clamps d in place
-                accumulate(buf, d, r0, start)
+            else:
+                q, coef = terms[g]
+                d_max = _kernels.accumulate_exact(
+                    buf, branch, q[index], rows.positions[start:stop], coef[index],
+                    scale, fold, cfg.d_min, shift, start, hold,
+                )
+                peak = max(peak, d_max)
         return buf, max(streams.rate * peak / cfg.sound_speed, top - fold)
 
     def tail_job(a, b, start, stop):
         buf = np.zeros(stop - start)
-        for r, e, g in _runs(group, a, b):
-            if g >= 0:
-                _kernels.accumulate_held(
-                    buf, branch, held[r:e, 0], held[r:e, 1], shift, start
-                )
-                continue
-            for r0 in range(r, e, ROW_GROUP):
-                e0 = min(r0 + ROW_GROUP, e)
-                d = np.repeat(last[r0:e0, None], stop - start, axis=1)
-                accumulate(buf, d, r0, start)
+        _kernels.accumulate_held(buf, branch, held[a:b, 0], held[a:b, 1], shift, start)
         return buf, -np.inf
 
     chunk = math.lcm(*(g.tile for g in streams.groups))
@@ -475,7 +463,8 @@ def synthesize(s, streams, f, cfg):
             (max(t, length), min(t + chunk, out_len))
             for t in range(first, out_len, chunk)
         ]
-        out += _walk(tail_job, tail, blocks, cfg.workers)[0]
+        # tail jobs are short: a thread pool costs more than it saves
+        out += _walk(tail_job, tail, blocks, 1)[0]
     return np.concatenate(out)[:out_len]
 
 

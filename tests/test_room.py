@@ -91,6 +91,51 @@ class TestEnumeration:
         assert betas == sorted(walls.tolist())
 
 
+def enumerate_images_by_loop(room, max_order):
+    """Image enumeration as a triple loop over mirror indices, frozen here."""
+    walls = room.wall_reflection
+    specs = []
+    for jx in range(-max_order, max_order + 1):
+        rem_x = max_order - abs(jx)
+        for jy in range(-rem_x, rem_x + 1):
+            rem_y = rem_x - abs(jy)
+            for jz in range(-rem_y, rem_y + 1):
+                beta = 1.0
+                lattice, parity = [], []
+                for k, j in enumerate((jx, jy, jz)):
+                    q = j % 2
+                    lattice.append((j + q) // 2)
+                    parity.append(bool(q))
+                    if j >= 0:
+                        h_minus, h_plus = j // 2, (j + 1) // 2
+                    else:
+                        h_minus, h_plus = (1 - j) // 2, -j // 2
+                    beta *= walls[2 * k] ** h_minus * walls[2 * k + 1] ** h_plus
+                specs.append(
+                    ImageSourceSpec(
+                        order=abs(jx) + abs(jy) + abs(jz),
+                        lattice=tuple(lattice),
+                        parity=tuple(parity),
+                        beta=float(beta),
+                    )
+                )
+    specs.sort()
+    return specs
+
+
+class TestEnumerationMatchesLoop:
+    @pytest.mark.parametrize("max_order", range(11))
+    def test_same_specs_order_and_beta_bits(self, max_order):
+        rng = np.random.default_rng(max_order)
+        walls = rng.uniform(0.05, 1.0, size=6)
+        r = Room(dims=rng.uniform(1.0, 10.0, size=3), wall_reflection=walls)
+        got = enumerate_images(r, max_order)
+        want = enumerate_images_by_loop(r, max_order)
+        # repr tells Python ints, bools and floats from numpy scalars
+        assert repr(got) == repr(want)
+        assert [sp.beta.hex() for sp in got] == [sp.beta.hex() for sp in want]
+
+
 class TestImagePosition:
     def test_direct_image_is_source(self):
         r = make_room()

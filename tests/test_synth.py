@@ -55,8 +55,25 @@ def moving_traj(n, rate=RATE, seed=3, duration=None):
     return generate(spec, rate, room)
 
 
+def reference_distance_row(q, pos):
+    """One row's distance to its mirrored mic q, as a plain expression."""
+    dx = pos[:, 0] - q[0]
+    dy = pos[:, 1] - q[1]
+    dz = pos[:, 2] - q[2]
+    return np.sqrt(dx * dx + dy * dy + dz * dz)
+
+
 def reference_distance_streams(offset, sign, mic, pos):
     """The distance kernel as plain whole-row expressions, frozen here."""
+    q = sign * (mic - offset)
+    out = np.empty((offset.shape[0], pos.shape[0]))
+    for i in range(offset.shape[0]):
+        out[i] = reference_distance_row(q[i], pos)
+    return out
+
+
+def unmirrored_distance_streams(offset, sign, mic, pos):
+    """Distances as |offset + sign * p - mic|, the expression mirrored mics replaced."""
     out = np.empty((offset.shape[0], pos.shape[0]))
     for i in range(offset.shape[0]):
         dx = offset[i, 0] + sign[i, 0] * pos[:, 0] - mic[0]
@@ -101,6 +118,24 @@ def reference_accumulate_folded(out, streams, x, gain, offset, start=0):
         acc = acc * mu + streams[k].take(idx_c)
     out += np.where(valid, gain * acc, 0.0)
     return out
+
+
+def reference_accumulate_exact(
+    out, streams, q, pos, coef, scale, fold, d_min, offset, start
+):
+    """The exact-row kernel as plain whole-row expressions, frozen here.
+
+    Returns the largest distance and each row's last delay and gain.
+    """
+    top, last = -np.inf, np.empty((q.shape[0], 2))
+    for i in range(q.shape[0]):
+        d = reference_distance_row(q[i], pos)
+        x = d * scale + fold
+        g = coef[i] / np.maximum(d, d_min)
+        top = max(top, d.max())
+        last[i] = x[-1], g[-1]
+        reference_accumulate_folded(out, streams, x, g, offset, start)
+    return top, last
 
 
 def reference_restore(nodes, table, start, n):
@@ -184,6 +219,25 @@ class TestKernelsMatchFrozenReferences:
         got = _kernels.distance_streams(offset, sign, mic, pos)
         assert same_bits(got, want)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_mirrored_distances_round_like_the_unmirrored_ones(self, seed):
+        # |o + s p - m| and |p - s (m - o)| are equal in exact arithmetic;
+        # each rounds its three differences and the sum differently
+        rng = np.random.default_rng(300 + seed)
+        rows, n = int(rng.integers(1, 9)), int(rng.integers(1, 3000))
+        offset = rng.uniform(-30.0, 30.0, size=(rows, 3))
+        sign = rng.choice([-1.0, 1.0], size=(rows, 3))
+        mic = rng.uniform(0.0, 6.0, size=3)
+        pos = rng.uniform(0.0, 6.0, size=(n, 3))
+        got = _kernels.distance_streams(offset, sign, mic, pos)
+        want = unmirrored_distance_streams(offset, sign, mic, pos)
+        scale = (
+            np.linalg.norm(offset, axis=1)[:, None]
+            + np.linalg.norm(pos, axis=1)
+            + np.linalg.norm(mic)
+        )
+        assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * scale)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_distance_streams_on_rows_of_one_block_each(self, seed):
         rng = np.random.default_rng(200 + seed)
@@ -236,6 +290,55 @@ class TestKernelsMatchFrozenReferences:
         got, last = init.copy(), np.empty((rows, 2))
         top = _kernels.accumulate_restored(
             got, streams, delay, gain, table, offset, start, last
+        )
+        assert same_bits(got, want)
+        assert top == want_top
+        assert same_bits(last, want_last)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_accumulate_exact(self, seed):
+        rng = np.random.default_rng(400 + seed)
+        n_branches = int(rng.integers(2, 6))
+        n = int(rng.integers(1, 2000))
+        kind = seed % 4
+        rows = int(rng.integers(1 if kind == 3 else 2, 6))
+        offset = int(rng.integers(0, 20))
+        scale = float(rng.uniform(5.0, 50.0))  # samples per meter
+        fold = float(rng.uniform(2.0, 9.0))  # L - D0
+        d_min = float(rng.uniform(0.01, 0.3))
+        # a straight path; the first row's mirrored mic lies on it, so its
+        # distance passes through 0 and inside d_min (at the last sample
+        # when kind == 1); the second starts over 5 m away
+        t = np.arange(n)[:, None]
+        pos = rng.uniform(0.0, 6.0, size=3) + rng.uniform(-1e-3, 1e-3, size=3) * t
+        q = pos[0] + rng.uniform(-4.0, 4.0, size=(rows, 3))
+        q[0] = pos[-1 if kind == 1 else int(rng.integers(0, n))]
+        if rows > 1:
+            q[1] = pos[0] + rng.choice([-3.0, 3.0], size=3)
+        coef = rng.uniform(0.0, 0.1, size=rows)
+        # sample t reads at start + offset + t - floor(x), x >= fold
+        x = np.array([reference_distance_row(qi, pos) for qi in q]) * scale + fold
+        lowest = int((np.arange(n) - np.floor(x)).min())
+        if kind < 3:
+            # the first read on the streams' first sample, or (kind 2) one
+            # before it; the last one on their last sample, or (kind 1) one
+            # past it, at x = fold
+            start = -offset - lowest - (kind == 2)
+            assert start >= 0
+            stream_len = start + offset + n - int(np.floor(fold)) - (kind == 1)
+            stream_len += 50 * (kind == 2)
+        else:
+            start = int(rng.integers(0, 2500))
+            stream_len = int(rng.integers(40, 2500))
+        streams = rng.standard_normal((n_branches, stream_len))
+        init = rng.standard_normal(n)
+        want = init.copy()
+        want_top, want_last = reference_accumulate_exact(
+            want, streams, q, pos, coef, scale, fold, d_min, offset, start
+        )
+        got, last = init.copy(), np.empty((rows, 2))
+        top = _kernels.accumulate_exact(
+            got, streams, q, pos, coef, scale, fold, d_min, offset, start, last
         )
         assert same_bits(got, want)
         assert top == want_top
@@ -513,51 +616,71 @@ def edge_padded(row, out_len):
     return np.pad(row[:out_len], (0, max(0, out_len - row.size)), mode="edge")
 
 
-def whole_array_render(s, streams, f, cfg):
+def exact_row(streams, i, cfg, f):
+    """An exact row as synthesize forms it: (folded delay, gain, peak delay).
+
+    x = d * (rate / c) + fold and A = (beta / 4 pi) / max(d, d_min) from
+    the distance to the mirrored mic; the peak delay is rate * d_max / c.
+    """
+    d = streams.evaluate(i, i + 1, 0, streams.length)[0]
+    x = d * (streams.rate / cfg.sound_speed) + (f.branch_len - f.nominal_delay)
+    gain = streams.specs[i].beta / (4.0 * np.pi) / np.maximum(d, cfg.d_min)
+    return x, gain, streams.rate * d.max() / cfg.sound_speed
+
+
+def unmirrored_exact_row(streams, i, cfg, f):
+    """An exact row formed as before mirrored mics: per-sample tau, then x.
+
+    d = |offset + sign * p - mic|, tau = rate d / c, x = (tau + L) - D0
+    and A = beta / (4 pi max(d, d_min)).
+    """
+    group, j = streams.rows[i]
+    rows = streams.groups[group]
+    d = unmirrored_distance_streams(
+        rows.offset[j : j + 1], rows.sign[j : j + 1], rows.mic, rows.positions
+    )[0]
+    tau = streams.rate * d / cfg.sound_speed
+    x = (tau + f.branch_len) - f.nominal_delay
+    gain = streams.specs[i].beta / (4.0 * np.pi * np.maximum(d, cfg.d_min))
+    return x, gain, tau.max()
+
+
+def whole_array_render(s, streams, f, cfg, exact=exact_row):
     """Receiver-modulated render with every stream held whole.
 
     The arithmetic synthesize must reproduce bit for bit. Exact rows form
-    delay and gain from whole distance rows. Far rows form their folded
-    delay tau + L - D0 and their gain at the grid nodes and restore whole
-    rows of both with bandlimited_upsample. Each block accumulates its rows
-    in order over the full output, then the block buffers are summed in
-    the pairwise tree.
+    their folded delay and gain from whole distance rows (exact). Far rows
+    form their folded delay tau + L - D0 and their gain at the grid nodes
+    and restore whole rows of both with bandlimited_upsample. Past the
+    path's end every row holds its last values. Each block accumulates its
+    rows in order over the full output, then the block buffers are summed
+    in the pairwise tree.
     """
     fold = f.branch_len - f.nominal_delay
     beta = np.array([sp.beta for sp in streams.specs])
-    rows = []  # (restored, delay row, gain row), delay unfolded for exact rows
+    rows = []  # (folded delay row, gain row)
+    tau_max = -np.inf
     for i, (group, j) in enumerate(streams.rows):
         nodes = getattr(streams.groups[group], "nodes", None)
         if nodes is None:
-            d = streams.evaluate(i, i + 1, 0, streams.length)[0]
-            tau = streams.rate * d / cfg.sound_speed
-            amp = beta[i] / (4.0 * np.pi * np.maximum(d, cfg.d_min))
-            rows.append((False, tau, amp))
+            x, gain, peak = exact(streams, i, cfg, f)
         else:
             step = streams.groups[group].table.shape[1]
             delay = streams.rate * nodes[j] / cfg.sound_speed + fold
             gain = beta[i] / (4.0 * np.pi * np.maximum(nodes[j], cfg.d_min))
-            rows.append(
-                (
-                    True,
-                    bandlimited_upsample(delay, step, streams.length),
-                    bandlimited_upsample(gain, step, streams.length),
-                )
-            )
-    tau_max = max(x.max() - fold if far else x.max() for far, x, _ in rows)
+            x = bandlimited_upsample(delay, step, streams.length)
+            gain = bandlimited_upsample(gain, step, streams.length)
+            peak = x.max() - fold
+        rows.append((x, gain))
+        tau_max = max(tau_max, peak)
     out_len = s.size + int(np.ceil(tau_max)) + f.branch_len
     branch = farrow.branch_filter(s, f)
     buffers = []
     for a in range(0, len(rows), synth.SUMMATION_BLOCK):
         buf = np.zeros(out_len)
-        for far, x, g in rows[a : a + synth.SUMMATION_BLOCK]:
+        for x, g in rows[a : a + synth.SUMMATION_BLOCK]:
             x, g = edge_padded(x, out_len), edge_padded(g, out_len)
-            if far:
-                reference_accumulate_folded(buf, branch, x, g, f.branch_len)
-            else:
-                _kernels.accumulate_images(
-                    buf, branch, x[None], g[None], f.branch_len, f.nominal_delay
-                )
+            reference_accumulate_folded(buf, branch, x, g, f.branch_len)
         buffers.append(buf)
     return pairwise_total(buffers)
 
@@ -681,6 +804,21 @@ class TestChunkedWalk:
         # whole-array streams took 405 MB here: four (63, 160k) float64 arrays
         assert peak < 50.0, f"peak {peak:.1f} MB"
 
+    def test_order3_ten_second_exact_render_peak_memory(
+        self, filt, room_5x6x4, mic_std
+    ):
+        # every row exact: each job holds its chunk buffer and one set of
+        # chunk-long scratch rows, never a group of per-row arrays
+        n = 10 * 16000
+        tr = moving_traj(n, duration=10.0)
+        x = np.random.default_rng(9).standard_normal(n)
+        cfg = SynthesisConfig(max_order=3, decimation=1)
+        y, peak = traced_peak_mb(
+            lambda: render(x, tr, room_5x6x4, mic_std, filt, cfg)
+        )
+        assert y.size > n
+        assert peak < 9.5, f"peak {peak:.2f} MB"
+
     def test_five_thousand_images_render(self, filt, room_5x6x4, mic_std):
         n = 800  # 0.05 s
         tr = moving_traj(n, duration=n / RATE)
@@ -696,7 +834,8 @@ class TestChunkedWalk:
     def test_dense_render_peak_is_bounded_with_two_workers(
         self, filt, room_5x6x4, mic_std
     ):
-        # jobs in flight vary with thread timing; each holds ROW_GROUP rows
+        # jobs in flight vary with thread timing; each holds a chunk buffer
+        # and its kernel's chunk-long scratch rows
         n = 16000
         tr = moving_traj(n, duration=1.0, seed=12)
         x = np.random.default_rng(13).standard_normal(n)
@@ -739,6 +878,29 @@ class TestFarRowsMatchDistanceRows:
         if want.size > t_len:
             tail = slice(t_len, None)
             assert snr_whole_db(got[tail], want[tail]) >= 120.0
+
+
+class TestExactRowsMatchUnmirroredArithmetic:
+    """Exact rows against per-sample tau and gain from |o + s p - m|.
+
+    Mirrored mics, the folded delay d (rate / c) + L - D0 and the gain
+    (beta / 4 pi) / max(d, d_min) change only the rounding of exact rows;
+    far rows keep their arithmetic.
+    """
+
+    @pytest.mark.parametrize("factor", [1, 3200])
+    def test_render_matches_to_rounding(self, factor, filt, room_5x6x4, mic_std):
+        n, t_len = 56000, 33600
+        tr = moving_traj(t_len, duration=t_len / RATE, seed=20)
+        cfg = SynthesisConfig(max_order=3, decimation=factor)
+        x = np.random.default_rng(21).standard_normal(n)
+        streams = prepare_streams(tr, room_5x6x4, mic_std, cfg)
+        got = synthesize(x, streams, filt, cfg)
+        want = whole_array_render(x, streams, filt, cfg, exact=unmirrored_exact_row)
+        assert got.size == want.size > t_len
+        assert snr_whole_db(got, want) >= 240.0
+        tail = slice(t_len, None)
+        assert snr_whole_db(got[tail], want[tail]) >= 240.0
 
 
 class TestShortClips:
