@@ -22,6 +22,12 @@ on a dense (omega, mu) grid over the passband [0, alpha*pi], with
   * a mu grid symmetric about 0.5, which forces reflection-symmetric
     coefficients and hence exactly linear phase at mu = 0.5.
 
+The weight depends on omega alone and mu^k is real, so the real-stacked
+design matrix is the Kronecker product of an (omega x tap) factor and an
+(mu x power) factor. The fit is solved on the thin QR factors of those two
+small matrices, an (M+1)L-square system; the full (omega, mu) design
+matrix is never formed.
+
 For M = 1, L = 2 the constraints alone already force h = [1-mu, mu],
 plain linear interpolation, for any passband.
 """
@@ -77,6 +83,10 @@ def design(M, L, alpha, grid=64):
     M: polynomial order in [1, 4]. L: taps per branch, L >= M+1.
     alpha: passband as a fraction of Nyquist, in (0, 1). grid: number of
     mu points; the omega grid is fixed at 512 points. Deterministic.
+
+    The fit is solved on the Kronecker factors of the design matrix, whose
+    (512 * grid) x (M+1)L form is never built; the rank check uses that
+    form's tolerance.
     """
     if not 1 <= M <= 4:
         raise ValueError("poly order M must be in [1, 4]")
@@ -95,16 +105,22 @@ def design(M, L, alpha, grid=64):
     x = omega / (alpha * np.pi)
     weight = 1.0 + (_W_LOW - 1.0) * 0.5 * (1.0 - np.tanh((x - _W_SPLIT) * _W_SHARPNESS))
 
-    # design matrix rows: one per (omega, mu) point; columns: (k, n) flat
-    phase = np.exp(-1j * omega[:, None] * n[None, :])
+    # Kronecker form of the weighted, real-stacked fit: with thin QRs
+    # phi = q_phi r_phi and powers = q_p r_p, ||phi C^T powers^T - target||^2
+    # is, up to a constant, the squared residual of the (M+1)L-square
+    # system (r_p (x) r_phi) c = vec(q_p^T target^T q_phi), c = C.reshape(-1).
+    sw = np.sqrt(weight)[:, None]
+    wn = omega[:, None] * n[None, :]
+    phi = np.concatenate([sw * np.cos(wn), -sw * np.sin(wn)])
     powers = mu[:, None] ** np.arange(M + 1)[None, :]
-    a_mat = (powers[None, :, :, None] * phase[:, None, None, :]).reshape(
-        _N_OMEGA * grid, (M + 1) * L
-    )
-    target = np.exp(-1j * omega[:, None] * (d0 + mu[None, :])).reshape(-1)
-    sw = np.sqrt(np.repeat(weight, grid))
-    a_real = np.vstack([(a_mat * sw[:, None]).real, (a_mat * sw[:, None]).imag])
-    b_real = np.concatenate([(target * sw).real, (target * sw).imag])
+    wd = omega[:, None] * (d0 + mu[None, :])
+    target = np.concatenate([sw * np.cos(wd), -sw * np.sin(wd)])
+    q_phi, r_phi = np.linalg.qr(phi)
+    q_p, r_p = np.linalg.qr(powers)
+    kron = np.kron(r_p, r_phi)
+    rhs = (q_p.T @ target.T @ q_phi).reshape(-1)
+    # rank tolerance of the stacked system the factors stand for
+    rcond = np.finfo(np.float64).eps * 2 * _N_OMEGA * grid
 
     # moment constraints: sum_n n^p c_k(n) = C(p, k) d0^(p-k) for k <= p
     n_con = (M + 1) * (M + 1)
@@ -122,8 +138,8 @@ def design(M, L, alpha, grid=64):
     _, sing, vt = np.linalg.svd(e_mat)
     rank = int(np.sum(sing > sing[0] * 1e-12))
     null_basis = vt[rank:].T
-    reduced = a_real @ null_basis
-    y, _, reduced_rank, _ = np.linalg.lstsq(reduced, b_real - a_real @ c_part, rcond=None)
+    reduced = kron @ null_basis
+    y, _, reduced_rank, _ = np.linalg.lstsq(reduced, rhs - kron @ c_part, rcond=rcond)
     if reduced_rank < null_basis.shape[1]:
         raise ValueError("degenerate design grid: singular least-squares system")
     coeffs = (c_part + null_basis @ y).reshape(M + 1, L)

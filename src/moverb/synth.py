@@ -55,7 +55,6 @@ output bits.
 
 import math
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -317,6 +316,8 @@ def _in_order(job, tasks, workers):
         for task in tasks:
             yield job(*task)
         return
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
         for task in tasks:

@@ -7,7 +7,7 @@ from moverb.room import MicPosition, Room
 
 @pytest.fixture(scope="session")
 def filt():
-    """The default interpolator shared across the suite (design is slow-ish)."""
+    """The default interpolator shared across the suite."""
     return farrow.design(3, 8, 0.8)
 
 

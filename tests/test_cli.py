@@ -34,24 +34,34 @@ def run_cli(*args, cwd=None):
     )
 
 
+def modules_loaded_by_import(names):
+    """The given modules that a fresh `import moverb` leaves in sys.modules."""
+    src = str(pathlib.Path(io_formats.__file__).parents[1])
+    code = (
+        "import sys, moverb; "
+        f"print(sorted(m for m in {names!r} if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
 class TestColdStart:
     def test_import_leaves_scipy_submodules_unloaded(self):
         # scipy's signal, interpolate and io load on first use, not at import
-        src = str(pathlib.Path(io_formats.__file__).parents[1])
-        code = (
-            "import sys, moverb; "
-            "print(sorted(m for m in ('scipy.signal', 'scipy.interpolate', "
-            "'scipy.io') if m in sys.modules))"
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": src},
-            timeout=60,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+        names = ("scipy.signal", "scipy.interpolate", "scipy.io")
+        assert modules_loaded_by_import(names) == "[]"
+
+    def test_import_leaves_thread_pool_unloaded(self):
+        # concurrent.futures (which pulls in logging) loads only when a
+        # render runs on more than one worker
+        assert modules_loaded_by_import(("concurrent.futures", "logging")) == "[]"
 
 
 class TestWavRoundTrip:

@@ -1,3 +1,6 @@
+import tracemalloc
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,6 +78,81 @@ class TestDesignStructure:
         assert h[filt.nominal_delay] == pytest.approx(1.0, abs=0.02)
         others = np.delete(h, filt.nominal_delay)
         assert np.max(np.abs(others)) < 0.02
+
+
+def dense_design(M, L, alpha, grid=64):
+    """Frozen copy of the branch design that builds the full design matrix.
+
+    It stacks the weighted complex (512 * grid) x (M+1)L matrix into real
+    and imaginary halves and solves the constrained fit on it directly.
+    """
+    d0 = (L - 1) // 2
+    omega = np.linspace(0.0, alpha * np.pi, 512)
+    mu = np.linspace(0.0, 1.0, grid)
+    n = np.arange(L)
+
+    x = omega / (alpha * np.pi)
+    weight = 1.0 + (1000.0 - 1.0) * 0.5 * (1.0 - np.tanh((x - 0.45) * 12.0))
+
+    phase = np.exp(-1j * omega[:, None] * n[None, :])
+    powers = mu[:, None] ** np.arange(M + 1)[None, :]
+    a_mat = (powers[None, :, :, None] * phase[:, None, None, :]).reshape(
+        512 * grid, (M + 1) * L
+    )
+    target = np.exp(-1j * omega[:, None] * (d0 + mu[None, :])).reshape(-1)
+    sw = np.sqrt(np.repeat(weight, grid))
+    a_real = np.vstack([(a_mat * sw[:, None]).real, (a_mat * sw[:, None]).imag])
+    b_real = np.concatenate([(target * sw).real, (target * sw).imag])
+
+    n_con = (M + 1) * (M + 1)
+    e_mat = np.zeros((n_con, (M + 1) * L))
+    f_vec = np.zeros(n_con)
+    row = 0
+    for p in range(M + 1):
+        for k in range(M + 1):
+            e_mat[row, k * L : (k + 1) * L] = n**p
+            if k <= p:
+                f_vec[row] = comb(p, k) * float(d0) ** (p - k)
+            row += 1
+
+    c_part, *_ = np.linalg.lstsq(e_mat, f_vec, rcond=None)
+    _, sing, vt = np.linalg.svd(e_mat)
+    rank = int(np.sum(sing > sing[0] * 1e-12))
+    null_basis = vt[rank:].T
+    reduced = a_real @ null_basis
+    y, _, reduced_rank, _ = np.linalg.lstsq(reduced, b_real - a_real @ c_part, rcond=None)
+    if reduced_rank < null_basis.shape[1]:
+        raise ValueError("degenerate design grid: singular least-squares system")
+    return (c_part + null_basis @ y).reshape(M + 1, L)
+
+
+class TestKroneckerDesign:
+    @pytest.mark.parametrize("M", [1, 2, 3, 4])
+    def test_matches_dense_solve(self, M):
+        # the factored solve is the dense one up to rounding; alpha = 0.5
+        # with M = 4 and long branches is the worst-conditioned corner
+        worst = (0.0, None)
+        for L in range(M + 1, 11):
+            for alpha in (0.5, 0.8, 0.9):
+                for grid in (M + 2, 64, 128):
+                    want = dense_design(M, L, alpha, grid)
+                    got = design(M, L, alpha, grid=grid).branches
+                    err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+                    worst = max(worst, (err, (L, alpha, grid)), key=lambda w: w[0])
+        assert worst[0] <= 1e-10, worst
+
+    @pytest.mark.parametrize(
+        "args, grid, limit_mb", [((3, 8, 0.8), 64, 4.0), ((4, 10, 0.85), 128, 8.0)]
+    )
+    def test_peak_memory(self, args, grid, limit_mb):
+        # the dense matrix alone was 68 MB and 211 MB at these sizes
+        tracemalloc.start()
+        try:
+            design(*args, grid=grid)
+            peak = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mb
 
 
 class TestDesignQuality:

@@ -1,8 +1,11 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moverb import trajectory
 from moverb._kernels import TILE_BLOCKS, distance_streams, restore_cubic
 from moverb.room import Room, as_arrays, enumerate_images
 from moverb.synth import high_order_distances
@@ -158,6 +161,102 @@ class TestGenerate:
         )
         with pytest.raises(ValueError):
             generate(spec, RATE, room, margin=0.6)
+
+
+def fit_displacement_by_norm(disp, center, room, margin, speed_max, rate, fired):
+    """Frozen copy of the displacement fit with per-sample norm speeds.
+
+    Adds "margin" or "speed" to `fired` when that scale applies.
+    """
+    span = np.max(np.abs(disp), axis=0)
+    if np.any(center - span < margin) or np.any(center + span > room.dims - margin):
+        allowed = np.minimum(center - margin, room.dims - margin - center)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            per_axis = np.where(span > 0, allowed / np.maximum(span, 1e-300), np.inf)
+        scale = float(np.min(per_axis))
+        if scale <= 0:
+            raise ValueError("margin leaves no room for motion around the center")
+        if scale < 1.0:
+            fired.add("margin")
+        disp = disp * min(1.0, scale)
+    if len(disp) >= 2:
+        speeds = np.linalg.norm(np.diff(disp, axis=0), axis=1) * rate
+        vmax = float(speeds.max()) if speeds.size else 0.0
+        if vmax > speed_max:
+            fired.add("speed")
+            if speed_max == 0:
+                disp = np.zeros_like(disp)
+            else:
+                disp = disp * (0.999 * speed_max / vmax)
+    return disp
+
+
+def top_speed_by_norm(cols, rate):
+    """Frozen per-sample norm form of the top speed of a (3, T) path."""
+    return float((np.linalg.norm(np.diff(cols.T, axis=0), axis=1) * rate).max())
+
+
+def generated(spec, room):
+    """generate()'s positions, or its error message."""
+    try:
+        return generate(spec, RATE, room).positions
+    except ValueError as err:
+        return str(err)
+
+
+class TestGenerateMatchesNormSpeeds:
+    # (bandwidth, speed) pairs: a mild path, a wide slow one that the wall
+    # margins shrink, and a fast narrow one that the speed cap slows
+    SHAPES = ((2.0, 1.0), (0.5, 10.0), (4.0, 0.2))
+    FIRED = {
+        "line": set(),
+        "circle": {"margin"},
+        "sine": {"margin"},
+        "filtered-noise": {"margin"},
+        "waypoint-spline": {"speed"},
+    }
+
+    def test_fit_displacement_bit_identical(self):
+        # random three-axis sines, wide enough that the margins often
+        # shrink them and fast enough that the cap then may or may not bite
+        room = make_room()
+        center = room.dims / 2.0
+        rng = np.random.default_rng(20)
+        t = np.arange(4000) / RATE
+        fired = set()
+        for _ in range(40):
+            amp = rng.uniform(0.1, 4.0, 3)
+            freq = rng.uniform(0.5, 20.0, 3)
+            disp = amp * np.sin(2 * np.pi * freq * t[:, None] + rng.uniform(0, 6, 3))
+            speed = rng.uniform(1.0, 200.0)
+            want = fit_displacement_by_norm(disp, center, room, 0.3, speed, RATE, fired)
+            got = trajectory._fit_displacement(disp, center, room, 0.3, speed, RATE)
+            assert np.array_equal(got, want)
+        assert fired == {"margin", "speed"}
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_bit_identical(self, kind, monkeypatch):
+        room = make_room()
+        specs = [
+            TrajectorySpec(kind, duration, bw, speed, seed)
+            for duration in (0.05, 1.0, 3.0)
+            for bw, speed in self.SHAPES
+            for seed in (0, 1, 2)
+        ]
+        got = [generated(spec, room) for spec in specs]
+        for pos in got:
+            if not isinstance(pos, str):
+                norm_top = np.linalg.norm(np.diff(pos, axis=0), axis=1).max() * RATE
+                assert speed_max(Trajectory(RATE, pos)) == float(norm_top)
+        fired = set()
+        fit = partial(fit_displacement_by_norm, fired=fired)
+        monkeypatch.setattr(trajectory, "_fit_displacement", fit)
+        monkeypatch.setattr(trajectory, "_top_speed", top_speed_by_norm)
+        want = [generated(spec, room) for spec in specs]
+        for spec, a, b in zip(specs, got, want):
+            assert type(a) is type(b), spec
+            assert np.array_equal(a, b) if not isinstance(a, str) else a == b, spec
+        assert fired == self.FIRED[kind]
 
 
 class TestUpsample:
