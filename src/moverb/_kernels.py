@@ -19,7 +19,8 @@ of their folded delay and their gain, and are restored tile by tile
 (accumulate_restored). Neither holds a per-row array longer than the
 range. Rows held at one delay and gain past the path's end read
 contiguous runs of the streams (accumulate_held). accumulate_images
-takes per-sample delay and gain arrays, for emission-time modulation.
+takes whole per-sample delay and gain arrays; farrow.delay_stream and the
+tests' reference renders use it, synthesize does not.
 """
 
 import math

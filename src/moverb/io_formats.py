@@ -155,15 +155,32 @@ class EngineConfig:
     margin: float
 
 
+# every key engine_config_from_table reads
+CONFIG_KEYS = frozenset(
+    """
+    room.dims room.reflection mic.pos
+    traj.kind traj.duration traj.bandwidth traj.speed traj.seed
+    traj.direction traj.start traj.file traj.margin
+    synth.rate synth.N synth.K synth.max_order synth.t60 synth.c
+    synth.d_min synth.workers synth.budget
+    farrow.M farrow.L farrow.alpha farrow.grid farrow.file
+    """.split()
+)
+
+
 def engine_config_from_table(table):
     """Build typed run values from a flat config table.
 
-    Recognized keys (all optional unless noted): room.dims (required,
-    three numbers), room.reflection (one or six numbers), mic.pos
-    (required), traj.kind/duration/bandwidth/speed/seed/direction/start,
-    traj.file, traj.margin, synth.rate/N/K/max_order/t60/c/d_min/workers/
-    modulate/budget, farrow.M/L/alpha/grid, farrow.file.
+    Recognized keys (CONFIG_KEYS, all optional unless noted): room.dims
+    (required, three numbers), room.reflection (one or six numbers),
+    mic.pos (required), traj.kind/duration/bandwidth/speed/seed/direction/
+    start, traj.file, traj.margin, synth.rate/N/K/max_order/t60/c/d_min/
+    workers/budget, farrow.M/L/alpha/grid, farrow.file. Any other key
+    raises ValueError naming it, so a typo never falls back to a default.
     """
+    unknown = sorted(set(table) - CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     if "room.dims" not in table or "mic.pos" not in table:
         raise ValueError("config requires room.dims and mic.pos")
     reflection = _floats(table.get("room.reflection", "0.9"))
@@ -184,7 +201,6 @@ def engine_config_from_table(table):
         t60=float(table["synth.t60"]) if "synth.t60" in table else None,
         sound_speed=float(table.get("synth.c", 343.0)),
         d_min=float(table.get("synth.d_min", 0.05)),
-        modulate=table.get("synth.modulate", "receiver"),
         workers=int(table.get("synth.workers", 1)),
         eval_budget=float(table.get("synth.budget", 2.0e9)),
     )

@@ -13,8 +13,8 @@ Signal flow for one render:
         |                      -> Lagrange cubic restores both in between
         v
     input s -> branch filters (one shared pass) -> per-image fractional
-    delay taps (Horner in the delay's fraction), gain-modulated and summed
-    in a fixed block/pairwise order
+    delay taps (Horner in the delay's fraction), scaled by the gain at
+    arrival and summed in a fixed block/pairwise order
 
 Motion changes image distances at the trajectory bandwidth (a few Hz),
 orders of magnitude below the audio rate, so a far (high-order) image
@@ -28,21 +28,22 @@ nearest the path's start and refuses a render whose delay error exceeds
 DELAY_ERROR_BUDGET samples.
 
 No per-image stream is ever held at full length. A DelayStreams value
-describes its rows (image geometry and path for exact rows, grid-node
-distances for restored ones), and synthesize walks the output in fixed
-time chunks of CHUNK_SAMPLES, rounded up to whole restoration tiles. One
-job per (chunk, block of 32 images) walks its block in enumeration order.
-Every row goes on its own through one kernel that fills chunk-long
-scratch rows and accumulates the row into a buffer one chunk long. An
-exact row's kernel forms its distance, folded delay and gain there; a
-far row's kernel restores its folded delay and gain there, so it never
-holds a per-sample distance. Past the path's end every row holds its
-folded delay and gain at the path's last sample; the tail adds them on
-the calling thread. Beyond the input, the output and the grid nodes,
-memory is O(workers x chunk) whatever the image count or the clip
-length. The thread pool runs distances, restoration and accumulation. A
-clip of N samples or less restores nothing: its far rows are exact, as
-at decimation 1.
+describes its rows in two parts, in enumeration order: first the exact
+rows (image geometry and path), then the restored rows (grid-node
+distances). synthesize walks the output in fixed time chunks of
+CHUNK_SAMPLES, rounded up to whole restoration tiles. One job per
+(chunk, block of 32 images) walks its block in row order. Every row goes
+on its own through one kernel that fills chunk-long scratch rows and
+accumulates the row into a buffer one chunk long. An exact row's kernel
+forms its distance, folded delay and gain there; a far row's kernel
+restores its folded delay and gain there, so it never holds a
+per-sample distance. Past the path's end every row holds its folded
+delay and gain at the path's last sample; the tail adds them on the
+calling thread. Beyond the input, the output and the grid nodes, memory
+is O(workers x chunk) whatever the image count or the clip length. The
+thread pool runs distances, restoration and accumulation. A clip of N
+samples or less restores nothing: its far rows are exact, as at
+decimation 1.
 
 Summation order is fixed per output sample: images are partitioned into
 fixed blocks of 32 in enumeration order, each block accumulates its images
@@ -53,7 +54,6 @@ change only the scheduling, never the arithmetic, so they never change the
 output bits.
 """
 
-import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -86,9 +86,8 @@ class SynthesisConfig:
     and restored by a Lagrange cubic in between; N = 1 keeps every
     distance exact. max_order: image enumeration bound. t60: optional cull of
     images whose initial path length exceeds c * t60. d_min: distance
-    floor for the gain (never for the delay). modulate: "receiver" scales
-    the delayed signal by the gain at arrival time; "source" scales at
-    emission time (validation switch, costs one branch pass per image).
+    floor for the gain (never for the delay). The gain scales the delayed
+    signal at arrival time. workers: threads that walk the output.
     eval_budget: cap on brute-force distance evaluations.
     """
 
@@ -99,7 +98,6 @@ class SynthesisConfig:
     t60: float = None
     sound_speed: float = 343.0
     d_min: float = 0.05
-    modulate: str = "receiver"
     workers: int = 1
     eval_budget: float = 2.0e9
 
@@ -118,8 +116,6 @@ class SynthesisConfig:
             raise ValueError("sound_speed must be > 0")
         if self.d_min <= 0:
             raise ValueError("d_min must be > 0")
-        if self.modulate not in ("receiver", "source"):
-            raise ValueError("modulate must be 'receiver' or 'source'")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.eval_budget <= 0:
@@ -134,12 +130,11 @@ class _ExactRows:
     sign: np.ndarray
     mic: np.ndarray
     positions: np.ndarray
-    tile = 1
 
-    def evaluate(self, sel, start, stop):
+    def evaluate(self, rows, start, stop):
         last = self.positions.shape[0] - 1
         pos = self.positions[min(start, last) : min(stop, last + 1)]
-        d = _kernels.distance_streams(self.offset[sel], self.sign[sel], self.mic, pos)
+        d = _kernels.distance_streams(self.offset[rows], self.sign[rows], self.mic, pos)
         if d.shape[1] < stop - start:
             d = np.pad(d, ((0, 0), (0, stop - start - d.shape[1])), mode="edge")
         return d
@@ -153,7 +148,7 @@ class _RestoredRows:
     weights. Restoration computes whole tiles, so a range is computed from
     the tile boundary at or before its start and then sliced. synthesize
     does not evaluate these rows: it restores delay and gain from the
-    nodes instead (_row_terms).
+    nodes instead.
     """
 
     nodes: np.ndarray
@@ -163,11 +158,12 @@ class _RestoredRows:
     def tile(self):
         return _kernels.TILE_BLOCKS * self.table.shape[1]
 
-    def evaluate(self, sel, start, stop):
+    def evaluate(self, rows, start, stop):
         first = start - start % self.tile
-        out = np.empty((len(sel), stop - first))
-        for row, j in zip(out, sel):
-            _kernels.restore_cubic(self.nodes[j], self.table, row, first)
+        nodes = self.nodes[rows]
+        out = np.empty((nodes.shape[0], stop - first))
+        for row, node_row in zip(out, nodes):
+            _kernels.restore_cubic(node_row, self.table, row, first)
         return out[:, start - first :]
 
 
@@ -176,41 +172,46 @@ class DelayStreams:
     """Per-image distance streams, described rather than stored.
 
     Row i belongs to specs[i] and holds meters at `rate` samples per
-    second for `length` samples. groups hold what rows are computed from
-    (exact rows: image geometry and path; restored rows: grid nodes),
-    and rows[i] is (group number, row within that group). evaluate()
-    computes any range of rows and samples; d builds the whole (S, length)
-    array. eval_count tallies the distance evaluations the streams stand
-    for (grid-node evaluations for decimated images), for cost reporting.
+    second for `length` samples. Rows 0..E-1 are the exact part (image
+    geometry and path), rows E..S-1 the restored part (grid-node
+    distances and the cubic's table), E = exact_count(); a part with no
+    rows may be None. evaluate() computes any range of rows and samples;
+    d builds the whole (S, length) array. eval_count tallies the distance
+    evaluations the streams stand for (grid-node evaluations for
+    decimated images), for cost reporting.
     """
 
     rate: float
     specs: list
     length: int
-    groups: tuple
-    rows: np.ndarray
+    exact: _ExactRows = None
+    restored: _RestoredRows = None
     eval_count: int = 0
 
     def image_count(self):
         return len(self.specs)
 
+    def exact_count(self):
+        return 0 if self.exact is None else self.exact.offset.shape[0]
+
     def evaluate(self, a, b, start, stop):
         """Distances of rows a..b-1 over samples [start, stop).
 
-        Rows of one group come back as that group computes them, without
-        a copy; mixed groups are gathered into one array.
+        Rows of one part come back as that part computes them, without a
+        copy; rows of both parts are concatenated.
         """
         if not 0 <= start <= stop <= self.length:
             raise ValueError("sample range outside the streams")
-        group, index = self.rows[a:b, 0], self.rows[a:b, 1]
-        if b > a and np.all(group == group[0]):
-            return self.groups[group[0]].evaluate(index, start, stop)
-        out = np.empty((b - a, stop - start))
-        for g, rows in enumerate(self.groups):
-            mask = group == g
-            if mask.any():
-                out[mask] = rows.evaluate(index[mask], start, stop)
-        return out
+        e = self.exact_count()
+        m = min(max(a, e), b)  # the first restored row asked for
+        parts = []
+        if a < m:
+            parts.append(self.exact.evaluate(slice(a, m), start, stop))
+        if m < b:
+            parts.append(self.restored.evaluate(slice(m - e, b - e), start, stop))
+        if len(parts) == 1:
+            return parts[0]
+        return np.concatenate(parts) if parts else np.empty((0, stop - start))
 
     @property
     def d(self):
@@ -218,24 +219,16 @@ class DelayStreams:
         return self.evaluate(0, self.image_count(), 0, self.length)
 
 
-def _one_group(rate, images, length, group, eval_count):
-    rows = np.zeros((len(images), 2), dtype=np.int64)
-    rows[:, 1] = np.arange(len(images))
-    return DelayStreams(
-        rate=rate,
-        specs=list(images),
-        length=length,
-        groups=(group,),
-        rows=rows,
-        eval_count=eval_count,
-    )
-
-
 def low_order_distances(images, traj, mic, room):
     """Exact per-sample distances for the near (low-order) image set."""
     offset, sign, _, _ = as_arrays(images, room)
-    group = _ExactRows(offset, sign, mic.pos, traj.positions)
-    return _one_group(traj.rate, images, len(traj), group, len(images) * len(traj))
+    return DelayStreams(
+        rate=traj.rate,
+        specs=list(images),
+        length=len(traj),
+        exact=_ExactRows(offset, sign, mic.pos, traj.positions),
+        eval_count=len(images) * len(traj),
+    )
 
 
 def high_order_distances(images, nodes, mic, room, out_len, factor):
@@ -249,17 +242,30 @@ def high_order_distances(images, nodes, mic, room, out_len, factor):
     """
     offset, sign, _, _ = as_arrays(images, room)
     step = grid_step(factor)
+    exact = restored = None
     if step == 1:
-        group = _ExactRows(offset, sign, mic.pos, nodes.positions)
+        exact = _ExactRows(offset, sign, mic.pos, nodes.positions)
     else:
         d = _kernels.distance_streams(offset, sign, mic.pos, nodes.positions)
-        group = _RestoredRows(d, lagrange_table(step))
-    evals = len(images) * len(nodes)
-    return _one_group(nodes.rate * step, images, out_len, group, evals)
+        restored = _RestoredRows(d, lagrange_table(step))
+    return DelayStreams(
+        rate=nodes.rate * step,
+        specs=list(images),
+        length=out_len,
+        exact=exact,
+        restored=restored,
+        eval_count=len(images) * len(nodes),
+    )
 
 
 def merge_streams(low, high):
-    """Union of the two stream sets, rows restored to enumeration order."""
+    """low's rows, then high's: a checked concatenation.
+
+    low must be exact, and every low spec must precede every high spec, so
+    rows sorted within each side stay in enumeration order. Two exact
+    parts on the same path and mic fold into one. Raises ValueError when
+    these do not hold or when the rates or lengths differ.
+    """
     if low.image_count() == 0:
         return high
     if high.image_count() == 0:
@@ -268,15 +274,30 @@ def merge_streams(low, high):
         raise ValueError("stream rates differ")
     if low.length != high.length:
         raise ValueError("stream lengths differ")
-    specs = list(low.specs) + list(high.specs)
-    order = sorted(range(len(specs)), key=specs.__getitem__)
-    high_rows = high.rows + np.array([len(low.groups), 0])
+    if low.restored is not None:
+        raise ValueError("the low side must be exact")
+    if max(low.specs) > min(high.specs):
+        raise ValueError("every low image must precede every high image")
+    exact = low.exact
+    if high.exact is not None:
+        other = high.exact
+        if not (
+            np.array_equal(other.mic, exact.mic)
+            and np.array_equal(other.positions, exact.positions)
+        ):
+            raise ValueError("exact rows on different paths")
+        exact = _ExactRows(
+            np.concatenate([exact.offset, other.offset]),
+            np.concatenate([exact.sign, other.sign]),
+            exact.mic,
+            exact.positions,
+        )
     return DelayStreams(
         rate=low.rate,
-        specs=[specs[i] for i in order],
+        specs=list(low.specs) + list(high.specs),
         length=low.length,
-        groups=low.groups + high.groups,
-        rows=np.concatenate([low.rows, high_rows])[order],
+        exact=exact,
+        restored=high.restored,
         eval_count=low.eval_count + high.eval_count,
     )
 
@@ -347,43 +368,6 @@ def _walk(job, pieces, blocks, workers):
     return out, top
 
 
-def _output_len(s, tau_max, f):
-    return s.size + int(np.ceil(tau_max)) + f.branch_len
-
-
-def _row_terms(streams, beta, fold, cfg):
-    """What the rows of every group are accumulated from.
-
-    Returns {group number: terms}. A restored group gives (delay nodes,
-    gain nodes, cubic table): the folded delay rate * d / c + fold and the
-    gain attenuation(beta, max(d, d_min)) at every grid node, so d_min is
-    applied at the nodes. An exact group gives (mirrored mics, spreading
-    coefficients attenuation(beta, 1)), from which accumulate_exact forms
-    delay and gain at every sample.
-    """
-    terms = {}
-    for g, rows in enumerate(streams.groups):
-        mine = np.flatnonzero(streams.rows[:, 0] == g)
-        restored = isinstance(rows, _RestoredRows)
-        b = np.zeros((rows.nodes if restored else rows.offset).shape[0])
-        b[streams.rows[mine, 1]] = beta[mine]
-        if restored:
-            delay = streams.rate * rows.nodes / cfg.sound_speed + fold
-            gain = attenuation(b[:, None], np.maximum(rows.nodes, cfg.d_min))
-            terms[g] = (delay, gain, rows.table)
-        else:
-            q = _kernels.mirrored_mics(rows.offset, rows.sign, rows.mic)
-            terms[g] = (q, attenuation(b, 1.0))
-    return terms
-
-
-def _runs(group, a, b):
-    """Split rows a..b-1 into maximal runs of one group number."""
-    edges = np.flatnonzero(group[a + 1 : b] != group[a : b - 1]) + a + 1
-    starts = [a, *edges.tolist()]
-    return [(r, e, int(group[r])) for r, e in zip(starts, [*starts[1:], b])]
-
-
 def synthesize(s, streams, f, cfg):
     """Render the moving-image mixture of s at the receiver.
 
@@ -395,13 +379,15 @@ def synthesize(s, streams, f, cfg):
     index shifted back by the same amount, which keeps every request above
     the filter latency without physically padding the input.
 
-    Rows are accumulated one at a time, in enumeration order within each
-    block. Exact rows form their distance to the mirrored mic, their
-    folded delay tau + L - D0 and their gain per sample, in the kernel's
-    scratch rows. Restored (far) rows never hold a per-sample distance:
-    their folded delay and gain are formed once per grid node
-    (_row_terms) and restored inside the accumulation kernel. The tail
-    holds every row at its folded delay and gain at the path's end.
+    Rows are accumulated one at a time, in row order within each block: a
+    job over rows [a, b) passes its exact rows [a, min(b, E)) to
+    accumulate_exact and the rest to accumulate_restored, as slices.
+    Exact rows form their distance to the mirrored mic, their folded
+    delay tau + L - D0 and their gain per sample, in the kernel's scratch
+    rows. Restored (far) rows never hold a per-sample distance: their
+    folded delay and gain are formed once per grid node and restored
+    inside the accumulation kernel. The tail holds every row at its
+    folded delay and gain at the path's end.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
@@ -416,36 +402,40 @@ def synthesize(s, streams, f, cfg):
         (a, min(a + SUMMATION_BLOCK, n_images))
         for a in range(0, n_images, SUMMATION_BLOCK)
     ]
-    if cfg.modulate == "source":
-        return _synthesize_source(s, streams, beta, blocks, f, cfg)
-
     branch = farrow.branch_filter(s, f)
     shift = f.branch_len  # keeps tau + shift >= D0 for every physical delay
     fold = shift - f.nominal_delay
     scale = streams.rate / cfg.sound_speed
-    terms = _row_terms(streams, beta, fold, cfg)
     length = streams.length
+    exact, restored = streams.exact, streams.restored
+    n_exact = streams.exact_count()
+    if exact is not None:
+        # mirrored mics and spreading coefficients attenuation(beta, 1)
+        q = _kernels.mirrored_mics(exact.offset, exact.sign, exact.mic)
+        coef = attenuation(beta[:n_exact], 1.0)
+    if restored is not None:
+        # folded delay and gain at every grid node, d_min applied there
+        delay = streams.rate * restored.nodes / cfg.sound_speed + fold
+        gain = attenuation(
+            beta[n_exact:, None], np.maximum(restored.nodes, cfg.d_min)
+        )
     held = np.empty((n_images, 2))  # folded delay and gain at the path's end
 
     def path_job(a, b, start, stop):
         buf, peak, top = np.zeros(stop - start), -np.inf, -np.inf
-        for r, e, g in _runs(streams.rows[:, 0], a, b):
-            index = streams.rows[r:e, 1]
-            hold = held[r:e] if stop == length else None
-            rows = streams.groups[g]
-            if isinstance(rows, _RestoredRows):
-                delay, gain, table = terms[g]
-                x_max = _kernels.accumulate_restored(
-                    buf, branch, delay[index], gain[index], table, shift, start, hold
-                )
-                top = max(top, x_max)
-            else:
-                q, coef = terms[g]
-                d_max = _kernels.accumulate_exact(
-                    buf, branch, q[index], rows.positions[start:stop], coef[index],
-                    scale, fold, cfg.d_min, shift, start, hold,
-                )
-                peak = max(peak, d_max)
+        ends = stop == length
+        m = min(max(a, n_exact), b)  # the job's first restored row
+        if a < m:
+            peak = _kernels.accumulate_exact(
+                buf, branch, q[a:m], exact.positions[start:stop], coef[a:m],
+                scale, fold, cfg.d_min, shift, start, held[a:m] if ends else None,
+            )
+        if m < b:
+            rows = slice(m - n_exact, b - n_exact)
+            top = _kernels.accumulate_restored(
+                buf, branch, delay[rows], gain[rows], restored.table, shift,
+                start, held[m:b] if ends else None,
+            )
         return buf, max(streams.rate * peak / cfg.sound_speed, top - fold)
 
     def tail_job(a, b, start, stop):
@@ -453,11 +443,11 @@ def synthesize(s, streams, f, cfg):
         _kernels.accumulate_held(buf, branch, held[a:b, 0], held[a:b, 1], shift, start)
         return buf, -np.inf
 
-    chunk = math.lcm(*(g.tile for g in streams.groups))
+    chunk = 1 if restored is None else restored.tile
     chunk *= -(-CHUNK_SAMPLES // chunk)
     pieces = [(t, min(t + chunk, length)) for t in range(0, length, chunk)]
     out, tau_max = _walk(path_job, pieces, blocks, cfg.workers)
-    out_len = _output_len(s, tau_max, f)
+    out_len = s.size + int(np.ceil(tau_max)) + f.branch_len
     if out_len > length:
         first = length - length % chunk
         tail = [
@@ -467,32 +457,6 @@ def synthesize(s, streams, f, cfg):
         # tail jobs are short: a thread pool costs more than it saves
         out += _walk(tail_job, tail, blocks, 1)[0]
     return np.concatenate(out)[:out_len]
-
-
-def _synthesize_source(s, streams, beta, blocks, f, cfg):
-    """Gain applied at emission time: delay the pre-modulated signal.
-
-    One branch pass per image (validation path), one image row at a time;
-    a first pass over the rows finds the output length.
-    """
-    length = streams.length
-    d_max = max(streams.evaluate(i, i + 1, 0, length).max() for i in range(len(beta)))
-    out_len = _output_len(s, streams.rate * d_max / cfg.sound_speed, f)
-    ones = np.ones((1, out_len))
-    tree = _PairwiseSum()
-    for a, b in blocks:
-        buf = np.zeros(out_len)
-        for i in range(a, b):
-            d = streams.evaluate(i, i + 1, 0, min(length, out_len))
-            d = np.pad(d, ((0, 0), (0, out_len - d.shape[1])), mode="edge")
-            gain = attenuation(beta[i], np.maximum(d[0, : s.size], cfg.d_min))
-            branch = farrow.branch_filter(s * gain, f)
-            tau = streams.rate * d / cfg.sound_speed
-            _kernels.accumulate_images(
-                buf, branch, tau, ones, f.branch_len, f.nominal_delay
-            )
-        tree.add(buf)
-    return tree.total()
 
 
 def select_images(room, traj, mic, cfg):
@@ -517,7 +481,7 @@ def _far_factor(cfg, n_samples):
 def _check_delay_error(rows, images, traj, mic, room, cfg):
     """Refuse restored far rows whose delay misses the exact one too far.
 
-    rows: the _RestoredRows of images. Probes the PROBE_IMAGES images
+    rows: the restored part of images' streams. Probes the PROBE_IMAGES images
     nearest the path's start, whose distance curves bend most, at the
     midpoint of every grid interval the path reaches, where the cubic's
     error kernel peaks (at the path's last sample if it ends sooner).
@@ -544,10 +508,13 @@ def _check_delay_error(rows, images, traj, mic, room, cfg):
 def prepare_streams(traj, room, mic, cfg, images=None):
     """Split the image set at order K and build merged distance streams.
 
-    Far rows are restored from grid nodes (see decimate), except on a clip
-    of N samples or less, where they are exact (see _far_factor). Raises
-    ValueError when the far rows' delay error, probed on the PROBE_IMAGES
-    far images nearest the path's start, exceeds DELAY_ERROR_BUDGET.
+    images, if given, are sorted into enumeration order first, so the
+    rows and their summation order do not depend on the order of the
+    list. Far rows are restored from grid nodes (see decimate), except on
+    a clip of N samples or less, where they are exact (see _far_factor).
+    Raises ValueError when the far rows' delay error, probed on the
+    PROBE_IMAGES far images nearest the path's start, exceeds
+    DELAY_ERROR_BUDGET.
     """
     if traj.rate != cfg.audio_rate:
         raise ValueError("trajectory rate must equal the audio rate")
@@ -555,15 +522,15 @@ def prepare_streams(traj, room, mic, cfg, images=None):
     mic.require_inside(room)
     if images is None:
         images = select_images(room, traj, mic, cfg)
+    images = sorted(images)
     low = [sp for sp in images if sp.order <= cfg.order_split]
     high = [sp for sp in images if sp.order > cfg.order_split]
     low_streams = low_order_distances(low, traj, mic, room)
     factor = _far_factor(cfg, len(traj))
     nodes = decimate(traj, factor)
     high_streams = high_order_distances(high, nodes, mic, room, len(traj), factor)
-    rows = high_streams.groups[0]
-    if high and isinstance(rows, _RestoredRows):
-        _check_delay_error(rows, high, traj, mic, room, cfg)
+    if high and high_streams.restored is not None:
+        _check_delay_error(high_streams.restored, high, traj, mic, room, cfg)
     return merge_streams(low_streams, high_streams)
 
 

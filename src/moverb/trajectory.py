@@ -2,10 +2,10 @@
 
 Generation (analytic lines/circles/sines, shaped noise, smoothed waypoint
 splines), rate changes, finite-difference kinematics, and an empirical
-spectral bandwidth estimator. The decimate/upsample pair is what lets the
-synthesis engine evaluate slowly varying image distances on a grid of
-step h = min(N, GRID_STEP) audio samples and restore the samples in
-between with a 4-tap Lagrange cubic.
+spectral bandwidth estimator. decimate places the grid nodes on which the
+synthesis engine evaluates slowly varying image distances, every
+h = min(N, GRID_STEP) audio samples; bandlimited_upsample restores the
+samples in between with a 4-tap Lagrange cubic.
 
 Edge policy: decimate adds one grid node before the path and two past its
 end, placed on a constant-acceleration extension of the path, so the
@@ -20,9 +20,6 @@ import numpy as np
 
 from . import _kernels
 
-UPSAMPLE_HALFWIDTH = 32
-# Kaiser shape for >= 80 dB stopband rejection: 0.1102 * (80 - 8.7)
-UPSAMPLE_KAISER_BETA = 7.857
 # largest grid step of far-image distances, in audio samples; the cubic's
 # delay error grows as h^4 and is about 1e-3 samples at h = 400 on a
 # 2 Hz, 1 m/s path
@@ -251,21 +248,6 @@ def _lowpass_columns(x, rate, cutoff):
         gain[freqs > hi] = 0.0
         out[:, axis] = np.fft.irfft(spec * gain, ext.size)[pad : pad + n]
     return out
-
-
-def kaiser_sinc(arg):
-    """Kaiser-windowed sinc at arg samples from its center, elementwise.
-
-    The window spans UPSAMPLE_HALFWIDTH samples each side; the kernel is
-    zero beyond it. The static impulse response's fractional taps.
-    """
-    hw = UPSAMPLE_HALFWIDTH
-    u = np.clip(arg / hw, -1.0, 1.0)
-    window = np.i0(UPSAMPLE_KAISER_BETA * np.sqrt(1.0 - u**2)) / np.i0(
-        UPSAMPLE_KAISER_BETA
-    )
-    window[np.abs(arg) > hw] = 0.0
-    return np.sinc(arg) * window
 
 
 def grid_step(factor):

@@ -211,6 +211,15 @@ class TestConfigParsing:
             cfg.room.wall_reflection, [0.5, 0.6, 0.7, 0.8, 0.9, 0.95]
         )
 
+    @pytest.mark.parametrize(
+        "line", ["synth.modulate = source", "synth.n = 1"], ids=["removed", "typo"]
+    )
+    def test_unknown_key_raises_naming_it(self, line):
+        table = parse_config_text(f"room.dims = 5 6 4\nmic.pos = 1 2 2\n{line}\n")
+        key = line.split()[0]
+        with pytest.raises(ValueError, match=f"unknown config key.*{key}"):
+            engine_config_from_table(table)
+
     def test_wrong_reflection_count_raises(self):
         table = parse_config_text(
             "room.dims = 5 6 4\nroom.reflection = 0.9 0.8\nmic.pos = 1 2 2\n"
@@ -308,6 +317,16 @@ class TestCliSimulate:
             "--in", workdir / "nope.wav", "--out", workdir / "x.wav",
         )
         assert r.returncode == 3
+
+    def test_unknown_config_key_exits_2(self, workdir):
+        cfg = workdir / "typo.cfg"
+        cfg.write_text((workdir / "engine.cfg").read_text() + "synth.n = 1\n")
+        r = run_cli(
+            "simulate", "--config", cfg,
+            "--in", workdir / "in.wav", "--out", workdir / "x.wav",
+        )
+        assert r.returncode == 2
+        assert "synth.n" in r.stderr
 
     def test_budget_refusal_exits_4(self, workdir):
         cfg = workdir / "huge.cfg"

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 from moverb import reference, synth
 from moverb.reference import (
+    SINC_HALFWIDTH,
+    SINC_KAISER_BETA,
     compare,
     full_rate_moving_oracle,
     splice_baseline,
@@ -12,7 +14,7 @@ from moverb.reference import (
 )
 from moverb.room import MicPosition, Room, enumerate_images, image_distance
 from moverb.synth import BudgetError, SynthesisConfig
-from moverb.trajectory import UPSAMPLE_HALFWIDTH, UPSAMPLE_KAISER_BETA, Trajectory
+from moverb.trajectory import Trajectory
 
 from conftest import sine, snr_db
 
@@ -56,13 +58,13 @@ class TestStaticRender:
 
 def reference_sinc_kernel(frac):
     """The static response's fractional tap kernel, frozen here."""
-    hw = UPSAMPLE_HALFWIDTH
+    hw = SINC_HALFWIDTH
     arg = np.arange(-hw, hw + 1, dtype=np.float64) - frac
     window = np.zeros_like(arg)
     inside = np.abs(arg) <= hw
     u = np.clip(arg / hw, -1.0, 1.0)
-    window[inside] = np.i0(UPSAMPLE_KAISER_BETA * np.sqrt(1.0 - u[inside] ** 2))
-    window /= np.i0(UPSAMPLE_KAISER_BETA)
+    window[inside] = np.i0(SINC_KAISER_BETA * np.sqrt(1.0 - u[inside] ** 2))
+    window /= np.i0(SINC_KAISER_BETA)
     return np.sinc(arg) * window
 
 
@@ -70,7 +72,7 @@ class TestStaticRIR:
     def test_taps_match_frozen_kernel(self, room_5x6x4, mic_std):
         src = np.array([2.0, 3.5, 2.0])
         rir = static_rir(room_5x6x4, src, mic_std, RATE, 2)
-        hw = UPSAMPLE_HALFWIDTH
+        hw = SINC_HALFWIDTH
         want = np.zeros_like(rir.taps)
         for sp in enumerate_images(room_5x6x4, 2):
             d = image_distance(sp, src, mic_std, room_5x6x4)
