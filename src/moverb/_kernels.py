@@ -18,9 +18,8 @@ formed in scratch rows (accumulate_exact). Far rows arrive as grid nodes
 of their folded delay and their gain, and are restored tile by tile
 (accumulate_restored). Neither holds a per-row array longer than the
 range. Rows held at one delay and gain past the path's end read
-contiguous runs of the streams (accumulate_held). accumulate_images
-takes whole per-sample delay and gain arrays; farrow.delay_stream and the
-tests' reference renders use it, synthesize does not.
+contiguous runs of the streams (accumulate_held). farrow.delay_stream
+reads its one per-sample delay through _horner_row too.
 """
 
 import math
@@ -144,45 +143,25 @@ def _horner_row(out, streams, x, gain, base, scratch, inside=False):
     out += acc
 
 
-def accumulate_images(out, streams, tau, amp, offset, d0, start=0):
-    """Sum amp-weighted fractionally delayed signal copies into out.
-
-    out: (T,) accumulator for output indices start .. start + T - 1,
-    streams: (M+1, Ls) branch streams shared by all images, tau/amp: (S, T)
-    per-image delay (samples) and gain at those indices, offset: integer
-    shift applied to both the delay and the read index (cancels in the
-    resolved signal time), d0: nominal branch delay. start only moves the
-    read index, so a range of output samples gets the same bits as the
-    whole stream does. Each row's folded delay is (tau + offset) - d0.
-    """
-    n = out.shape[0]
-    if n == 0:
-        return out
-    base = np.arange(start + offset, start + offset + n, dtype=np.int64)
-    x = np.empty(n)
-    scratch = _scratch(n)
-    for i in range(tau.shape[0]):
-        np.add(tau[i], offset, out=x)
-        x -= d0
-        _horner_row(out, streams, x, amp[i], base, scratch)
-    return out
-
-
 def accumulate_exact(
     out, streams, q, pos, coef, scale, fold, d_min, offset, start=0, last=None
 ):
     """Sum exact rows, formed per sample from the path, into out.
 
-    q: (S, 3) mirrored mics (mirrored_mics), pos: (T, 3) the path at the
-    output indices start .. start + T - 1, coef: (S,) spreading
-    coefficients beta / (4 pi), scale: rate / c in samples per meter,
-    fold: L - D0. out, streams, offset and start are as in
-    accumulate_images. Per row, scratch rows one range long receive the
+    out: (T,) accumulator for output indices start .. start + T - 1,
+    streams: (M+1, Ls) branch streams shared by all rows, q: (S, 3)
+    mirrored mics (mirrored_mics), pos: (T, 3) the path at those indices,
+    coef: (S,) spreading coefficients attenuation(beta, 1) = beta / (4 pi),
+    scale: rate / c in samples per meter, fold: L - D0, offset: the read
+    index shift L, which fold carries in the delay. start only moves the
+    read index, so a range of output samples gets the same bits as the
+    whole stream does. Per row, scratch rows one range long receive the
     distance d = |p - q| (the arithmetic of distance_streams), the folded
-    delay x = d * scale + fold and the gain coef / max(d, d_min); one
-    Horner pass then reads the streams. d >= 0 gives x >= fold, so with
-    the row's largest x every read is bounded, and the out-of-stream scan
-    is skipped when both bounds lie inside the streams. last, if given,
+    delay x = d * scale + fold and the gain coef / max(d, d_min), which is
+    attenuation(beta, max(d, d_min)) bit for bit; one Horner pass then
+    reads the streams. d >= 0 gives x >= fold, so with the row's largest
+    x every read is bounded, and the out-of-stream scan is skipped when
+    both bounds lie inside the streams. last, if given,
     is an (S, 2) array that receives each row's x and gain at the range's
     final sample. Returns the largest distance (-inf when there is
     nothing to add).
@@ -220,7 +199,7 @@ def accumulate_restored(out, streams, delay, gain, table, offset, start=0, last=
     delay, gain: (S, K) grid nodes of each row's folded delay
     x = tau + offset - D0 (samples) and of its gain, laid out as decimate
     lays out its nodes; table: the (4, h) cubic weights. out, streams,
-    offset and start are as in accumulate_images; start must be a tile
+    offset and start are as in accumulate_exact; start must be a tile
     boundary of restore_cubic. Per row, restore_cubic fills two
     tile-aligned scratch rows with x and the gain, then one Horner pass
     reads the streams. The out-of-stream scan is skipped when the restored

@@ -219,11 +219,9 @@ def split_delay(total_delay, f):
         raise ValueError(
             f"total delay {total} is below the filter latency {f.nominal_delay}"
         )
+    # (total - D0) - floor(total - D0) is exact (Sterbenz), so mu < 1
     d_int = int(np.floor(total - f.nominal_delay))
     mu = total - f.nominal_delay - d_int
-    if mu >= 1.0:  # guard the floor against upward rounding at representable edges
-        d_int += 1
-        mu = total - f.nominal_delay - d_int
     return DelaySplit(integer_part=d_int, fractional_part=mu)
 
 
@@ -281,9 +279,11 @@ def delay_stream(x, f, tau):
     if np.any(tau < f.nominal_delay):
         raise ValueError("tau below the filter latency; pad the input first")
     streams = branch_filter(x, f)
-    out = np.zeros(tau.size)
-    amp = np.ones((1, tau.size))
-    _kernels.accumulate_images(
-        out, streams, tau[None, :], amp, 0, f.nominal_delay
-    )
+    n = tau.size
+    out = np.zeros(n)
+    if n:
+        base = np.arange(n, dtype=np.int64)
+        _kernels._horner_row(
+            out, streams, tau - f.nominal_delay, 1.0, base, _kernels._scratch(n)
+        )
     return out

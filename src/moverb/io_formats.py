@@ -274,7 +274,7 @@ def write_image_debug_csv(path, streams, image_index, cfg):
     if not 0 <= image_index < streams.image_count():
         raise ValueError("image index out of range")
     d = streams.evaluate(image_index, image_index + 1, 0, streams.length)[0]
-    tau = streams.rate * d / cfg.sound_speed
+    tau = d * (streams.rate / cfg.sound_speed)
     amp = attenuation(streams.specs[image_index].beta, np.maximum(d, cfg.d_min))
     with open(path, "w") as fh:
         fh.write("n,d_i,tau_i,A_i\n")

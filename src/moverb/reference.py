@@ -11,7 +11,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .room import as_mic, attenuation, enumerate_images, image_distance
+from ._kernels import distance_streams
+from .room import as_arrays, as_mic, attenuation, enumerate_images
 from .synth import BudgetError, SynthesisConfig, render
 from .trajectory import Trajectory
 
@@ -61,24 +62,15 @@ def kaiser_sinc(arg):
     return np.sinc(arg) * window
 
 
-def _sinc_kernel(frac):
-    """Kaiser-windowed sinc centered on a fractional sample position.
-
-    Entry i holds the kernel at integer tap offset i - halfwidth relative
-    to the fractional position frac, so scattering these values around the
-    integer base places the impulse at base + frac.
-    """
-    hw = SINC_HALFWIDTH
-    return kaiser_sinc(np.arange(-hw, hw + 1, dtype=np.float64) - frac)
-
-
 def static_rir(room, source_pos, mic, rate, max_order, c=343.0, d_min=0.05):
     """Tap train of the frozen configuration with fractional placement.
 
-    Each image contributes amplitude beta/(4 pi d) at delay d * rate / c
-    samples, spread over a windowed-sinc kernel rather than rounded to the
-    nearest sample (rounding would inject up to half a sample of delay
-    error and mask fine delay accuracy downstream).
+    Each image contributes amplitude attenuation(beta, max(d, d_min)) at
+    delay d * (rate / c) samples, spread over a windowed-sinc kernel rather
+    than rounded to the nearest sample (rounding would inject up to half a
+    sample of delay error and mask fine delay accuracy downstream). The
+    distances are the engine's (distance_streams); the kernels are added
+    image by image in enumeration order.
     """
     source_pos = np.asarray(source_pos, dtype=np.float64)
     if not room.contains(source_pos):
@@ -86,21 +78,21 @@ def static_rir(room, source_pos, mic, rate, max_order, c=343.0, d_min=0.05):
     mic = as_mic(mic)
     mic.require_inside(room)
     images = enumerate_images(room, max_order)
+    offset, sign, beta, _ = as_arrays(images, room)
+    d = distance_streams(offset, sign, mic.pos, source_pos[None])[:, 0]
+    taus = d * (rate / c)
+    amp = attenuation(beta, np.maximum(d, d_min))
+    base = np.floor(taus)
     hw = SINC_HALFWIDTH
-    dists = np.array([image_distance(sp, source_pos, mic, room) for sp in images])
-    taus = rate * dists / c
+    # entry (i, k) is image i's kernel at tap base_i + k - hw
+    reach = np.arange(-hw, hw + 1)
+    kernels = amp[:, None] * kaiser_sinc(reach - (taus - base)[:, None])
+    idx = base.astype(np.int64)[:, None] + reach
     n_taps = int(np.ceil(taus.max())) + hw + 2
     taps = np.zeros(n_taps)
-    for sp, d, tau in zip(images, dists, taus):
-        amp = attenuation(sp.beta, max(d, d_min))
-        base = int(np.floor(tau))
-        frac = tau - base
-        kernel = amp * _sinc_kernel(frac)
-        lo = base - hw
-        k_lo = max(0, -lo)
-        k_hi = min(kernel.size, n_taps - lo)
-        if k_lo < k_hi:
-            taps[lo + k_lo : lo + k_hi] += kernel[k_lo:k_hi]
+    # unbuffered and in index order, so each tap sums its images in order
+    inside = idx >= 0
+    np.add.at(taps, idx[inside], kernels[inside])
     return StaticRIR(
         rate=float(rate), taps=taps, image_count=len(images), max_order=max_order
     )
@@ -146,7 +138,9 @@ def splice_baseline(s, traj, room, mic, block_hop, crossfade, cfg):
     The source position is frozen at each block start. crossfade = 0
     butt-joins the blocks (the pure splice, with its phase discontinuities
     and gain sawtooth); crossfade > 0 linearly fades between neighbors
-    with windows that sum to one.
+    with windows that sum to one. Each block convolves only its support,
+    from its start to the end of its fade-out, into one output buffer, so
+    memory grows with the clip, not with blocks x clip.
     """
     s = np.asarray(s, dtype=np.float64)
     if block_hop < 1 or int(block_hop) != block_hop:
@@ -159,25 +153,18 @@ def splice_baseline(s, traj, room, mic, block_hop, crossfade, cfg):
         raise ValueError("trajectory rate must equal the audio rate")
     n = s.size
     n_blocks = max(1, -(-n // block_hop))
-    pieces = []
-    max_len = 0
+    ramp = (np.arange(crossfade) + 0.5) / crossfade
+    blocks = []
     for b in range(n_blocks):
         start = b * block_hop
         stop = min(n, (b + 1) * block_hop)
-        window = np.zeros(n)
-        window[start:stop] = 1.0
-        if crossfade > 0:
-            if b > 0:
-                ramp = (np.arange(crossfade) + 0.5) / crossfade
-                window[start : start + crossfade] = ramp[: stop - start]
-            if b < n_blocks - 1 and stop + crossfade <= n:
-                ramp = (np.arange(crossfade) + 0.5) / crossfade
-                window[stop : stop + crossfade] = 1.0 - ramp
-            elif b < n_blocks - 1:
-                avail = n - stop
-                if avail > 0:
-                    ramp = (np.arange(avail) + 0.5) / crossfade
-                    window[stop:] = np.maximum(0.0, 1.0 - ramp)
+        # the block's support: the block, then its fade into the next one
+        end = min(n, stop + crossfade) if b < n_blocks - 1 else stop
+        window = np.ones(end - start)
+        if b > 0:
+            head = min(crossfade, stop - start)
+            window[:head] = ramp[:head]
+        window[stop - start :] = 1.0 - ramp[: end - stop]
         src = traj.positions[min(start, len(traj) - 1)]
         rir = static_rir(
             room,
@@ -188,12 +175,11 @@ def splice_baseline(s, traj, room, mic, block_hop, crossfade, cfg):
             c=cfg.sound_speed,
             d_min=cfg.d_min,
         )
-        piece = static_render(s * window, rir)
-        pieces.append(piece)
-        max_len = max(max_len, piece.size)
-    out = np.zeros(max_len)
-    for piece in pieces:
-        out[: piece.size] += piece
+        blocks.append((start, end, window, rir))
+    out = np.zeros(n + max(rir.taps.size for *_, rir in blocks) - 1)
+    for start, end, window, rir in blocks:
+        piece = static_render(s[start:end] * window, rir)
+        out[start : start + piece.size] += piece
     return out
 
 

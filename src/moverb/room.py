@@ -173,13 +173,16 @@ def image_distance(spec, source_pos, mic, room):
 
 
 def attenuation(beta, distance):
-    """Spherical-spreading amplitude beta / (4 pi d), elementwise.
+    """Spherical-spreading amplitude (beta / 4 pi) / d, elementwise.
 
-    beta and distance are scalars or arrays that broadcast together.
+    beta and distance are scalars or arrays that broadcast together. The
+    spreading coefficient beta / 4 pi is formed first, so at d = 1 this is
+    the coefficient the exact-row kernel divides by max(d, d_min) in place
+    (_kernels.accumulate_exact): every gain in a render has these bits.
     """
     if np.any(np.asarray(distance) <= 0):
         raise ValueError("attenuation requires distance > 0 (clamp first)")
-    return beta / (4.0 * np.pi * distance)
+    return beta / (4.0 * np.pi) / distance
 
 
 def as_arrays(specs, room):

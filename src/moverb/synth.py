@@ -4,7 +4,7 @@ Signal flow for one render:
 
     trajectory p(n) --+--> near images: distance d_i(n) = |p(n) - q_i| to
         |             |    the mirrored mic q_i at every sample
-        |             |        -> folded delay fs d_i(n) / c + L - D0,
+        |             |        -> folded delay d_i(n) (fs / c) + L - D0,
         |             |           gain A_i(n) = (b_i / 4 pi) / max(d_i, d_min)
         |             |
         |             +--> far images: exact distances at grid nodes every
@@ -23,9 +23,9 @@ grid nodes every h samples and restored by a local cubic; only the
 restoration and the Horner evaluation run at the audio rate. Near images
 keep exact per-sample distances: their distance curves carry the
 strongest nonlinearity. The cubic's error grows as h^4 times the fourth
-derivative of the distance; prepare_streams measures it on the far images
-nearest the path's start and refuses a render whose delay error exceeds
-DELAY_ERROR_BUDGET samples.
+derivative of the distance; prepare_streams measures it on every far
+image at the midpoint of every grid interval and refuses a render whose
+delay error exceeds DELAY_ERROR_BUDGET samples.
 
 No per-image stream is ever held at full length. A DelayStreams value
 describes its rows in two parts, in enumeration order: first the exact
@@ -68,8 +68,6 @@ SUMMATION_BLOCK = 32
 CHUNK_SAMPLES = 16384
 # largest far-image delay error a render accepts, in samples
 DELAY_ERROR_BUDGET = 0.01
-# far images, nearest the path's start first, whose delay error is probed
-PROBE_IMAGES = 4
 
 
 class BudgetError(RuntimeError):
@@ -414,8 +412,9 @@ def synthesize(s, streams, f, cfg):
         q = _kernels.mirrored_mics(exact.offset, exact.sign, exact.mic)
         coef = attenuation(beta[:n_exact], 1.0)
     if restored is not None:
-        # folded delay and gain at every grid node, d_min applied there
-        delay = streams.rate * restored.nodes / cfg.sound_speed + fold
+        # folded delay and gain at every grid node, formed as exact rows
+        # form them per sample
+        delay = restored.nodes * scale + fold
         gain = attenuation(
             beta[n_exact:, None], np.maximum(restored.nodes, cfg.d_min)
         )
@@ -481,22 +480,22 @@ def _far_factor(cfg, n_samples):
 def _check_delay_error(rows, images, traj, mic, room, cfg):
     """Refuse restored far rows whose delay misses the exact one too far.
 
-    rows: the restored part of images' streams. Probes the PROBE_IMAGES images
-    nearest the path's start, whose distance curves bend most, at the
-    midpoint of every grid interval the path reaches, where the cubic's
-    error kernel peaks (at the path's last sample if it ends sooner).
-    Raises ValueError when the worst error exceeds DELAY_ERROR_BUDGET.
+    rows: the restored part of images' streams. Every row is checked at
+    the midpoint of every grid interval the path reaches, where the
+    cubic's error kernel peaks (at the path's last sample if it ends
+    sooner): the cubic through the interval's four nodes against the
+    exact distance there. Raises ValueError when the worst error exceeds
+    DELAY_ERROR_BUDGET.
     """
-    near = np.argsort(rows.nodes[:, 1], kind="stable")[:PROBE_IMAGES]
-    offset, sign, _, _ = as_arrays([images[i] for i in near], room)
     step = rows.table.shape[1]
     n = len(traj)
     probes = np.minimum(np.arange(-(-n // step)) * step + step // 2, n - 1)
     block, phase = np.divmod(probes, step)
-    frames = rows.nodes[near][:, block[:, None] + np.arange(4)]
-    restored = np.einsum("ijk,kj->ij", frames, rows.table[:, phase])
-    exact = _kernels.distance_streams(offset, sign, mic.pos, traj.positions[probes])
-    err = float(np.abs(restored - exact).max()) * traj.rate / cfg.sound_speed
+    offset, sign, _, _ = as_arrays(images, room)
+    miss = _kernels.distance_streams(offset, sign, mic.pos, traj.positions[probes])
+    for k in range(4):
+        miss -= rows.nodes[:, block + k] * rows.table[k, phase]
+    err = float(np.abs(miss).max()) * (traj.rate / cfg.sound_speed)
     if err > DELAY_ERROR_BUDGET:
         raise ValueError(
             f"far-image delay error {err:.3g} samples exceeds the "
@@ -512,9 +511,8 @@ def prepare_streams(traj, room, mic, cfg, images=None):
     rows and their summation order do not depend on the order of the
     list. Far rows are restored from grid nodes (see decimate), except on
     a clip of N samples or less, where they are exact (see _far_factor).
-    Raises ValueError when the far rows' delay error, probed on the
-    PROBE_IMAGES far images nearest the path's start, exceeds
-    DELAY_ERROR_BUDGET.
+    Raises ValueError when any far row's delay error, checked at the
+    midpoint of every grid interval, exceeds DELAY_ERROR_BUDGET.
     """
     if traj.rate != cfg.audio_rate:
         raise ValueError("trajectory rate must equal the audio rate")

@@ -50,7 +50,8 @@ def filt():
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels(filt):
-    # compile the jit kernels outside any timed section
+    # one render before criterion 1's timed render: first calls into numpy
+    # and BLAS pay one-time set-up costs
     tr = Trajectory(rate=RATE, positions=np.tile(SRC, (1000, 1)))
     cfg = SynthesisConfig(max_order=1, decimation=1)
     synth.render(np.ones(1000), tr, ROOM, MIC, filt, cfg)
@@ -133,9 +134,9 @@ def test_criterion_3_hierarchical_fidelity(filt, announce):
     y = synth.render(x, traj, ROOM, MIC, filt, cfg)
     y_ref = full_rate_moving_oracle(x, traj, ROOM, MIC, filt, cfg)
 
-    # the coarse-to-fine restoration kernel spans 33 coarse samples; at
-    # N = 3200 that means 6.6 s of edge on either side is out of contract
-    interior = (33.0 * 3200.0 / RATE) / (y.size / RATE)
+    # the whole clip: only the L-sample filter edge is trimmed, so the
+    # first and last grid intervals count in full
+    interior = (filt.branch_len + 0.5) / min(y.size, y_ref.size)
     rep = compare(y, y_ref, passband=0.8, rate=RATE, interior=interior)
 
     images = enumerate_images(ROOM, 2)

@@ -1,6 +1,8 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from moverb import reference, synth
 from moverb.reference import (
@@ -12,9 +14,9 @@ from moverb.reference import (
     static_render,
     static_rir,
 )
-from moverb.room import MicPosition, Room, enumerate_images, image_distance
+from moverb.room import MicPosition, Room, enumerate_images
 from moverb.synth import BudgetError, SynthesisConfig
-from moverb.trajectory import Trajectory
+from moverb.trajectory import Trajectory, TrajectorySpec, generate
 
 from conftest import sine, snr_db
 
@@ -68,6 +70,14 @@ def reference_sinc_kernel(frac):
     return np.sinc(arg) * window
 
 
+def reference_mirrored_distance(spec, src, mic, room):
+    """The source's distance to the image's mirrored mic, frozen here."""
+    lattice, flip = np.array(spec.lattice), np.where(spec.parity, -1.0, 1.0)
+    q = flip * (mic.pos - 2.0 * lattice * room.dims)
+    dx, dy, dz = src - q
+    return float(np.sqrt(dx * dx + dy * dy + dz * dz))
+
+
 class TestStaticRIR:
     def test_taps_match_frozen_kernel(self, room_5x6x4, mic_std):
         src = np.array([2.0, 3.5, 2.0])
@@ -75,10 +85,10 @@ class TestStaticRIR:
         hw = SINC_HALFWIDTH
         want = np.zeros_like(rir.taps)
         for sp in enumerate_images(room_5x6x4, 2):
-            d = image_distance(sp, src, mic_std, room_5x6x4)
-            tau = RATE * d / 343.0
+            d = reference_mirrored_distance(sp, src, mic_std, room_5x6x4)
+            tau = d * (RATE / 343.0)
             base = int(np.floor(tau))
-            kernel = sp.beta / (4.0 * np.pi * d) * reference_sinc_kernel(tau - base)
+            kernel = sp.beta / (4.0 * np.pi) / d * reference_sinc_kernel(tau - base)
             want[base - hw : base + hw + 1] += kernel
         assert rir.taps.tobytes() == want.tobytes()
 
@@ -126,8 +136,6 @@ class TestMovingOracle:
     def test_matches_engine_bit_for_bit_at_n1(
         self, filt, room_5x6x4, mic_std
     ):
-        from moverb.trajectory import TrajectorySpec, generate
-
         spec = TrajectorySpec(
             kind="sine", duration=0.5, bandwidth_limit=2.0, speed_max=1.0, seed=6
         )
@@ -211,6 +219,77 @@ class TestSpliceBaseline:
         r_splice = compare(y_splice, y_splice, passband=1.0, rate=RATE)
         r_engine = compare(y_engine, y_engine, passband=1.0, rate=RATE)
         assert r_splice.envelope_max_jump > 5.0 * r_engine.envelope_max_jump
+
+
+def whole_window_splice_baseline(s, traj, room, mic, block_hop, crossfade, cfg):
+    """The splice baseline with whole-clip windows per block, frozen here."""
+    n = s.size
+    n_blocks = max(1, -(-n // block_hop))
+    pieces = []
+    for b in range(n_blocks):
+        start = b * block_hop
+        stop = min(n, (b + 1) * block_hop)
+        window = np.zeros(n)
+        window[start:stop] = 1.0
+        if crossfade > 0:
+            ramp = (np.arange(crossfade) + 0.5) / crossfade
+            if b > 0:
+                window[start : start + crossfade] = ramp[: stop - start]
+            if b < n_blocks - 1 and stop + crossfade <= n:
+                window[stop : stop + crossfade] = 1.0 - ramp
+            elif b < n_blocks - 1 and n > stop:
+                ramp = (np.arange(n - stop) + 0.5) / crossfade
+                window[stop:] = np.maximum(0.0, 1.0 - ramp)
+        src = traj.positions[min(start, len(traj) - 1)]
+        rir = static_rir(
+            room, src, mic, cfg.audio_rate, cfg.max_order, c=cfg.sound_speed,
+            d_min=cfg.d_min,
+        )
+        pieces.append(static_render(s * window, rir))
+    out = np.zeros(max(piece.size for piece in pieces))
+    for piece in pieces:
+        out[: piece.size] += piece
+    return out
+
+
+class TestSpliceBaselineSupport:
+    @staticmethod
+    def moving_case(seconds, seed):
+        room = Room(dims=np.array([5.0, 6.0, 4.0]), wall_reflection=0.9)
+        spec = TrajectorySpec(
+            kind="sine", duration=seconds, bandwidth_limit=2.0, speed_max=1.0,
+            seed=seed,
+        )
+        traj = generate(spec, RATE, room)
+        x = np.random.default_rng(seed).standard_normal(len(traj))
+        return x, traj, room, SynthesisConfig(max_order=3, decimation=1)
+
+    @pytest.mark.parametrize(
+        "hop, crossfade", [(640, 0), (640, 128), (500, 500), (333, 17)]
+    )
+    def test_matches_whole_clip_windows(self, hop, crossfade, mic_std):
+        # convolving each block's support instead of its whole-clip window
+        # changes only the rounding: short supports convolve directly where
+        # whole-clip windows took the FFT
+        x, traj, room, cfg = self.moving_case(1.0, hop + crossfade)
+        got = splice_baseline(x, traj, room, mic_std, hop, crossfade, cfg)
+        want = whole_window_splice_baseline(
+            x, traj, room, mic_std, hop, crossfade, cfg
+        )
+        assert got.size == want.size
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_peak_memory_is_bounded_by_the_clip(self, mic_std):
+        x, traj, room, cfg = self.moving_case(4.0, 0)
+        tracemalloc.start()
+        try:
+            y = splice_baseline(x, traj, room, mic_std, 640, 0, cfg)
+            peak = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        assert y.size > x.size
+        # a whole-clip window and its convolution per block took 99.7 MB
+        assert peak < 5.0, f"peak {peak:.1f} MB"
 
 
 class TestCompare:

@@ -14,6 +14,7 @@ from moverb.room import (
     MicPosition,
     Room,
     as_arrays,
+    attenuation,
     enumerate_images,
     image_distance,
 )
@@ -85,7 +86,10 @@ def unmirrored_distance_streams(offset, sign, mic, pos):
 
 
 def reference_accumulate_images(out, streams, tau, amp, offset, d0, start=0):
-    """The accumulation kernel as plain whole-row expressions, frozen here."""
+    """Rows at per-sample delay tau and gain amp, as plain expressions, frozen here.
+
+    Each row's folded delay is (tau + offset) - d0.
+    """
     n_branches, stream_len = streams.shape
     t_idx = np.arange(start, start + out.shape[0], dtype=np.int64)
     for i in range(tau.shape[0]):
@@ -178,35 +182,30 @@ class TestKernelsMatchFrozenReferences:
     """
 
     @pytest.mark.parametrize("seed", range(60))
-    def test_accumulate_images(self, seed):
+    def test_delay_stream(self, seed):
+        # one row at unit gain through the Horner kernel; reads leave the
+        # branch streams before their start and past their end
         rng = np.random.default_rng(seed)
-        n_branches = int(rng.integers(2, 6))
-        stream_len = int(rng.integers(40, 2500))
-        n = int(rng.integers(1, 2000))
-        rows = int(rng.integers(1, 6))
-        streams = rng.standard_normal((n_branches, stream_len))
-        start = int(rng.integers(0, 2500))
-        offset = int(rng.integers(0, 20))
-        d0 = float(rng.uniform(1.0, 6.0))
-        # each row's read position in the streams moves up to 0.9 samples
-        # per output sample; it leaves the streams at either end, or
-        # (every third case) stays inside them
+        order = int(rng.integers(1, 5))
+        taps = int(rng.integers(order + 1, 11))
+        f = farrow.FarrowFilter(
+            poly_order=order,
+            branch_len=taps,
+            branches=rng.standard_normal((order + 1, taps)),
+            nominal_delay=(taps - 1) // 2,
+            passband=0.8,
+        )
+        x = rng.standard_normal(int(rng.integers(1, 2000)))
+        n = int(rng.integers(1, 2500))
         t = np.arange(n)
-        first = rng.uniform(-60.0, stream_len + 60.0, size=(rows, 1))
-        read = first + rng.uniform(-0.9, 0.9, size=(rows, 1)) * t
-        if seed % 3 == 0:
-            read = np.clip(read, 1.0, stream_len - 3.0)
-        read += 0.01 * rng.standard_normal((rows, n))
-        tau = start + t + d0 - read
-        amp = rng.uniform(-1.0, 1.0, size=(rows, n))
-        init = rng.standard_normal(n)
+        late = rng.uniform(0.0, 80.0) + rng.uniform(-0.9, 0.9) * t
+        late += 0.01 * rng.standard_normal(n)
+        tau = f.nominal_delay + np.maximum(late, 0.0)
         want = reference_accumulate_images(
-            init.copy(), streams, tau, amp, offset, d0, start
+            np.zeros(n), farrow.branch_filter(x, f), tau[None, :],
+            np.ones((1, n)), 0, f.nominal_delay,
         )
-        got = _kernels.accumulate_images(
-            init.copy(), streams, tau, amp, offset, d0, start
-        )
-        assert same_bits(got, want)
+        assert same_bits(farrow.delay_stream(x, f, tau), want)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_distance_streams(self, seed):
@@ -344,6 +343,29 @@ class TestKernelsMatchFrozenReferences:
         assert same_bits(got, want)
         assert top == want_top
         assert same_bits(last, want_last)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exact_gain_is_attenuation(self, seed):
+        # the held gain coef / max(d, d_min) with coef = attenuation(beta, 1)
+        # has the bits of attenuation(beta, max(d, d_min)); the first row's
+        # mirrored mic is the path's last sample, so its gain is clamped
+        rng = np.random.default_rng(500 + seed)
+        rows, n = 5, int(rng.integers(1, 300))
+        t = np.arange(n)[:, None]
+        pos = rng.uniform(0.0, 6.0, size=3) + rng.uniform(-1e-3, 1e-3, size=3) * t
+        q = pos[0] + rng.uniform(-20.0, 20.0, size=(rows, 3))
+        q[0] = pos[-1]
+        beta = rng.uniform(0.01, 1.0, size=rows)
+        d_min = float(rng.uniform(0.01, 0.3))
+        streams = rng.standard_normal((4, 4000))
+        last = np.empty((rows, 2))
+        _kernels.accumulate_exact(
+            np.zeros(n), streams, q, pos, attenuation(beta, 1.0), 20.0, 4.0,
+            d_min, 8, 0, last,
+        )
+        d = np.array([reference_distance_row(qi, pos[-1:])[0] for qi in q])
+        assert same_bits(last[:, 1], attenuation(beta, np.maximum(d, d_min)))
+        assert last[0, 1] == attenuation(beta[0], d_min)
 
     def test_accumulate_held(self):
         # a held row is a whole row of its last value
@@ -649,8 +671,10 @@ def whole_array_render(s, streams, f, cfg, exact=exact_row):
 
     The arithmetic synthesize must reproduce bit for bit. Exact rows form
     their folded delay and gain from whole distance rows (exact). Far rows
-    form their folded delay tau + L - D0 and their gain at the grid nodes
-    and restore whole rows of both with bandlimited_upsample. Past the
+    form their folded delay d (rate / c) + L - D0 and their gain
+    (beta / 4 pi) / max(d, d_min) at the grid nodes, as exact rows form
+    them per sample, and restore whole rows of both with
+    bandlimited_upsample. Past the
     path's end every row holds its last values. Each block accumulates its
     rows in order over the full output, then the block buffers are summed
     in the pairwise tree.
@@ -666,8 +690,8 @@ def whole_array_render(s, streams, f, cfg, exact=exact_row):
         else:
             nodes = streams.restored.nodes[i - n_exact]
             step = streams.restored.table.shape[1]
-            delay = streams.rate * nodes / cfg.sound_speed + fold
-            gain = beta[i] / (4.0 * np.pi * np.maximum(nodes, cfg.d_min))
+            delay = nodes * (streams.rate / cfg.sound_speed) + fold
+            gain = beta[i] / (4.0 * np.pi) / np.maximum(nodes, cfg.d_min)
             x = bandlimited_upsample(delay, step, streams.length)
             gain = bandlimited_upsample(gain, step, streams.length)
             peak = x.max() - fold
@@ -705,7 +729,7 @@ def distance_row_render(s, streams, f, cfg):
     for a in range(0, len(beta), synth.SUMMATION_BLOCK):
         blk = slice(a, a + synth.SUMMATION_BLOCK)
         buf = np.zeros(out_len)
-        _kernels.accumulate_images(
+        reference_accumulate_images(
             buf, branch, tau[blk], amp[blk], f.branch_len, f.nominal_delay
         )
         buffers.append(buf)
@@ -946,6 +970,37 @@ class TestDelayErrorGuard:
         tr = self.fast_path(room_5x6x4)
         cfg = SynthesisConfig(max_order=3, decimation=3200)
         with pytest.raises(ValueError, match="grid step 400; lower decimation"):
+            prepare_streams(tr, room_5x6x4, mic_std, cfg)
+
+    def test_checks_every_far_row(self, room_5x6x4, mic_std, monkeypatch):
+        # the path drifts over 3 s from mid-room to near a corner, with a
+        # 5 Hz wobble on x and z that grows to 0.022 m; the worst far row is
+        # one of order 3, not one of the far images nearest the path's start
+        t = np.arange(4 * int(RATE)) / RATE
+        r = np.where(t < 3.0, 0.5 - 0.5 * np.cos(np.pi * t / 3.0), 1.0)
+        a, b = np.array([2.5, 3.0, 2.0]), np.array([0.35, 2.6, 3.65])
+        pos = a + r[:, None] * (b - a)
+        wobble = 0.022 * r * np.sin(2.0 * np.pi * 5.0 * t)
+        pos[:, 0] += wobble
+        pos[:, 2] += wobble
+        tr = Trajectory(rate=RATE, positions=pos)
+        cfg = SynthesisConfig(max_order=3, order_split=1, decimation=3200)
+        with monkeypatch.context() as patch:
+            patch.setattr(synth, "DELAY_ERROR_BUDGET", 1.0)
+            streams = prepare_streams(tr, room_5x6x4, mic_std, cfg)
+        e = streams.exact_count()
+        offset, sign, _, _ = as_arrays(streams.specs[e:], room_5x6x4)
+        worst = 0.0
+        for i in range(streams.image_count() - e):
+            got = streams.evaluate(e + i, e + i + 1, 0, streams.length)[0]
+            want = _kernels.distance_streams(
+                offset[i : i + 1], sign[i : i + 1], mic_std.pos, pos
+            )[0]
+            worst = max(worst, float(np.abs(got - want).max()))
+        worst *= RATE / cfg.sound_speed
+        assert worst > synth.DELAY_ERROR_BUDGET  # 0.01136 samples
+        # the check reads the true worst over every sample
+        with pytest.raises(ValueError, match=f"delay error {worst:.3g} samples"):
             prepare_streams(tr, room_5x6x4, mic_std, cfg)
 
     def test_fast_path_renders_at_a_lower_decimation(
