@@ -269,7 +269,6 @@ def accumulate_held(out, streams, delay, gain, offset, start=0):
             a += streams[k, reads]
         a *= g
         out[lo:hi] += a
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ import numpy as np
 
 from .farrow import FarrowFilter
 from .room import MicPosition, Room, attenuation
-from .synth import SynthesisConfig
+from ._kernels import restore_cubic
+from .synth import SynthesisConfig, far_gain_nodes
 from .trajectory import Trajectory, TrajectorySpec
 
 
@@ -234,8 +235,8 @@ def engine_config_from_table(table):
 # reports and debug dumps
 
 
-def write_report(path, report, extra=None):
-    """Flat key=value record of a ComparisonReport plus extra entries."""
+def write_report(path, report):
+    """Flat key=value record of a ComparisonReport."""
     with open(path, "w") as fh:
         fh.write(f"snr_db={report.snr_db:.6f}\n")
         fh.write(f"envelope_max_jump={float(report.envelope_max_jump):.17g}\n")
@@ -246,8 +247,6 @@ def write_report(path, report, extra=None):
             fh.write(f"inst_freq_max={float(np.max(track)):.6f}\n")
         for key, value in (report.runtime_counts or {}).items():
             fh.write(f"count.{key}={value}\n")
-        for key, value in (extra or {}).items():
-            fh.write(f"{key}={value}\n")
 
 
 def read_report(path):
@@ -270,12 +269,22 @@ def write_compare_csv(path, a, report, rate):
 
 
 def write_image_debug_csv(path, streams, image_index, cfg):
-    """Columns n, d_i, tau_i, A_i for one image of a stream set."""
+    """Columns n, d_i, tau_i, A_i for one image of a stream set.
+
+    A_i is the gain synthesize applies: attenuation(beta, max(d, d_min))
+    per sample for an exact row, the cubic restoration of the row's gain
+    nodes (synth.far_gain_nodes) for a restored one.
+    """
     if not 0 <= image_index < streams.image_count():
         raise ValueError("image index out of range")
     d = streams.evaluate(image_index, image_index + 1, 0, streams.length)[0]
     tau = d * (streams.rate / cfg.sound_speed)
-    amp = attenuation(streams.specs[image_index].beta, np.maximum(d, cfg.d_min))
+    n_exact = streams.exact_count()
+    if image_index < n_exact:
+        amp = attenuation(streams.specs[image_index].beta, np.maximum(d, cfg.d_min))
+    else:
+        nodes = far_gain_nodes(streams, cfg.d_min)[image_index - n_exact]
+        amp = restore_cubic(nodes, streams.restored.table, np.empty(d.size))
     with open(path, "w") as fh:
         fh.write("n,d_i,tau_i,A_i\n")
         for n in range(d.size):

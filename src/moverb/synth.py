@@ -14,7 +14,7 @@ Signal flow for one render:
         v
     input s -> branch filters (one shared pass) -> per-image fractional
     delay taps (Horner in the delay's fraction), scaled by the gain at
-    arrival and summed in a fixed block/pairwise order
+    arrival and summed in row order
 
 Motion changes image distances at the trajectory bandwidth (a few Hz),
 orders of magnitude below the audio rate, so a far (high-order) image
@@ -31,30 +31,28 @@ No per-image stream is ever held at full length. A DelayStreams value
 describes its rows in two parts, in enumeration order: first the exact
 rows (image geometry and path), then the restored rows (grid-node
 distances). synthesize walks the output in fixed time chunks of
-CHUNK_SAMPLES, rounded up to whole restoration tiles. One job per
-(chunk, block of 32 images) walks its block in row order. Every row goes
-on its own through one kernel that fills chunk-long scratch rows and
-accumulates the row into a buffer one chunk long. An exact row's kernel
-forms its distance, folded delay and gain there; a far row's kernel
-restores its folded delay and gain there, so it never holds a
-per-sample distance. Past the path's end every row holds its folded
-delay and gain at the path's last sample; the tail adds them on the
-calling thread. Beyond the input, the output and the grid nodes, memory
-is O(workers x chunk) whatever the image count or the clip length. The
-thread pool runs distances, restoration and accumulation. A clip of N
+CHUNK_SAMPLES, rounded up to whole restoration tiles. One job per chunk
+adds every row, one at a time in row order, straight into the chunk's
+slice of the output. Each row goes through one kernel that fills
+chunk-long scratch rows: an exact row's kernel forms its distance,
+folded delay and gain there; a far row's kernel restores its folded
+delay and gain there, so it never holds a per-sample distance. Past the
+path's end every row holds its folded delay and gain at the path's last
+sample; the tail adds them on the calling thread. Beyond the input, the
+output and the grid nodes, memory is O(workers x chunk) whatever the
+image count or the clip length. Chunks run on a pool of `workers`
+threads; a path of one chunk renders on the calling thread. A clip of N
 samples or less restores nothing: its far rows are exact, as at
 decimation 1.
 
-Summation order is fixed per output sample: images are partitioned into
-fixed blocks of 32 in enumeration order, each block accumulates its images
-in sequence, and a chunk's block buffers merge in a fixed pairwise tree.
-Every per-sample step is elementwise, and restoration computes whole tiles
-whose shape does not depend on the chunk. Chunk length and worker count
-change only the scheduling, never the arithmetic, so they never change the
-output bits.
+Summation order is fixed per output sample: ((0 + r_0) + r_1) + ... over
+the rows in enumeration order, as a loop over the images adds them.
+Every per-sample step is elementwise, restoration computes whole tiles
+whose shape does not depend on the chunk, and chunks write disjoint
+slices of the output. Chunk length and worker count change only the
+scheduling, never the arithmetic, so they never change the output bits.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +61,6 @@ from . import _kernels, farrow
 from .room import as_arrays, as_mic, attenuation, enumerate_images
 from .trajectory import decimate, grid_step, lagrange_table
 
-SUMMATION_BLOCK = 32
 # output samples per job, rounded up to whole restoration tiles
 CHUNK_SAMPLES = 16384
 # largest far-image delay error a render accepts, in samples
@@ -85,7 +82,10 @@ class SynthesisConfig:
     distance exact. max_order: image enumeration bound. t60: optional cull of
     images whose initial path length exceeds c * t60. d_min: distance
     floor for the gain (never for the delay). The gain scales the delayed
-    signal at arrival time. workers: threads that walk the output.
+    signal at arrival time. workers: threads that walk the output's time
+    chunks (CHUNK_SAMPLES rounded up to whole restoration tiles of 64 h
+    samples: 25600, 1.6 s at 16 kHz, when h = 400); a path of one chunk
+    renders on the calling thread whatever workers is.
     eval_budget: cap on brute-force distance evaluations.
     """
 
@@ -300,70 +300,27 @@ def merge_streams(low, high):
     )
 
 
-class _PairwiseSum:
-    """Sum of buffers added in order, in a fixed pairwise tree.
+def _run(job, tasks, workers):
+    """[job(*task) for task in tasks], on a pool of workers threads.
 
-    The tree adds buffers 2k and 2k + 1 level by level and carries an odd
-    last one up: ((b0 + b1) + (b2 + b3)) + b4 for five. It is kept as a
-    stack of complete subtrees, so O(log n) buffers are alive at once.
+    One task, or one worker, runs on the calling thread.
     """
-
-    def __init__(self):
-        self._stack = []  # (leaf count, partial sum)
-
-    def add(self, buf):
-        leaves = 1
-        while self._stack and self._stack[-1][0] == leaves:
-            left = self._stack.pop()[1]
-            left += buf
-            buf = left
-            leaves *= 2
-        self._stack.append((leaves, buf))
-
-    def total(self):
-        acc = self._stack.pop()[1]
-        while self._stack:
-            left = self._stack.pop()[1]
-            left += acc
-            acc = left
-        return acc
-
-
-def _in_order(job, tasks, workers):
-    """Yield job(*task) for each task in order, at most 2 x workers queued."""
     if workers == 1 or len(tasks) == 1:
-        for task in tasks:
-            yield job(*task)
-        return
+        return [job(*task) for task in tasks]
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque()
-        for task in tasks:
-            pending.append(pool.submit(job, *task))
-            if len(pending) > 2 * workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+        return list(pool.map(job, *zip(*tasks)))
 
 
-def _walk(job, pieces, blocks, workers):
-    """Run job(a, b, start, stop) for every piece and block.
+def far_gain_nodes(streams, d_min):
+    """Gain of every restored row at its grid nodes, (S - E, K).
 
-    job returns (buffer, peak). Returns the pieces' buffers, each summed
-    over the blocks in the pairwise tree, and the largest peak.
+    attenuation(beta, max(d, d_min)) of the node distances, as exact rows
+    form their gain per sample. synthesize restores these nodes.
     """
-    tasks = [(*blk, *piece) for piece in pieces for blk in blocks]
-    results = _in_order(job, tasks, workers)
-    out, top = [], -np.inf
-    for _ in pieces:
-        tree = _PairwiseSum()
-        for _ in blocks:
-            buf, peak = next(results)
-            tree.add(buf)
-            top = max(top, peak)
-        out.append(tree.total())
-    return out, top
+    beta = np.array([sp.beta for sp in streams.specs[streams.exact_count() :]])
+    return attenuation(beta[:, None], np.maximum(streams.restored.nodes, d_min))
 
 
 def synthesize(s, streams, f, cfg):
@@ -377,15 +334,15 @@ def synthesize(s, streams, f, cfg):
     index shifted back by the same amount, which keeps every request above
     the filter latency without physically padding the input.
 
-    Rows are accumulated one at a time, in row order within each block: a
-    job over rows [a, b) passes its exact rows [a, min(b, E)) to
-    accumulate_exact and the rest to accumulate_restored, as slices.
-    Exact rows form their distance to the mirrored mic, their folded
-    delay tau + L - D0 and their gain per sample, in the kernel's scratch
-    rows. Restored (far) rows never hold a per-sample distance: their
-    folded delay and gain are formed once per grid node and restored
-    inside the accumulation kernel. The tail holds every row at its
-    folded delay and gain at the path's end.
+    One job per time chunk adds every row, in row order, into its slice
+    of the output: the exact rows through accumulate_exact, then the
+    restored rows through accumulate_restored. Exact rows form their
+    distance to the mirrored mic, their folded delay tau + L - D0 and
+    their gain per sample, in the kernel's scratch rows. Restored (far)
+    rows never hold a per-sample distance: their folded delay and gain are
+    formed once per grid node and restored inside the accumulation kernel.
+    The tail holds every row at its folded delay and gain at the path's
+    end, and one accumulate_held call on the calling thread adds it.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
@@ -395,11 +352,6 @@ def synthesize(s, streams, f, cfg):
     n_images = streams.image_count()
     if n_images == 0:
         return np.zeros(s.size + f.branch_len)
-    beta = np.array([sp.beta for sp in streams.specs])
-    blocks = [
-        (a, min(a + SUMMATION_BLOCK, n_images))
-        for a in range(0, n_images, SUMMATION_BLOCK)
-    ]
     branch = farrow.branch_filter(s, f)
     shift = f.branch_len  # keeps tau + shift >= D0 for every physical delay
     fold = shift - f.nominal_delay
@@ -410,52 +362,41 @@ def synthesize(s, streams, f, cfg):
     if exact is not None:
         # mirrored mics and spreading coefficients attenuation(beta, 1)
         q = _kernels.mirrored_mics(exact.offset, exact.sign, exact.mic)
-        coef = attenuation(beta[:n_exact], 1.0)
+        beta = np.array([sp.beta for sp in streams.specs[:n_exact]])
+        coef = attenuation(beta, 1.0)
     if restored is not None:
-        # folded delay and gain at every grid node, formed as exact rows
-        # form them per sample
+        # folded delay at every grid node, formed as exact rows form it
+        # per sample
         delay = restored.nodes * scale + fold
-        gain = attenuation(
-            beta[n_exact:, None], np.maximum(restored.nodes, cfg.d_min)
-        )
+        gain = far_gain_nodes(streams, cfg.d_min)
     held = np.empty((n_images, 2))  # folded delay and gain at the path's end
+    path = np.zeros(length)
 
-    def path_job(a, b, start, stop):
-        buf, peak, top = np.zeros(stop - start), -np.inf, -np.inf
+    def path_job(start, stop):
+        buf, peak, top = path[start:stop], -np.inf, -np.inf
         ends = stop == length
-        m = min(max(a, n_exact), b)  # the job's first restored row
-        if a < m:
+        if exact is not None:
             peak = _kernels.accumulate_exact(
-                buf, branch, q[a:m], exact.positions[start:stop], coef[a:m],
-                scale, fold, cfg.d_min, shift, start, held[a:m] if ends else None,
+                buf, branch, q, exact.positions[start:stop], coef, scale, fold,
+                cfg.d_min, shift, start, held[:n_exact] if ends else None,
             )
-        if m < b:
-            rows = slice(m - n_exact, b - n_exact)
+        if restored is not None:
             top = _kernels.accumulate_restored(
-                buf, branch, delay[rows], gain[rows], restored.table, shift,
-                start, held[m:b] if ends else None,
+                buf, branch, delay, gain, restored.table, shift, start,
+                held[n_exact:] if ends else None,
             )
-        return buf, max(streams.rate * peak / cfg.sound_speed, top - fold)
-
-    def tail_job(a, b, start, stop):
-        buf = np.zeros(stop - start)
-        _kernels.accumulate_held(buf, branch, held[a:b, 0], held[a:b, 1], shift, start)
-        return buf, -np.inf
+        return max(streams.rate * peak / cfg.sound_speed, top - fold)
 
     chunk = 1 if restored is None else restored.tile
     chunk *= -(-CHUNK_SAMPLES // chunk)
     pieces = [(t, min(t + chunk, length)) for t in range(0, length, chunk)]
-    out, tau_max = _walk(path_job, pieces, blocks, cfg.workers)
+    tau_max = max(_run(path_job, pieces, cfg.workers))
     out_len = s.size + int(np.ceil(tau_max)) + f.branch_len
-    if out_len > length:
-        first = length - length % chunk
-        tail = [
-            (max(t, length), min(t + chunk, out_len))
-            for t in range(first, out_len, chunk)
-        ]
-        # tail jobs are short: a thread pool costs more than it saves
-        out += _walk(tail_job, tail, blocks, 1)[0]
-    return np.concatenate(out)[:out_len]
+    if out_len <= length:
+        return path[:out_len]
+    tail = np.zeros(out_len - length)
+    _kernels.accumulate_held(tail, branch, held[:, 0], held[:, 1], shift, length)
+    return np.concatenate([path, tail])
 
 
 def select_images(room, traj, mic, cfg):

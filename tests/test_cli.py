@@ -18,7 +18,9 @@ from moverb.io_formats import (
     write_trajectory,
     write_wav,
 )
-from moverb.trajectory import Trajectory
+from moverb._kernels import restore_cubic
+from moverb.synth import SynthesisConfig, prepare_streams
+from moverb.trajectory import Trajectory, TrajectorySpec, generate
 
 from conftest import sine
 
@@ -369,6 +371,30 @@ class TestCliSimulate:
         d = float(row[1])
         tau = float(row[2])
         assert tau == pytest.approx(RATE * d / 343.0, rel=1e-9)
+
+
+class TestImageDebugDump:
+    def test_far_row_gain_is_the_restored_gain_nodes(
+        self, tmp_path, room_5x6x4, mic_std
+    ):
+        # the engine restores a far row's gain from its gain nodes; the gain
+        # of the restored distance differs from that by the cubic's error
+        # on a 1 / d curve
+        cfg = SynthesisConfig(max_order=3, decimation=3200)
+        spec = TrajectorySpec("sine", 2.0, 2.0, 1.0, seed=7)
+        traj = generate(spec, RATE, room_5x6x4)
+        streams = prepare_streams(traj, room_5x6x4, mic_std, cfg)
+        n_exact = streams.exact_count()
+        rows = streams.restored
+        assert rows is not None and streams.image_count() > n_exact
+        csv = tmp_path / "img.csv"
+        for i in (n_exact, streams.image_count() - 1):
+            io_formats.write_image_debug_csv(csv, streams, i, cfg)
+            got = np.loadtxt(csv, delimiter=",", skiprows=1)[:, 3]
+            nodes = rows.nodes[i - n_exact]
+            gain = streams.specs[i].beta / (4.0 * np.pi) / np.maximum(nodes, cfg.d_min)
+            want = restore_cubic(gain, rows.table, np.empty(streams.length))
+            np.testing.assert_allclose(got, want, rtol=1e-11, atol=0)
 
 
 class TestCliCompareAndCost:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -372,7 +373,8 @@ class TestKernelsMatchFrozenReferences:
         rng = np.random.default_rng(7)
         streams = rng.standard_normal((4, 900))
         delay, gain = np.array([-3.25, 401.5, 1000.75]), np.array([0.5, -1.5, 2.0])
-        got = _kernels.accumulate_held(np.zeros(700), streams, delay, gain, 8, 300)
+        got = np.zeros(700)
+        _kernels.accumulate_held(got, streams, delay, gain, 8, 300)
         want = np.zeros(700)
         for x, g in zip(delay, gain):
             reference_accumulate_folded(
@@ -624,16 +626,6 @@ class TestDeterminism:
         assert np.array_equal(a, b)
 
 
-def pairwise_total(buffers):
-    """Level-by-level pairwise sum of the block buffers."""
-    while len(buffers) > 1:
-        merged = [buffers[i] + buffers[i + 1] for i in range(0, len(buffers) - 1, 2)]
-        if len(buffers) % 2:
-            merged.append(buffers[-1])
-        buffers = merged
-    return buffers[0]
-
-
 def edge_padded(row, out_len):
     return np.pad(row[:out_len], (0, max(0, out_len - row.size)), mode="edge")
 
@@ -675,9 +667,8 @@ def whole_array_render(s, streams, f, cfg, exact=exact_row):
     (beta / 4 pi) / max(d, d_min) at the grid nodes, as exact rows form
     them per sample, and restore whole rows of both with
     bandlimited_upsample. Past the
-    path's end every row holds its last values. Each block accumulates its
-    rows in order over the full output, then the block buffers are summed
-    in the pairwise tree.
+    path's end every row holds its last values. Every row is accumulated
+    over the full output into one buffer, in row order.
     """
     fold = f.branch_len - f.nominal_delay
     beta = np.array([sp.beta for sp in streams.specs])
@@ -699,14 +690,11 @@ def whole_array_render(s, streams, f, cfg, exact=exact_row):
         tau_max = max(tau_max, peak)
     out_len = s.size + int(np.ceil(tau_max)) + f.branch_len
     branch = farrow.branch_filter(s, f)
-    buffers = []
-    for a in range(0, len(rows), synth.SUMMATION_BLOCK):
-        buf = np.zeros(out_len)
-        for x, g in rows[a : a + synth.SUMMATION_BLOCK]:
-            x, g = edge_padded(x, out_len), edge_padded(g, out_len)
-            reference_accumulate_folded(buf, branch, x, g, f.branch_len)
-        buffers.append(buf)
-    return pairwise_total(buffers)
+    out = np.zeros(out_len)
+    for x, g in rows:
+        x, g = edge_padded(x, out_len), edge_padded(g, out_len)
+        reference_accumulate_folded(out, branch, x, g, f.branch_len)
+    return out
 
 
 def distance_row_render(s, streams, f, cfg):
@@ -725,15 +713,10 @@ def distance_row_render(s, streams, f, cfg):
     beta = np.array([sp.beta for sp in streams.specs])
     amp = beta[:, None] / (4.0 * np.pi * np.maximum(d, cfg.d_min))
     branch = farrow.branch_filter(s, f)
-    buffers = []
-    for a in range(0, len(beta), synth.SUMMATION_BLOCK):
-        blk = slice(a, a + synth.SUMMATION_BLOCK)
-        buf = np.zeros(out_len)
-        reference_accumulate_images(
-            buf, branch, tau[blk], amp[blk], f.branch_len, f.nominal_delay
-        )
-        buffers.append(buf)
-    return pairwise_total(buffers)
+    out = np.zeros(out_len)
+    return reference_accumulate_images(
+        out, branch, tau, amp, f.branch_len, f.nominal_delay
+    )
 
 
 def traced_peak_mb(call):
@@ -817,8 +800,8 @@ class TestChunkedWalk:
     def test_order3_ten_second_exact_render_peak_memory(
         self, filt, room_5x6x4, mic_std
     ):
-        # every row exact: each job holds its chunk buffer and one set of
-        # chunk-long scratch rows, never a group of per-row arrays
+        # every row exact: each job adds into its slice of the output from
+        # one set of chunk-long scratch rows, never a group of per-row arrays
         n = 10 * 16000
         tr = moving_traj(n, duration=10.0)
         x = np.random.default_rng(9).standard_normal(n)
@@ -844,18 +827,36 @@ class TestChunkedWalk:
     def test_dense_render_peak_is_bounded_with_two_workers(
         self, filt, room_5x6x4, mic_std
     ):
-        # jobs in flight vary with thread timing; each holds a chunk buffer
-        # and its kernel's chunk-long scratch rows
+        # a 1 s path is one chunk, which renders on the calling thread at
+        # any worker count, so the peak is fixed: one job's scratch rows
         n = 16000
         tr = moving_traj(n, duration=1.0, seed=12)
         x = np.random.default_rng(13).standard_normal(n)
         cfg = SynthesisConfig(max_order=8, order_split=2, t60=0.07, workers=2)
         assert len(select_images(room_5x6x4, tr, mic_std, cfg)) > 400
-        for _ in range(3):
-            _, peak = traced_peak_mb(
-                lambda: render(x, tr, room_5x6x4, mic_std, filt, cfg)
+        render(x, tr, room_5x6x4, mic_std, filt, cfg)  # warm-up
+        peaks = {}
+        for workers in (1, 2):
+            _, peaks[workers] = traced_peak_mb(
+                lambda: render(
+                    x, tr, room_5x6x4, mic_std, filt, replace(cfg, workers=workers)
+                )
             )
-            assert peak < 25.0, f"peak {peak:.1f} MB"
+            assert peaks[workers] < 25.0, f"peak {peaks[workers]:.1f} MB"
+        assert abs(peaks[2] - peaks[1]) <= 0.01 * peaks[1], peaks
+
+    def test_one_chunk_render_builds_no_thread_pool(
+        self, filt, room_5x6x4, mic_std, monkeypatch
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-chunk render built a thread pool")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        n = 8000
+        tr = moving_traj(n, duration=0.5, seed=14)
+        x = np.random.default_rng(15).standard_normal(n)
+        cfg = SynthesisConfig(max_order=3, decimation=1, workers=2)
+        assert render(x, tr, room_5x6x4, mic_std, filt, cfg).size > n
 
 
 def snr_whole_db(got, want):
