@@ -94,6 +94,11 @@ def _load_engine(args):
 
 
 def _cmd_simulate(args):
+    if args.dump_image is not None and args.mode in ("splice", "static"):
+        raise ValueError(
+            f"--dump-image describes a moving render; mode {args.mode} "
+            "freezes the source"
+        )
     cfg, traj, filt = _load_engine(args)
     rate, s = io_formats.read_wav(args.infile)
     if rate != cfg.synth.audio_rate:
@@ -125,9 +130,13 @@ def _cmd_simulate(args):
     io_formats.write_wav(args.out, cfg.synth.audio_rate, out)
     print(f"wrote {args.out} ({out.size} samples, mode {args.mode})")
     if args.dump_image is not None:
-        streams = synth.prepare_streams(traj, cfg.room, cfg.mic, cfg.synth)
+        # the streams the render used: the oracle's are all exact
+        dumped = cfg.synth
+        if args.mode == "oracle":
+            dumped = replace(dumped, decimation=1)
+        streams = synth.prepare_streams(traj, cfg.room, cfg.mic, dumped)
         io_formats.write_image_debug_csv(
-            args.dump_csv, streams, args.dump_image, cfg.synth
+            args.dump_csv, streams, args.dump_image, dumped
         )
         print(f"wrote {args.dump_csv}")
     return EXIT_OK

@@ -245,8 +245,6 @@ def write_report(path, report):
             fh.write(f"inst_freq_mean={float(np.mean(track)):.6f}\n")
             fh.write(f"inst_freq_min={float(np.min(track)):.6f}\n")
             fh.write(f"inst_freq_max={float(np.max(track)):.6f}\n")
-        for key, value in (report.runtime_counts or {}).items():
-            fh.write(f"count.{key}={value}\n")
 
 
 def read_report(path):
@@ -277,8 +275,8 @@ def write_image_debug_csv(path, streams, image_index, cfg):
     """
     if not 0 <= image_index < streams.image_count():
         raise ValueError("image index out of range")
-    d = streams.evaluate(image_index, image_index + 1, 0, streams.length)[0]
-    tau = d * (streams.rate / cfg.sound_speed)
+    d = streams.row(image_index)
+    tau = d * (cfg.audio_rate / cfg.sound_speed)
     n_exact = streams.exact_count()
     if image_index < n_exact:
         amp = attenuation(streams.specs[image_index].beta, np.maximum(d, cfg.d_min))

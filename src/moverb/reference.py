@@ -40,13 +40,11 @@ class ComparisonReport:
     envelope_max_jump: largest per-sample change of the test signal's
     analytic-signal envelope over the interior. inst_freq_track: smoothed
     instantaneous-frequency estimate, Hz, over the interior.
-    runtime_counts: optional evaluation tallies carried through.
     """
 
     snr_db: float
     envelope_max_jump: float
     inst_freq_track: np.ndarray
-    runtime_counts: dict
 
 
 def kaiser_sinc(arg):
@@ -98,7 +96,7 @@ def static_rir(room, source_pos, mic, rate, max_order, c=343.0, d_min=0.05):
     )
 
 
-def static_render(s, rir, rate=None):
+def static_render(s, rir):
     """Plain convolution with a static impulse response.
 
     Output length is len(s) + len(taps) - 1. Small products use exact
@@ -106,8 +104,6 @@ def static_render(s, rir, rate=None):
     direct within roundoff).
     """
     s = np.asarray(s, dtype=np.float64)
-    if rate is not None and rate != rir.rate:
-        raise ValueError("sample rate does not match the impulse response")
     if s.size * rir.taps.size <= _DIRECT_CONV_LIMIT:
         return np.convolve(s, rir.taps)
     from scipy.signal import fftconvolve
@@ -190,7 +186,7 @@ def _brickwall(x, rate, cutoff_hz):
     return np.fft.irfft(spec, x.size)
 
 
-def compare(a, b, passband=0.8, rate=16000.0, interior=0.05, runtime_counts=None):
+def compare(a, b, passband=0.8, rate=16000.0, interior=0.05):
     """Measure a against reference b.
 
     Signals are trimmed to their common length. The SNR is computed after
@@ -245,5 +241,4 @@ def compare(a, b, passband=0.8, rate=16000.0, interior=0.05, runtime_counts=None
         snr_db=float(snr),
         envelope_max_jump=env_jump,
         inst_freq_track=track,
-        runtime_counts=dict(runtime_counts or {}),
     )

@@ -28,22 +28,25 @@ image at the midpoint of every grid interval and refuses a render whose
 delay error exceeds DELAY_ERROR_BUDGET samples.
 
 No per-image stream is ever held at full length. A DelayStreams value
-describes its rows in two parts, in enumeration order: first the exact
-rows (image geometry and path), then the restored rows (grid-node
-distances). synthesize walks the output in fixed time chunks of
-CHUNK_SAMPLES, rounded up to whole restoration tiles. One job per chunk
-adds every row, one at a time in row order, straight into the chunk's
-slice of the output. Each row goes through one kernel that fills
-chunk-long scratch rows: an exact row's kernel forms its distance,
-folded delay and gain there; a far row's kernel restores its folded
-delay and gain there, so it never holds a per-sample distance. Past the
-path's end every row holds its folded delay and gain at the path's last
-sample; the tail adds them on the calling thread. Beyond the input, the
-output and the grid nodes, memory is O(workers x chunk) whatever the
-image count or the clip length. Chunks run on a pool of `workers`
-threads; a path of one chunk renders on the calling thread. A clip of N
-samples or less restores nothing: its far rows are exact, as at
-decimation 1.
+is a plain record of its rows in two parts, in enumeration order: first
+the exact rows (image geometry and path), then the restored rows
+(grid-node distances and the cubic's table). Every row holds meters at
+the audio rate, cfg.audio_rate. synthesize never asks the record for a
+distance; row(i) and d form whole rows for dumps and checks.
+
+synthesize walks the output in fixed time chunks of CHUNK_SAMPLES,
+rounded up to whole restoration tiles. One job per chunk adds every
+row, one at a time in row order, straight into the chunk's slice of the
+output. Each row goes through one kernel that fills chunk-long scratch
+rows: an exact row's kernel forms its distance, folded delay and gain
+there; a far row's kernel restores its folded delay and gain there, so
+it never holds a per-sample distance. Past the path's end every row
+holds its folded delay and gain at the path's last sample; the tail adds
+them on the calling thread. Beyond the input, the output and the grid
+nodes, memory is O(workers x chunk) whatever the image count or the clip
+length. Chunks run on a pool of `workers` threads; a path of one chunk
+renders on the calling thread. A clip of N samples or less restores
+nothing: its far rows are exact, as at decimation 1.
 
 Summation order is fixed per output sample: ((0 + r_0) + r_1) + ... over
 the rows in enumeration order, as a loop over the images adds them.
@@ -122,20 +125,12 @@ class SynthesisConfig:
 
 @dataclass(frozen=True)
 class _ExactRows:
-    """Rows evaluated exactly on a path; past its end they hold the last value."""
+    """Rows evaluated exactly on a path of the streams' length."""
 
     offset: np.ndarray
     sign: np.ndarray
     mic: np.ndarray
     positions: np.ndarray
-
-    def evaluate(self, rows, start, stop):
-        last = self.positions.shape[0] - 1
-        pos = self.positions[min(start, last) : min(stop, last + 1)]
-        d = _kernels.distance_streams(self.offset[rows], self.sign[rows], self.mic, pos)
-        if d.shape[1] < stop - start:
-            d = np.pad(d, ((0, 0), (0, stop - start - d.shape[1])), mode="edge")
-        return d
 
 
 @dataclass(frozen=True)
@@ -143,43 +138,27 @@ class _RestoredRows:
     """Rows restored from grid nodes, as bandlimited_upsample does.
 
     nodes: (S, K) distances at the grid nodes, table: the (4, h) cubic
-    weights. Restoration computes whole tiles, so a range is computed from
-    the tile boundary at or before its start and then sliced. synthesize
-    does not evaluate these rows: it restores delay and gain from the
-    nodes instead.
+    weights. synthesize never restores these distances: it restores
+    delay and gain from the nodes instead.
     """
 
     nodes: np.ndarray
     table: np.ndarray
-
-    @property
-    def tile(self):
-        return _kernels.TILE_BLOCKS * self.table.shape[1]
-
-    def evaluate(self, rows, start, stop):
-        first = start - start % self.tile
-        nodes = self.nodes[rows]
-        out = np.empty((nodes.shape[0], stop - first))
-        for row, node_row in zip(out, nodes):
-            _kernels.restore_cubic(node_row, self.table, row, first)
-        return out[:, start - first :]
 
 
 @dataclass(frozen=True)
 class DelayStreams:
     """Per-image distance streams, described rather than stored.
 
-    Row i belongs to specs[i] and holds meters at `rate` samples per
-    second for `length` samples. Rows 0..E-1 are the exact part (image
-    geometry and path), rows E..S-1 the restored part (grid-node
-    distances and the cubic's table), E = exact_count(); a part with no
-    rows may be None. evaluate() computes any range of rows and samples;
-    d builds the whole (S, length) array. eval_count tallies the distance
-    evaluations the streams stand for (grid-node evaluations for
-    decimated images), for cost reporting.
+    Row i belongs to specs[i] and holds meters at the audio rate for
+    `length` samples. Rows 0..E-1 are the exact part (image geometry and
+    path), rows E..S-1 the restored part (grid-node distances and the
+    cubic's table), E = exact_count(); a part with no rows may be None.
+    row(i) computes one whole row; d builds the whole (S, length) array.
+    eval_count tallies the distance evaluations the streams stand for
+    (grid-node evaluations for decimated images), for cost reporting.
     """
 
-    rate: float
     specs: list
     length: int
     exact: _ExactRows = None
@@ -192,36 +171,31 @@ class DelayStreams:
     def exact_count(self):
         return 0 if self.exact is None else self.exact.offset.shape[0]
 
-    def evaluate(self, a, b, start, stop):
-        """Distances of rows a..b-1 over samples [start, stop).
-
-        Rows of one part come back as that part computes them, without a
-        copy; rows of both parts are concatenated.
-        """
-        if not 0 <= start <= stop <= self.length:
-            raise ValueError("sample range outside the streams")
+    def row(self, i):
+        """Distances of row i over the whole length."""
         e = self.exact_count()
-        m = min(max(a, e), b)  # the first restored row asked for
-        parts = []
-        if a < m:
-            parts.append(self.exact.evaluate(slice(a, m), start, stop))
-        if m < b:
-            parts.append(self.restored.evaluate(slice(m - e, b - e), start, stop))
-        if len(parts) == 1:
-            return parts[0]
-        return np.concatenate(parts) if parts else np.empty((0, stop - start))
+        if i < e:
+            ex = self.exact
+            pick = slice(i, i + 1)
+            return _kernels.distance_streams(
+                ex.offset[pick], ex.sign[pick], ex.mic, ex.positions
+            )[0]
+        nodes, table = self.restored.nodes[i - e], self.restored.table
+        return _kernels.restore_cubic(nodes, table, np.empty(self.length))
 
     @property
     def d(self):
         """The whole (S, length) distance array, built on demand."""
-        return self.evaluate(0, self.image_count(), 0, self.length)
+        out = np.empty((self.image_count(), self.length))
+        for i in range(self.image_count()):
+            out[i] = self.row(i)
+        return out
 
 
 def low_order_distances(images, traj, mic, room):
     """Exact per-sample distances for the near (low-order) image set."""
     offset, sign, _, _ = as_arrays(images, room)
     return DelayStreams(
-        rate=traj.rate,
         specs=list(images),
         length=len(traj),
         exact=_ExactRows(offset, sign, mic.pos, traj.positions),
@@ -235,19 +209,22 @@ def high_order_distances(images, nodes, mic, room, out_len, factor):
     nodes is decimate(traj, factor). Per image the number of distance
     evaluations is the node count, ceil(out_len / h) + 3 with
     h = grid_step(factor), instead of out_len. The node distances are
-    computed here; restoration runs when the streams are evaluated. At
-    factor 1 the rows are exact distances on the path.
+    computed here; synthesize restores delay and gain from them, and
+    row() restores a distance row. At factor 1 nodes is the path itself
+    and the rows are exact distances on it, so out_len must equal its
+    length: raises ValueError otherwise.
     """
     offset, sign, _, _ = as_arrays(images, room)
     step = grid_step(factor)
     exact = restored = None
     if step == 1:
+        if out_len != len(nodes):
+            raise ValueError("at factor 1 out_len must equal the path length")
         exact = _ExactRows(offset, sign, mic.pos, nodes.positions)
     else:
         d = _kernels.distance_streams(offset, sign, mic.pos, nodes.positions)
         restored = _RestoredRows(d, lagrange_table(step))
     return DelayStreams(
-        rate=nodes.rate * step,
         specs=list(images),
         length=out_len,
         exact=exact,
@@ -262,14 +239,12 @@ def merge_streams(low, high):
     low must be exact, and every low spec must precede every high spec, so
     rows sorted within each side stay in enumeration order. Two exact
     parts on the same path and mic fold into one. Raises ValueError when
-    these do not hold or when the rates or lengths differ.
+    these do not hold or when the lengths differ.
     """
     if low.image_count() == 0:
         return high
     if high.image_count() == 0:
         return low
-    if low.rate != high.rate:
-        raise ValueError("stream rates differ")
     if low.length != high.length:
         raise ValueError("stream lengths differ")
     if low.restored is not None:
@@ -291,7 +266,6 @@ def merge_streams(low, high):
             exact.positions,
         )
     return DelayStreams(
-        rate=low.rate,
         specs=list(low.specs) + list(high.specs),
         length=low.length,
         exact=exact,
@@ -355,7 +329,7 @@ def synthesize(s, streams, f, cfg):
     branch = farrow.branch_filter(s, f)
     shift = f.branch_len  # keeps tau + shift >= D0 for every physical delay
     fold = shift - f.nominal_delay
-    scale = streams.rate / cfg.sound_speed
+    scale = cfg.audio_rate / cfg.sound_speed
     length = streams.length
     exact, restored = streams.exact, streams.restored
     n_exact = streams.exact_count()
@@ -385,9 +359,9 @@ def synthesize(s, streams, f, cfg):
                 buf, branch, delay, gain, restored.table, shift, start,
                 held[n_exact:] if ends else None,
             )
-        return max(streams.rate * peak / cfg.sound_speed, top - fold)
+        return max(cfg.audio_rate * peak / cfg.sound_speed, top - fold)
 
-    chunk = 1 if restored is None else restored.tile
+    chunk = 1 if restored is None else _kernels.TILE_BLOCKS * restored.table.shape[1]
     chunk *= -(-CHUNK_SAMPLES // chunk)
     pieces = [(t, min(t + chunk, length)) for t in range(0, length, chunk)]
     tau_max = max(_run(path_job, pieces, cfg.workers))

@@ -18,7 +18,8 @@ from moverb.io_formats import (
     write_trajectory,
     write_wav,
 )
-from moverb._kernels import restore_cubic
+from moverb._kernels import distance_streams, restore_cubic
+from moverb.room import as_arrays
 from moverb.synth import SynthesisConfig, prepare_streams
 from moverb.trajectory import Trajectory, TrajectorySpec, generate
 
@@ -371,6 +372,51 @@ class TestCliSimulate:
         d = float(row[1])
         tau = float(row[2])
         assert tau == pytest.approx(RATE * d / 343.0, rel=1e-9)
+
+    def test_oracle_dump_holds_exact_far_distances(self, workdir, room_5x6x4, mic_std):
+        # the oracle renders every row exactly, so its dump of a far row is
+        # the exact distance, not one restored from grid nodes
+        traj = generate(TrajectorySpec("sine", 0.5, 2.0, 1.0, seed=3), RATE, room_5x6x4)
+        write_trajectory(workdir / "oracle_traj.txt", traj)
+        cfg = workdir / "oracle.cfg"
+        cfg.write_text(
+            "room.dims = 5 6 4\n"
+            "room.reflection = 0.9\n"
+            f"mic.pos = {' '.join(map(str, mic_std.pos))}\n"
+            f"traj.file = {workdir / 'oracle_traj.txt'}\n"
+            "synth.rate = 16000\n"
+            "synth.N = 3200\n"
+            "synth.K = 1\n"
+            "synth.max_order = 2\n"
+        )
+        csv = workdir / "oracle_img.csv"
+        r = run_cli(
+            "simulate", "--config", cfg, "--mode", "oracle",
+            "--in", workdir / "in.wav", "--out", workdir / "oracle.wav",
+            "--dump-image", 20, "--dump-csv", csv,
+        )
+        assert r.returncode == 0, r.stderr
+        streams = prepare_streams(
+            traj, room_5x6x4, mic_std, SynthesisConfig(max_order=2, decimation=1)
+        )
+        spec = streams.specs[20]
+        assert spec.order == 2  # a far image
+        offset, sign, _, _ = as_arrays([spec], room_5x6x4)
+        want = distance_streams(offset, sign, mic_std.pos, traj.positions)[0]
+        got = [line.split(",")[1] for line in csv.read_text().splitlines()[1:]]
+        assert got == [f"{v:.12g}" for v in want]
+
+    @pytest.mark.parametrize("mode", ["splice", "static"])
+    def test_dump_of_a_frozen_source_exits_2(self, workdir, mode):
+        out = workdir / f"frozen_{mode}.wav"
+        r = run_cli(
+            "simulate", "--config", workdir / "engine.cfg",
+            "--in", workdir / "in.wav", "--out", out, "--mode", mode,
+            "--dump-image", 0, "--dump-csv", workdir / "frozen.csv",
+        )
+        assert r.returncode == 2
+        assert "freezes the source" in r.stderr
+        assert not out.exists()
 
 
 class TestImageDebugDump:

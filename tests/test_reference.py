@@ -357,8 +357,3 @@ class TestCompare:
     def test_rejects_short_signals(self):
         with pytest.raises(ValueError):
             compare(np.ones(4), np.ones(4))
-
-    def test_runtime_counts_pass_through(self):
-        x = sine(440.0, 0.25, RATE)
-        rep = compare(x, x, passband=1.0, runtime_counts={"evals": 42})
-        assert rep.runtime_counts == {"evals": 42}

@@ -431,6 +431,17 @@ class TestDistanceStreams:
         )
         assert np.array_equal(low.d, high.d)
 
+    @pytest.mark.parametrize("extra", [100, -100])
+    def test_high_order_factor_one_refuses_another_length(
+        self, extra, room_5x6x4, mic_std
+    ):
+        # at factor 1 the rows are exact on the path itself, so they cannot
+        # run past its end or stop short of it
+        tr = moving_traj(4000, duration=0.25)
+        images = [sp for sp in enumerate_images(room_5x6x4, 2) if sp.order == 2]
+        with pytest.raises(ValueError, match="out_len"):
+            high_order_distances(images, tr, mic_std, room_5x6x4, len(tr) + extra, 1)
+
     def test_high_order_coarse_eval_count(self, room_5x6x4, mic_std):
         n = 32000
         tr = moving_traj(n, duration=2.0)
@@ -636,10 +647,10 @@ def exact_row(streams, i, cfg, f):
     x = d * (rate / c) + fold and A = (beta / 4 pi) / max(d, d_min) from
     the distance to the mirrored mic; the peak delay is rate * d_max / c.
     """
-    d = streams.evaluate(i, i + 1, 0, streams.length)[0]
-    x = d * (streams.rate / cfg.sound_speed) + (f.branch_len - f.nominal_delay)
+    d = streams.row(i)
+    x = d * (cfg.audio_rate / cfg.sound_speed) + (f.branch_len - f.nominal_delay)
     gain = streams.specs[i].beta / (4.0 * np.pi) / np.maximum(d, cfg.d_min)
-    return x, gain, streams.rate * d.max() / cfg.sound_speed
+    return x, gain, cfg.audio_rate * d.max() / cfg.sound_speed
 
 
 def unmirrored_exact_row(streams, i, cfg, f):
@@ -652,7 +663,7 @@ def unmirrored_exact_row(streams, i, cfg, f):
     d = unmirrored_distance_streams(
         rows.offset[i : i + 1], rows.sign[i : i + 1], rows.mic, rows.positions
     )[0]
-    tau = streams.rate * d / cfg.sound_speed
+    tau = cfg.audio_rate * d / cfg.sound_speed
     x = (tau + f.branch_len) - f.nominal_delay
     gain = streams.specs[i].beta / (4.0 * np.pi * np.maximum(d, cfg.d_min))
     return x, gain, tau.max()
@@ -681,7 +692,7 @@ def whole_array_render(s, streams, f, cfg, exact=exact_row):
         else:
             nodes = streams.restored.nodes[i - n_exact]
             step = streams.restored.table.shape[1]
-            delay = nodes * (streams.rate / cfg.sound_speed) + fold
+            delay = nodes * (cfg.audio_rate / cfg.sound_speed) + fold
             gain = beta[i] / (4.0 * np.pi) / np.maximum(nodes, cfg.d_min)
             x = bandlimited_upsample(delay, step, streams.length)
             gain = bandlimited_upsample(gain, step, streams.length)
@@ -705,11 +716,11 @@ def distance_row_render(s, streams, f, cfg):
     tau = rate d / c and A = beta / (4 pi max(d, d_min)) at every sample.
     """
     d = streams.d
-    tau_max = streams.rate * float(d.max()) / cfg.sound_speed
+    tau_max = cfg.audio_rate * float(d.max()) / cfg.sound_speed
     out_len = s.size + int(np.ceil(tau_max)) + f.branch_len
     d = np.pad(d, ((0, 0), (0, max(0, out_len - d.shape[1]))), mode="edge")
     d = d[:, :out_len]
-    tau = streams.rate * d / cfg.sound_speed
+    tau = cfg.audio_rate * d / cfg.sound_speed
     beta = np.array([sp.beta for sp in streams.specs])
     amp = beta[:, None] / (4.0 * np.pi * np.maximum(d, cfg.d_min))
     branch = farrow.branch_filter(s, f)
@@ -957,6 +968,23 @@ class TestWholeClipFidelity:
         rep = compare(got, want, rate=RATE, interior=interior)
         assert rep.snr_db >= 40.0, f"{rep.snr_db:.1f} dB"
 
+    @pytest.mark.parametrize("decimation", [15, 19])
+    def test_renders_at_a_step_whose_node_rate_does_not_round_trip(
+        self, decimation, filt, room_5x6x4, mic_std
+    ):
+        # the grid nodes' rate times the step is not the audio rate here;
+        # the rows' rate is the audio rate all the same
+        assert (RATE / decimation) * decimation != RATE
+        n = 8000
+        tr = moving_traj(n, duration=0.5, seed=16)
+        x = np.random.default_rng(17).standard_normal(n)
+        cfg = SynthesisConfig(max_order=3, order_split=1, decimation=decimation)
+        got = render(x, tr, room_5x6x4, mic_std, filt, cfg)
+        want = render(x, tr, room_5x6x4, mic_std, filt, replace(cfg, decimation=1))
+        interior = (filt.branch_len + 0.5) / min(got.size, want.size)
+        rep = compare(got, want, rate=RATE, interior=interior)
+        assert rep.snr_db >= 40.0, f"{rep.snr_db:.1f} dB"
+
 
 class TestDelayErrorGuard:
     def fast_path(self, room):
@@ -993,7 +1021,7 @@ class TestDelayErrorGuard:
         offset, sign, _, _ = as_arrays(streams.specs[e:], room_5x6x4)
         worst = 0.0
         for i in range(streams.image_count() - e):
-            got = streams.evaluate(e + i, e + i + 1, 0, streams.length)[0]
+            got = streams.row(e + i)
             want = _kernels.distance_streams(
                 offset[i : i + 1], sign[i : i + 1], mic_std.pos, pos
             )[0]
