@@ -12,13 +12,13 @@ A distance is the path's distance to the image's mirrored mic
 (mirrored_mics), one shared row expression (_distance_rows); distance
 tables are built in blocks of rows of at most DISTANCE_BLOCK elements.
 Accumulation runs one image row at a time through one Horner pass
-(_horner_row). Exact (near) rows arrive as their mirrored mic and
-spreading coefficient, and their distance, folded delay and gain are
-formed in scratch rows (accumulate_exact). Far rows arrive as grid nodes
-of their folded delay and their gain, and are restored tile by tile
-(accumulate_restored). Neither holds a per-row array longer than the
-range. Rows held at one delay and gain past the path's end read
-contiguous runs of the streams (accumulate_held). farrow.delay_stream
+(_horner_row), in one kernel (accumulate_rows). Every row arrives as its
+mirrored mic and spreading coefficient, and its distance, folded delay
+and gain are formed from a path: the path's samples for an exact (near)
+row, its grid nodes for a far row, whose delay and gain are then
+restored tile by tile. No row holds an array longer than the range.
+Rows held at one delay and gain past the path's end read contiguous
+runs of the streams (accumulate_held). farrow.delay_stream
 reads its one per-sample delay through _horner_row too.
 """
 
@@ -78,7 +78,7 @@ def distance_streams(offset, sign, mic, pos):
 
     Rows are built in blocks of max(1, DISTANCE_BLOCK // T), in place in
     the output with one block of scratch, by the same row arithmetic the
-    exact-row kernel uses (accumulate_exact).
+    row kernel uses (accumulate_rows).
     """
     q = mirrored_mics(
         np.asarray(offset, dtype=np.float64),
@@ -90,11 +90,6 @@ def distance_streams(offset, sign, mic, pos):
     out = np.empty((n_rows, n), dtype=np.float64)
     step = max(1, DISTANCE_BLOCK // max(n, 1))
     tmp = np.empty((min(step, n_rows), n))
-    if step == 1:
-        # one row at a time, by integer index: numpy loops 1-D operands faster
-        for a in range(n_rows):
-            _distance_rows(q[a], pos_t, out[a], tmp[0])
-        return out
     q_cols = q.T[:, :, None]
     for a in range(0, n_rows, step):
         rows = out[a : a + step]
@@ -143,99 +138,80 @@ def _horner_row(out, streams, x, gain, base, scratch, inside=False):
     out += acc
 
 
-def accumulate_exact(
-    out, streams, q, pos, coef, scale, fold, d_min, offset, start=0, last=None
+def accumulate_rows(
+    out, streams, q, path, coef, scale, fold, d_min, offset, start=0, last=None,
+    table=None,
 ):
-    """Sum exact rows, formed per sample from the path, into out.
+    """Sum image rows, formed from the path, into out.
 
     out: (T,) accumulator for output indices start .. start + T - 1,
     streams: (M+1, Ls) branch streams shared by all rows, q: (S, 3)
-    mirrored mics (mirrored_mics), pos: (T, 3) the path at those indices,
-    coef: (S,) spreading coefficients attenuation(beta, 1) = beta / (4 pi),
-    scale: rate / c in samples per meter, fold: L - D0, offset: the read
-    index shift L, which fold carries in the delay. start only moves the
-    read index, so a range of output samples gets the same bits as the
-    whole stream does. Per row, scratch rows one range long receive the
-    distance d = |p - q| (the arithmetic of distance_streams), the folded
-    delay x = d * scale + fold and the gain coef / max(d, d_min), which is
-    attenuation(beta, max(d, d_min)) bit for bit; one Horner pass then
-    reads the streams. d >= 0 gives x >= fold, so with the row's largest
-    x every read is bounded, and the out-of-stream scan is skipped when
-    both bounds lie inside the streams. last, if given,
-    is an (S, 2) array that receives each row's x and gain at the range's
-    final sample. Returns the largest distance (-inf when there is
-    nothing to add).
+    mirrored mics (mirrored_mics), coef: (S,) spreading coefficients
+    attenuation(beta, 1) = beta / (4 pi), scale: rate / c in samples per
+    meter, fold: L - D0, offset: the read index shift L, which fold
+    carries in the delay. start only moves the read index, so a range of
+    output samples gets the same bits as the whole stream does.
+
+    Per row, scratch rows as long as path receive the distance
+    d = |p - q| (the arithmetic of distance_streams), the folded delay
+    x = d * scale + fold and the gain coef / max(d, d_min), which is
+    attenuation(beta, max(d, d_min)) bit for bit. With table None, path
+    is (T, 3), the path at the range's samples, and those rows are read
+    as they are. With table, the (4, h) cubic weights, path holds the
+    grid nodes the range is restored from, nodes start // h up to
+    ceil((start + T) / h) + 3 (fewer at the path's end), and restore_cubic
+    fills range-long rows of x and gain from them; start must then be a
+    tile boundary, a multiple of TILE_BLOCKS * h (ValueError otherwise).
+    One Horner pass per row reads the streams. Reads are bounded by the
+    row's largest x and by x >= fold for sample rows, or by the span of
+    the node delays for grid rows; the out-of-stream scan is skipped when
+    both bounds lie inside the streams.
+
+    last, if given, is an (S, 2) array that receives each row's x and
+    gain at the range's final sample. Returns the largest x (-inf when
+    there is nothing to add).
     """
     n = out.shape[0]
     if n == 0 or q.shape[0] == 0:
         return -np.inf
-    pos_t = np.array(pos.T, order="C")
-    base = np.arange(start + offset, start + offset + n, dtype=np.int64)
-    d, x = np.empty(n), np.empty(n)
+    pos_t = np.array(path.T, order="C")
+    m = pos_t.shape[1]
+    x, g = np.empty(m), np.empty(m)
     scratch = _scratch(n)
-    # the reads' upper bound, from x >= fold
-    below_end = int(base[-1]) - math.floor(fold) < streams.shape[1]
+    # the Horner pass's term row doubles as the distance's scratch
+    tmp = scratch[3][:m] if m <= n else np.empty(m)
+    if table is not None:
+        size = TILE_BLOCKS * table.shape[1]
+        if start % size or start < 0:
+            raise ValueError("start must be a tile boundary")
+        xs = np.empty(-(-n // size) * size)
+        gs = np.empty_like(xs)
+    base = np.arange(start + offset, start + offset + n, dtype=np.int64)
+    stream_len = streams.shape[1]
     top = -np.inf
     for i in range(q.shape[0]):
-        _distance_rows(q[i], pos_t, d, scratch[3])
-        d_max = float(d.max())
-        top = max(top, d_max)
-        np.multiply(d, scale, out=x)
+        # g holds the distance until it becomes the gain
+        _distance_rows(q[i], pos_t, g, tmp)
+        np.multiply(g, scale, out=x)
         x += fold
-        # d becomes the gain
-        np.maximum(d, d_min, out=d)
-        np.divide(coef[i], d, out=d)
+        np.maximum(g, d_min, out=g)
+        np.divide(coef[i], g, out=g)
+        if table is None:
+            lo, xr, gr = fold, x, g  # d >= 0 gives x >= fold
+        else:
+            # the cubic's negative weights sum to at most 1/8, so a restored
+            # value lies at most 1/8 of its nodes' span below their minimum
+            # (one sample more covers rounding)
+            lo = x.min() - 0.125 * (x.max() - x.min()) - 1.0
+            xr = restore_cubic(x, table, xs)[:n]
+            gr = restore_cubic(g, table, gs)[:n]
         if last is not None:
-            last[i] = x[-1], d[-1]
-        # rounding is monotone, so the largest x is the largest d's
-        inside = below_end and int(base[0]) - math.floor(d_max * scale + fold) >= 0
-        _horner_row(out, streams, x, d, base, scratch, inside)
-    return top
-
-
-def accumulate_restored(out, streams, delay, gain, table, offset, start=0, last=None):
-    """Sum far rows, restored from their grid nodes, into out.
-
-    delay, gain: (S, K) grid nodes of each row's folded delay
-    x = tau + offset - D0 (samples) and of its gain, laid out as decimate
-    lays out its nodes; table: the (4, h) cubic weights. out, streams,
-    offset and start are as in accumulate_exact; start must be a tile
-    boundary of restore_cubic. Per row, restore_cubic fills two
-    tile-aligned scratch rows with x and the gain, then one Horner pass
-    reads the streams. The out-of-stream scan is skipped when the restored
-    delay range keeps every read inside the streams. last, if given, is an
-    (S, 2) array that receives each row's restored x and gain at the
-    range's final sample. Returns the largest restored x (-inf when there
-    is nothing to restore).
-    """
-    n = out.shape[0]
-    if n == 0 or delay.shape[0] == 0:
-        return -np.inf
-    stream_len = streams.shape[1]
-    step = table.shape[1]
-    size = TILE_BLOCKS * step
-    xs = np.empty(-(-n // size) * size)
-    gs = np.empty_like(xs)
-    x, g = xs[:n], gs[:n]
-    base = np.arange(start + offset, start + offset + n, dtype=np.int64)
-    scratch = _scratch(n)
-    # the grid nodes the range's samples are restored from
-    nodes = slice(min(start // step, delay.shape[1] - 1), (start + n - 1) // step + 4)
-    top = -np.inf
-    for i in range(delay.shape[0]):
-        restore_cubic(delay[i], table, xs, start)
-        restore_cubic(gain[i], table, gs, start)
-        if last is not None:
-            last[i] = x[-1], g[-1]
-        hi = float(x.max())
+            last[i] = xr[-1], gr[-1]
+        hi = float(xr.max())
         top = max(top, hi)
-        # the cubic's negative weights sum to at most 1/8, so a restored
-        # value lies at most 1/8 of its nodes' span below their minimum
-        # (one sample more covers rounding)
-        span = delay[i, nodes]
-        lo = span.min() - 0.125 * (span.max() - span.min()) - 1.0
-        inside = base[0] - np.floor(hi) >= 0 and base[-1] - np.floor(lo) < stream_len
-        _horner_row(out, streams, x, g, base, scratch, inside)
+        inside = base[0] - math.floor(hi) >= 0
+        inside = inside and base[-1] - math.floor(lo) < stream_len
+        _horner_row(out, streams, xr, gr, base, scratch, inside)
     return top
 
 
@@ -243,7 +219,7 @@ def accumulate_held(out, streams, delay, gain, offset, start=0):
     """Sum rows held at one folded delay and gain into out.
 
     delay, gain: (S,) per-row folded delay x = tau + offset - D0 and gain,
-    constant over the range; the rest is as in accumulate_restored. This is
+    constant over the range; the rest is as in accumulate_rows. This is
     the tail past a path's end, where each row keeps its last values.
 
     A held row reads one contiguous run of the streams, at one fraction:
@@ -290,22 +266,23 @@ def accumulate_held(out, streams, delay, gain, offset, start=0):
 TILE_BLOCKS = 64
 
 
-def restore_cubic(nodes, table, out, start=0):
-    """Fill out with samples start .. start + out.size - 1 of a node row.
+def restore_cubic(nodes, table, out):
+    """Fill out with samples 0 .. out.size - 1 of a node row.
 
     nodes: (K,) grid values, table: (4, h) weights, out: C-contiguous
-    (T,) float64. start must be a multiple of TILE_BLOCKS * h. Returns out.
+    (T,) float64. A range of a longer row that starts on a tile boundary,
+    a multiple of TILE_BLOCKS * h, is restored from the row's nodes from
+    start // h on, in the tiles, and so with the bits, of the whole row.
+    Returns out.
     """
     step = table.shape[1]
     size = TILE_BLOCKS * step
-    if start % size or start < 0:
-        raise ValueError("start must be a tile boundary")
     if not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")
     window = np.arange(TILE_BLOCKS)[:, None] + np.arange(4)
     last = nodes.shape[0] - 1
     for a in range(0, out.shape[0], size):
-        frames = nodes[np.minimum(window + (start + a) // step, last)]
+        frames = nodes[np.minimum(window + a // step, last)]
         dest = out[a : a + size]
         if dest.shape[0] == size:
             np.matmul(frames, table, out=dest.reshape(TILE_BLOCKS, step))

@@ -170,7 +170,6 @@ def _cmd_cost(args):
         audio_rate=args.rate,
         order_split=args.K,
         decimation=args.N,
-        max_order=max(args.K, 3),
     )
     if args.images is not None:
         images = args.images
@@ -178,21 +177,8 @@ def _cmd_cost(args):
         dims = np.array([float(v) for v in args.room.split()])
         room = Room(dims=dims, wall_reflection=np.full(6, 0.9))
         images = estimate_image_count(room, args.t60, c=343.0)
-    rep = synth.cost_report(cfg, images, args.duration)
-    for key in (
-        "images_total",
-        "images_low",
-        "images_high",
-        "samples",
-        "grid_step",
-        "naive_evals",
-        "hierarchical_evals",
-        "reduction_ratio",
-        "high_order_reduction",
-        "restored_samples",
-        "accumulated_samples",
-    ):
-        print(f"{key}={rep[key]}")
+    for key, value in synth.cost_report(cfg, images, args.duration).items():
+        print(f"{key}={value}")
     return EXIT_OK
 
 

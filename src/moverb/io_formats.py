@@ -281,7 +281,7 @@ def write_image_debug_csv(path, streams, image_index, cfg):
     if image_index < n_exact:
         amp = attenuation(streams.specs[image_index].beta, np.maximum(d, cfg.d_min))
     else:
-        nodes = far_gain_nodes(streams, cfg.d_min)[image_index - n_exact]
+        nodes = far_gain_nodes(streams, image_index, cfg.d_min)
         amp = restore_cubic(nodes, streams.restored.table, np.empty(d.size))
     with open(path, "w") as fh:
         fh.write("n,d_i,tau_i,A_i\n")

@@ -178,7 +178,7 @@ def attenuation(beta, distance):
     beta and distance are scalars or arrays that broadcast together. The
     spreading coefficient beta / 4 pi is formed first, so at d = 1 this is
     the coefficient the exact-row kernel divides by max(d, d_min) in place
-    (_kernels.accumulate_exact): every gain in a render has these bits.
+    (_kernels.accumulate_rows): every gain in a render has these bits.
     """
     if np.any(np.asarray(distance) <= 0):
         raise ValueError("attenuation requires distance > 0 (clamp first)")

@@ -29,24 +29,28 @@ delay error exceeds DELAY_ERROR_BUDGET samples.
 
 No per-image stream is ever held at full length. A DelayStreams value
 is a plain record of its rows in two parts, in enumeration order: first
-the exact rows (image geometry and path), then the restored rows
-(grid-node distances and the cubic's table). Every row holds meters at
-the audio rate, cfg.audio_rate. synthesize never asks the record for a
-distance; row(i) and d form whole rows for dumps and checks.
+the exact rows, then the restored rows. Both parts are one record of
+image geometry and a path: the path's samples for exact rows, its grid
+nodes and the cubic's table for restored ones. Every row holds meters
+at the audio rate, cfg.audio_rate. synthesize never asks the record for
+a distance; row(i) and d form whole rows for dumps and checks.
 
 synthesize walks the output in fixed time chunks of CHUNK_SAMPLES,
 rounded up to whole restoration tiles. One job per chunk adds every
 row, one at a time in row order, straight into the chunk's slice of the
-output. Each row goes through one kernel that fills chunk-long scratch
-rows: an exact row's kernel forms its distance, folded delay and gain
-there; a far row's kernel restores its folded delay and gain there, so
-it never holds a per-sample distance. Past the path's end every row
-holds its folded delay and gain at the path's last sample; the tail adds
-them on the calling thread. Beyond the input, the output and the grid
-nodes, memory is O(workers x chunk) whatever the image count or the clip
-length. Chunks run on a pool of `workers` threads; a path of one chunk
-renders on the calling thread. A clip of N samples or less restores
-nothing: its far rows are exact, as at decimation 1.
+output, through one kernel: near and far rows differ only in the path
+it reads. An exact row's distance, folded delay and gain are formed in
+chunk-long scratch rows from the path's samples in the chunk; a far
+row's are formed at the grid nodes the chunk is restored from, and its
+folded delay and gain are restored in chunk-long scratch rows, so it
+never holds a per-sample distance. Past the path's end every row holds
+its folded delay and gain at the path's last sample; the tail adds them
+on the calling thread. Beyond the input, the output and the path, no
+per-image array longer than a chunk is held: memory is
+O(workers x chunk) whatever the image count or the clip length. Chunks
+run on a pool of `workers` threads; a path of one chunk renders on the
+calling thread. A clip of N samples or less restores nothing: its far
+rows are exact, as at decimation 1.
 
 Summation order is fixed per output sample: ((0 + r_0) + r_1) + ... over
 the rows in enumeration order, as a loop over the images adds them.
@@ -124,26 +128,26 @@ class SynthesisConfig:
 
 
 @dataclass(frozen=True)
-class _ExactRows:
-    """Rows evaluated exactly on a path of the streams' length."""
+class _Rows:
+    """Image rows on one path: exact at its samples or restored from its nodes.
+
+    offset, sign: (S, 3) image geometry, mic: (3,), positions: (P, 3). With
+    table None, positions is the path at every sample; with table, the
+    (4, h) cubic weights, it is the path at the grid nodes (decimate's
+    layout) and a row is the cubic restoration of its node values.
+    """
 
     offset: np.ndarray
     sign: np.ndarray
     mic: np.ndarray
     positions: np.ndarray
+    table: np.ndarray = None
 
-
-@dataclass(frozen=True)
-class _RestoredRows:
-    """Rows restored from grid nodes, as bandlimited_upsample does.
-
-    nodes: (S, K) distances at the grid nodes, table: the (4, h) cubic
-    weights. synthesize never restores these distances: it restores
-    delay and gain from the nodes instead.
-    """
-
-    nodes: np.ndarray
-    table: np.ndarray
+    def distances(self, rows=slice(None)):
+        """Distances of the picked rows at every position, (S', P)."""
+        return _kernels.distance_streams(
+            self.offset[rows], self.sign[rows], self.mic, self.positions
+        )
 
 
 @dataclass(frozen=True)
@@ -151,18 +155,18 @@ class DelayStreams:
     """Per-image distance streams, described rather than stored.
 
     Row i belongs to specs[i] and holds meters at the audio rate for
-    `length` samples. Rows 0..E-1 are the exact part (image geometry and
-    path), rows E..S-1 the restored part (grid-node distances and the
-    cubic's table), E = exact_count(); a part with no rows may be None.
-    row(i) computes one whole row; d builds the whole (S, length) array.
-    eval_count tallies the distance evaluations the streams stand for
-    (grid-node evaluations for decimated images), for cost reporting.
+    `length` samples. Rows 0..E-1 are the exact part, rows E..S-1 the
+    restored part (rows on the grid nodes and the cubic's table),
+    E = exact_count(); a part with no rows may be None. row(i) computes
+    one whole row; d builds the whole (S, length) array. eval_count
+    tallies the distance evaluations the streams stand for (grid-node
+    evaluations for decimated images), for cost reporting.
     """
 
     specs: list
     length: int
-    exact: _ExactRows = None
-    restored: _RestoredRows = None
+    exact: _Rows = None
+    restored: _Rows = None
     eval_count: int = 0
 
     def image_count(self):
@@ -174,14 +178,11 @@ class DelayStreams:
     def row(self, i):
         """Distances of row i over the whole length."""
         e = self.exact_count()
-        if i < e:
-            ex = self.exact
-            pick = slice(i, i + 1)
-            return _kernels.distance_streams(
-                ex.offset[pick], ex.sign[pick], ex.mic, ex.positions
-            )[0]
-        nodes, table = self.restored.nodes[i - e], self.restored.table
-        return _kernels.restore_cubic(nodes, table, np.empty(self.length))
+        part, j = (self.exact, i) if i < e else (self.restored, i - e)
+        d = part.distances(slice(j, j + 1))[0]
+        if part.table is None:
+            return d
+        return _kernels.restore_cubic(d, part.table, np.empty(self.length))
 
     @property
     def d(self):
@@ -198,37 +199,34 @@ def low_order_distances(images, traj, mic, room):
     return DelayStreams(
         specs=list(images),
         length=len(traj),
-        exact=_ExactRows(offset, sign, mic.pos, traj.positions),
+        exact=_Rows(offset, sign, mic.pos, traj.positions),
         eval_count=len(images) * len(traj),
     )
 
 
 def high_order_distances(images, nodes, mic, room, out_len, factor):
-    """Distances evaluated at the grid nodes, restored to out_len samples.
+    """Distances on the grid nodes, restored to out_len samples.
 
     nodes is decimate(traj, factor). Per image the number of distance
     evaluations is the node count, ceil(out_len / h) + 3 with
-    h = grid_step(factor), instead of out_len. The node distances are
-    computed here; synthesize restores delay and gain from them, and
+    h = grid_step(factor), instead of out_len. Nothing is evaluated here:
+    the rows hold the node positions and the cubic's table, synthesize
+    forms each chunk's node delays and gains from the nodes it reads, and
     row() restores a distance row. At factor 1 nodes is the path itself
-    and the rows are exact distances on it, so out_len must equal its
-    length: raises ValueError otherwise.
+    and the rows are exact (no table), so out_len must equal its length:
+    raises ValueError otherwise.
     """
     offset, sign, _, _ = as_arrays(images, room)
     step = grid_step(factor)
-    exact = restored = None
-    if step == 1:
-        if out_len != len(nodes):
-            raise ValueError("at factor 1 out_len must equal the path length")
-        exact = _ExactRows(offset, sign, mic.pos, nodes.positions)
-    else:
-        d = _kernels.distance_streams(offset, sign, mic.pos, nodes.positions)
-        restored = _RestoredRows(d, lagrange_table(step))
+    if step == 1 and out_len != len(nodes):
+        raise ValueError("at factor 1 out_len must equal the path length")
+    table = None if step == 1 else lagrange_table(step)
+    rows = _Rows(offset, sign, mic.pos, nodes.positions, table)
     return DelayStreams(
         specs=list(images),
         length=out_len,
-        exact=exact,
-        restored=restored,
+        exact=rows if table is None else None,
+        restored=None if table is None else rows,
         eval_count=len(images) * len(nodes),
     )
 
@@ -259,7 +257,7 @@ def merge_streams(low, high):
             and np.array_equal(other.positions, exact.positions)
         ):
             raise ValueError("exact rows on different paths")
-        exact = _ExactRows(
+        exact = _Rows(
             np.concatenate([exact.offset, other.offset]),
             np.concatenate([exact.sign, other.sign]),
             exact.mic,
@@ -287,14 +285,15 @@ def _run(job, tasks, workers):
         return list(pool.map(job, *zip(*tasks)))
 
 
-def far_gain_nodes(streams, d_min):
-    """Gain of every restored row at its grid nodes, (S - E, K).
+def far_gain_nodes(streams, i, d_min):
+    """Gain of restored row i at its grid nodes, (K,).
 
-    attenuation(beta, max(d, d_min)) of the node distances, as exact rows
-    form their gain per sample. synthesize restores these nodes.
+    attenuation(beta, max(d, d_min)) of the row's node distances, as
+    synthesize forms them before restoring the gain.
     """
-    beta = np.array([sp.beta for sp in streams.specs[streams.exact_count() :]])
-    return attenuation(beta[:, None], np.maximum(streams.restored.nodes, d_min))
+    j = i - streams.exact_count()
+    d = streams.restored.distances(slice(j, j + 1))[0]
+    return attenuation(streams.specs[i].beta, np.maximum(d, d_min))
 
 
 def synthesize(s, streams, f, cfg):
@@ -309,14 +308,14 @@ def synthesize(s, streams, f, cfg):
     the filter latency without physically padding the input.
 
     One job per time chunk adds every row, in row order, into its slice
-    of the output: the exact rows through accumulate_exact, then the
-    restored rows through accumulate_restored. Exact rows form their
-    distance to the mirrored mic, their folded delay tau + L - D0 and
-    their gain per sample, in the kernel's scratch rows. Restored (far)
-    rows never hold a per-sample distance: their folded delay and gain are
-    formed once per grid node and restored inside the accumulation kernel.
-    The tail holds every row at its folded delay and gain at the path's
-    end, and one accumulate_held call on the calling thread adds it.
+    of the output through accumulate_rows: the exact part on the path's
+    samples in the chunk, then the restored part on the grid nodes the
+    chunk is restored from. Each row's distance to its mirrored mic,
+    folded delay tau + L - D0 and gain are formed there, in the kernel's
+    scratch rows; a far row's are formed at its nodes and restored, so it
+    never holds a per-sample distance. The tail holds every row at its
+    folded delay and gain at the path's end, and one accumulate_held call
+    on the calling thread adds it.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
@@ -331,36 +330,38 @@ def synthesize(s, streams, f, cfg):
     fold = shift - f.nominal_delay
     scale = cfg.audio_rate / cfg.sound_speed
     length = streams.length
-    exact, restored = streams.exact, streams.restored
     n_exact = streams.exact_count()
-    if exact is not None:
-        # mirrored mics and spreading coefficients attenuation(beta, 1)
-        q = _kernels.mirrored_mics(exact.offset, exact.sign, exact.mic)
-        beta = np.array([sp.beta for sp in streams.specs[:n_exact]])
-        coef = attenuation(beta, 1.0)
-    if restored is not None:
-        # folded delay at every grid node, formed as exact rows form it
-        # per sample
-        delay = restored.nodes * scale + fold
-        gain = far_gain_nodes(streams, cfg.d_min)
     held = np.empty((n_images, 2))  # folded delay and gain at the path's end
+    # each part with its mirrored mics, spreading coefficients
+    # attenuation(beta, 1) and rows of held
+    parts = []
+    for rows, pick in (
+        (streams.exact, slice(0, n_exact)),
+        (streams.restored, slice(n_exact, None)),
+    ):
+        if rows is not None:
+            q = _kernels.mirrored_mics(rows.offset, rows.sign, rows.mic)
+            beta = np.array([sp.beta for sp in streams.specs[pick]])
+            parts.append((rows, q, attenuation(beta, 1.0), held[pick]))
     path = np.zeros(length)
 
     def path_job(start, stop):
-        buf, peak, top = path[start:stop], -np.inf, -np.inf
-        ends = stop == length
-        if exact is not None:
-            peak = _kernels.accumulate_exact(
-                buf, branch, q, exact.positions[start:stop], coef, scale, fold,
-                cfg.d_min, shift, start, held[:n_exact] if ends else None,
+        top = -np.inf
+        for rows, q, coef, last in parts:
+            # the path's samples in the chunk, or the nodes it is restored from
+            window = slice(start, stop)
+            if rows.table is not None:
+                step = rows.table.shape[1]
+                window = slice(start // step, -(-stop // step) + 3)
+            x_max = _kernels.accumulate_rows(
+                path[start:stop], branch, q, rows.positions[window], coef, scale,
+                fold, cfg.d_min, shift, start, last if stop == length else None,
+                rows.table,
             )
-        if restored is not None:
-            top = _kernels.accumulate_restored(
-                buf, branch, delay, gain, restored.table, shift, start,
-                held[n_exact:] if ends else None,
-            )
-        return max(cfg.audio_rate * peak / cfg.sound_speed, top - fold)
+            top = max(top, x_max)
+        return top - fold  # the chunk's largest delay
 
+    restored = streams.restored
     chunk = 1 if restored is None else _kernels.TILE_BLOCKS * restored.table.shape[1]
     chunk *= -(-CHUNK_SAMPLES // chunk)
     pieces = [(t, min(t + chunk, length)) for t in range(0, length, chunk)]
@@ -392,24 +393,26 @@ def _far_factor(cfg, n_samples):
     return cfg.decimation if n_samples > cfg.decimation else 1
 
 
-def _check_delay_error(rows, images, traj, mic, room, cfg):
+def _check_delay_error(rows, traj, cfg):
     """Refuse restored far rows whose delay misses the exact one too far.
 
-    rows: the restored part of images' streams. Every row is checked at
+    rows: the restored part of a path's streams. Every row is checked at
     the midpoint of every grid interval the path reaches, where the
     cubic's error kernel peaks (at the path's last sample if it ends
-    sooner): the cubic through the interval's four nodes against the
-    exact distance there. Raises ValueError when the worst error exceeds
-    DELAY_ERROR_BUDGET.
+    sooner): the cubic through the interval's four node distances against
+    the exact distance there. Raises ValueError when the worst error
+    exceeds DELAY_ERROR_BUDGET.
     """
     step = rows.table.shape[1]
     n = len(traj)
     probes = np.minimum(np.arange(-(-n // step)) * step + step // 2, n - 1)
     block, phase = np.divmod(probes, step)
-    offset, sign, _, _ = as_arrays(images, room)
-    miss = _kernels.distance_streams(offset, sign, mic.pos, traj.positions[probes])
+    nodes = rows.distances()
+    miss = _kernels.distance_streams(
+        rows.offset, rows.sign, rows.mic, traj.positions[probes]
+    )
     for k in range(4):
-        miss -= rows.nodes[:, block + k] * rows.table[k, phase]
+        miss -= nodes[:, block + k] * rows.table[k, phase]
     err = float(np.abs(miss).max()) * (traj.rate / cfg.sound_speed)
     if err > DELAY_ERROR_BUDGET:
         raise ValueError(
@@ -443,7 +446,7 @@ def prepare_streams(traj, room, mic, cfg, images=None):
     nodes = decimate(traj, factor)
     high_streams = high_order_distances(high, nodes, mic, room, len(traj), factor)
     if high and high_streams.restored is not None:
-        _check_delay_error(high_streams.restored, high, traj, mic, room, cfg)
+        _check_delay_error(high_streams.restored, traj, cfg)
     return merge_streams(low_streams, high_streams)
 
 

@@ -437,7 +437,7 @@ class TestImageDebugDump:
         for i in (n_exact, streams.image_count() - 1):
             io_formats.write_image_debug_csv(csv, streams, i, cfg)
             got = np.loadtxt(csv, delimiter=",", skiprows=1)[:, 3]
-            nodes = rows.nodes[i - n_exact]
+            nodes = rows.distances(slice(i - n_exact, i - n_exact + 1))[0]
             gain = streams.specs[i].beta / (4.0 * np.pi) / np.maximum(nodes, cfg.d_min)
             want = restore_cubic(gain, rows.table, np.empty(streams.length))
             np.testing.assert_allclose(got, want, rtol=1e-11, atol=0)

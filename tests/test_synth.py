@@ -264,33 +264,55 @@ class TestKernelsMatchFrozenReferences:
         streams = rng.standard_normal((n_branches, stream_len))
         start = size * int(rng.integers(0, 4))
         offset = int(rng.integers(0, 20))
+        scale = float(rng.uniform(5.0, 50.0))  # samples per meter
+        fold = float(rng.uniform(2.0, 9.0))  # L - D0
+        d_min = float(rng.uniform(0.01, 0.3))
         # as many nodes as the range needs, or fewer (the last one holds)
-        k = int(rng.integers(1, (start + n) // step + 5))
+        k = int(rng.integers(start // step + 1, (start + n) // step + 5))
         table = lagrange_table(step)
-        t = (np.arange(k) - 1.0) * step  # the nodes' sample indices
+        t = (np.arange(k) - 1.0) * step - start  # node sample indices from start
+        # a straight node path along u whose x moves `slope` samples per
+        # sample away from each mirrored mic, which lies behind the path's
+        # point at start, off its line by up to `side` meters
+        u = rng.standard_normal(3)
+        u /= np.linalg.norm(u)
         if seed % 3 == 2:
-            # reads move up to 0.9 samples per sample and leave the
+            # x moves up to 0.9 samples per sample and reads leave the
             # streams at either end
-            first = rng.uniform(-60.0, stream_len + 60.0, size=(rows, 1))
-            read = first + rng.uniform(-0.9, 0.9, size=(rows, 1)) * (t - start)
+            slope, side = float(rng.uniform(-0.9, 0.9)), 0.05
+            read = rng.uniform(-60.0, stream_len + 60.0, size=rows)
+            x0 = start + offset - read
         else:
             # reads move 1 +- 0.05 samples per sample, as for a moving
             # source, and end within 30 samples of the streams' end: past
-            # it, or (every third case) clipped inside
-            slope = rng.uniform(0.95, 1.05, size=(rows, 1))
-            end = stream_len + rng.uniform(-30.0, 30.0, size=(rows, 1))
-            read = end + slope * (t - (start + n - 1))
-            read = np.clip(read, 2.0, stream_len - 4.0 if seed % 3 == 0 else None)
-        delay = t + offset - read + 0.01 * rng.standard_normal((rows, k))
-        gain = rng.uniform(-1.0, 1.0, size=(rows, k))
+            # it, or (every third case, on a path whose reads stand still)
+            # inside
+            slope, side = float(rng.uniform(-0.05, 0.05)), 1e-3
+            read = stream_len + rng.uniform(-30.0, 30.0, size=rows)
+            if seed % 3 == 0:
+                slope, side = 1.0, 0.0
+                read = np.minimum(read, stream_len - 6.0)
+            x0 = start + n - 1 + offset - read - slope * (n - 1)
+        r = np.maximum(x0 - fold, 0.0) / scale
+        p0 = rng.uniform(0.0, 6.0, size=3)
+        path = p0 + np.outer(t * slope / scale, u)
+        perp = np.cross(u, rng.standard_normal((rows, 3)))
+        perp *= side / np.linalg.norm(perp, axis=1, keepdims=True)
+        q = p0 - np.outer(r, u) + perp
+        coef = rng.uniform(-0.1, 0.1, size=rows)
+        d = np.array([reference_distance_row(qi, path) for qi in q])
+        delay = d * scale + fold
+        gain = coef[:, None] / np.maximum(d, d_min)
         init = rng.standard_normal(n)
         want = init.copy()
         want_top, want_last = reference_accumulate_restored(
             want, streams, delay, gain, table, offset, start
         )
         got, last = init.copy(), np.empty((rows, 2))
-        top = _kernels.accumulate_restored(
-            got, streams, delay, gain, table, offset, start, last
+        window = path[start // step : -(-(start + n) // step) + 3]
+        top = _kernels.accumulate_rows(
+            got, streams, q, window, coef, scale, fold, d_min, offset, start, last,
+            table,
         )
         assert same_bits(got, want)
         assert top == want_top
@@ -338,11 +360,12 @@ class TestKernelsMatchFrozenReferences:
             want, streams, q, pos, coef, scale, fold, d_min, offset, start
         )
         got, last = init.copy(), np.empty((rows, 2))
-        top = _kernels.accumulate_exact(
+        top = _kernels.accumulate_rows(
             got, streams, q, pos, coef, scale, fold, d_min, offset, start, last
         )
         assert same_bits(got, want)
-        assert top == want_top
+        # rounding is monotone, so the largest x is the largest distance's
+        assert top == want_top * scale + fold
         assert same_bits(last, want_last)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -360,7 +383,7 @@ class TestKernelsMatchFrozenReferences:
         d_min = float(rng.uniform(0.01, 0.3))
         streams = rng.standard_normal((4, 4000))
         last = np.empty((rows, 2))
-        _kernels.accumulate_exact(
+        _kernels.accumulate_rows(
             np.zeros(n), streams, q, pos, attenuation(beta, 1.0), 20.0, 4.0,
             d_min, 8, 0, last,
         )
@@ -645,12 +668,13 @@ def exact_row(streams, i, cfg, f):
     """An exact row as synthesize forms it: (folded delay, gain, peak delay).
 
     x = d * (rate / c) + fold and A = (beta / 4 pi) / max(d, d_min) from
-    the distance to the mirrored mic; the peak delay is rate * d_max / c.
+    the distance to the mirrored mic; the peak delay is x_max - fold.
     """
     d = streams.row(i)
-    x = d * (cfg.audio_rate / cfg.sound_speed) + (f.branch_len - f.nominal_delay)
+    fold = f.branch_len - f.nominal_delay
+    x = d * (cfg.audio_rate / cfg.sound_speed) + fold
     gain = streams.specs[i].beta / (4.0 * np.pi) / np.maximum(d, cfg.d_min)
-    return x, gain, cfg.audio_rate * d.max() / cfg.sound_speed
+    return x, gain, x.max() - fold
 
 
 def unmirrored_exact_row(streams, i, cfg, f):
@@ -690,8 +714,9 @@ def whole_array_render(s, streams, f, cfg, exact=exact_row):
         if i < n_exact:
             x, gain, peak = exact(streams, i, cfg, f)
         else:
-            nodes = streams.restored.nodes[i - n_exact]
-            step = streams.restored.table.shape[1]
+            part = streams.restored
+            nodes = part.distances(slice(i - n_exact, i - n_exact + 1))[0]
+            step = part.table.shape[1]
             delay = nodes * (cfg.audio_rate / cfg.sound_speed) + fold
             gain = beta[i] / (4.0 * np.pi) / np.maximum(nodes, cfg.d_min)
             x = bandlimited_upsample(delay, step, streams.length)
@@ -822,6 +847,22 @@ class TestChunkedWalk:
         )
         assert y.size > n
         assert peak < 9.5, f"peak {peak:.2f} MB"
+
+    def test_order8_far_rows_hold_no_grid_node_arrays(
+        self, filt, room_5x6x4, mic_std
+    ):
+        # 826 far rows: each job forms the node delays and gains it reads,
+        # so no (far rows x grid nodes) array lives through the render
+        n = 4 * 16000
+        tr = moving_traj(n, duration=4.0)
+        x = np.random.default_rng(16).standard_normal(n)
+        cfg = SynthesisConfig(max_order=8)
+        render(x, tr, room_5x6x4, mic_std, filt, cfg)  # warm-up
+        y, peak = traced_peak_mb(
+            lambda: render(x, tr, room_5x6x4, mic_std, filt, cfg)
+        )
+        assert y.size > n
+        assert peak < 6.0, f"peak {peak:.2f} MB"
 
     def test_five_thousand_images_render(self, filt, room_5x6x4, mic_std):
         n = 800  # 0.05 s

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moverb import trajectory
+from moverb import _kernels, trajectory
 from moverb._kernels import TILE_BLOCKS, distance_streams, restore_cubic
 from moverb.room import Room, as_arrays, enumerate_images
 from moverb.synth import high_order_distances
@@ -316,13 +316,17 @@ class TestUpsample:
         start = tiles * TILE_BLOCKS * h
         nodes = np.random.default_rng(seed).standard_normal(-(-(start + out_len) // h) + 3)
         whole = restore_cubic(nodes, table, np.empty(start + out_len + 3 * h))
-        part = restore_cubic(nodes, table, np.empty(out_len), start)
+        part = restore_cubic(nodes[start // h :], table, np.empty(out_len))
         assert np.array_equal(part, whole[start : start + out_len])
 
     def test_rejects_unaligned_start(self):
+        # grid rows restore whole tiles, so their range starts on a tile
         table = lagrange_table(7)
         with pytest.raises(ValueError):
-            restore_cubic(np.zeros(9), table, np.empty(10), 7)
+            _kernels.accumulate_rows(
+                np.zeros(10), np.ones((2, 40)), np.ones((1, 3)), np.zeros((9, 3)),
+                np.ones(1), 1.0, 1.0, 0.1, 0, start=7, table=table,
+            )
 
     @pytest.mark.parametrize("factor", [2, 16, 100, 3200])
     @pytest.mark.parametrize("n_coarse", [1, 2, 9])
