@@ -17,12 +17,12 @@ mirrored mic and spreading coefficient, and its distance, folded delay
 and gain are formed from a path: the path's samples for an exact (near)
 row, its grid nodes for a far row, whose delay and gain are then
 restored tile by tile. No row holds an array longer than the range.
-Rows held at one delay and gain past the path's end read contiguous
-runs of the streams (accumulate_held). farrow.delay_stream
-reads its one per-sample delay through _horner_row too.
+Rows held at one delay and gain past the path's end take the same pass
+(accumulate_held), as farrow.delay_stream's one per-sample delay does.
+The pass reads guarded branch streams (farrow.guarded_branches): a
+clipped read outside the input lands on a zero guard, so no caller
+masks a read or proves a read bound.
 """
-
-import math
 
 import numpy as np
 
@@ -101,28 +101,35 @@ def distance_streams(offset, sign, mic, pos):
 # fractional-delay accumulation
 #
 # For output index n an image's folded delay x = tau + offset - D0 puts its
-# read on the branch streams at n + offset - floor(x), at fraction
-# x - floor(x); offset cancels in the resolved signal time and keeps every
-# read above the filter latency. Horner evaluation of the branch values in
-# the fraction, scaled by the image's gain, is accumulated into out. Rows
-# are added in the order given, which is the summation order.
+# read on the branch streams at input time n + offset - floor(x), guarded
+# index one more, at fraction x - floor(x); offset cancels in the resolved
+# signal time and keeps every read above the filter latency. Horner
+# evaluation of the branch values in the fraction, scaled by the image's
+# gain, is accumulated into out. Rows are added in the order given, which
+# is the summation order.
 
 
-def _scratch(n):
-    """The per-call scratch rows of _horner_row: floor(x), read index, sum, term."""
-    return np.empty(n), np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
+def _scratch(n, first):
+    """The per-call scratch rows of _horner_row.
 
-
-def _horner_row(out, streams, x, gain, base, scratch, inside=False):
-    """Add gain times the streams read at base - floor(x), in x's fraction.
-
-    x is overwritten with the fraction. Reads gather with mode="clip"; a
-    read index outside the streams contributes +0.0. The mask that zeroes
-    those entries is built only for rows that have one, and the scan for
-    them is skipped when the caller has proven that inside holds.
+    floor(x), read index, sum and term, then the read base: the guarded
+    index first + 1 .. first + n of each output sample at zero delay.
     """
-    n_branches, stream_len = streams.shape
-    d_int, idx, acc, tmp = scratch
+    base = np.arange(first + 1, first + 1 + n, dtype=np.int64)
+    return np.empty(n), np.empty(n, dtype=np.int64), np.empty(n), np.empty(n), base
+
+
+def _horner_row(out, streams, x, gain, scratch):
+    """Add gain times the guarded streams read at base - floor(x), in x's fraction.
+
+    streams: guarded branch streams (farrow.guarded_branches), index
+    n + 1 holding input time n. x is overwritten with the fraction. Reads
+    gather with mode="clip", so a read outside the input lands on a zero
+    guard and adds a signed zero, which leaves every sum but -0.0 as it
+    was (a sum that starts at +0.0 never becomes -0.0).
+    """
+    n_branches = streams.shape[0]
+    d_int, idx, acc, tmp, base = scratch
     np.floor(x, out=d_int)
     x -= d_int
     np.copyto(idx, d_int, casting="unsafe")
@@ -133,8 +140,6 @@ def _horner_row(out, streams, x, gain, base, scratch, inside=False):
         acc *= x
         acc += tmp
     acc *= gain
-    if not inside and (idx.min() < 0 or idx.max() >= stream_len):
-        acc[(idx < 0) | (idx >= stream_len)] = 0.0
     out += acc
 
 
@@ -145,12 +150,13 @@ def accumulate_rows(
     """Sum image rows, formed from the path, into out.
 
     out: (T,) accumulator for output indices start .. start + T - 1,
-    streams: (M+1, Ls) branch streams shared by all rows, q: (S, 3)
-    mirrored mics (mirrored_mics), coef: (S,) spreading coefficients
-    attenuation(beta, 1) = beta / (4 pi), scale: rate / c in samples per
-    meter, fold: L - D0, offset: the read index shift L, which fold
-    carries in the delay. start only moves the read index, so a range of
-    output samples gets the same bits as the whole stream does.
+    streams: (M+1, Ls) guarded branch streams shared by all rows
+    (farrow.guarded_branches), q: (S, 3) mirrored mics (mirrored_mics),
+    coef: (S,) spreading coefficients attenuation(beta, 1) = beta / (4 pi),
+    scale: rate / c in samples per meter, fold: L - D0, offset: the read
+    index shift L, which fold carries in the delay. start only moves the
+    read index, so a range of output samples gets the same bits as the
+    whole stream does.
 
     Per row, scratch rows as long as path receive the distance
     d = |p - q| (the arithmetic of distance_streams), the folded delay
@@ -162,10 +168,7 @@ def accumulate_rows(
     ceil((start + T) / h) + 3 (fewer at the path's end), and restore_cubic
     fills range-long rows of x and gain from them; start must then be a
     tile boundary, a multiple of TILE_BLOCKS * h (ValueError otherwise).
-    One Horner pass per row reads the streams. Reads are bounded by the
-    row's largest x and by x >= fold for sample rows, or by the span of
-    the node delays for grid rows; the out-of-stream scan is skipped when
-    both bounds lie inside the streams.
+    One Horner pass per row reads the streams.
 
     last, if given, is an (S, 2) array that receives each row's x and
     gain at the range's final sample. Returns the largest x (-inf when
@@ -177,7 +180,7 @@ def accumulate_rows(
     pos_t = np.array(path.T, order="C")
     m = pos_t.shape[1]
     x, g = np.empty(m), np.empty(m)
-    scratch = _scratch(n)
+    scratch = _scratch(n, start + offset)
     # the Horner pass's term row doubles as the distance's scratch
     tmp = scratch[3][:m] if m <= n else np.empty(m)
     if table is not None:
@@ -186,8 +189,6 @@ def accumulate_rows(
             raise ValueError("start must be a tile boundary")
         xs = np.empty(-(-n // size) * size)
         gs = np.empty_like(xs)
-    base = np.arange(start + offset, start + offset + n, dtype=np.int64)
-    stream_len = streams.shape[1]
     top = -np.inf
     for i in range(q.shape[0]):
         # g holds the distance until it becomes the gain
@@ -196,22 +197,14 @@ def accumulate_rows(
         x += fold
         np.maximum(g, d_min, out=g)
         np.divide(coef[i], g, out=g)
-        if table is None:
-            lo, xr, gr = fold, x, g  # d >= 0 gives x >= fold
-        else:
-            # the cubic's negative weights sum to at most 1/8, so a restored
-            # value lies at most 1/8 of its nodes' span below their minimum
-            # (one sample more covers rounding)
-            lo = x.min() - 0.125 * (x.max() - x.min()) - 1.0
+        xr, gr = x, g
+        if table is not None:
             xr = restore_cubic(x, table, xs)[:n]
             gr = restore_cubic(g, table, gs)[:n]
         if last is not None:
             last[i] = xr[-1], gr[-1]
-        hi = float(xr.max())
-        top = max(top, hi)
-        inside = base[0] - math.floor(hi) >= 0
-        inside = inside and base[-1] - math.floor(lo) < stream_len
-        _horner_row(out, streams, xr, gr, base, scratch, inside)
+        top = max(top, float(xr.max()))
+        _horner_row(out, streams, xr, gr, scratch)
     return top
 
 
@@ -220,31 +213,15 @@ def accumulate_held(out, streams, delay, gain, offset, start=0):
 
     delay, gain: (S,) per-row folded delay x = tau + offset - D0 and gain,
     constant over the range; the rest is as in accumulate_rows. This is
-    the tail past a path's end, where each row keeps its last values.
-
-    A held row reads one contiguous run of the streams, at one fraction:
-    floor(x) and the fraction are taken once, and only the part of the run
-    that lies inside the streams is read and added. Outside it the row
-    contributes nothing, as the masked reads of _horner_row do.
+    the tail past a path's end, where each row keeps its last values: a
+    row of x filled with its delay goes through the one Horner pass.
     """
     n = out.shape[0]
-    n_branches, stream_len = streams.shape
-    acc = np.empty(n)
-    for x, g in zip(delay.tolist(), gain.tolist()):
-        d_int = math.floor(x)
-        mu = x - d_int
-        first = start + offset - d_int
-        lo, hi = max(0, -first), min(n, stream_len - first)
-        if lo >= hi:
-            continue
-        reads = slice(first + lo, first + hi)
-        a = acc[: hi - lo]
-        np.copyto(a, streams[n_branches - 1, reads])
-        for k in range(n_branches - 2, -1, -1):
-            a *= mu
-            a += streams[k, reads]
-        a *= g
-        out[lo:hi] += a
+    x = np.empty(n)
+    scratch = _scratch(n, start + offset)
+    for xi, g in zip(delay.tolist(), gain.tolist()):
+        x.fill(xi)
+        _horner_row(out, streams, x, g, scratch)
 
 
 # ---------------------------------------------------------------------------

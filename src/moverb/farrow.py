@@ -225,22 +225,33 @@ def split_delay(total_delay, f):
     return DelaySplit(integer_part=d_int, fractional_part=mu)
 
 
-def branch_filter(x, f):
-    """Convolve the input with every branch once.
+def guarded_branches(x, f):
+    """Convolve the input with every branch once, between two zero guards.
 
-    Returns (M+1, len(x) + L - 1) streams aligned so index n corresponds to
-    input time n; the bank's nominal delay D0 is handled by split_delay,
-    not here. This single pass is shared by all delay taps afterwards.
+    Returns (M+1, len(x) + L + 1) streams whose index n + 1 holds input
+    time n, with +0.0 at index 0 and at the last index. A kernel that
+    clips its read index to these streams reads a zero for any time
+    outside the input. This single pass is shared by all delay taps.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("input must be 1-D")
     if not np.all(np.isfinite(x)):
         raise ValueError("input must be finite")
-    out = np.empty((f.poly_order + 1, x.size + f.branch_len - 1))
+    out = np.zeros((f.poly_order + 1, x.size + f.branch_len + 1))
     for k in range(f.poly_order + 1):
-        out[k] = np.convolve(x, f.branches[k])
+        out[k, 1:-1] = np.convolve(x, f.branches[k])
     return out
+
+
+def branch_filter(x, f):
+    """Convolve the input with every branch once.
+
+    Returns (M+1, len(x) + L - 1) streams aligned so index n corresponds to
+    input time n: the interior view of guarded_branches. The bank's
+    nominal delay D0 is handled by split_delay, not here.
+    """
+    return guarded_branches(x, f)[:, 1:-1]
 
 
 def evaluate(streams, n, split):
@@ -278,12 +289,9 @@ def delay_stream(x, f, tau):
         raise ValueError("tau must be finite")
     if np.any(tau < f.nominal_delay):
         raise ValueError("tau below the filter latency; pad the input first")
-    streams = branch_filter(x, f)
+    streams = guarded_branches(x, f)
     n = tau.size
     out = np.zeros(n)
-    if n:
-        base = np.arange(n, dtype=np.int64)
-        _kernels._horner_row(
-            out, streams, tau - f.nominal_delay, 1.0, base, _kernels._scratch(n)
-        )
+    scratch = _kernels._scratch(n, 0)
+    _kernels._horner_row(out, streams, tau - f.nominal_delay, 1.0, scratch)
     return out

@@ -305,7 +305,9 @@ def synthesize(s, streams, f, cfg):
     past the output are evaluated to their end for the maximum, then cut.
     The delay request is shifted by L samples and the branch stream read
     index shifted back by the same amount, which keeps every request above
-    the filter latency without physically padding the input.
+    the filter latency without physically padding the input. The branch
+    streams carry a zero guard at each end (farrow.guarded_branches), so
+    a read outside the input adds nothing.
 
     One job per time chunk adds every row, in row order, into its slice
     of the output through accumulate_rows: the exact part on the path's
@@ -325,7 +327,7 @@ def synthesize(s, streams, f, cfg):
     n_images = streams.image_count()
     if n_images == 0:
         return np.zeros(s.size + f.branch_len)
-    branch = farrow.branch_filter(s, f)
+    branch = farrow.guarded_branches(s, f)
     shift = f.branch_len  # keeps tau + shift >= D0 for every physical delay
     fold = shift - f.nominal_delay
     scale = cfg.audio_rate / cfg.sound_speed
@@ -400,20 +402,27 @@ def _check_delay_error(rows, traj, cfg):
     the midpoint of every grid interval the path reaches, where the
     cubic's error kernel peaks (at the path's last sample if it ends
     sooner): the cubic through the interval's four node distances against
-    the exact distance there. Raises ValueError when the worst error
-    exceeds DELAY_ERROR_BUDGET.
+    the exact distance there. Rows are checked in blocks of about
+    DISTANCE_BLOCK node distances, keeping the running maximum. Raises
+    ValueError when the worst error exceeds DELAY_ERROR_BUDGET.
     """
     step = rows.table.shape[1]
     n = len(traj)
     probes = np.minimum(np.arange(-(-n // step)) * step + step // 2, n - 1)
     block, phase = np.divmod(probes, step)
-    nodes = rows.distances()
-    miss = _kernels.distance_streams(
-        rows.offset, rows.sign, rows.mic, traj.positions[probes]
-    )
-    for k in range(4):
-        miss -= nodes[:, block + k] * rows.table[k, phase]
-    err = float(np.abs(miss).max()) * (traj.rate / cfg.sound_speed)
+    at = traj.positions[probes]
+    size = max(1, _kernels.DISTANCE_BLOCK // rows.positions.shape[0])
+    worst = 0.0
+    for a in range(0, rows.offset.shape[0], size):
+        pick = slice(a, a + size)
+        nodes = rows.distances(pick)
+        miss = _kernels.distance_streams(
+            rows.offset[pick], rows.sign[pick], rows.mic, at
+        )
+        for k in range(4):
+            miss -= nodes[:, block + k] * rows.table[k, phase]
+        worst = max(worst, float(np.abs(miss).max()))
+    err = worst * (traj.rate / cfg.sound_speed)
     if err > DELAY_ERROR_BUDGET:
         raise ValueError(
             f"far-image delay error {err:.3g} samples exceeds the "

@@ -14,6 +14,7 @@ from moverb.farrow import (
     evaluate,
     evaluate_power_sum,
     group_delay,
+    guarded_branches,
     impulse_response,
     quality_summary,
     response_at,
@@ -234,6 +235,30 @@ class TestBranchFilter:
         assert np.allclose(v[0, mid], 1.0, atol=1e-9)
         for k in range(1, 4):
             assert np.allclose(v[k, mid], 0.0, atol=1e-9)
+
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_guards_hold_zeros_around_the_branch_streams(self, seed):
+        rng = np.random.default_rng(seed)
+        order = int(rng.integers(1, 5))
+        taps = int(rng.integers(order + 1, 11))
+        f = farrow.FarrowFilter(
+            poly_order=order,
+            branch_len=taps,
+            branches=rng.standard_normal((order + 1, taps)),
+            nominal_delay=(taps - 1) // 2,
+            passband=0.8,
+        )
+        x = rng.standard_normal(1 if seed < 3 else int(rng.integers(2, 500)))
+        g = guarded_branches(x, f)
+        assert g.shape == (order + 1, x.size + taps + 1)
+        # +0.0 at both ends, sign bit included
+        ends = g[:, [0, -1]]
+        assert ends.tobytes() == np.zeros_like(ends).tobytes()
+        # the interior is one plain convolution per branch, and branch_filter
+        want = np.stack([np.convolve(x, b) for b in f.branches])
+        assert g[:, 1:-1].tobytes() == want.tobytes()
+        assert branch_filter(x, f).tobytes() == want.tobytes()
 
 
 class TestEvaluation:

@@ -171,6 +171,11 @@ def reference_accumulate_restored(out, streams, delay, gain, table, offset, star
     return top, last
 
 
+def guarded(streams):
+    """Branch streams between two zero guards, the layout the kernels read."""
+    return np.pad(streams, ((0, 0), (1, 1)))
+
+
 def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -311,8 +316,8 @@ class TestKernelsMatchFrozenReferences:
         got, last = init.copy(), np.empty((rows, 2))
         window = path[start // step : -(-(start + n) // step) + 3]
         top = _kernels.accumulate_rows(
-            got, streams, q, window, coef, scale, fold, d_min, offset, start, last,
-            table,
+            got, guarded(streams), q, window, coef, scale, fold, d_min, offset,
+            start, last, table,
         )
         assert same_bits(got, want)
         assert top == want_top
@@ -361,7 +366,8 @@ class TestKernelsMatchFrozenReferences:
         )
         got, last = init.copy(), np.empty((rows, 2))
         top = _kernels.accumulate_rows(
-            got, streams, q, pos, coef, scale, fold, d_min, offset, start, last
+            got, guarded(streams), q, pos, coef, scale, fold, d_min, offset, start,
+            last,
         )
         assert same_bits(got, want)
         # rounding is monotone, so the largest x is the largest distance's
@@ -397,7 +403,7 @@ class TestKernelsMatchFrozenReferences:
         streams = rng.standard_normal((4, 900))
         delay, gain = np.array([-3.25, 401.5, 1000.75]), np.array([0.5, -1.5, 2.0])
         got = np.zeros(700)
-        _kernels.accumulate_held(got, streams, delay, gain, 8, 300)
+        _kernels.accumulate_held(got, guarded(streams), delay, gain, 8, 300)
         want = np.zeros(700)
         for x, g in zip(delay, gain):
             reference_accumulate_folded(
@@ -1072,6 +1078,32 @@ class TestDelayErrorGuard:
         # the check reads the true worst over every sample
         with pytest.raises(ValueError, match=f"delay error {worst:.3g} samples"):
             prepare_streams(tr, room_5x6x4, mic_std, cfg)
+
+    @pytest.mark.parametrize("block", [1, 500])
+    def test_blocks_of_rows_report_the_same_error(
+        self, room_5x6x4, mic_std, monkeypatch, block
+    ):
+        # one row, or a few, per block against the default blocks
+        tr = self.fast_path(room_5x6x4)
+        cfg = SynthesisConfig(max_order=3, decimation=3200)
+        with pytest.raises(ValueError) as whole:
+            prepare_streams(tr, room_5x6x4, mic_std, cfg)
+        monkeypatch.setattr(_kernels, "DISTANCE_BLOCK", block)
+        with pytest.raises(ValueError) as blocked:
+            prepare_streams(tr, room_5x6x4, mic_std, cfg)
+        assert str(blocked.value) == str(whole.value)
+
+    def test_check_holds_no_whole_clip_arrays(self, room_5x6x4, mic_std):
+        # 826 far rows over 20 s: the (rows x grid nodes) and (rows x
+        # intervals) arrays of one pass would take about 20 MB
+        tr = moving_traj(20 * 16000, duration=20.0)
+        cfg = SynthesisConfig(max_order=8)
+        prepare_streams(tr, room_5x6x4, mic_std, cfg)  # warm-up
+        streams, peak = traced_peak_mb(
+            lambda: prepare_streams(tr, room_5x6x4, mic_std, cfg)
+        )
+        assert streams.restored is not None
+        assert peak < 2.0, f"peak {peak:.2f} MB"
 
     def test_fast_path_renders_at_a_lower_decimation(
         self, filt, room_5x6x4, mic_std
