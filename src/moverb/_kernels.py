@@ -10,13 +10,15 @@ in-place ufuncs that keep each element's operands and operation order, so
 they allocate nothing per step and give the bits of the plain expressions.
 A distance is the path's distance to the image's mirrored mic
 (mirrored_mics), one shared row expression (_distance_rows); distance
-tables are built in blocks of rows of at most DISTANCE_BLOCK elements.
-Accumulation runs one image row at a time through one Horner pass
-(_horner_row), in one kernel (accumulate_rows). Every row arrives as its
-mirrored mic and spreading coefficient, and its distance, folded delay
-and gain are formed from a path: the path's samples for an exact (near)
-row, its grid nodes for a far row, whose delay and gain are then
-restored tile by tile. No row holds an array longer than the range.
+tables (mic_distances) are built in blocks of rows of at most
+DISTANCE_BLOCK elements. A row's folded delay and gain have one home,
+row_terms, which the render and the stream record's rows read: it forms
+them from the row's mirrored mic and spreading coefficient on a path,
+the path's samples for an exact (near) row, its grid nodes for a far
+row, whose delay and gain are then restored tile by tile. No row holds
+an array longer than the range. Accumulation runs one image row at a
+time through one Horner pass (_horner_row), in one kernel
+(accumulate_rows).
 Rows held at one delay and gain past the path's end take the same pass
 (accumulate_held), as farrow.delay_stream's one per-sample delay does.
 The pass reads guarded branch streams (farrow.guarded_branches): a
@@ -69,22 +71,14 @@ def _distance_rows(q, pos_t, out, tmp):
     np.sqrt(out, out=out)
 
 
-def distance_streams(offset, sign, mic, pos):
-    """Euclidean distance from each mirrored source to the mic, per sample.
+def mic_distances(q, pos):
+    """Euclidean distance from the path to each mirrored mic, per sample.
 
-    offset: (S, 3) lattice translation in meters, sign: (S, 3) +-1 per axis,
-    mic: (3,), pos: (T, 3) source path. Returns (S, T) float64: each row is
-    the path's distance to the image's mirrored mic (mirrored_mics).
-
-    Rows are built in blocks of max(1, DISTANCE_BLOCK // T), in place in
-    the output with one block of scratch, by the same row arithmetic the
-    row kernel uses (accumulate_rows).
+    q: (S, 3) mirrored mics (mirrored_mics), pos: (T, 3) source path.
+    Returns (S, T) float64. Rows are built in blocks of
+    max(1, DISTANCE_BLOCK // T), in place in the output with one block of
+    scratch, by the same row arithmetic the row kernel uses (row_terms).
     """
-    q = mirrored_mics(
-        np.asarray(offset, dtype=np.float64),
-        np.asarray(sign, dtype=np.float64),
-        np.asarray(mic, dtype=np.float64),
-    )
     pos_t = np.array(np.asarray(pos, dtype=np.float64).T, order="C")
     n_rows, n = q.shape[0], pos_t.shape[1]
     out = np.empty((n_rows, n), dtype=np.float64)
@@ -95,6 +89,21 @@ def distance_streams(offset, sign, mic, pos):
         rows = out[a : a + step]
         _distance_rows(q_cols[:, a : a + step], pos_t, rows, tmp[: rows.shape[0]])
     return out
+
+
+def distance_streams(offset, sign, mic, pos):
+    """Euclidean distance from each mirrored source to the mic, per sample.
+
+    offset: (S, 3) lattice translation in meters, sign: (S, 3) +-1 per axis,
+    mic: (3,), pos: (T, 3) source path. Returns (S, T) float64: each row is
+    the path's distance to the image's mirrored mic (mic_distances).
+    """
+    q = mirrored_mics(
+        np.asarray(offset, dtype=np.float64),
+        np.asarray(sign, dtype=np.float64),
+        np.asarray(mic, dtype=np.float64),
+    )
+    return mic_distances(q, pos)
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +152,50 @@ def _horner_row(out, streams, x, gain, scratch):
     out += acc
 
 
+def row_terms(q, path, coef, scale, fold, d_min, n, start=0, table=None):
+    """Each row's folded delay and gain over n output samples, in row order.
+
+    q: (S, 3) mirrored mics (mirrored_mics), coef: (S,) spreading
+    coefficients attenuation(beta, 1) = beta / (4 pi), scale: rate / c
+    in samples per meter, fold: L - D0 in a render.
+
+    Per row, scratch rows as long as path receive the distance
+    d = |p - q| (the arithmetic of mic_distances), the folded delay
+    x = d * scale + fold and the gain coef / max(d, d_min), which is
+    attenuation(beta, max(d, d_min)) bit for bit. With table None, path
+    is (n, 3), the path at the range's samples, and those rows are
+    yielded as they are. With table, the (4, h) cubic weights, path holds
+    the grid nodes output samples start .. start + n - 1 are restored
+    from, nodes start // h up to ceil((start + n) / h) + 3 (fewer at the
+    path's end), and restore_cubic fills n-long rows of x and gain from
+    them; start must then be a tile boundary, a multiple of
+    TILE_BLOCKS * h (ValueError otherwise).
+
+    Yields (x, gain) per row, in scratch that the next row overwrites; a
+    caller may overwrite it too.
+    """
+    pos_t = np.array(path.T, order="C")
+    m = pos_t.shape[1]
+    x, g = np.empty(m), np.empty(m)
+    if table is not None:
+        size = TILE_BLOCKS * table.shape[1]
+        if start % size or start < 0:
+            raise ValueError("start must be a tile boundary")
+        xs = np.empty(-(-n // size) * size)
+        gs = np.empty_like(xs)
+    for i in range(q.shape[0]):
+        # g holds the distance until it becomes the gain; x is its scratch
+        _distance_rows(q[i], pos_t, g, x)
+        np.multiply(g, scale, out=x)
+        x += fold
+        np.maximum(g, d_min, out=g)
+        np.divide(coef[i], g, out=g)
+        if table is None:
+            yield x, g
+        else:
+            yield restore_cubic(x, table, xs)[:n], restore_cubic(g, table, gs)[:n]
+
+
 def accumulate_rows(
     out, streams, q, path, coef, scale, fold, d_min, offset, start=0, last=None,
     table=None,
@@ -151,24 +204,12 @@ def accumulate_rows(
 
     out: (T,) accumulator for output indices start .. start + T - 1,
     streams: (M+1, Ls) guarded branch streams shared by all rows
-    (farrow.guarded_branches), q: (S, 3) mirrored mics (mirrored_mics),
-    coef: (S,) spreading coefficients attenuation(beta, 1) = beta / (4 pi),
-    scale: rate / c in samples per meter, fold: L - D0, offset: the read
-    index shift L, which fold carries in the delay. start only moves the
-    read index, so a range of output samples gets the same bits as the
-    whole stream does.
-
-    Per row, scratch rows as long as path receive the distance
-    d = |p - q| (the arithmetic of distance_streams), the folded delay
-    x = d * scale + fold and the gain coef / max(d, d_min), which is
-    attenuation(beta, max(d, d_min)) bit for bit. With table None, path
-    is (T, 3), the path at the range's samples, and those rows are read
-    as they are. With table, the (4, h) cubic weights, path holds the
-    grid nodes the range is restored from, nodes start // h up to
-    ceil((start + T) / h) + 3 (fewer at the path's end), and restore_cubic
-    fills range-long rows of x and gain from them; start must then be a
-    tile boundary, a multiple of TILE_BLOCKS * h (ValueError otherwise).
-    One Horner pass per row reads the streams.
+    (farrow.guarded_branches), scale: rate / c in samples per meter,
+    fold: L - D0, offset: the read index shift L, which fold carries in
+    the delay. start only moves the read index, so a range of output
+    samples gets the same bits as the whole stream does. q, path, coef,
+    d_min and table form each row's folded delay and gain over the range
+    as in row_terms; one Horner pass per row reads the streams.
 
     last, if given, is an (S, 2) array that receives each row's x and
     gain at the range's final sample. Returns the largest x (-inf when
@@ -177,34 +218,14 @@ def accumulate_rows(
     n = out.shape[0]
     if n == 0 or q.shape[0] == 0:
         return -np.inf
-    pos_t = np.array(path.T, order="C")
-    m = pos_t.shape[1]
-    x, g = np.empty(m), np.empty(m)
     scratch = _scratch(n, start + offset)
-    # the Horner pass's term row doubles as the distance's scratch
-    tmp = scratch[3][:m] if m <= n else np.empty(m)
-    if table is not None:
-        size = TILE_BLOCKS * table.shape[1]
-        if start % size or start < 0:
-            raise ValueError("start must be a tile boundary")
-        xs = np.empty(-(-n // size) * size)
-        gs = np.empty_like(xs)
+    terms = row_terms(q, path, coef, scale, fold, d_min, n, start, table)
     top = -np.inf
-    for i in range(q.shape[0]):
-        # g holds the distance until it becomes the gain
-        _distance_rows(q[i], pos_t, g, tmp)
-        np.multiply(g, scale, out=x)
-        x += fold
-        np.maximum(g, d_min, out=g)
-        np.divide(coef[i], g, out=g)
-        xr, gr = x, g
-        if table is not None:
-            xr = restore_cubic(x, table, xs)[:n]
-            gr = restore_cubic(g, table, gs)[:n]
+    for i, (x, g) in enumerate(terms):
         if last is not None:
-            last[i] = xr[-1], gr[-1]
-        top = max(top, float(xr.max()))
-        _horner_row(out, streams, xr, gr, scratch)
+            last[i] = x[-1], g[-1]
+        top = max(top, float(x.max()))
+        _horner_row(out, streams, x, g, scratch)
     return top
 
 

@@ -254,18 +254,6 @@ def branch_filter(x, f):
     return guarded_branches(x, f)[:, 1:-1]
 
 
-def evaluate(streams, n, split):
-    """One output sample: Horner in mu of the streams at index n - D."""
-    idx = n - split.integer_part
-    if idx < 0 or idx >= streams.shape[1]:
-        return 0.0
-    mu = split.fractional_part
-    acc = streams[-1, idx]
-    for k in range(streams.shape[0] - 2, -1, -1):
-        acc = acc * mu + streams[k, idx]
-    return float(acc)
-
-
 def evaluate_power_sum(streams, n, split):
     """Reference evaluation as an explicit power sum (for cross-checks)."""
     idx = n - split.integer_part

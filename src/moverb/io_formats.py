@@ -10,9 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .farrow import FarrowFilter
-from .room import MicPosition, Room, attenuation
-from ._kernels import restore_cubic
-from .synth import SynthesisConfig, far_gain_nodes
+from .room import MicPosition, Room
+from .synth import SynthesisConfig
 from .trajectory import Trajectory, TrajectorySpec
 
 
@@ -269,20 +268,17 @@ def write_compare_csv(path, a, report, rate):
 def write_image_debug_csv(path, streams, image_index, cfg):
     """Columns n, d_i, tau_i, A_i for one image of a stream set.
 
-    A_i is the gain synthesize applies: attenuation(beta, max(d, d_min))
-    per sample for an exact row, the cubic restoration of the row's gain
-    nodes (synth.far_gain_nodes) for a restored one.
+    tau_i and A_i are the delay in samples and the gain synthesize forms
+    for the row (streams.terms, the row kernel's own terms, unfolded):
+    per sample for an exact row, restored from its grid nodes for a far
+    one. d_i is the row's distance (streams.row).
     """
     if not 0 <= image_index < streams.image_count():
         raise ValueError("image index out of range")
     d = streams.row(image_index)
-    tau = d * (cfg.audio_rate / cfg.sound_speed)
-    n_exact = streams.exact_count()
-    if image_index < n_exact:
-        amp = attenuation(streams.specs[image_index].beta, np.maximum(d, cfg.d_min))
-    else:
-        nodes = far_gain_nodes(streams, image_index, cfg.d_min)
-        amp = restore_cubic(nodes, streams.restored.table, np.empty(d.size))
+    tau, amp = streams.terms(
+        image_index, cfg.audio_rate / cfg.sound_speed, 0.0, cfg.d_min
+    )
     with open(path, "w") as fh:
         fh.write("n,d_i,tau_i,A_i\n")
         for n in range(d.size):

@@ -13,7 +13,7 @@ import numpy as np
 
 from ._kernels import distance_streams
 from .room import as_arrays, as_mic, attenuation, enumerate_images
-from .synth import BudgetError, SynthesisConfig, render
+from .synth import BudgetError, SynthesisConfig, _count_order_leq, render
 from .trajectory import Trajectory
 
 _DIRECT_CONV_LIMIT = 5_000_000  # ops bound below which exact O(n m) is used
@@ -118,7 +118,7 @@ def full_rate_moving_oracle(s, traj, room, mic, f, cfg):
     the engine at N = 1 matches this bit for bit. Refuses jobs whose
     distance-evaluation count exceeds cfg.eval_budget.
     """
-    n_images = len(enumerate_images(room, cfg.max_order))
+    n_images = _count_order_leq(cfg.max_order)
     evals = n_images * len(traj)
     if evals > cfg.eval_budget:
         raise BudgetError(

@@ -28,12 +28,15 @@ image at the midpoint of every grid interval and refuses a render whose
 delay error exceeds DELAY_ERROR_BUDGET samples.
 
 No per-image stream is ever held at full length. A DelayStreams value
-is a plain record of its rows in two parts, in enumeration order: first
-the exact rows, then the restored rows. Both parts are one record of
-image geometry and a path: the path's samples for exact rows, its grid
-nodes and the cubic's table for restored ones. Every row holds meters
-at the audio rate, cfg.audio_rate. synthesize never asks the record for
-a distance; row(i) and d form whole rows for dumps and checks.
+is a plain record of its rows in parts, in row order: each part holds
+exactly what the row kernel reads, its rows' mirrored mics and spreading
+coefficients and a path, the path's samples for exact rows, its grid
+nodes and the cubic's table for restored ones. A render's record has an
+exact part, then a restored one (two exact parts on a clip of N samples
+or less). Every row holds meters at the audio rate, cfg.audio_rate.
+synthesize never asks the record for a distance; terms(i), row(i) and d
+form whole rows for dumps and checks, through the kernel's own
+row_terms.
 
 synthesize walks the output in fixed time chunks of CHUNK_SAMPLES,
 rounded up to whole restoration tiles. One job per chunk adds every
@@ -60,6 +63,7 @@ slices of the output. Chunk length and worker count change only the
 scheduling, never the arithmetic, so they never change the output bits.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,25 +133,42 @@ class SynthesisConfig:
 
 @dataclass(frozen=True)
 class _Rows:
-    """Image rows on one path: exact at its samples or restored from its nodes.
+    """Image rows on one path, exact at its samples or restored from its nodes.
 
-    offset, sign: (S, 3) image geometry, mic: (3,), positions: (P, 3). With
-    table None, positions is the path at every sample; with table, the
-    (4, h) cubic weights, it is the path at the grid nodes (decimate's
-    layout) and a row is the cubic restoration of its node values.
+    What the row kernel reads (_kernels.row_terms): q, (S, 3) mirrored
+    mics, coef, (S,) spreading coefficients attenuation(beta, 1), and
+    positions, (P, 3). With table None, positions is the path at every
+    sample; with table, the (4, h) cubic weights, it is the path at the
+    grid nodes (decimate's layout) and a row is the cubic restoration of
+    its node values.
     """
 
-    offset: np.ndarray
-    sign: np.ndarray
-    mic: np.ndarray
+    q: np.ndarray
+    coef: np.ndarray
     positions: np.ndarray
     table: np.ndarray = None
 
+    def window(self, start, stop):
+        """The positions output samples start .. stop - 1 are formed from.
+
+        The path's samples in the range, or the grid nodes it is restored
+        from.
+        """
+        if self.table is None:
+            return self.positions[start:stop]
+        step = self.table.shape[1]
+        return self.positions[start // step : -(-stop // step) + 3]
+
     def distances(self, rows=slice(None)):
         """Distances of the picked rows at every position, (S', P)."""
-        return _kernels.distance_streams(
-            self.offset[rows], self.sign[rows], self.mic, self.positions
-        )
+        return _kernels.mic_distances(self.q[rows], self.positions)
+
+
+def _part(images, room, mic, positions, table=None):
+    """The part of a record that holds images' rows on positions."""
+    offset, sign, beta, _ = as_arrays(images, room)
+    q = _kernels.mirrored_mics(offset, sign, mic.pos)
+    return _Rows(q, attenuation(beta, 1.0), positions, table)
 
 
 @dataclass(frozen=True)
@@ -155,34 +176,47 @@ class DelayStreams:
     """Per-image distance streams, described rather than stored.
 
     Row i belongs to specs[i] and holds meters at the audio rate for
-    `length` samples. Rows 0..E-1 are the exact part, rows E..S-1 the
-    restored part (rows on the grid nodes and the cubic's table),
-    E = exact_count(); a part with no rows may be None. row(i) computes
-    one whole row; d builds the whole (S, length) array. eval_count
-    tallies the distance evaluations the streams stand for (grid-node
-    evaluations for decimated images), for cost reporting.
+    `length` samples. parts holds the rows in row order, each part a
+    _Rows record of the row kernel's inputs. terms(i, ...) forms one
+    whole row's folded delay and gain as a render does, row(i) its
+    distance, d the whole (S, length) distance array. eval_count tallies
+    the distance evaluations the streams stand for (grid-node evaluations
+    for decimated images), for cost reporting.
     """
 
     specs: list
     length: int
-    exact: _Rows = None
-    restored: _Rows = None
-    eval_count: int = 0
+    parts: tuple = ()
 
     def image_count(self):
         return len(self.specs)
 
-    def exact_count(self):
-        return 0 if self.exact is None else self.exact.offset.shape[0]
+    @property
+    def eval_count(self):
+        return sum(p.q.shape[0] * p.positions.shape[0] for p in self.parts)
+
+    def terms(self, i, scale, fold, d_min):
+        """Folded delay d * scale + fold and gain of row i, whole length.
+
+        The row the render forms (_kernels.row_terms), restored for a far
+        row. Returns (x, gain).
+        """
+        for part in self.parts:
+            if i < part.q.shape[0]:
+                pick = slice(i, i + 1)
+                path = part.window(0, self.length)
+                return next(
+                    _kernels.row_terms(
+                        part.q[pick], path, part.coef[pick], scale, fold, d_min,
+                        self.length, 0, part.table,
+                    )
+                )
+            i -= part.q.shape[0]
+        raise IndexError("row index out of range")
 
     def row(self, i):
-        """Distances of row i over the whole length."""
-        e = self.exact_count()
-        part, j = (self.exact, i) if i < e else (self.restored, i - e)
-        d = part.distances(slice(j, j + 1))[0]
-        if part.table is None:
-            return d
-        return _kernels.restore_cubic(d, part.table, np.empty(self.length))
+        """Distances of row i over the whole length: terms at scale 1, fold 0."""
+        return self.terms(i, 1.0, 0.0, 1.0)[0]
 
     @property
     def d(self):
@@ -194,14 +228,12 @@ class DelayStreams:
 
 
 def low_order_distances(images, traj, mic, room):
-    """Exact per-sample distances for the near (low-order) image set."""
-    offset, sign, _, _ = as_arrays(images, room)
-    return DelayStreams(
-        specs=list(images),
-        length=len(traj),
-        exact=_Rows(offset, sign, mic.pos, traj.positions),
-        eval_count=len(images) * len(traj),
-    )
+    """Exact per-sample distances for the near (low-order) image set.
+
+    One part: the images' rows on the path's every sample.
+    """
+    rows = _part(images, room, mic, traj.positions)
+    return DelayStreams(specs=list(images), length=len(traj), parts=(rows,))
 
 
 def high_order_distances(images, nodes, mic, room, out_len, factor):
@@ -216,28 +248,21 @@ def high_order_distances(images, nodes, mic, room, out_len, factor):
     and the rows are exact (no table), so out_len must equal its length:
     raises ValueError otherwise.
     """
-    offset, sign, _, _ = as_arrays(images, room)
     step = grid_step(factor)
     if step == 1 and out_len != len(nodes):
         raise ValueError("at factor 1 out_len must equal the path length")
     table = None if step == 1 else lagrange_table(step)
-    rows = _Rows(offset, sign, mic.pos, nodes.positions, table)
-    return DelayStreams(
-        specs=list(images),
-        length=out_len,
-        exact=rows if table is None else None,
-        restored=None if table is None else rows,
-        eval_count=len(images) * len(nodes),
-    )
+    rows = _part(images, room, mic, nodes.positions, table)
+    return DelayStreams(specs=list(images), length=out_len, parts=(rows,))
 
 
 def merge_streams(low, high):
-    """low's rows, then high's: a checked concatenation.
+    """low's rows, then high's: a checked concatenation of specs and parts.
 
-    low must be exact, and every low spec must precede every high spec, so
-    rows sorted within each side stay in enumeration order. Two exact
-    parts on the same path and mic fold into one. Raises ValueError when
-    these do not hold or when the lengths differ.
+    Every low spec must precede every high spec, so rows sorted within
+    each side stay in enumeration order, and every exact part must lie on
+    one path. Raises ValueError when these do not hold or when the
+    lengths differ.
     """
     if low.image_count() == 0:
         return high
@@ -245,30 +270,14 @@ def merge_streams(low, high):
         return low
     if low.length != high.length:
         raise ValueError("stream lengths differ")
-    if low.restored is not None:
-        raise ValueError("the low side must be exact")
     if max(low.specs) > min(high.specs):
         raise ValueError("every low image must precede every high image")
-    exact = low.exact
-    if high.exact is not None:
-        other = high.exact
-        if not (
-            np.array_equal(other.mic, exact.mic)
-            and np.array_equal(other.positions, exact.positions)
-        ):
-            raise ValueError("exact rows on different paths")
-        exact = _Rows(
-            np.concatenate([exact.offset, other.offset]),
-            np.concatenate([exact.sign, other.sign]),
-            exact.mic,
-            exact.positions,
-        )
+    parts = low.parts + high.parts
+    paths = [p.positions for p in parts if p.table is None]
+    if not all(np.array_equal(p, paths[0]) for p in paths[1:]):
+        raise ValueError("exact rows on different paths")
     return DelayStreams(
-        specs=list(low.specs) + list(high.specs),
-        length=low.length,
-        exact=exact,
-        restored=high.restored,
-        eval_count=low.eval_count + high.eval_count,
+        specs=list(low.specs) + list(high.specs), length=low.length, parts=parts
     )
 
 
@@ -285,17 +294,6 @@ def _run(job, tasks, workers):
         return list(pool.map(job, *zip(*tasks)))
 
 
-def far_gain_nodes(streams, i, d_min):
-    """Gain of restored row i at its grid nodes, (K,).
-
-    attenuation(beta, max(d, d_min)) of the row's node distances, as
-    synthesize forms them before restoring the gain.
-    """
-    j = i - streams.exact_count()
-    d = streams.restored.distances(slice(j, j + 1))[0]
-    return attenuation(streams.specs[i].beta, np.maximum(d, d_min))
-
-
 def synthesize(s, streams, f, cfg):
     """Render the moving-image mixture of s at the receiver.
 
@@ -310,14 +308,15 @@ def synthesize(s, streams, f, cfg):
     a read outside the input adds nothing.
 
     One job per time chunk adds every row, in row order, into its slice
-    of the output through accumulate_rows: the exact part on the path's
-    samples in the chunk, then the restored part on the grid nodes the
-    chunk is restored from. Each row's distance to its mirrored mic,
-    folded delay tau + L - D0 and gain are formed there, in the kernel's
-    scratch rows; a far row's are formed at its nodes and restored, so it
-    never holds a per-sample distance. The tail holds every row at its
-    folded delay and gain at the path's end, and one accumulate_held call
-    on the calling thread adds it.
+    of the output through accumulate_rows, part by part, each on the
+    positions its window gives for the chunk: an exact part's path
+    samples, a restored part's grid nodes. Each row's distance to its
+    mirrored mic, folded delay tau + L - D0 and gain are formed there
+    (_kernels.row_terms), in the kernel's scratch rows; a far row's are
+    formed at its nodes and restored, so it never holds a per-sample
+    distance. The tail holds every row at its folded delay and gain at
+    the path's end, and one accumulate_held call on the calling thread
+    adds it.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
@@ -332,39 +331,26 @@ def synthesize(s, streams, f, cfg):
     fold = shift - f.nominal_delay
     scale = cfg.audio_rate / cfg.sound_speed
     length = streams.length
-    n_exact = streams.exact_count()
+    parts = streams.parts
     held = np.empty((n_images, 2))  # folded delay and gain at the path's end
-    # each part with its mirrored mics, spreading coefficients
-    # attenuation(beta, 1) and rows of held
-    parts = []
-    for rows, pick in (
-        (streams.exact, slice(0, n_exact)),
-        (streams.restored, slice(n_exact, None)),
-    ):
-        if rows is not None:
-            q = _kernels.mirrored_mics(rows.offset, rows.sign, rows.mic)
-            beta = np.array([sp.beta for sp in streams.specs[pick]])
-            parts.append((rows, q, attenuation(beta, 1.0), held[pick]))
+    held_parts = np.split(held, np.cumsum([p.q.shape[0] for p in parts])[:-1])
     path = np.zeros(length)
 
     def path_job(start, stop):
         top = -np.inf
-        for rows, q, coef, last in parts:
-            # the path's samples in the chunk, or the nodes it is restored from
-            window = slice(start, stop)
-            if rows.table is not None:
-                step = rows.table.shape[1]
-                window = slice(start // step, -(-stop // step) + 3)
+        for part, last in zip(parts, held_parts):
             x_max = _kernels.accumulate_rows(
-                path[start:stop], branch, q, rows.positions[window], coef, scale,
-                fold, cfg.d_min, shift, start, last if stop == length else None,
-                rows.table,
+                path[start:stop], branch, part.q, part.window(start, stop),
+                part.coef, scale, fold, cfg.d_min, shift, start,
+                last if stop == length else None, part.table,
             )
             top = max(top, x_max)
         return top - fold  # the chunk's largest delay
 
-    restored = streams.restored
-    chunk = 1 if restored is None else _kernels.TILE_BLOCKS * restored.table.shape[1]
+    # whole restoration tiles of every restored part
+    chunk = math.lcm(
+        *(_kernels.TILE_BLOCKS * p.table.shape[1] for p in parts if p.table is not None)
+    )
     chunk *= -(-CHUNK_SAMPLES // chunk)
     pieces = [(t, min(t + chunk, length)) for t in range(0, length, chunk)]
     tau_max = max(_run(path_job, pieces, cfg.workers))
@@ -413,12 +399,10 @@ def _check_delay_error(rows, traj, cfg):
     at = traj.positions[probes]
     size = max(1, _kernels.DISTANCE_BLOCK // rows.positions.shape[0])
     worst = 0.0
-    for a in range(0, rows.offset.shape[0], size):
+    for a in range(0, rows.q.shape[0], size):
         pick = slice(a, a + size)
         nodes = rows.distances(pick)
-        miss = _kernels.distance_streams(
-            rows.offset[pick], rows.sign[pick], rows.mic, at
-        )
+        miss = _kernels.mic_distances(rows.q[pick], at)
         for k in range(4):
             miss -= nodes[:, block + k] * rows.table[k, phase]
         worst = max(worst, float(np.abs(miss).max()))
@@ -454,8 +438,9 @@ def prepare_streams(traj, room, mic, cfg, images=None):
     factor = _far_factor(cfg, len(traj))
     nodes = decimate(traj, factor)
     high_streams = high_order_distances(high, nodes, mic, room, len(traj), factor)
-    if high and high_streams.restored is not None:
-        _check_delay_error(high_streams.restored, traj, cfg)
+    for part in high_streams.parts:
+        if part.table is not None:
+            _check_delay_error(part, traj, cfg)
     return merge_streams(low_streams, high_streams)
 
 

@@ -28,18 +28,23 @@ from conftest import sine
 RATE = 16000.0
 
 
+SRC = str(pathlib.Path(io_formats.__file__).parents[1])
+
+
 def run_cli(*args, cwd=None):
+    """The CLI in a fresh interpreter that imports moverb from this tree."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "moverb.cli", *[str(a) for a in args]],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
 def modules_loaded_by_import(names):
     """The given modules that a fresh `import moverb` leaves in sys.modules."""
-    src = str(pathlib.Path(io_formats.__file__).parents[1])
     code = (
         "import sys, moverb; "
         f"print(sorted(m for m in {names!r} if m in sys.modules))"
@@ -48,7 +53,7 @@ def modules_loaded_by_import(names):
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": SRC},
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
@@ -430,9 +435,9 @@ class TestImageDebugDump:
         spec = TrajectorySpec("sine", 2.0, 2.0, 1.0, seed=7)
         traj = generate(spec, RATE, room_5x6x4)
         streams = prepare_streams(traj, room_5x6x4, mic_std, cfg)
-        n_exact = streams.exact_count()
-        rows = streams.restored
-        assert rows is not None and streams.image_count() > n_exact
+        *exact, rows = streams.parts
+        n_exact = sum(p.q.shape[0] for p in exact)
+        assert rows.table is not None and streams.image_count() > n_exact
         csv = tmp_path / "img.csv"
         for i in (n_exact, streams.image_count() - 1):
             io_formats.write_image_debug_csv(csv, streams, i, cfg)

@@ -11,7 +11,6 @@ from moverb.farrow import (
     branch_filter,
     delay_stream,
     design,
-    evaluate,
     evaluate_power_sum,
     group_delay,
     guarded_branches,
@@ -263,22 +262,26 @@ class TestBranchFilter:
 
 class TestEvaluation:
     def test_horner_matches_power_sum(self, filt):
+        # the engine's Horner pass, at one constant delay
         rng = np.random.default_rng(7)
         x = rng.standard_normal(256)
         v = branch_filter(x, filt)
         for total in (5.3, 11.75, 40.0):
             sp = split_delay(total, filt)
+            y = delay_stream(x, filt, np.full(x.size, total))
             for n in range(60, 90):
-                a = evaluate(v, n, sp)
+                a = y[n]
                 b = evaluate_power_sum(v, n, sp)
                 assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
     def test_out_of_range_reads_are_zero(self, filt):
         x = np.ones(16)
         v = branch_filter(x, filt)
-        sp = split_delay(5.5, filt)
-        assert evaluate(v, -1, sp) == 0.0
-        assert evaluate(v, v.shape[1] + 10, sp) == 0.0
+        # every output sample reads before the input
+        assert np.all(delay_stream(x, filt, np.full(4, 40.5)) == 0.0)
+        # samples from v.shape[1] + 10 on read past its end
+        y = delay_stream(x, filt, np.full(v.shape[1] + 20, 5.5))
+        assert np.all(y[v.shape[1] + 10 :] == 0.0)
 
 
 class TestDelayStream:

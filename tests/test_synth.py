@@ -2,6 +2,7 @@ import concurrent.futures
 import sys
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -510,7 +511,8 @@ class TestMerge:
 
     def test_merge_interleaved_sides(self, room_5x6x4, mic_std):
         # the merge concatenates: sides that interleave in enumeration order
-        # are refused, and so is a low side with restored rows
+        # are refused, and so is a low side with restored rows, whose images
+        # are far ones
         tr = moving_traj(4000, duration=0.25)
         images = enumerate_images(room_5x6x4, 2)
         a = low_order_distances(images[1::2], tr, mic_std, room_5x6x4)
@@ -521,7 +523,7 @@ class TestMerge:
         nodes = decimate(tr, 3200)
         far = high_order_distances(far, nodes, mic_std, room_5x6x4, len(tr), 3200)
         low = low_order_distances(near, tr, mic_std, room_5x6x4)
-        with pytest.raises(ValueError, match="exact"):
+        with pytest.raises(ValueError, match="precede"):
             merge_streams(far, low)
         assert merge_streams(low, far).specs == images
 
@@ -531,7 +533,12 @@ class TestMerge:
         a = low_order_distances(images[:7], tr, mic_std, room_5x6x4)
         b = high_order_distances(images[7:], tr, mic_std, room_5x6x4, len(tr), 1)
         merged = merge_streams(a, b)
-        assert merged.restored is None and merged.exact_count() == len(images)
+        # two exact parts in row order, no fold
+        assert len(merged.parts) == 2
+        assert merged.parts[0] is a.parts[0] and merged.parts[1] is b.parts[0]
+        assert all(p.table is None for p in merged.parts)
+        direct = low_order_distances(images, tr, mic_std, room_5x6x4)
+        assert np.array_equal(merged.d, direct.d)
         other = moving_traj(2000, duration=0.125, seed=4)
         c = low_order_distances(images[7:], other, mic_std, room_5x6x4)
         with pytest.raises(ValueError, match="different paths"):
@@ -683,15 +690,16 @@ def exact_row(streams, i, cfg, f):
     return x, gain, x.max() - fold
 
 
-def unmirrored_exact_row(streams, i, cfg, f):
+def unmirrored_exact_row(streams, i, cfg, f, room, mic):
     """An exact row formed as before mirrored mics: per-sample tau, then x.
 
     d = |offset + sign * p - mic|, tau = rate d / c, x = (tau + L) - D0
     and A = beta / (4 pi max(d, d_min)).
     """
-    rows = streams.exact  # exact rows come first: row i is exact row i
+    offset, sign, _, _ = as_arrays(streams.specs, room)
+    path = streams.parts[0].positions  # exact rows come first, on the path
     d = unmirrored_distance_streams(
-        rows.offset[i : i + 1], rows.sign[i : i + 1], rows.mic, rows.positions
+        offset[i : i + 1], sign[i : i + 1], mic.pos, path
     )[0]
     tau = cfg.audio_rate * d / cfg.sound_speed
     x = (tau + f.branch_len) - f.nominal_delay
@@ -699,35 +707,41 @@ def unmirrored_exact_row(streams, i, cfg, f):
     return x, gain, tau.max()
 
 
+def restored_row(streams, i, part, j, cfg, f):
+    """A far row as synthesize forms it: (folded delay, gain, peak delay).
+
+    Row i is row j of part. Its folded delay d (rate / c) + L - D0 and
+    its gain (beta / 4 pi) / max(d, d_min) are formed at the grid nodes,
+    as exact rows form them per sample, and restored whole with
+    bandlimited_upsample.
+    """
+    fold = f.branch_len - f.nominal_delay
+    nodes = part.distances(slice(j, j + 1))[0]
+    step = part.table.shape[1]
+    delay = nodes * (cfg.audio_rate / cfg.sound_speed) + fold
+    gain = streams.specs[i].beta / (4.0 * np.pi) / np.maximum(nodes, cfg.d_min)
+    x = bandlimited_upsample(delay, step, streams.length)
+    gain = bandlimited_upsample(gain, step, streams.length)
+    return x, gain, x.max() - fold
+
+
 def whole_array_render(s, streams, f, cfg, exact=exact_row):
     """A render with every stream held whole.
 
     The arithmetic synthesize must reproduce bit for bit. Exact rows form
-    their folded delay and gain from whole distance rows (exact). Far rows
-    form their folded delay d (rate / c) + L - D0 and their gain
-    (beta / 4 pi) / max(d, d_min) at the grid nodes, as exact rows form
-    them per sample, and restore whole rows of both with
-    bandlimited_upsample. Past the
-    path's end every row holds its last values. Every row is accumulated
+    their folded delay and gain from whole distance rows (exact), far rows
+    at the grid nodes (restored_row). Past the path's end every row holds
+    its last values. Every row is accumulated
     over the full output into one buffer, in row order.
     """
-    fold = f.branch_len - f.nominal_delay
-    beta = np.array([sp.beta for sp in streams.specs])
     rows = []  # (folded delay row, gain row)
     tau_max = -np.inf
-    n_exact = streams.exact_count()
-    for i in range(streams.image_count()):
-        if i < n_exact:
+    parts = [(p, j) for p in streams.parts for j in range(p.q.shape[0])]
+    for i, (part, j) in enumerate(parts):
+        if part.table is None:
             x, gain, peak = exact(streams, i, cfg, f)
         else:
-            part = streams.restored
-            nodes = part.distances(slice(i - n_exact, i - n_exact + 1))[0]
-            step = part.table.shape[1]
-            delay = nodes * (cfg.audio_rate / cfg.sound_speed) + fold
-            gain = beta[i] / (4.0 * np.pi) / np.maximum(nodes, cfg.d_min)
-            x = bandlimited_upsample(delay, step, streams.length)
-            gain = bandlimited_upsample(gain, step, streams.length)
-            peak = x.max() - fold
+            x, gain, peak = restored_row(streams, i, part, j, cfg, f)
         rows.append((x, gain))
         tau_max = max(tau_max, peak)
     out_len = s.size + int(np.ceil(tau_max)) + f.branch_len
@@ -965,11 +979,39 @@ class TestExactRowsMatchUnmirroredArithmetic:
         x = np.random.default_rng(21).standard_normal(n)
         streams = prepare_streams(tr, room_5x6x4, mic_std, cfg)
         got = synthesize(x, streams, filt, cfg)
-        want = whole_array_render(x, streams, filt, cfg, exact=unmirrored_exact_row)
+        exact = partial(unmirrored_exact_row, room=room_5x6x4, mic=mic_std)
+        want = whole_array_render(x, streams, filt, cfg, exact=exact)
         assert got.size == want.size > t_len
         assert snr_whole_db(got, want) >= 240.0
         tail = slice(t_len, None)
         assert snr_whole_db(got[tail], want[tail]) >= 240.0
+
+
+class TestRowTerms:
+    @pytest.mark.parametrize(
+        "factor, tables", [(3200, [False, True]), (1, [False, False])]
+    )
+    def test_terms_are_the_rows_the_render_forms(
+        self, factor, tables, filt, room_5x6x4, mic_std
+    ):
+        # an exact part and a restored part, or two exact parts; every
+        # row's terms have the bits of the whole-array render's row
+        tr = moving_traj(8000, duration=0.5, seed=9)
+        cfg = SynthesisConfig(max_order=3, decimation=factor)
+        streams = prepare_streams(tr, room_5x6x4, mic_std, cfg)
+        assert [p.table is not None for p in streams.parts] == tables
+        scale = cfg.audio_rate / cfg.sound_speed
+        fold = filt.branch_len - filt.nominal_delay
+        parts = [(p, j) for p in streams.parts for j in range(p.q.shape[0])]
+        assert len(parts) == streams.image_count() == 63
+        for i, (part, j) in enumerate(parts):
+            x, gain = streams.terms(i, scale, fold, cfg.d_min)
+            if part.table is None:
+                want_x, want_gain, _ = exact_row(streams, i, cfg, filt)
+            else:
+                want_x, want_gain, _ = restored_row(streams, i, part, j, cfg, filt)
+            assert same_bits(x, want_x), f"row {i} delay"
+            assert same_bits(gain, want_gain), f"row {i} gain"
 
 
 class TestShortClips:
@@ -1064,7 +1106,7 @@ class TestDelayErrorGuard:
         with monkeypatch.context() as patch:
             patch.setattr(synth, "DELAY_ERROR_BUDGET", 1.0)
             streams = prepare_streams(tr, room_5x6x4, mic_std, cfg)
-        e = streams.exact_count()
+        e = sum(p.q.shape[0] for p in streams.parts if p.table is None)
         offset, sign, _, _ = as_arrays(streams.specs[e:], room_5x6x4)
         worst = 0.0
         for i in range(streams.image_count() - e):
@@ -1102,7 +1144,7 @@ class TestDelayErrorGuard:
         streams, peak = traced_peak_mb(
             lambda: prepare_streams(tr, room_5x6x4, mic_std, cfg)
         )
-        assert streams.restored is not None
+        assert any(p.table is not None for p in streams.parts)
         assert peak < 2.0, f"peak {peak:.2f} MB"
 
     def test_fast_path_renders_at_a_lower_decimation(
