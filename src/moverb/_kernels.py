@@ -11,7 +11,7 @@ they allocate nothing per step and give the bits of the plain expressions.
 A distance is the path's distance to the image's mirrored mic
 (mirrored_mics), one shared row expression (_distance_rows); distance
 tables (mic_distances) are built in blocks of rows of at most
-DISTANCE_BLOCK elements. A row's folded delay and gain have one home,
+DISTANCE_BLOCK elements. A row's delay and gain have one home,
 row_terms, which the render and the stream record's rows read: it forms
 them from the row's mirrored mic and spreading coefficient on a path,
 the path's samples for an exact (near) row, its grid nodes for a far
@@ -109,13 +109,12 @@ def distance_streams(offset, sign, mic, pos):
 # ---------------------------------------------------------------------------
 # fractional-delay accumulation
 #
-# For output index n an image's folded delay x = tau + offset - D0 puts its
-# read on the branch streams at input time n + offset - floor(x), guarded
-# index one more, at fraction x - floor(x); offset cancels in the resolved
-# signal time and keeps every read above the filter latency. Horner
-# evaluation of the branch values in the fraction, scaled by the image's
-# gain, is accumulated into out. Rows are added in the order given, which
-# is the summation order.
+# For output index n an image's delay tau, in samples, reads the branch
+# streams at input time n + D0 - floor(tau), guarded index one more, at
+# fraction tau - floor(tau): farrow.split_delay's split, with the bank's
+# latency D0 the one integer offset of the read base. Horner evaluation in
+# the fraction, scaled by the image's gain, is added into out, rows in the
+# order given, which is the summation order.
 
 
 def _scratch(n, first):
@@ -152,26 +151,26 @@ def _horner_row(out, streams, x, gain, scratch):
     out += acc
 
 
-def row_terms(q, path, coef, scale, fold, d_min, n, start=0, table=None):
-    """Each row's folded delay and gain over n output samples, in row order.
+def row_terms(q, path, coef, scale, d_min, n, start=0, table=None):
+    """Each row's delay and gain over n output samples, in row order.
 
     q: (S, 3) mirrored mics (mirrored_mics), coef: (S,) spreading
     coefficients attenuation(beta, 1) = beta / (4 pi), scale: rate / c
-    in samples per meter, fold: L - D0 in a render.
+    in samples per meter.
 
     Per row, scratch rows as long as path receive the distance
-    d = |p - q| (the arithmetic of mic_distances), the folded delay
-    x = d * scale + fold and the gain coef / max(d, d_min), which is
+    d = |p - q| (the arithmetic of mic_distances), the delay
+    tau = d * scale and the gain coef / max(d, d_min), which is
     attenuation(beta, max(d, d_min)) bit for bit. With table None, path
     is (n, 3), the path at the range's samples, and those rows are
     yielded as they are. With table, the (4, h) cubic weights, path holds
     the grid nodes output samples start .. start + n - 1 are restored
     from, nodes start // h up to ceil((start + n) / h) + 3 (fewer at the
-    path's end), and restore_cubic fills n-long rows of x and gain from
+    path's end), and restore_cubic fills n-long rows of tau and gain from
     them; start must then be a tile boundary, a multiple of
     TILE_BLOCKS * h (ValueError otherwise).
 
-    Yields (x, gain) per row, in scratch that the next row overwrites; a
+    Yields (tau, gain) per row, in scratch that the next row overwrites; a
     caller may overwrite it too.
     """
     pos_t = np.array(path.T, order="C")
@@ -187,7 +186,6 @@ def row_terms(q, path, coef, scale, fold, d_min, n, start=0, table=None):
         # g holds the distance until it becomes the gain; x is its scratch
         _distance_rows(q[i], pos_t, g, x)
         np.multiply(g, scale, out=x)
-        x += fold
         np.maximum(g, d_min, out=g)
         np.divide(coef[i], g, out=g)
         if table is None:
@@ -197,51 +195,49 @@ def row_terms(q, path, coef, scale, fold, d_min, n, start=0, table=None):
 
 
 def accumulate_rows(
-    out, streams, q, path, coef, scale, fold, d_min, offset, start=0, last=None,
-    table=None,
+    out, streams, q, path, coef, scale, d_min, d0, start=0, last=None, table=None
 ):
     """Sum image rows, formed from the path, into out.
 
     out: (T,) accumulator for output indices start .. start + T - 1,
     streams: (M+1, Ls) guarded branch streams shared by all rows
     (farrow.guarded_branches), scale: rate / c in samples per meter,
-    fold: L - D0, offset: the read index shift L, which fold carries in
-    the delay. start only moves the read index, so a range of output
-    samples gets the same bits as the whole stream does. q, path, coef,
-    d_min and table form each row's folded delay and gain over the range
-    as in row_terms; one Horner pass per row reads the streams.
+    d0: the bank's latency D0. start only moves the read index, so a
+    range of output samples gets the same bits as the whole stream does.
+    q, path, coef, d_min and table form each row's delay and gain over
+    the range as in row_terms; one Horner pass per row reads the streams.
 
-    last, if given, is an (S, 2) array that receives each row's x and
-    gain at the range's final sample. Returns the largest x (-inf when
-    there is nothing to add).
+    last, if given, is an (S, 2) array that receives each row's delay and
+    gain at the range's final sample. Returns the largest delay (-inf
+    when there is nothing to add).
     """
     n = out.shape[0]
     if n == 0 or q.shape[0] == 0:
         return -np.inf
-    scratch = _scratch(n, start + offset)
-    terms = row_terms(q, path, coef, scale, fold, d_min, n, start, table)
+    scratch = _scratch(n, start + d0)
+    terms = row_terms(q, path, coef, scale, d_min, n, start, table)
     top = -np.inf
-    for i, (x, g) in enumerate(terms):
+    for i, (tau, g) in enumerate(terms):
         if last is not None:
-            last[i] = x[-1], g[-1]
-        top = max(top, float(x.max()))
-        _horner_row(out, streams, x, g, scratch)
+            last[i] = tau[-1], g[-1]
+        top = max(top, float(tau.max()))
+        _horner_row(out, streams, tau, g, scratch)
     return top
 
 
-def accumulate_held(out, streams, delay, gain, offset, start=0):
-    """Sum rows held at one folded delay and gain into out.
+def accumulate_held(out, streams, delay, gain, d0, start=0):
+    """Sum rows held at one delay and gain into out.
 
-    delay, gain: (S,) per-row folded delay x = tau + offset - D0 and gain,
-    constant over the range; the rest is as in accumulate_rows. This is
-    the tail past a path's end, where each row keeps its last values: a
-    row of x filled with its delay goes through the one Horner pass.
+    delay, gain: (S,) per-row delay in samples and gain, constant over
+    the range; the rest is as in accumulate_rows. This is the tail past a
+    path's end, where each row keeps its last values: a row filled with
+    its delay goes through the one Horner pass.
     """
     n = out.shape[0]
     x = np.empty(n)
-    scratch = _scratch(n, start + offset)
-    for xi, g in zip(delay.tolist(), gain.tolist()):
-        x.fill(xi)
+    scratch = _scratch(n, start + d0)
+    for tau, g in zip(delay.tolist(), gain.tolist()):
+        x.fill(tau)
         _horner_row(out, streams, x, g, scratch)
 
 

@@ -158,7 +158,7 @@ def _cmd_compare(args):
         io_formats.write_report(args.report, report)
         print(f"wrote {args.report}")
     if args.csv:
-        io_formats.write_compare_csv(args.csv, a, report, rate_a)
+        io_formats.write_compare_csv(args.csv, a, rate_a)
         print(f"wrote {args.csv}")
     return EXIT_OK
 

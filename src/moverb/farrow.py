@@ -209,8 +209,8 @@ def split_delay(total_delay, f):
     """Split a total delay in samples into (integer, fractional) parts.
 
     D = floor(total - D0), mu = total - D0 - D in [0, 1). Delays below the
-    filter's nominal latency D0 cannot be realized causally; the synthesis
-    engine shifts its read index to keep requests in range.
+    filter's nominal latency D0 cannot be realized causally. The render
+    reads the same split: index n + D0 - floor(total) = n - D, fraction mu.
     """
     total = float(total_delay)
     if not np.isfinite(total):
@@ -268,7 +268,8 @@ def delay_stream(x, f, tau):
 
     tau gives the requested delay in samples for each output index; all
     values must be >= the filter latency D0. One shared branch-filter pass
-    serves every output sample.
+    serves every output sample, read by the render's Horner pass
+    (_kernels._horner_row): a render's row is delay_stream times its gain.
     """
     tau = np.asarray(tau, dtype=np.float64)
     if tau.ndim != 1:
@@ -277,9 +278,7 @@ def delay_stream(x, f, tau):
         raise ValueError("tau must be finite")
     if np.any(tau < f.nominal_delay):
         raise ValueError("tau below the filter latency; pad the input first")
-    streams = guarded_branches(x, f)
-    n = tau.size
-    out = np.zeros(n)
-    scratch = _kernels._scratch(n, 0)
-    _kernels._horner_row(out, streams, tau - f.nominal_delay, 1.0, scratch)
+    out = np.zeros(tau.size)
+    scratch = _kernels._scratch(tau.size, f.nominal_delay)
+    _kernels._horner_row(out, guarded_branches(x, f), tau.copy(), 1.0, scratch)
     return out

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .farrow import FarrowFilter
+from .reference import analytic_tracks
 from .room import MicPosition, Room
 from .synth import SynthesisConfig
 from .trajectory import Trajectory, TrajectorySpec
@@ -251,14 +252,10 @@ def read_report(path):
         return parse_config_text(fh.read())
 
 
-def write_compare_csv(path, a, report, rate):
-    """Per-sample envelope and instantaneous-frequency columns of a."""
-    from scipy.signal import hilbert
-
-    analytic = hilbert(np.asarray(a, dtype=np.float64))
-    envelope = np.abs(analytic)
-    phase_step = np.angle(analytic[1:] * np.conj(analytic[:-1]))
-    inst = np.concatenate([[0.0], phase_step * rate / (2.0 * np.pi)])
+def write_compare_csv(path, a, rate):
+    """Per-sample envelope and (unsmoothed, 0 at n = 0) frequency columns of a."""
+    envelope, inst = analytic_tracks(np.asarray(a, dtype=np.float64), rate)
+    inst = np.concatenate([[0.0], inst])
     with open(path, "w") as fh:
         fh.write("n,envelope,inst_freq\n")
         for n in range(envelope.size):
@@ -269,16 +266,14 @@ def write_image_debug_csv(path, streams, image_index, cfg):
     """Columns n, d_i, tau_i, A_i for one image of a stream set.
 
     tau_i and A_i are the delay in samples and the gain synthesize forms
-    for the row (streams.terms, the row kernel's own terms, unfolded):
+    for the row (streams.terms, the row kernel's own terms):
     per sample for an exact row, restored from its grid nodes for a far
     one. d_i is the row's distance (streams.row).
     """
     if not 0 <= image_index < streams.image_count():
         raise ValueError("image index out of range")
     d = streams.row(image_index)
-    tau, amp = streams.terms(
-        image_index, cfg.audio_rate / cfg.sound_speed, 0.0, cfg.d_min
-    )
+    tau, amp = streams.terms(image_index, cfg.audio_rate / cfg.sound_speed, cfg.d_min)
     with open(path, "w") as fh:
         fh.write("n,d_i,tau_i,A_i\n")
         for n in range(d.size):

@@ -13,8 +13,9 @@ import numpy as np
 
 from ._kernels import distance_streams
 from .room import as_arrays, as_mic, attenuation, enumerate_images
-from .synth import BudgetError, SynthesisConfig, _count_order_leq, render
-from .trajectory import Trajectory
+from .synth import (
+    BudgetError, _count_order_leq, prepare_streams, select_images, synthesize,
+)
 
 _DIRECT_CONV_LIMIT = 5_000_000  # ops bound below which exact O(n m) is used
 SINC_HALFWIDTH = 32
@@ -116,16 +117,20 @@ def full_rate_moving_oracle(s, traj, room, mic, f, cfg):
 
     Identical pipeline to the hierarchical engine with decimation 1, so
     the engine at N = 1 matches this bit for bit. Refuses jobs whose
-    distance-evaluation count exceeds cfg.eval_budget.
+    distance-evaluation count exceeds cfg.eval_budget: the path's samples
+    times the images the render uses, those select_images keeps when
+    cfg.t60 is set.
     """
-    n_images = _count_order_leq(cfg.max_order)
+    cfg = replace(cfg, decimation=1)
+    images = None if cfg.t60 is None else select_images(room, traj, as_mic(mic), cfg)
+    n_images = _count_order_leq(cfg.max_order) if images is None else len(images)
     evals = n_images * len(traj)
     if evals > cfg.eval_budget:
         raise BudgetError(
             f"oracle render needs {evals:.3g} distance evaluations, "
             f"budget is {cfg.eval_budget:.3g}"
         )
-    return render(s, traj, room, mic, f, replace(cfg, decimation=1))
+    return synthesize(s, prepare_streams(traj, room, mic, cfg, images), f, cfg)
 
 
 def splice_baseline(s, traj, room, mic, block_hop, crossfade, cfg):
@@ -186,6 +191,16 @@ def _brickwall(x, rate, cutoff_hz):
     return np.fft.irfft(spec, x.size)
 
 
+def analytic_tracks(a, rate):
+    """Hilbert envelope of a, (n,), and its instantaneous frequency in Hz
+    over each step between neighbouring samples, (n - 1,)."""
+    from scipy.signal import hilbert
+
+    analytic = hilbert(a)
+    phase_step = np.angle(analytic[1:] * np.conj(analytic[:-1]))
+    return np.abs(analytic), phase_step * rate / (2.0 * np.pi)
+
+
 def compare(a, b, passband=0.8, rate=16000.0, interior=0.05):
     """Measure a against reference b.
 
@@ -223,15 +238,10 @@ def compare(a, b, passband=0.8, rate=16000.0, interior=0.05):
     else:
         snr = min(200.0, 10.0 * np.log10(ref_energy / err_energy))
 
-    from scipy.signal import hilbert
-
-    analytic = hilbert(a)
-    envelope = np.abs(analytic)
+    envelope, inst_freq = analytic_tracks(a, rate)
     env_interior = envelope[lo:hi]
     env_jump = float(np.max(np.abs(np.diff(env_interior)))) if env_interior.size > 1 else 0.0
 
-    phase_step = np.angle(analytic[1:] * np.conj(analytic[:-1]))
-    inst_freq = phase_step * rate / (2.0 * np.pi)
     smooth = max(1, int(round(0.010 * rate)))
     kernel = np.full(smooth, 1.0 / smooth)
     inst_freq = np.convolve(inst_freq, kernel, mode="same")

@@ -4,17 +4,17 @@ Signal flow for one render:
 
     trajectory p(n) --+--> near images: distance d_i(n) = |p(n) - q_i| to
         |             |    the mirrored mic q_i at every sample
-        |             |        -> folded delay d_i(n) (fs / c) + L - D0,
+        |             |        -> delay tau_i(n) = d_i(n) (fs / c) samples,
         |             |           gain A_i(n) = (b_i / 4 pi) / max(d_i, d_min)
         |             |
         |             +--> far images: exact distances at grid nodes every
         |                  h-th sample, h = min(N, 400)
-        |                      -> node delay tau_k + L - D0 and node gain A_k
+        |                      -> node delay tau_k and node gain A_k
         |                      -> Lagrange cubic restores both in between
         v
     input s -> branch filters (one shared pass) -> per-image fractional
-    delay taps (Horner in the delay's fraction), scaled by the gain at
-    arrival and summed in row order
+    delay taps (farrow.delay_stream's read, Horner in tau's fraction),
+    scaled by the gain at arrival and summed in row order
 
 Motion changes image distances at the trajectory bandwidth (a few Hz),
 orders of magnitude below the audio rate, so a far (high-order) image
@@ -42,12 +42,12 @@ synthesize walks the output in fixed time chunks of CHUNK_SAMPLES,
 rounded up to whole restoration tiles. One job per chunk adds every
 row, one at a time in row order, straight into the chunk's slice of the
 output, through one kernel: near and far rows differ only in the path
-it reads. An exact row's distance, folded delay and gain are formed in
+it reads. An exact row's distance, delay and gain are formed in
 chunk-long scratch rows from the path's samples in the chunk; a far
 row's are formed at the grid nodes the chunk is restored from, and its
-folded delay and gain are restored in chunk-long scratch rows, so it
-never holds a per-sample distance. Past the path's end every row holds
-its folded delay and gain at the path's last sample; the tail adds them
+delay and gain are restored in chunk-long scratch rows, so it never
+holds a per-sample distance. Past the path's end every row holds its
+delay and gain at the path's last sample; the tail adds them
 on the calling thread. Beyond the input, the output and the path, no
 per-image array longer than a chunk is held: memory is
 O(workers x chunk) whatever the image count or the clip length. Chunks
@@ -178,7 +178,7 @@ class DelayStreams:
     Row i belongs to specs[i] and holds meters at the audio rate for
     `length` samples. parts holds the rows in row order, each part a
     _Rows record of the row kernel's inputs. terms(i, ...) forms one
-    whole row's folded delay and gain as a render does, row(i) its
+    whole row's delay and gain as a render does, row(i) its
     distance, d the whole (S, length) distance array. eval_count tallies
     the distance evaluations the streams stand for (grid-node evaluations
     for decimated images), for cost reporting.
@@ -195,8 +195,8 @@ class DelayStreams:
     def eval_count(self):
         return sum(p.q.shape[0] * p.positions.shape[0] for p in self.parts)
 
-    def terms(self, i, scale, fold, d_min):
-        """Folded delay d * scale + fold and gain of row i, whole length.
+    def terms(self, i, scale, d_min):
+        """Delay d * scale and gain of row i, whole length.
 
         The row the render forms (_kernels.row_terms), restored for a far
         row. Returns (x, gain).
@@ -207,7 +207,7 @@ class DelayStreams:
                 path = part.window(0, self.length)
                 return next(
                     _kernels.row_terms(
-                        part.q[pick], path, part.coef[pick], scale, fold, d_min,
+                        part.q[pick], path, part.coef[pick], scale, d_min,
                         self.length, 0, part.table,
                     )
                 )
@@ -215,8 +215,8 @@ class DelayStreams:
         raise IndexError("row index out of range")
 
     def row(self, i):
-        """Distances of row i over the whole length: terms at scale 1, fold 0."""
-        return self.terms(i, 1.0, 0.0, 1.0)[0]
+        """Distances of row i over the whole length: terms at scale 1."""
+        return self.terms(i, 1.0, 1.0)[0]
 
     @property
     def d(self):
@@ -301,22 +301,19 @@ def synthesize(s, streams, f, cfg):
     the whole streams. Past the end of the streams every row holds its
     last value (the tail rings with the final geometry); streams that run
     past the output are evaluated to their end for the maximum, then cut.
-    The delay request is shifted by L samples and the branch stream read
-    index shifted back by the same amount, which keeps every request above
-    the filter latency without physically padding the input. The branch
-    streams carry a zero guard at each end (farrow.guarded_branches), so
-    a read outside the input adds nothing.
+    A row's delay d (rate / c) is read as farrow.delay_stream reads it.
+    The branch streams carry a zero guard at each end
+    (farrow.guarded_branches), so a read outside the input adds nothing.
 
     One job per time chunk adds every row, in row order, into its slice
     of the output through accumulate_rows, part by part, each on the
     positions its window gives for the chunk: an exact part's path
     samples, a restored part's grid nodes. Each row's distance to its
-    mirrored mic, folded delay tau + L - D0 and gain are formed there
-    (_kernels.row_terms), in the kernel's scratch rows; a far row's are
-    formed at its nodes and restored, so it never holds a per-sample
-    distance. The tail holds every row at its folded delay and gain at
-    the path's end, and one accumulate_held call on the calling thread
-    adds it.
+    mirrored mic, delay and gain are formed there (_kernels.row_terms),
+    in the kernel's scratch rows; a far row's are formed at its nodes and
+    restored, so it never holds a per-sample distance. The tail holds
+    every row at its delay and gain at the path's end, and one
+    accumulate_held call on the calling thread adds it.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
@@ -327,25 +324,24 @@ def synthesize(s, streams, f, cfg):
     if n_images == 0:
         return np.zeros(s.size + f.branch_len)
     branch = farrow.guarded_branches(s, f)
-    shift = f.branch_len  # keeps tau + shift >= D0 for every physical delay
-    fold = shift - f.nominal_delay
+    d0 = f.nominal_delay
     scale = cfg.audio_rate / cfg.sound_speed
     length = streams.length
     parts = streams.parts
-    held = np.empty((n_images, 2))  # folded delay and gain at the path's end
+    held = np.empty((n_images, 2))  # delay and gain at the path's end
     held_parts = np.split(held, np.cumsum([p.q.shape[0] for p in parts])[:-1])
     path = np.zeros(length)
 
     def path_job(start, stop):
-        top = -np.inf
+        top = -np.inf  # the chunk's largest delay
         for part, last in zip(parts, held_parts):
-            x_max = _kernels.accumulate_rows(
+            peak = _kernels.accumulate_rows(
                 path[start:stop], branch, part.q, part.window(start, stop),
-                part.coef, scale, fold, cfg.d_min, shift, start,
+                part.coef, scale, cfg.d_min, d0, start,
                 last if stop == length else None, part.table,
             )
-            top = max(top, x_max)
-        return top - fold  # the chunk's largest delay
+            top = max(top, peak)
+        return top
 
     # whole restoration tiles of every restored part
     chunk = math.lcm(
@@ -358,7 +354,7 @@ def synthesize(s, streams, f, cfg):
     if out_len <= length:
         return path[:out_len]
     tail = np.zeros(out_len - length)
-    _kernels.accumulate_held(tail, branch, held[:, 0], held[:, 1], shift, length)
+    _kernels.accumulate_held(tail, branch, held[:, 0], held[:, 1], d0, length)
     return np.concatenate([path, tail])
 
 

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -165,6 +166,30 @@ class TestMovingOracle:
         cfg = SynthesisConfig(max_order=3, decimation=1, eval_budget=1000.0)
         with pytest.raises(BudgetError):
             full_rate_moving_oracle(x, traj, room_5x6x4, mic_std, filt, cfg)
+
+    def test_budget_counts_the_images_a_t60_cull_keeps(
+        self, filt, room_5x6x4, mic_std
+    ):
+        # of the 833 images up to order 8 the render keeps 472, and the
+        # budget counts those: 472 x samples is enough, one less is refused
+        spec = TrajectorySpec(
+            kind="sine", duration=0.25, bandwidth_limit=2.0, speed_max=1.0, seed=12
+        )
+        traj = generate(spec, RATE, room_5x6x4)
+        x = np.random.default_rng(13).standard_normal(len(traj))
+        cfg = SynthesisConfig(max_order=8, t60=0.07, decimation=1)
+        kept = len(synth.select_images(room_5x6x4, traj, mic_std, cfg))
+        assert kept < len(enumerate_images(room_5x6x4, 8)) == 833
+        evals = kept * len(traj)
+        y = full_rate_moving_oracle(
+            x, traj, room_5x6x4, mic_std, filt, replace(cfg, eval_budget=evals)
+        )
+        assert np.array_equal(y, synth.render(x, traj, room_5x6x4, mic_std, filt, cfg))
+        with pytest.raises(BudgetError, match=re.escape(f"needs {evals:.3g} ")):
+            full_rate_moving_oracle(
+                x, traj, room_5x6x4, mic_std, filt,
+                replace(cfg, eval_budget=evals - 1),
+            )
 
 
 class TestSpliceBaseline:

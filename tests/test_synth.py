@@ -108,16 +108,17 @@ def reference_accumulate_images(out, streams, tau, amp, offset, d0, start=0):
     return out
 
 
-def reference_accumulate_folded(out, streams, x, gain, offset, start=0):
-    """Accumulation of far rows from whole folded-delay rows, frozen here.
+def reference_accumulate_delayed(out, streams, tau, gain, d0, start=0):
+    """Accumulation of a row from whole delay and gain rows, frozen here.
 
-    x: (T,) folded delay tau + offset - D0, gain: (T,).
+    tau: (T,) delay in samples, gain: (T,). Output index t reads input
+    time t + d0 - floor(tau) at fraction tau - floor(tau).
     """
     n_branches, stream_len = streams.shape
     t_idx = np.arange(start, start + out.shape[0], dtype=np.int64)
-    d_int = np.floor(x)
-    mu = x - d_int
-    idx = t_idx + offset - d_int.astype(np.int64)
+    d_int = np.floor(tau)
+    mu = tau - d_int
+    idx = t_idx + d0 - d_int.astype(np.int64)
     valid = (idx >= 0) & (idx < stream_len)
     idx_c = np.clip(idx, 0, stream_len - 1)
     acc = streams[n_branches - 1].take(idx_c)
@@ -127,9 +128,7 @@ def reference_accumulate_folded(out, streams, x, gain, offset, start=0):
     return out
 
 
-def reference_accumulate_exact(
-    out, streams, q, pos, coef, scale, fold, d_min, offset, start
-):
+def reference_accumulate_exact(out, streams, q, pos, coef, scale, d_min, d0, start):
     """The exact-row kernel as plain whole-row expressions, frozen here.
 
     Returns the largest distance and each row's last delay and gain.
@@ -137,11 +136,11 @@ def reference_accumulate_exact(
     top, last = -np.inf, np.empty((q.shape[0], 2))
     for i in range(q.shape[0]):
         d = reference_distance_row(q[i], pos)
-        x = d * scale + fold
+        tau = d * scale
         g = coef[i] / np.maximum(d, d_min)
         top = max(top, d.max())
-        last[i] = x[-1], g[-1]
-        reference_accumulate_folded(out, streams, x, g, offset, start)
+        last[i] = tau[-1], g[-1]
+        reference_accumulate_delayed(out, streams, tau, g, d0, start)
     return top, last
 
 
@@ -156,7 +155,7 @@ def reference_restore(nodes, table, start, n):
     return np.concatenate(tiles)[:n]
 
 
-def reference_accumulate_restored(out, streams, delay, gain, table, offset, start):
+def reference_accumulate_restored(out, streams, delay, gain, table, d0, start):
     """The far-row kernel as plain whole-row expressions, frozen here.
 
     Returns the largest restored delay and each row's last delay and gain.
@@ -164,11 +163,11 @@ def reference_accumulate_restored(out, streams, delay, gain, table, offset, star
     n = out.shape[0]
     top, last = -np.inf, np.empty((delay.shape[0], 2))
     for i in range(delay.shape[0]):
-        x = reference_restore(delay[i], table, start, n)
+        tau = reference_restore(delay[i], table, start, n)
         g = reference_restore(gain[i], table, start, n)
-        top = max(top, x.max())
-        last[i] = x[-1], g[-1]
-        reference_accumulate_folded(out, streams, x, g, offset, start)
+        top = max(top, tau.max())
+        last[i] = tau[-1], g[-1]
+        reference_accumulate_delayed(out, streams, tau, g, d0, start)
     return top, last
 
 
@@ -269,25 +268,24 @@ class TestKernelsMatchFrozenReferences:
         rows = int(rng.integers(1, 6))
         streams = rng.standard_normal((n_branches, stream_len))
         start = size * int(rng.integers(0, 4))
-        offset = int(rng.integers(0, 20))
+        d0 = int(rng.integers(0, 20))
         scale = float(rng.uniform(5.0, 50.0))  # samples per meter
-        fold = float(rng.uniform(2.0, 9.0))  # L - D0
         d_min = float(rng.uniform(0.01, 0.3))
         # as many nodes as the range needs, or fewer (the last one holds)
         k = int(rng.integers(start // step + 1, (start + n) // step + 5))
         table = lagrange_table(step)
         t = (np.arange(k) - 1.0) * step - start  # node sample indices from start
-        # a straight node path along u whose x moves `slope` samples per
+        # a straight node path along u whose delay moves `slope` samples per
         # sample away from each mirrored mic, which lies behind the path's
         # point at start, off its line by up to `side` meters
         u = rng.standard_normal(3)
         u /= np.linalg.norm(u)
         if seed % 3 == 2:
-            # x moves up to 0.9 samples per sample and reads leave the
-            # streams at either end
+            # the delay moves up to 0.9 samples per sample and reads leave
+            # the streams at either end
             slope, side = float(rng.uniform(-0.9, 0.9)), 0.05
             read = rng.uniform(-60.0, stream_len + 60.0, size=rows)
-            x0 = start + offset - read
+            tau0 = start + d0 - read
         else:
             # reads move 1 +- 0.05 samples per sample, as for a moving
             # source, and end within 30 samples of the streams' end: past
@@ -298,8 +296,8 @@ class TestKernelsMatchFrozenReferences:
             if seed % 3 == 0:
                 slope, side = 1.0, 0.0
                 read = np.minimum(read, stream_len - 6.0)
-            x0 = start + n - 1 + offset - read - slope * (n - 1)
-        r = np.maximum(x0 - fold, 0.0) / scale
+            tau0 = start + n - 1 + d0 - read - slope * (n - 1)
+        r = np.maximum(tau0, 0.0) / scale
         p0 = rng.uniform(0.0, 6.0, size=3)
         path = p0 + np.outer(t * slope / scale, u)
         perp = np.cross(u, rng.standard_normal((rows, 3)))
@@ -307,18 +305,18 @@ class TestKernelsMatchFrozenReferences:
         q = p0 - np.outer(r, u) + perp
         coef = rng.uniform(-0.1, 0.1, size=rows)
         d = np.array([reference_distance_row(qi, path) for qi in q])
-        delay = d * scale + fold
+        delay = d * scale
         gain = coef[:, None] / np.maximum(d, d_min)
         init = rng.standard_normal(n)
         want = init.copy()
         want_top, want_last = reference_accumulate_restored(
-            want, streams, delay, gain, table, offset, start
+            want, streams, delay, gain, table, d0, start
         )
         got, last = init.copy(), np.empty((rows, 2))
         window = path[start // step : -(-(start + n) // step) + 3]
         top = _kernels.accumulate_rows(
-            got, guarded(streams), q, window, coef, scale, fold, d_min, offset,
-            start, last, table,
+            got, guarded(streams), q, window, coef, scale, d_min, d0, start,
+            last, table,
         )
         assert same_bits(got, want)
         assert top == want_top
@@ -331,9 +329,8 @@ class TestKernelsMatchFrozenReferences:
         n = int(rng.integers(1, 2000))
         kind = seed % 4
         rows = int(rng.integers(1 if kind == 3 else 2, 6))
-        offset = int(rng.integers(0, 20))
+        d0 = int(rng.integers(0, 20))
         scale = float(rng.uniform(5.0, 50.0))  # samples per meter
-        fold = float(rng.uniform(2.0, 9.0))  # L - D0
         d_min = float(rng.uniform(0.01, 0.3))
         # a straight path; the first row's mirrored mic lies on it, so its
         # distance passes through 0 and inside d_min (at the last sample
@@ -345,16 +342,16 @@ class TestKernelsMatchFrozenReferences:
         if rows > 1:
             q[1] = pos[0] + rng.choice([-3.0, 3.0], size=3)
         coef = rng.uniform(0.0, 0.1, size=rows)
-        # sample t reads at start + offset + t - floor(x), x >= fold
-        x = np.array([reference_distance_row(qi, pos) for qi in q]) * scale + fold
-        lowest = int((np.arange(n) - np.floor(x)).min())
+        # sample t reads at start + d0 + t - floor(tau), tau >= 0
+        tau = np.array([reference_distance_row(qi, pos) for qi in q]) * scale
+        lowest = int((np.arange(n) - np.floor(tau)).min())
         if kind < 3:
             # the first read on the streams' first sample, or (kind 2) one
             # before it; the last one on their last sample, or (kind 1) one
-            # past it, at x = fold
-            start = -offset - lowest - (kind == 2)
+            # past it, at tau = 0
+            start = -d0 - lowest - (kind == 2)
             assert start >= 0
-            stream_len = start + offset + n - int(np.floor(fold)) - (kind == 1)
+            stream_len = start + d0 + n - (kind == 1)
             stream_len += 50 * (kind == 2)
         else:
             start = int(rng.integers(0, 2500))
@@ -363,16 +360,15 @@ class TestKernelsMatchFrozenReferences:
         init = rng.standard_normal(n)
         want = init.copy()
         want_top, want_last = reference_accumulate_exact(
-            want, streams, q, pos, coef, scale, fold, d_min, offset, start
+            want, streams, q, pos, coef, scale, d_min, d0, start
         )
         got, last = init.copy(), np.empty((rows, 2))
         top = _kernels.accumulate_rows(
-            got, guarded(streams), q, pos, coef, scale, fold, d_min, offset, start,
-            last,
+            got, guarded(streams), q, pos, coef, scale, d_min, d0, start, last
         )
         assert same_bits(got, want)
-        # rounding is monotone, so the largest x is the largest distance's
-        assert top == want_top * scale + fold
+        # rounding is monotone, so the largest delay is the largest distance's
+        assert top == want_top * scale
         assert same_bits(last, want_last)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -391,8 +387,8 @@ class TestKernelsMatchFrozenReferences:
         streams = rng.standard_normal((4, 4000))
         last = np.empty((rows, 2))
         _kernels.accumulate_rows(
-            np.zeros(n), streams, q, pos, attenuation(beta, 1.0), 20.0, 4.0,
-            d_min, 8, 0, last,
+            np.zeros(n), streams, q, pos, attenuation(beta, 1.0), 20.0, d_min, 8,
+            0, last,
         )
         d = np.array([reference_distance_row(qi, pos[-1:])[0] for qi in q])
         assert same_bits(last[:, 1], attenuation(beta, np.maximum(d, d_min)))
@@ -407,7 +403,7 @@ class TestKernelsMatchFrozenReferences:
         _kernels.accumulate_held(got, guarded(streams), delay, gain, 8, 300)
         want = np.zeros(700)
         for x, g in zip(delay, gain):
-            reference_accumulate_folded(
+            reference_accumulate_delayed(
                 want, streams, np.full(700, x), np.full(700, g), 8, 300
             )
         assert same_bits(got, want)
@@ -677,24 +673,23 @@ def edge_padded(row, out_len):
     return np.pad(row[:out_len], (0, max(0, out_len - row.size)), mode="edge")
 
 
-def exact_row(streams, i, cfg, f):
-    """An exact row as synthesize forms it: (folded delay, gain, peak delay).
+def exact_row(streams, i, cfg):
+    """An exact row as synthesize forms it: (delay, gain).
 
-    x = d * (rate / c) + fold and A = (beta / 4 pi) / max(d, d_min) from
-    the distance to the mirrored mic; the peak delay is x_max - fold.
+    tau = d * (rate / c) and A = (beta / 4 pi) / max(d, d_min) from the
+    distance to the mirrored mic.
     """
     d = streams.row(i)
-    fold = f.branch_len - f.nominal_delay
-    x = d * (cfg.audio_rate / cfg.sound_speed) + fold
+    tau = d * (cfg.audio_rate / cfg.sound_speed)
     gain = streams.specs[i].beta / (4.0 * np.pi) / np.maximum(d, cfg.d_min)
-    return x, gain, x.max() - fold
+    return tau, gain
 
 
-def unmirrored_exact_row(streams, i, cfg, f, room, mic):
-    """An exact row formed as before mirrored mics: per-sample tau, then x.
+def unmirrored_exact_row(streams, i, cfg, room, mic):
+    """An exact row formed as before mirrored mics: (delay, gain).
 
-    d = |offset + sign * p - mic|, tau = rate d / c, x = (tau + L) - D0
-    and A = beta / (4 pi max(d, d_min)).
+    d = |offset + sign * p - mic|, tau = rate d / c and
+    A = beta / (4 pi max(d, d_min)).
     """
     offset, sign, _, _ = as_arrays(streams.specs, room)
     path = streams.parts[0].positions  # exact rows come first, on the path
@@ -702,54 +697,50 @@ def unmirrored_exact_row(streams, i, cfg, f, room, mic):
         offset[i : i + 1], sign[i : i + 1], mic.pos, path
     )[0]
     tau = cfg.audio_rate * d / cfg.sound_speed
-    x = (tau + f.branch_len) - f.nominal_delay
     gain = streams.specs[i].beta / (4.0 * np.pi * np.maximum(d, cfg.d_min))
-    return x, gain, tau.max()
+    return tau, gain
 
 
-def restored_row(streams, i, part, j, cfg, f):
-    """A far row as synthesize forms it: (folded delay, gain, peak delay).
+def restored_row(streams, i, part, j, cfg):
+    """A far row as synthesize forms it: (delay, gain).
 
-    Row i is row j of part. Its folded delay d (rate / c) + L - D0 and
-    its gain (beta / 4 pi) / max(d, d_min) are formed at the grid nodes,
-    as exact rows form them per sample, and restored whole with
+    Row i is row j of part. Its delay d (rate / c) and its gain
+    (beta / 4 pi) / max(d, d_min) are formed at the grid nodes, as exact
+    rows form them per sample, and restored whole with
     bandlimited_upsample.
     """
-    fold = f.branch_len - f.nominal_delay
     nodes = part.distances(slice(j, j + 1))[0]
     step = part.table.shape[1]
-    delay = nodes * (cfg.audio_rate / cfg.sound_speed) + fold
+    delay = nodes * (cfg.audio_rate / cfg.sound_speed)
     gain = streams.specs[i].beta / (4.0 * np.pi) / np.maximum(nodes, cfg.d_min)
-    x = bandlimited_upsample(delay, step, streams.length)
+    tau = bandlimited_upsample(delay, step, streams.length)
     gain = bandlimited_upsample(gain, step, streams.length)
-    return x, gain, x.max() - fold
+    return tau, gain
 
 
 def whole_array_render(s, streams, f, cfg, exact=exact_row):
     """A render with every stream held whole.
 
     The arithmetic synthesize must reproduce bit for bit. Exact rows form
-    their folded delay and gain from whole distance rows (exact), far rows
-    at the grid nodes (restored_row). Past the path's end every row holds
-    its last values. Every row is accumulated
-    over the full output into one buffer, in row order.
+    their delay and gain from whole distance rows (exact), far rows at the
+    grid nodes (restored_row). Past the path's end every row holds its
+    last values. Every row is accumulated over the full output into one
+    buffer, in row order, read at the bank's latency D0.
     """
-    rows = []  # (folded delay row, gain row)
-    tau_max = -np.inf
+    rows = []  # (delay row, gain row)
     parts = [(p, j) for p in streams.parts for j in range(p.q.shape[0])]
     for i, (part, j) in enumerate(parts):
         if part.table is None:
-            x, gain, peak = exact(streams, i, cfg, f)
+            rows.append(exact(streams, i, cfg))
         else:
-            x, gain, peak = restored_row(streams, i, part, j, cfg, f)
-        rows.append((x, gain))
-        tau_max = max(tau_max, peak)
+            rows.append(restored_row(streams, i, part, j, cfg))
+    tau_max = max(tau.max() for tau, _ in rows)
     out_len = s.size + int(np.ceil(tau_max)) + f.branch_len
     branch = farrow.branch_filter(s, f)
     out = np.zeros(out_len)
-    for x, g in rows:
-        x, g = edge_padded(x, out_len), edge_padded(g, out_len)
-        reference_accumulate_folded(out, branch, x, g, f.branch_len)
+    for tau, g in rows:
+        tau, g = edge_padded(tau, out_len), edge_padded(g, out_len)
+        reference_accumulate_delayed(out, branch, tau, g, f.nominal_delay)
     return out
 
 
@@ -966,7 +957,7 @@ class TestFarRowsMatchDistanceRows:
 class TestExactRowsMatchUnmirroredArithmetic:
     """Exact rows against per-sample tau and gain from |o + s p - m|.
 
-    Mirrored mics, the folded delay d (rate / c) + L - D0 and the gain
+    Mirrored mics, the delay d (rate / c) and the gain
     (beta / 4 pi) / max(d, d_min) change only the rounding of exact rows;
     far rows keep their arithmetic.
     """
@@ -1001,17 +992,40 @@ class TestRowTerms:
         streams = prepare_streams(tr, room_5x6x4, mic_std, cfg)
         assert [p.table is not None for p in streams.parts] == tables
         scale = cfg.audio_rate / cfg.sound_speed
-        fold = filt.branch_len - filt.nominal_delay
         parts = [(p, j) for p in streams.parts for j in range(p.q.shape[0])]
         assert len(parts) == streams.image_count() == 63
         for i, (part, j) in enumerate(parts):
-            x, gain = streams.terms(i, scale, fold, cfg.d_min)
+            tau, gain = streams.terms(i, scale, cfg.d_min)
             if part.table is None:
-                want_x, want_gain, _ = exact_row(streams, i, cfg, filt)
+                want_tau, want_gain = exact_row(streams, i, cfg)
             else:
-                want_x, want_gain, _ = restored_row(streams, i, part, j, cfg, filt)
-            assert same_bits(x, want_x), f"row {i} delay"
+                want_tau, want_gain = restored_row(streams, i, part, j, cfg)
+            assert same_bits(tau, want_tau), f"row {i} delay"
             assert same_bits(gain, want_gain), f"row {i} gain"
+
+    @pytest.mark.parametrize("factor", [1, 3200])
+    def test_each_row_renders_as_its_delay_stream(
+        self, factor, filt, room_5x6x4, mic_std
+    ):
+        # a render of one row is farrow.delay_stream at the row's delay
+        # times its gain, bit for bit, exact and restored rows alike, and
+        # past the path's end, where the row holds its last values
+        n = 32000
+        tr = moving_traj(n, duration=2.0, seed=9)
+        cfg = SynthesisConfig(max_order=3, decimation=factor)
+        x = np.random.default_rng(22).standard_normal(n)
+        streams = prepare_streams(tr, room_5x6x4, mic_std, cfg)
+        scale = cfg.audio_rate / cfg.sound_speed
+        parts = [(p, j) for p in streams.parts for j in range(p.q.shape[0])]
+        assert len(parts) == 63
+        for i, (part, j) in enumerate(parts):
+            one = replace(part, q=part.q[j : j + 1], coef=part.coef[j : j + 1])
+            row = DelayStreams([streams.specs[i]], streams.length, (one,))
+            got = synthesize(x, row, filt, cfg)
+            tau, gain = streams.terms(i, scale, cfg.d_min)
+            tau, gain = edge_padded(tau, got.size), edge_padded(gain, got.size)
+            want = farrow.delay_stream(x, filt, tau) * gain
+            assert same_bits(got, want), f"row {i}"
 
 
 class TestShortClips:

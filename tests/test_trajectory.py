@@ -325,7 +325,7 @@ class TestUpsample:
         with pytest.raises(ValueError):
             _kernels.accumulate_rows(
                 np.zeros(10), np.ones((2, 40)), np.ones((1, 3)), np.zeros((9, 3)),
-                np.ones(1), 1.0, 1.0, 0.1, 0, start=7, table=table,
+                np.ones(1), 1.0, 0.1, 0, start=7, table=table,
             )
 
     @pytest.mark.parametrize("factor", [2, 16, 100, 3200])
