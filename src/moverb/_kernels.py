@@ -23,7 +23,9 @@ Rows held at one delay and gain past the path's end take the same pass
 (accumulate_held), as farrow.delay_stream's one per-sample delay does.
 The pass reads guarded branch streams (farrow.guarded_branches): a
 clipped read outside the input lands on a zero guard, so no caller
-masks a read or proves a read bound.
+masks a read. A render's jobs read windows of the streams, cut for
+bounds on the delays, which accumulate_rows checks before each row's
+read.
 """
 
 import numpy as np
@@ -120,11 +122,11 @@ def distance_streams(offset, sign, mic, pos):
 def _scratch(n, first):
     """The per-call scratch rows of _horner_row.
 
-    floor(x), read index, sum and term, then the read base: the guarded
-    index first + 1 .. first + n of each output sample at zero delay.
+    Read index, sum and term, then the read base: the guarded index
+    first + 1 .. first + n of each output sample at zero delay.
     """
     base = np.arange(first + 1, first + 1 + n, dtype=np.int64)
-    return np.empty(n), np.empty(n, dtype=np.int64), np.empty(n), np.empty(n), base
+    return np.empty(n, dtype=np.int64), np.empty(n), np.empty(n), base
 
 
 def _horner_row(out, streams, x, gain, scratch):
@@ -137,10 +139,11 @@ def _horner_row(out, streams, x, gain, scratch):
     was (a sum that starts at +0.0 never becomes -0.0).
     """
     n_branches = streams.shape[0]
-    d_int, idx, acc, tmp, base = scratch
-    np.floor(x, out=d_int)
-    x -= d_int
-    np.copyto(idx, d_int, casting="unsafe")
+    idx, acc, tmp, base = scratch
+    # acc holds floor(x) until the first gather overwrites it
+    np.floor(x, out=acc)
+    x -= acc
+    np.copyto(idx, acc, casting="unsafe")
     np.subtract(base, idx, out=idx)
     streams[n_branches - 1].take(idx, out=acc, mode="clip")
     for k in range(n_branches - 2, -1, -1):
@@ -195,21 +198,26 @@ def row_terms(q, path, coef, scale, d_min, n, start=0, table=None):
 
 
 def accumulate_rows(
-    out, streams, q, path, coef, scale, d_min, d0, start=0, last=None, table=None
+    out, streams, q, path, coef, scale, d_min, d0, start=0, last=None, table=None,
+    bounds=None,
 ):
     """Sum image rows, formed from the path, into out.
 
     out: (T,) accumulator for output indices start .. start + T - 1,
     streams: (M+1, Ls) guarded branch streams shared by all rows
     (farrow.guarded_branches), scale: rate / c in samples per meter,
-    d0: the bank's latency D0. start only moves the read index, so a
-    range of output samples gets the same bits as the whole stream does.
-    q, path, coef, d_min and table form each row's delay and gain over
-    the range as in row_terms; one Horner pass per row reads the streams.
+    d0: the bank's latency D0, less the first guarded index streams
+    holds when they are a window of the whole streams. start only moves
+    the read index, so a range of output samples gets the same bits as
+    the whole stream does. q, path, coef, d_min and table form each row's
+    delay and gain over the range as in row_terms; one Horner pass per
+    row reads the streams.
 
     last, if given, is an (S, 2) array that receives each row's delay and
-    gain at the range's final sample. Returns the largest delay (-inf
-    when there is nothing to add).
+    gain at the range's final sample. bounds, if given, is the (lower,
+    upper) delay range a window of streams was cut for: a row whose delay
+    leaves it raises RuntimeError before it is read. Returns the largest
+    delay (-inf when there is nothing to add).
     """
     n = out.shape[0]
     if n == 0 or q.shape[0] == 0:
@@ -220,7 +228,13 @@ def accumulate_rows(
     for i, (tau, g) in enumerate(terms):
         if last is not None:
             last[i] = tau[-1], g[-1]
-        top = max(top, float(tau.max()))
+        peak = float(tau.max())
+        if bounds is not None and not bounds[0] <= tau.min() <= peak <= bounds[1]:
+            raise RuntimeError(
+                f"delays {tau.min()} .. {peak} leave the bounds {bounds[0]} .. "
+                f"{bounds[1]} the branch window was cut for"
+            )
+        top = max(top, peak)
         _horner_row(out, streams, tau, g, scratch)
     return top
 

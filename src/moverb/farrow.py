@@ -225,22 +225,42 @@ def split_delay(total_delay, f):
     return DelaySplit(integer_part=d_int, fractional_part=mu)
 
 
-def guarded_branches(x, f):
+def guarded_branches(x, f, start=0, stop=None):
     """Convolve the input with every branch once, between two zero guards.
 
-    Returns (M+1, len(x) + L + 1) streams whose index n + 1 holds input
+    The whole streams are (M+1, len(x) + L + 1), index n + 1 holding input
     time n, with +0.0 at index 0 and at the last index. A kernel that
-    clips its read index to these streams reads a zero for any time
-    outside the input. This single pass is shared by all delay taps.
+    clips its read index to them reads a zero for any time outside the
+    input. This single pass is shared by all delay taps.
+
+    Returns indices start .. stop - 1 of the whole streams (stop None: to
+    their end), bit for bit, from a convolution of only the input slice
+    they reach: index j + 1 reads inputs j - L + 1 .. j. The slice is at
+    least L samples long, or the whole input, since np.convolve swaps
+    its operands on a shorter one and that changes the bits. Raises
+    ValueError unless 0 <= start <= stop <= len(x) + L + 1, or when the
+    slice is not finite.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("input must be 1-D")
-    if not np.all(np.isfinite(x)):
+    taps = f.branch_len
+    size = x.size + taps + 1
+    stop = size if stop is None else stop
+    if not 0 <= start <= stop <= size:
+        raise ValueError(f"range {start} .. {stop} outside the {size} stream samples")
+    out = np.zeros((f.poly_order + 1, stop - start))
+    # convolution indices j0 .. j1 - 1 sit between the guards
+    j0, j1 = max(start - 1, 0), min(stop - 1, size - 2)
+    if j0 >= j1:
+        return out
+    hi = max(min(j1, x.size), min(j0 + taps, x.size))
+    lo = max(min(j0 - taps + 1, hi - taps), 0)
+    if not np.all(np.isfinite(x[lo:hi])):
         raise ValueError("input must be finite")
-    out = np.zeros((f.poly_order + 1, x.size + f.branch_len + 1))
     for k in range(f.poly_order + 1):
-        out[k, 1:-1] = np.convolve(x, f.branches[k])
+        conv = np.convolve(x[lo:hi], f.branches[k])
+        out[k, j0 + 1 - start : j1 + 1 - start] = conv[j0 - lo : j1 - lo]
     return out
 
 
@@ -248,8 +268,8 @@ def branch_filter(x, f):
     """Convolve the input with every branch once.
 
     Returns (M+1, len(x) + L - 1) streams aligned so index n corresponds to
-    input time n: the interior view of guarded_branches. The bank's
-    nominal delay D0 is handled by split_delay, not here.
+    input time n: the interior view of the whole guarded_branches. The
+    bank's nominal delay D0 is handled by split_delay, not here.
     """
     return guarded_branches(x, f)[:, 1:-1]
 

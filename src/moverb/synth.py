@@ -48,12 +48,20 @@ row's are formed at the grid nodes the chunk is restored from, and its
 delay and gain are restored in chunk-long scratch rows, so it never
 holds a per-sample distance. Past the path's end every row holds its
 delay and gain at the path's last sample; the tail adds them
-on the calling thread. Beyond the input, the output and the path, no
-per-image array longer than a chunk is held: memory is
-O(workers x chunk) whatever the image count or the clip length. Chunks
-run on a pool of `workers` threads; a path of one chunk renders on the
-calling thread. A clip of N samples or less restores nothing: its far
-rows are exact, as at decimation 1.
+on the calling thread. Chunks run on a pool of `workers` threads; a
+path of one chunk renders on the calling thread. A clip of N samples or
+less restores nothing: its far rows are exact, as at decimation 1.
+
+Before the walk, every row's delay is bounded from the parts alone
+(_delay_bounds), and the output is allocated once, at its longest.
+Each job convolves only the window of the input that its chunk's reads
+can reach, chunk + delay span + L samples of the branch streams
+(farrow.guarded_branches over a range); the tail cuts one window of its
+own. A row whose delay leaves the bounds would read outside its window,
+so it raises RuntimeError before it is read. Beyond the input, the
+output and the path, no array longer than a chunk plus the delay span
+is held: memory is O(workers x (chunk + delay span)) whatever the image
+count or the clip length.
 
 Summation order is fixed per output sample: ((0 + r_0) + r_1) + ... over
 the rows in enumeration order, as a loop over the images adds them.
@@ -294,6 +302,40 @@ def _run(job, tasks, workers):
         return list(pool.map(job, *zip(*tasks)))
 
 
+def _delay_bounds(parts, scale):
+    """A lower and an upper bound on every row's delay, in samples.
+
+    Formed from the parts alone, before any row is. A distance rises with
+    each coordinate's distance to the mirrored mic, and rounding keeps
+    that order, so on the box the positions span an exact row's distance
+    lies between its distances to the box's nearest point and to its
+    farthest corner, formed with the kernel's arithmetic. A restored row
+    mixes its node delays with cubic weights whose absolute values sum to
+    at most w (1.25), so it stays within w times the nodes' half-range of
+    their mid-range, widened here by a margin for rounding.
+    """
+    lows, highs = [], []
+    for part in parts:
+        if part.q.shape[0] == 0:
+            continue
+        axes = part.positions.T  # (3, P): a column at a time reduces fastest
+        box = np.array([[a.min() for a in axes], [a.max() for a in axes]])
+        corners = np.stack(np.meshgrid(*box.T, indexing="ij"), axis=-1).reshape(-1, 3)
+        far = _kernels.mic_distances(part.q, corners).max(axis=1)
+        near = np.empty_like(far)
+        nearest = np.clip(part.q, box[0], box[1])
+        _kernels._distance_rows(part.q.T, nearest.T, near, np.empty_like(far))
+        low, high = near * scale, far * scale
+        if part.table is not None:
+            w = np.abs(part.table).sum(axis=0).max()
+            mid, half = (low + high) / 2.0, (high - low) / 2.0
+            reach = w * half + 1e-9 * (1.0 + high)
+            low, high = mid - reach, mid + reach
+        lows.append(float(low.min()))
+        highs.append(float(high.max()))
+    return min(lows), max(highs)
+
+
 def synthesize(s, streams, f, cfg):
     """Render the moving-image mixture of s at the receiver.
 
@@ -305,15 +347,22 @@ def synthesize(s, streams, f, cfg):
     The branch streams carry a zero guard at each end
     (farrow.guarded_branches), so a read outside the input adds nothing.
 
-    One job per time chunk adds every row, in row order, into its slice
-    of the output through accumulate_rows, part by part, each on the
-    positions its window gives for the chunk: an exact part's path
-    samples, a restored part's grid nodes. Each row's distance to its
-    mirrored mic, delay and gain are formed there (_kernels.row_terms),
-    in the kernel's scratch rows; a far row's are formed at its nodes and
-    restored, so it never holds a per-sample distance. The tail holds
-    every row at its delay and gain at the path's end, and one
-    accumulate_held call on the calling thread adds it.
+    Every row's delay is bounded first (_delay_bounds), and the output is
+    allocated once, at max(len(streams), len(s) + ceil(upper) + L); the
+    render is its first output-length samples. One job per time chunk
+    convolves the window of the branch streams its reads can reach,
+    guarded indices start + D0 + 1 - floor(upper) up to
+    stop + D0 + 1 - floor(lower), clipped to the streams and at least one
+    sample long, and adds every row, in row order, into its slice of the
+    output through accumulate_rows, part by part, each on the positions
+    its window gives for the chunk: an exact part's path samples, a
+    restored part's grid nodes. Each row's distance to its mirrored mic,
+    delay and gain are formed there (_kernels.row_terms), in the kernel's
+    scratch rows; a far row's are formed at its nodes and restored, so it
+    never holds a per-sample distance. The tail holds every row at its
+    delay and gain at the path's end, and one accumulate_held call on the
+    calling thread adds it from a window of its own. Raises RuntimeError
+    if a row's delay leaves the bounds, before that row is read.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
@@ -323,22 +372,34 @@ def synthesize(s, streams, f, cfg):
     n_images = streams.image_count()
     if n_images == 0:
         return np.zeros(s.size + f.branch_len)
-    branch = farrow.guarded_branches(s, f)
     d0 = f.nominal_delay
     scale = cfg.audio_rate / cfg.sound_speed
     length = streams.length
     parts = streams.parts
+    bounds = _delay_bounds(parts, scale)
     held = np.empty((n_images, 2))  # delay and gain at the path's end
     held_parts = np.split(held, np.cumsum([p.q.shape[0] for p in parts])[:-1])
-    path = np.zeros(length)
+    out = np.zeros(max(length, s.size + math.ceil(bounds[1]) + f.branch_len))
+    size = s.size + f.branch_len + 1  # guarded branch stream samples
+
+    def window(start, stop):
+        """The branch streams outputs start .. stop - 1 read, and its first index.
+
+        Output n reads guarded index n + D0 + 1 - floor(tau). Clipped to
+        the streams, a window keeps a zero guard where reads leave them.
+        """
+        first = min(max(start + d0 + 1 - math.floor(bounds[1]), 0), size - 1)
+        end = max(min(stop + d0 + 1 - math.floor(bounds[0]), size), first + 1)
+        return farrow.guarded_branches(s, f, first, end), first
 
     def path_job(start, stop):
+        branch, first = window(start, stop)
         top = -np.inf  # the chunk's largest delay
         for part, last in zip(parts, held_parts):
             peak = _kernels.accumulate_rows(
-                path[start:stop], branch, part.q, part.window(start, stop),
-                part.coef, scale, cfg.d_min, d0, start,
-                last if stop == length else None, part.table,
+                out[start:stop], branch, part.q, part.window(start, stop),
+                part.coef, scale, cfg.d_min, d0 - first, start,
+                last if stop == length else None, part.table, bounds,
             )
             top = max(top, peak)
         return top
@@ -351,11 +412,12 @@ def synthesize(s, streams, f, cfg):
     pieces = [(t, min(t + chunk, length)) for t in range(0, length, chunk)]
     tau_max = max(_run(path_job, pieces, cfg.workers))
     out_len = s.size + int(np.ceil(tau_max)) + f.branch_len
-    if out_len <= length:
-        return path[:out_len]
-    tail = np.zeros(out_len - length)
-    _kernels.accumulate_held(tail, branch, held[:, 0], held[:, 1], d0, length)
-    return np.concatenate([path, tail])
+    if out_len > length:
+        branch, first = window(length, out_len)
+        _kernels.accumulate_held(
+            out[length:out_len], branch, held[:, 0], held[:, 1], d0 - first, length
+        )
+    return out[:out_len]
 
 
 def select_images(room, traj, mic, cfg):

@@ -259,6 +259,65 @@ class TestBranchFilter:
         assert g[:, 1:-1].tobytes() == want.tobytes()
         assert branch_filter(x, f).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_a_range_is_the_whole_streams_slice(self, seed):
+        # a range convolves only the input it reaches, at least L samples
+        # or the whole input, and must still give the whole streams' bits
+        rng = np.random.default_rng(900 + seed)
+        order = int(rng.integers(1, 5))
+        taps = int(rng.integers(order + 1, 11))
+        f = farrow.FarrowFilter(
+            poly_order=order,
+            branch_len=taps,
+            branches=rng.standard_normal((order + 1, taps)),
+            nominal_delay=(taps - 1) // 2,
+            passband=0.8,
+        )
+        if seed % 4 == 0:  # shorter than L
+            n = int(rng.integers(1, taps))
+        else:
+            n = int(rng.integers(1, 3001))
+        x = rng.standard_normal(n)
+        x[rng.random(n) < 0.2] = 0.0
+        x[rng.random(n) < 0.2] = -0.0
+        whole = guarded_branches(x, f)
+        size = n + taps + 1
+        cut = [int(v) for v in rng.integers(0, size + 1, size=20)]
+        ranges = [(0, size)]
+        # touching either end of the streams, and of the input
+        ranges += [(0, b) for b in cut] + [(a, size) for a in cut]
+        ranges += [(0, b) for b in (1, 2, taps, taps + 1, n, n + 1)]
+        ranges += [(a, size) for a in (size - 1, size - 2, size - taps, n, n + 1)]
+        # one sample long, and empty
+        ranges += [(a, a + 1) for a in cut[:10] if a < size]
+        ranges += [(a, a + 1) for a in (0, 1, taps - 1, n, size - 2, size - 1)]
+        ranges += [(a, a) for a in (0, size, *cut[:3])]
+        # wholly outside the input: the guards alone
+        ranges += [(0, 1), (size - 1, size)]
+        # anywhere, as short as or shorter than L, and longer
+        for _ in range(30):
+            a = int(rng.integers(0, size))
+            ranges.append((a, min(size, a + int(rng.integers(1, 3 * taps + 40)))))
+        for a, b in ranges:
+            got = guarded_branches(x, f, a, b)
+            assert got.shape == (order + 1, b - a)
+            assert got.tobytes() == whole[:, a:b].tobytes(), (n, a, b)
+
+    @pytest.mark.parametrize("start, stop", [(-1, 5), (6, 5), (0, 110), (110, 110)])
+    def test_rejects_a_range_outside_the_streams(self, filt, start, stop):
+        # 100 input samples give 100 + 8 + 1 guarded stream samples
+        with pytest.raises(ValueError, match="outside"):
+            guarded_branches(np.ones(100), filt, start, stop)
+
+    def test_a_range_checks_only_the_input_it_convolves(self, filt):
+        # so a chunk's window costs the window, not the whole clip
+        x = np.ones(1000)
+        want = guarded_branches(x, filt, 0, 500)
+        x[900] = np.nan
+        assert guarded_branches(x, filt, 0, 500).tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="finite"):
+            guarded_branches(x, filt, 880, 920)
+
 
 class TestEvaluation:
     def test_horner_matches_power_sum(self, filt):

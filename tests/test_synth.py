@@ -87,27 +87,6 @@ def unmirrored_distance_streams(offset, sign, mic, pos):
     return out
 
 
-def reference_accumulate_images(out, streams, tau, amp, offset, d0, start=0):
-    """Rows at per-sample delay tau and gain amp, as plain expressions, frozen here.
-
-    Each row's folded delay is (tau + offset) - d0.
-    """
-    n_branches, stream_len = streams.shape
-    t_idx = np.arange(start, start + out.shape[0], dtype=np.int64)
-    for i in range(tau.shape[0]):
-        shifted = tau[i] + offset
-        d_int = np.floor(shifted - d0)
-        mu = shifted - d0 - d_int
-        idx = t_idx + offset - d_int.astype(np.int64)
-        valid = (idx >= 0) & (idx < stream_len)
-        idx_c = np.clip(idx, 0, stream_len - 1)
-        acc = streams[n_branches - 1].take(idx_c)
-        for k in range(n_branches - 2, -1, -1):
-            acc = acc * mu + streams[k].take(idx_c)
-        out += np.where(valid, amp[i] * acc, 0.0)
-    return out
-
-
 def reference_accumulate_delayed(out, streams, tau, gain, d0, start=0):
     """Accumulation of a row from whole delay and gain rows, frozen here.
 
@@ -207,9 +186,8 @@ class TestKernelsMatchFrozenReferences:
         late = rng.uniform(0.0, 80.0) + rng.uniform(-0.9, 0.9) * t
         late += 0.01 * rng.standard_normal(n)
         tau = f.nominal_delay + np.maximum(late, 0.0)
-        want = reference_accumulate_images(
-            np.zeros(n), farrow.branch_filter(x, f), tau[None, :],
-            np.ones((1, n)), 0, f.nominal_delay,
+        want = reference_accumulate_delayed(
+            np.zeros(n), farrow.branch_filter(x, f), tau, np.ones(n), f.nominal_delay
         )
         assert same_bits(farrow.delay_stream(x, f, tau), want)
 
@@ -761,9 +739,9 @@ def distance_row_render(s, streams, f, cfg):
     amp = beta[:, None] / (4.0 * np.pi * np.maximum(d, cfg.d_min))
     branch = farrow.branch_filter(s, f)
     out = np.zeros(out_len)
-    return reference_accumulate_images(
-        out, branch, tau, amp, f.branch_len, f.nominal_delay
-    )
+    for tau_i, amp_i in zip(tau, amp):
+        reference_accumulate_delayed(out, branch, tau_i, amp_i, f.nominal_delay)
+    return out
 
 
 def traced_peak_mb(call):
@@ -857,7 +835,26 @@ class TestChunkedWalk:
             lambda: render(x, tr, room_5x6x4, mic_std, filt, cfg)
         )
         assert y.size > n
-        assert peak < 9.5, f"peak {peak:.2f} MB"
+        assert peak < 5.0, f"peak {peak:.2f} MB"
+
+    def test_peak_beyond_the_output_does_not_grow_with_the_clip(
+        self, filt, room_5x6x4, mic_std
+    ):
+        # each job convolves only the input its reads reach, and the output
+        # is allocated once, so past the output itself a render holds
+        # O(workers x (chunk + delay span)) at any clip length
+        cfg = SynthesisConfig(max_order=3, order_split=1, decimation=3200)
+        beyond = {}
+        for seconds in (5, 20):
+            n = seconds * 16000
+            tr = moving_traj(n, duration=float(seconds))
+            x = np.random.default_rng(23).standard_normal(n)
+            render(x, tr, room_5x6x4, mic_std, filt, cfg)  # warm-up
+            y, peak = traced_peak_mb(
+                lambda: render(x, tr, room_5x6x4, mic_std, filt, cfg)
+            )
+            beyond[seconds] = peak - y.nbytes / 1e6
+        assert abs(beyond[20] - beyond[5]) < 0.5, beyond
 
     def test_order8_far_rows_hold_no_grid_node_arrays(
         self, filt, room_5x6x4, mic_std
@@ -920,6 +917,72 @@ class TestChunkedWalk:
         x = np.random.default_rng(15).standard_normal(n)
         cfg = SynthesisConfig(max_order=3, decimation=1, workers=2)
         assert render(x, tr, room_5x6x4, mic_std, filt, cfg).size > n
+
+
+class TestDelayBounds:
+    """Each job's branch window is cut from delay bounds formed before the walk."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_every_row_lies_within_the_bounds(self, seed):
+        # random rows on a wandering path: exact at its samples, or restored
+        # from grid nodes whose steps are large enough for the cubic to
+        # overshoot; the first row's mirrored mic lies on the path
+        rng = np.random.default_rng(1300 + seed)
+        rows = int(rng.integers(1, 8))
+        scale = float(rng.uniform(5.0, 50.0))
+        restored = seed % 2 == 1
+        step = int(rng.choice([2, 5, 16, 400])) if restored else 1
+        k = int(rng.integers(4, 40)) if restored else int(rng.integers(1, 3000))
+        walk = rng.uniform(-0.5, 0.5, size=(k, 3)) * (step**0.5 if restored else 0.01)
+        positions = rng.uniform(0.0, 6.0, size=3) + np.cumsum(walk, axis=0)
+        q = rng.uniform(-20.0, 26.0, size=(rows, 3))
+        q[0] = positions[int(rng.integers(0, k))]
+        coef = rng.uniform(0.0, 0.1, size=rows)
+        table = lagrange_table(step) if restored else None
+        part = synth._Rows(q, coef, positions, table)
+        length = (k - 3) * step if restored else k
+        streams = DelayStreams(list(range(rows)), max(length, 1), (part,))
+        lower, upper = synth._delay_bounds((part,), scale)
+        for i in range(rows):
+            tau, _ = streams.terms(i, scale, 0.05)
+            assert lower <= tau.min() and tau.max() <= upper, (i, lower, upper)
+
+    def test_the_restored_bounds_are_reached(self):
+        # node delays lo, hi, hi, lo peak at hi + (hi - lo) / 8 at the middle
+        # interval's midpoint, and hi, lo, lo, hi dip to lo - (hi - lo) / 8:
+        # the cubic's weights at phase 1/2 are -1/16, 9/16, 9/16, -1/16
+        step, scale = 400, 16000.0 / 343.0
+        x = np.array([0.0, 2.0, 2.0, 0.0, 0.0, 2.0, 2.0, 0.0])
+        positions = np.column_stack([1.0 + x, np.full(8, 2.0), np.full(8, 1.5)])
+        q = np.array([[-3.0, 2.0, 1.5]])  # on the path's line, 4 to 6 m away
+        part = synth._Rows(q, np.array([0.01]), positions, lagrange_table(step))
+        streams = DelayStreams([0], 5 * step, (part,))
+        lower, upper = synth._delay_bounds((part,), scale)
+        tau, _ = streams.terms(0, scale, 0.05)
+        assert tau.max() == pytest.approx(6.25 * scale, rel=1e-12)
+        assert tau.min() == pytest.approx(3.75 * scale, rel=1e-12)
+        assert 0.0 <= upper - tau.max() < 1e-6
+        assert 0.0 <= tau.min() - lower < 1e-6
+
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    def test_a_bound_that_misses_a_delay_raises(
+        self, side, filt, room_5x6x4, mic_std, monkeypatch
+    ):
+        # a delay outside the bounds would read outside the job's window
+        n = 8000
+        tr = moving_traj(n, duration=0.5, seed=24)
+        x = np.random.default_rng(25).standard_normal(n)
+        cfg = SynthesisConfig(max_order=3, decimation=1)
+        streams = prepare_streams(tr, room_5x6x4, mic_std, cfg)
+        true_bounds = synth._delay_bounds
+
+        def missed(parts, scale):
+            lower, upper = true_bounds(parts, scale)
+            return (lower, upper - 20.0) if side == "upper" else (lower + 60.0, upper)
+
+        monkeypatch.setattr(synth, "_delay_bounds", missed)
+        with pytest.raises(RuntimeError, match="bounds"):
+            synthesize(x, streams, filt, cfg)
 
 
 def snr_whole_db(got, want):
