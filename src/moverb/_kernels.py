@@ -11,14 +11,18 @@ they allocate nothing per step and give the bits of the plain expressions.
 A distance is the path's distance to the image's mirrored mic
 (mirrored_mics), one shared row expression (_distance_rows); distance
 tables (mic_distances) are built in blocks of rows of at most
-DISTANCE_BLOCK elements. A row's delay and gain have one home,
+DISTANCE_BLOCK elements. Both read a path axis by axis, from the rows of
+its (3, T) transpose, which trajectory.Trajectory stores contiguous, so
+neither copies the path. A row's delay and gain have one home,
 row_terms, which the render and the stream record's rows read: it forms
 them from the row's mirrored mic and spreading coefficient on a path,
 the path's samples for an exact (near) row, its grid nodes for a far
-row, whose delay and gain are then restored tile by tile. No row holds
-an array longer than the range. Accumulation runs one image row at a
-time through one Horner pass (_horner_row), in one kernel
-(accumulate_rows).
+row, whose delay and gain are then restored tile by tile
+(restore_cubic). A range's last tile computes only the grid intervals
+the range reaches, never fewer than two, so no row holds an array
+longer than the range's whole grid intervals. Accumulation runs one
+image row at a time through one Horner pass (_horner_row), in one
+kernel (accumulate_rows).
 Rows held at one delay and gain past the path's end take the same pass
 (accumulate_held), as farrow.delay_stream's one per-sample delay does.
 The pass reads guarded branch streams (farrow.guarded_branches): a
@@ -76,12 +80,14 @@ def _distance_rows(q, pos_t, out, tmp):
 def mic_distances(q, pos):
     """Euclidean distance from the path to each mirrored mic, per sample.
 
-    q: (S, 3) mirrored mics (mirrored_mics), pos: (T, 3) source path.
-    Returns (S, T) float64. Rows are built in blocks of
+    q: (S, 3) mirrored mics (mirrored_mics), pos: (T, 3) source path,
+    read axis by axis from pos.T, which is copied only when it is not
+    C-contiguous (a Trajectory's positions.T is). Returns (S, T)
+    float64. Rows are built in blocks of
     max(1, DISTANCE_BLOCK // T), in place in the output with one block of
     scratch, by the same row arithmetic the row kernel uses (row_terms).
     """
-    pos_t = np.array(np.asarray(pos, dtype=np.float64).T, order="C")
+    pos_t = np.ascontiguousarray(np.asarray(pos, dtype=np.float64).T)
     n_rows, n = q.shape[0], pos_t.shape[1]
     out = np.empty((n_rows, n), dtype=np.float64)
     step = max(1, DISTANCE_BLOCK // max(n, 1))
@@ -164,26 +170,29 @@ def row_terms(q, path, coef, scale, d_min, n, start=0, table=None):
     Per row, scratch rows as long as path receive the distance
     d = |p - q| (the arithmetic of mic_distances), the delay
     tau = d * scale and the gain coef / max(d, d_min), which is
-    attenuation(beta, max(d, d_min)) bit for bit. With table None, path
+    attenuation(beta, max(d, d_min)) bit for bit. path is read axis by
+    axis from path.T as it lies, with no copy: a window of a Trajectory's
+    positions, whose axes are contiguous. With table None, path
     is (n, 3), the path at the range's samples, and those rows are
     yielded as they are. With table, the (4, h) cubic weights, path holds
     the grid nodes output samples start .. start + n - 1 are restored
     from, nodes start // h up to ceil((start + n) / h) + 3 (fewer at the
-    path's end), and restore_cubic fills n-long rows of tau and gain from
-    them; start must then be a tile boundary, a multiple of
-    TILE_BLOCKS * h (ValueError otherwise).
+    path's end), and restore_cubic fills rows of tau and gain over the
+    ceil(n / h) grid intervals the range reaches, of which the first n
+    samples are yielded; start must then be a tile boundary, a multiple
+    of TILE_BLOCKS * h (ValueError otherwise).
 
     Yields (tau, gain) per row, in scratch that the next row overwrites; a
     caller may overwrite it too.
     """
-    pos_t = np.array(path.T, order="C")
+    pos_t = path.T
     m = pos_t.shape[1]
     x, g = np.empty(m), np.empty(m)
     if table is not None:
-        size = TILE_BLOCKS * table.shape[1]
-        if start % size or start < 0:
+        step = table.shape[1]
+        if start % (TILE_BLOCKS * step) or start < 0:
             raise ValueError("start must be a tile boundary")
-        xs = np.empty(-(-n // size) * size)
+        xs = np.empty(-(-n // step) * step)
         gs = np.empty_like(xs)
     for i in range(q.shape[0]):
         # g holds the distance until it becomes the gain; x is its scratch
@@ -264,12 +273,16 @@ def accumulate_held(out, streams, delay, gain, d0, start=0):
 # column p of a (4, h) weight table. Seen as (intervals, h), the output is
 # the matrix product frames @ table, where frames[j] holds nodes j .. j + 3.
 # It is computed in tiles of TILE_BLOCKS intervals, a (TILE_BLOCKS x 4) @
-# (4 x h) product whose shape depends only on h, aligned to multiples of
-# TILE_BLOCKS * h samples, so a sample's value does not depend on which
-# range is asked for (OpenBLAS sums in an order that varies with the
-# operand shapes). At h <= 400 a tile is 64 * 4 * 400 < 2^18 multiply-adds,
-# under OpenBLAS's threading threshold, so it runs on the calling thread.
-# Node indices past the row's end clamp to its last node.
+# (4 x h) product aligned to multiples of TILE_BLOCKS * h samples, so a
+# sample's value does not depend on which range is asked for (OpenBLAS
+# sums in an order that varies with the operand shapes). A range's last
+# tile multiplies only the k frames of the intervals it reaches, never
+# fewer than two: a one-row product takes BLAS's matrix-vector path and
+# rounds differently, while the first k rows of a product of k = 2 .. 64
+# rows hold the whole tile's bits (checked at every h from 2 to 400).
+# At h <= 400 a tile is 64 * 4 * 400 < 2^18 multiply-adds, under
+# OpenBLAS's threading threshold, so it runs on the calling thread. Node
+# indices past the row's end clamp to its last node.
 
 TILE_BLOCKS = 64
 
@@ -280,8 +293,10 @@ def restore_cubic(nodes, table, out):
     nodes: (K,) grid values, table: (4, h) weights, out: C-contiguous
     (T,) float64. A range of a longer row that starts on a tile boundary,
     a multiple of TILE_BLOCKS * h, is restored from the row's nodes from
-    start // h on, in the tiles, and so with the bits, of the whole row.
-    Returns out.
+    start // h on, with the bits of the whole row. Whole tiles are
+    written in place; the last one multiplies max(2, ceil(rem / h)) frame
+    rows for its rem samples, in place when rem is that many whole
+    intervals, through a product of that size otherwise. Returns out.
     """
     step = table.shape[1]
     size = TILE_BLOCKS * step
@@ -290,10 +305,11 @@ def restore_cubic(nodes, table, out):
     window = np.arange(TILE_BLOCKS)[:, None] + np.arange(4)
     last = nodes.shape[0] - 1
     for a in range(0, out.shape[0], size):
-        frames = nodes[np.minimum(window + a // step, last)]
         dest = out[a : a + size]
-        if dest.shape[0] == size:
-            np.matmul(frames, table, out=dest.reshape(TILE_BLOCKS, step))
+        rows = max(2, -(-dest.shape[0] // step))
+        frames = nodes[np.minimum(window[:rows] + a // step, last)]
+        if dest.shape[0] == rows * step:
+            np.matmul(frames, table, out=dest.reshape(rows, step))
         else:
             dest[:] = (frames @ table).ravel()[: dest.shape[0]]
     return out

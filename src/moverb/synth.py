@@ -58,17 +58,23 @@ Each job convolves only the window of the input that its chunk's reads
 can reach, chunk + delay span + L samples of the branch streams
 (farrow.guarded_branches over a range); the tail cuts one window of its
 own. A row whose delay leaves the bounds would read outside its window,
-so it raises RuntimeError before it is read. Beyond the input, the
-output and the path, no array longer than a chunk plus the delay span
-is held: memory is O(workers x (chunk + delay span)) whatever the image
+so it raises RuntimeError before it is read. A job reads the path's
+axes where the Trajectory stores them, contiguous rows of a (3, T)
+array, so it copies no path window, and it restores a far row's delay
+and gain over only the ceil(n / h) grid intervals its n samples reach,
+not a whole 64 h-sample tile (a 1 s clip at h = 400 restores 16000
+samples per row and signal, not 25600). Beyond the input, the output
+and the path, no array longer than a chunk plus the delay span is
+held: memory is O(workers x (chunk + delay span)) whatever the image
 count or the clip length.
 
 Summation order is fixed per output sample: ((0 + r_0) + r_1) + ... over
 the rows in enumeration order, as a loop over the images adds them.
-Every per-sample step is elementwise, restoration computes whole tiles
-whose shape does not depend on the chunk, and chunks write disjoint
-slices of the output. Chunk length and worker count change only the
-scheduling, never the arithmetic, so they never change the output bits.
+Every per-sample step is elementwise, restoration gives a sample the
+bits of its tile whatever range it is restored in, and chunks write
+disjoint slices of the output. Chunk length and worker count change
+only the scheduling, never the arithmetic, so they never change the
+output bits.
 """
 
 import math
@@ -318,8 +324,8 @@ def _delay_bounds(parts, scale):
     for part in parts:
         if part.q.shape[0] == 0:
             continue
-        axes = part.positions.T  # (3, P): a column at a time reduces fastest
-        box = np.array([[a.min() for a in axes], [a.max() for a in axes]])
+        axes = part.positions.T  # (3, P), contiguous axis rows
+        box = np.stack([axes.min(axis=1), axes.max(axis=1)])
         corners = np.stack(np.meshgrid(*box.T, indexing="ij"), axis=-1).reshape(-1, 3)
         far = _kernels.mic_distances(part.q, corners).max(axis=1)
         near = np.empty_like(far)
@@ -523,9 +529,11 @@ def cost_report(cfg, images, duration):
     as render evaluates them: ceil(T / h) + 3 grid nodes each, or every
     sample on a clip of N samples or less (grid step 1). The per-sample
     work that dominates a render is counted too: restored_samples, the
-    delay and gain samples the cubic restores (2 per far image and
-    sample, none at grid step 1), and accumulated_samples, the image
-    samples the Horner pass accumulates (images x samples).
+    delay and gain samples the engine restores (2 per far image and
+    sample, none at grid step 1; a clip that ends inside a grid interval
+    restores that interval whole, less than h more per row and signal),
+    and accumulated_samples, the image samples the Horner pass
+    accumulates (images x samples).
     """
     n_samples = int(round(duration * cfg.audio_rate))
     if isinstance(images, int):

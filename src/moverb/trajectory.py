@@ -32,7 +32,11 @@ _KINDS = ("line", "circle", "sine", "filtered-noise", "waypoint-spline")
 class Trajectory:
     """Uniformly sampled 3-D source path.
 
-    rate: positions per second. positions: (T, 3) meters.
+    rate: positions per second. positions: (T, 3) meters, given as any
+    array-like and copied once into axis-major storage: a C-ordered
+    (3, T) array whose rows are the x, y and z axes, of which positions
+    is the read-only (T, 3) transposed view. So positions.T[ax] is a
+    contiguous row, which the distance kernels read without a copy.
     """
 
     rate: float
@@ -46,9 +50,9 @@ class Trajectory:
             raise ValueError("positions must be a (T, 3) array with T >= 1")
         if not np.all(np.isfinite(p)):
             raise ValueError("positions must be finite")
-        p = p.copy()
-        p.flags.writeable = False
-        object.__setattr__(self, "positions", p)
+        axes = np.array(p.T, order="C")
+        axes.flags.writeable = False
+        object.__setattr__(self, "positions", axes.T)
         object.__setattr__(self, "rate", float(self.rate))
 
     def __len__(self):
@@ -104,9 +108,11 @@ def _unit_direction(rng, pinned):
 
 
 def _fit_displacement(disp, center, room, margin, speed_max, rate):
-    """Scale a zero-centered displacement to honor speed and wall margins."""
-    cols = np.ascontiguousarray(disp.T)
-    span = np.abs(cols).max(axis=1)
+    """Scale a zero-centered (T, 3) displacement to honor speed and wall margins.
+
+    Elementwise, so a transposed view of axis-major rows stays one.
+    """
+    span = np.abs(disp).max(axis=0)
     if np.any(center - span < margin) or np.any(center + span > room.dims - margin):
         allowed = np.minimum(center - margin, room.dims - margin - center)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -115,9 +121,8 @@ def _fit_displacement(disp, center, room, margin, speed_max, rate):
         if scale <= 0:
             raise ValueError("margin leaves no room for motion around the center")
         disp = disp * min(1.0, scale)
-        cols = cols * min(1.0, scale)
     if len(disp) >= 2:
-        vmax = _top_speed(cols, rate)
+        vmax = _top_speed(disp.T, rate)
         if vmax > speed_max:
             if speed_max == 0:
                 disp = np.zeros_like(disp)
@@ -140,6 +145,11 @@ def _top_speed(cols, rate):
     return float(np.sqrt(sq.max())) * rate
 
 
+def _placed(center, disp, rate):
+    """The trajectory center + disp, formed axis by axis."""
+    return Trajectory(rate=rate, positions=(center[:, None] + disp.T).T)
+
+
 def generate(spec, rate, room, margin=0.3):
     """Build a band-limited trajectory inside the room.
 
@@ -148,6 +158,8 @@ def generate(spec, rate, room, margin=0.3):
     the oscillatory kinds at least 99% of the displacement spectral energy
     lies below bandwidth_limit (a constant-velocity line has an unbounded
     window spectrum and carries no such guarantee). Deterministic per seed.
+    The analytic and noise kinds are built axis-major, one (T,) row per
+    axis, as Trajectory stores them.
     """
     if rate < 2 * spec.bandwidth_limit:
         raise ValueError("rate must be at least twice the bandwidth limit")
@@ -165,50 +177,48 @@ def generate(spec, rate, room, margin=0.3):
             start = np.asarray(spec.start, dtype=np.float64)
         else:
             start = center - direction * travel / 2.0
-        pos = start[None, :] + direction[None, :] * (spec.speed_max * t)[:, None]
-        inside = np.all(pos > margin) and np.all(pos < room.dims - margin)
+        axes = start[:, None] + direction[:, None] * (spec.speed_max * t)
+        inside = np.all(axes > margin) and np.all(axes < (room.dims - margin)[:, None])
         if not inside:
             raise ValueError("line does not fit inside the room with this margin")
-        return Trajectory(rate=rate, positions=pos)
+        return Trajectory(rate=rate, positions=axes.T)
 
     if spec.kind == "sine":
         direction = _unit_direction(rng, spec.direction)
         f = spec.bandwidth_limit
         if f == 0 or spec.speed_max == 0:
-            disp = np.zeros((n, 3))
+            axes = np.zeros((3, n))
         else:
             amp = spec.speed_max / (2 * np.pi * f)
-            disp = amp * np.sin(2 * np.pi * f * t)[:, None] * direction[None, :]
-        disp = _fit_displacement(disp, center, room, margin, spec.speed_max, rate)
-        return Trajectory(rate=rate, positions=center + disp)
+            axes = direction[:, None] * (amp * np.sin(2 * np.pi * f * t))
+        disp = _fit_displacement(axes.T, center, room, margin, spec.speed_max, rate)
+        return _placed(center, disp, rate)
 
     if spec.kind == "circle":
         f = spec.bandwidth_limit
         if f == 0 or spec.speed_max == 0:
-            disp = np.zeros((n, 3))
+            axes = np.zeros((3, n))
         else:
             radius = spec.speed_max / (2 * np.pi * f)
             phase = 2 * np.pi * f * t
-            disp = np.stack(
-                [radius * np.cos(phase), radius * np.sin(phase), np.zeros(n)], axis=1
-            )
-        disp = _fit_displacement(disp, center, room, margin, spec.speed_max, rate)
-        return Trajectory(rate=rate, positions=center + disp)
+            axes = np.stack([radius * np.cos(phase), radius * np.sin(phase), np.zeros(n)])
+        disp = _fit_displacement(axes.T, center, room, margin, spec.speed_max, rate)
+        return _placed(center, disp, rate)
 
     if spec.kind == "filtered-noise":
-        disp = np.zeros((n, 3))
+        axes = np.zeros((3, n))
         k_max = int(np.floor(0.95 * spec.bandwidth_limit * n / rate))
         if k_max >= 1 and spec.speed_max > 0:
             for axis in range(3):
                 spectrum = np.zeros(n // 2 + 1, dtype=complex)
                 live = rng.normal(size=k_max) + 1j * rng.normal(size=k_max)
                 spectrum[1 : k_max + 1] = live
-                disp[:, axis] = np.fft.irfft(spectrum, n)
-            vmax = _top_speed(np.ascontiguousarray(disp.T), rate)
+                axes[axis] = np.fft.irfft(spectrum, n)
+            vmax = _top_speed(axes, rate)
             if vmax > 0:
-                disp = disp * (0.999 * spec.speed_max / vmax)
-        disp = _fit_displacement(disp, center, room, margin, spec.speed_max, rate)
-        return Trajectory(rate=rate, positions=center + disp)
+                axes = axes * (0.999 * spec.speed_max / vmax)
+        disp = _fit_displacement(axes.T, center, room, margin, spec.speed_max, rate)
+        return _placed(center, disp, rate)
 
     # waypoint-spline: random knots in the middle 60% of the usable box so
     # spline overshoot and low-pass ringing stay inside before rescaling
@@ -226,7 +236,7 @@ def generate(spec, rate, room, margin=0.3):
         pos = _lowpass_columns(pos, rate, spec.bandwidth_limit)
     mean = pos.mean(axis=0)
     disp = _fit_displacement(pos - mean, mean, room, margin, spec.speed_max, rate)
-    return Trajectory(rate=rate, positions=mean + disp)
+    return _placed(mean, disp, rate)
 
 
 def _lowpass_columns(x, rate, cutoff):
@@ -334,7 +344,7 @@ def decimate(traj, factor):
     pos = traj.positions
     n = len(traj)
     blocks = -(-n // step)
-    nodes = np.empty((blocks + 3, 3))
+    nodes = np.empty((3, blocks + 3)).T  # axis-major, as Trajectory stores it
     nodes[0] = _extend(pos[:3], [step])[0]
     nodes[1 : blocks + 1] = pos[::step]
     past = blocks * step - (n - 1)
@@ -353,7 +363,7 @@ def speed_max(traj):
     """Largest finite-difference speed along the path, m/s."""
     if len(traj) < 2:
         return 0.0
-    return _top_speed(np.ascontiguousarray(traj.positions.T), traj.rate)
+    return _top_speed(traj.positions.T, traj.rate)
 
 
 def bandwidth_estimate(traj, energy_fraction=0.99):

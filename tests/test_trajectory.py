@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moverb import _kernels, trajectory
+from moverb import _kernels, io_formats, trajectory
 from moverb._kernels import TILE_BLOCKS, distance_streams, restore_cubic
 from moverb.room import Room, as_arrays, enumerate_images
 from moverb.synth import high_order_distances
@@ -73,6 +74,70 @@ class TestTrajectoryContainer:
 
 
 ALL_KINDS = ["line", "circle", "sine", "filtered-noise", "waypoint-spline"]
+
+
+class TestPathLayout:
+    # a Trajectory copies its input once into axis-major storage: a
+    # (3, T) array of contiguous axis rows, of which positions is the
+    # read-only (T, 3) transposed view
+
+    @pytest.fixture
+    def built_from(self, monkeypatch):
+        """Every positions argument a Trajectory is built from, as passed."""
+        seen = []
+
+        def record(rate, positions):
+            seen.append(positions)
+            return Trajectory(rate=rate, positions=positions)
+
+        monkeypatch.setattr(trajectory, "Trajectory", record)
+        monkeypatch.setattr(io_formats, "Trajectory", record)
+        return seen
+
+    @staticmethod
+    def check(traj, source):
+        want = np.array(source, dtype=np.float64)
+        pos = traj.positions
+        assert pos.shape == want.shape and np.array_equal(pos, want)
+        assert not pos.flags.writeable
+        with pytest.raises(ValueError):
+            pos[0, 0] = 1.0
+        if isinstance(source, list):
+            source[0][0] += 1.0
+        else:
+            source[...] += 1.0
+        assert np.array_equal(traj.positions, want)
+        assert all(axis.flags.c_contiguous for axis in pos.T)
+
+    def inputs(self):
+        rows = np.random.default_rng(4).standard_normal((50, 3))
+        wide = np.random.default_rng(5).standard_normal((100, 6))
+        return {
+            "list": rows.tolist(),
+            "C-ordered": rows.copy(),
+            "F-ordered": np.asfortranarray(rows),
+            "strided slice": wide[::2, 1:4],
+        }
+
+    @pytest.mark.parametrize("kind", ["list", "C-ordered", "F-ordered", "strided slice"])
+    def test_given_positions(self, kind):
+        source = self.inputs()[kind]
+        self.check(Trajectory(rate=RATE, positions=source), source)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_generated_positions(self, kind, built_from):
+        spec = TrajectorySpec(kind, 0.5, 2.0, 1.0, seed=3)
+        self.check(generate(spec, RATE, make_room()), built_from[-1])
+
+    @pytest.mark.parametrize("factor", [2, 7, 3200])
+    def test_decimated_nodes(self, factor, built_from):
+        tr = generate(TrajectorySpec("sine", 0.5, 2.0, 1.0), RATE, make_room())
+        self.check(decimate(tr, factor), built_from[-1])
+
+    def test_read_trajectory(self, built_from, tmp_path):
+        tr = generate(TrajectorySpec("circle", 0.1, 2.0, 1.0), RATE, make_room())
+        io_formats.write_trajectory(tmp_path / "path.txt", tr)
+        self.check(io_formats.read_trajectory(tmp_path / "path.txt"), built_from[-1])
 
 
 class TestGenerate:
@@ -318,6 +383,38 @@ class TestUpsample:
         whole = restore_cubic(nodes, table, np.empty(start + out_len + 3 * h))
         part = restore_cubic(nodes[start // h :], table, np.empty(out_len))
         assert np.array_equal(part, whole[start : start + out_len])
+
+    @pytest.mark.parametrize("h", [2, 7, 400])
+    @pytest.mark.parametrize("k", [1, 2, 3, 63, 64])
+    @pytest.mark.parametrize("short", [0, 1])
+    def test_last_tile_gives_the_whole_rows_bits(self, h, k, short):
+        # a range whose last tile reaches k grid intervals, ending on the
+        # last one's end or one sample before it, restored on its own and
+        # as the head of a longer row: a last tile of one interval still
+        # multiplies two frame rows, since a one-row product rounds
+        # differently
+        table = lagrange_table(h)
+        size = TILE_BLOCKS * h
+        nodes = np.random.default_rng(h * k).standard_normal(3 * TILE_BLOCKS + 3)
+        whole = restore_cubic(nodes, table, np.empty(3 * size))
+        for start in (0, size):
+            out_len = size + k * h - short
+            part = restore_cubic(nodes[start // h :], table, np.empty(out_len))
+            assert np.array_equal(part, whole[start : start + out_len])
+
+    def test_a_short_range_allocates_less_than_a_tile(self):
+        # 4000 samples at h = 400 are 10 grid intervals of a 64-interval tile
+        table = lagrange_table(400)
+        nodes = np.random.default_rng(3).standard_normal(13)
+        out = np.empty(4000)
+        restore_cubic(nodes, table, out)  # warm-up
+        tracemalloc.start()
+        try:
+            restore_cubic(nodes, table, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < TILE_BLOCKS * 400 * 8, f"{peak} bytes"
 
     def test_rejects_unaligned_start(self):
         # grid rows restore whole tiles, so their range starts on a tile
