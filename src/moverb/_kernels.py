@@ -1,9 +1,10 @@
 """Hot inner loops, in numpy.
 
-Every kernel is elementwise along time or works on tiles whose shape does
-not depend on where a render's time chunks fall, so evaluating a range of
-samples gives the same bits as evaluating the whole stream and slicing it.
-That is what lets the synthesis engine walk the output in chunks.
+Every kernel is elementwise along time or restores grid intervals whose
+bits do not depend on which of them a product covers, so evaluating a
+range of samples gives the same bits as evaluating the whole stream and
+slicing it. That is what lets the synthesis engine walk the output in
+chunks.
 
 The per-sample kernels work in scratch rows allocated once per call, with
 in-place ufuncs that keep each element's operands and operation order, so
@@ -17,10 +18,10 @@ neither copies the path. A row's delay and gain have one home,
 row_terms, which the render and the stream record's rows read: it forms
 them from the row's mirrored mic and spreading coefficient on a path,
 the path's samples for an exact (near) row, its grid nodes for a far
-row, whose delay and gain are then restored tile by tile
-(restore_cubic). A range's last tile computes only the grid intervals
-the range reaches, never fewer than two, so no row holds an array
-longer than the range's whole grid intervals. Accumulation runs one
+row, whose delay and gain are then restored by one product over the
+grid intervals the range reaches, never fewer than two (restore_cubic),
+so no row holds an array longer than the range's whole grid intervals,
+and a range may start at any grid interval. Accumulation runs one
 image row at a time through one Horner pass (_horner_row), in one
 kernel (accumulate_rows).
 Rows held at one delay and gain past the path's end take the same pass
@@ -179,8 +180,8 @@ def row_terms(q, path, coef, scale, d_min, n, start=0, table=None):
     from, nodes start // h up to ceil((start + n) / h) + 3 (fewer at the
     path's end), and restore_cubic fills rows of tau and gain over the
     ceil(n / h) grid intervals the range reaches, of which the first n
-    samples are yielded; start must then be a tile boundary, a multiple
-    of TILE_BLOCKS * h (ValueError otherwise).
+    samples are yielded; start must then begin a grid interval, a
+    multiple of h (ValueError otherwise).
 
     Yields (tau, gain) per row, in scratch that the next row overwrites; a
     caller may overwrite it too.
@@ -190,8 +191,10 @@ def row_terms(q, path, coef, scale, d_min, n, start=0, table=None):
     x, g = np.empty(m), np.empty(m)
     if table is not None:
         step = table.shape[1]
-        if start % (TILE_BLOCKS * step) or start < 0:
-            raise ValueError("start must be a tile boundary")
+        if start % step or start < 0:
+            raise ValueError(
+                f"start {start} does not begin a grid interval (h = {step})"
+            )
         xs = np.empty(-(-n // step) * step)
         gs = np.empty_like(xs)
     for i in range(q.shape[0]):
@@ -272,44 +275,34 @@ def accumulate_held(out, streams, delay, gain, d0, start=0):
 # through nodes j .. j + 3 at phase p: the four node values dotted with
 # column p of a (4, h) weight table. Seen as (intervals, h), the output is
 # the matrix product frames @ table, where frames[j] holds nodes j .. j + 3.
-# It is computed in tiles of TILE_BLOCKS intervals, a (TILE_BLOCKS x 4) @
-# (4 x h) product aligned to multiples of TILE_BLOCKS * h samples, so a
-# sample's value does not depend on which range is asked for (OpenBLAS
-# sums in an order that varies with the operand shapes). A range's last
-# tile multiplies only the k frames of the intervals it reaches, never
-# fewer than two: a one-row product takes BLAS's matrix-vector path and
-# rounds differently, while the first k rows of a product of k = 2 .. 64
-# rows hold the whole tile's bits (checked at every h from 2 to 400).
-# At h <= 400 a tile is 64 * 4 * 400 < 2^18 multiply-adds, under
-# OpenBLAS's threading threshold, so it runs on the calling thread. Node
-# indices past the row's end clamp to its last node.
-
-TILE_BLOCKS = 64
+# A range is one product over the k grid intervals it reaches, never
+# fewer than two. Each row of a k-row product with k >= 2 holds the same
+# bits at any k and any first interval, so a range restored on its own
+# from a grid-interval boundary gives the whole row's bits there (checked
+# on OpenBLAS for k up to 3000, at h from 2 to 400, on one thread and
+# threaded). A one-row product takes BLAS's matrix-vector path and rounds
+# differently, hence the second row. Node indices past the row's end
+# clamp to its last node.
 
 
 def restore_cubic(nodes, table, out):
     """Fill out with samples 0 .. out.size - 1 of a node row.
 
     nodes: (K,) grid values, table: (4, h) weights, out: C-contiguous
-    (T,) float64. A range of a longer row that starts on a tile boundary,
-    a multiple of TILE_BLOCKS * h, is restored from the row's nodes from
-    start // h on, with the bits of the whole row. Whole tiles are
-    written in place; the last one multiplies max(2, ceil(rem / h)) frame
-    rows for its rem samples, in place when rem is that many whole
-    intervals, through a product of that size otherwise. Returns out.
+    (T,) float64. One product of max(2, ceil(T / h)) frame rows, written
+    in place when T is that many whole intervals, through a product of
+    that size otherwise. A range of a longer row that starts on a grid
+    interval boundary, j * h, is restored from the row's nodes from j on,
+    with the bits of the whole row. Returns out.
     """
     step = table.shape[1]
-    size = TILE_BLOCKS * step
     if not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")
-    window = np.arange(TILE_BLOCKS)[:, None] + np.arange(4)
-    last = nodes.shape[0] - 1
-    for a in range(0, out.shape[0], size):
-        dest = out[a : a + size]
-        rows = max(2, -(-dest.shape[0] // step))
-        frames = nodes[np.minimum(window[:rows] + a // step, last)]
-        if dest.shape[0] == rows * step:
-            np.matmul(frames, table, out=dest.reshape(rows, step))
-        else:
-            dest[:] = (frames @ table).ravel()[: dest.shape[0]]
+    rows = max(2, -(-out.shape[0] // step))
+    window = np.arange(rows)[:, None] + np.arange(4)
+    frames = nodes[np.minimum(window, nodes.shape[0] - 1)]
+    if out.shape[0] == rows * step:
+        np.matmul(frames, table, out=out.reshape(rows, step))
+    else:
+        out[:] = (frames @ table).ravel()[: out.shape[0]]
     return out

@@ -236,7 +236,7 @@ def engine_config_from_table(table):
 
 
 def write_report(path, report):
-    """Flat key=value record of a ComparisonReport."""
+    """Flat key=value record of a ComparisonReport; read_config reads it back."""
     with open(path, "w") as fh:
         fh.write(f"snr_db={report.snr_db:.6f}\n")
         fh.write(f"envelope_max_jump={float(report.envelope_max_jump):.17g}\n")
@@ -245,11 +245,6 @@ def write_report(path, report):
             fh.write(f"inst_freq_mean={float(np.mean(track)):.6f}\n")
             fh.write(f"inst_freq_min={float(np.min(track)):.6f}\n")
             fh.write(f"inst_freq_max={float(np.max(track)):.6f}\n")
-
-
-def read_report(path):
-    with open(path) as fh:
-        return parse_config_text(fh.read())
 
 
 def write_compare_csv(path, a, rate):

@@ -39,18 +39,20 @@ form whole rows for dumps and checks, through the kernel's own
 row_terms.
 
 synthesize walks the output in fixed time chunks of CHUNK_SAMPLES,
-rounded up to whole restoration tiles. One job per chunk adds every
-row, one at a time in row order, straight into the chunk's slice of the
-output, through one kernel: near and far rows differ only in the path
-it reads. An exact row's distance, delay and gain are formed in
-chunk-long scratch rows from the path's samples in the chunk; a far
-row's are formed at the grid nodes the chunk is restored from, and its
-delay and gain are restored in chunk-long scratch rows, so it never
-holds a per-sample distance. Past the path's end every row holds its
-delay and gain at the path's last sample; the tail adds them
-on the calling thread. Chunks run on a pool of `workers` threads; a
-path of one chunk renders on the calling thread. A clip of N samples or
-less restores nothing: its far rows are exact, as at decimation 1.
+rounded up to whole grid intervals (16400 samples at h = 400), so every
+chunk starts on a grid interval of each restored part. One job per
+chunk adds every row, one at a time in row order, straight into the
+chunk's slice of the output, through one kernel: near and far rows
+differ only in the path it reads. An exact row's distance, delay and
+gain are formed in chunk-long scratch rows from the path's samples in
+the chunk; a far row's are formed at the grid nodes the chunk is
+restored from, and its delay and gain are restored in chunk-long
+scratch rows, so it never holds a per-sample distance. Past the path's
+end every row holds its delay and gain at the path's last sample; the
+tail adds them on the calling thread. Chunks run on a pool of `workers`
+threads; a path of one chunk renders on the calling thread. A clip of N
+samples or less restores nothing: its far rows are exact, as at
+decimation 1.
 
 Before the walk, every row's delay is bounded from the parts alone
 (_delay_bounds), and the output is allocated once, at its longest.
@@ -61,20 +63,19 @@ own. A row whose delay leaves the bounds would read outside its window,
 so it raises RuntimeError before it is read. A job reads the path's
 axes where the Trajectory stores them, contiguous rows of a (3, T)
 array, so it copies no path window, and it restores a far row's delay
-and gain over only the ceil(n / h) grid intervals its n samples reach,
-not a whole 64 h-sample tile (a 1 s clip at h = 400 restores 16000
-samples per row and signal, not 25600). Beyond the input, the output
-and the path, no array longer than a chunk plus the delay span is
-held: memory is O(workers x (chunk + delay span)) whatever the image
-count or the clip length.
+and gain by one product over only the ceil(n / h) grid intervals its n
+samples reach. Beyond the input, the output and the path, no array
+longer than a chunk plus the delay span is held: memory is
+O(workers x (chunk + delay span)) whatever the image count or the clip
+length.
 
 Summation order is fixed per output sample: ((0 + r_0) + r_1) + ... over
 the rows in enumeration order, as a loop over the images adds them.
 Every per-sample step is elementwise, restoration gives a sample the
-bits of its tile whatever range it is restored in, and chunks write
-disjoint slices of the output. Chunk length and worker count change
-only the scheduling, never the arithmetic, so they never change the
-output bits.
+same bits whatever run of grid intervals it is restored in, and chunks
+write disjoint slices of the output. Chunk length and worker count
+change only the scheduling, never the arithmetic, so they never change
+the output bits.
 """
 
 import math
@@ -86,7 +87,7 @@ from . import _kernels, farrow
 from .room import as_arrays, as_mic, attenuation, enumerate_images
 from .trajectory import decimate, grid_step, lagrange_table
 
-# output samples per job, rounded up to whole restoration tiles
+# output samples per job, rounded up to whole grid intervals
 CHUNK_SAMPLES = 16384
 # largest far-image delay error a render accepts, in samples
 DELAY_ERROR_BUDGET = 0.01
@@ -108,9 +109,9 @@ class SynthesisConfig:
     images whose initial path length exceeds c * t60. d_min: distance
     floor for the gain (never for the delay). The gain scales the delayed
     signal at arrival time. workers: threads that walk the output's time
-    chunks (CHUNK_SAMPLES rounded up to whole restoration tiles of 64 h
-    samples: 25600, 1.6 s at 16 kHz, when h = 400); a path of one chunk
-    renders on the calling thread whatever workers is.
+    chunks (CHUNK_SAMPLES rounded up to whole grid intervals: 16400
+    samples, 41 intervals, when h = 400); a path of one chunk renders on
+    the calling thread whatever workers is.
     eval_budget: cap on brute-force distance evaluations.
     """
 
@@ -410,10 +411,8 @@ def synthesize(s, streams, f, cfg):
             top = max(top, peak)
         return top
 
-    # whole restoration tiles of every restored part
-    chunk = math.lcm(
-        *(_kernels.TILE_BLOCKS * p.table.shape[1] for p in parts if p.table is not None)
-    )
+    # whole grid intervals of every restored part
+    chunk = math.lcm(*(p.table.shape[1] for p in parts if p.table is not None))
     chunk *= -(-CHUNK_SAMPLES // chunk)
     pieces = [(t, min(t + chunk, length)) for t in range(0, length, chunk)]
     tau_max = max(_run(path_job, pieces, cfg.workers))

@@ -291,10 +291,12 @@ def bandlimited_upsample(samples, factor, out_len):
     samples are node values as decimate lays them out: node k at sample
     (k - 1) * h, h = grid_step(factor). Sample m is the Lagrange cubic
     through the four nodes around it; nodes missing past the end hold the
-    last one. Exact on cubic polynomials. The cubic runs in tiles whose
-    shape depends only on h, so a sample's value depends neither on what
-    else is being restored nor on out_len. At factor 1 the samples are
-    the path's own, edge-padded to out_len.
+    last one. Exact on cubic polynomials. The cubic restores whole grid
+    intervals in one product (_kernels.restore_cubic), of which the first
+    out_len samples are returned, so no second row-length array is made;
+    a sample's value depends neither on what else is being restored nor
+    on out_len. At factor 1 the samples are the path's own, edge-padded
+    to out_len.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
@@ -306,7 +308,8 @@ def bandlimited_upsample(samples, factor, out_len):
         if out_len <= x.size:
             return x[:out_len].copy()
         return np.concatenate([x, np.full(out_len - x.size, x[-1])])
-    return _kernels.restore_cubic(x, lagrange_table(step), np.empty(out_len))
+    out = np.empty(-(-out_len // step) * step)
+    return _kernels.restore_cubic(x, lagrange_table(step), out)[:out_len]
 
 
 def _extend(pos, steps):

@@ -461,7 +461,7 @@ class TestCliCompareAndCost:
         )
         assert r.returncode == 0, r.stderr
         assert "snr_db=" in r.stdout
-        table = io_formats.read_report(rep_path)
+        table = io_formats.read_config(rep_path)
         assert "snr_db" in table
         assert "envelope_max_jump" in table
         header = csv_path.read_text().splitlines()[0]

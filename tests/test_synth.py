@@ -124,14 +124,18 @@ def reference_accumulate_exact(out, streams, q, pos, coef, scale, d_min, d0, sta
 
 
 def reference_restore(nodes, table, start, n):
-    """restore_cubic as one plain product per tile, frozen here."""
+    """Samples start .. start + n - 1 of a node row, frozen here.
+
+    One plain product per 64-interval tile from node 0, then sliced to
+    the range.
+    """
     step = table.shape[1]
-    window = np.arange(_kernels.TILE_BLOCKS)[:, None] + np.arange(4)
+    window = np.arange(64)[:, None] + np.arange(4)
     tiles = []
-    for a in range(start, start + n, _kernels.TILE_BLOCKS * step):
+    for a in range(0, start + n, 64 * step):
         frames = nodes[np.minimum(window + a // step, nodes.size - 1)]
         tiles.append((frames @ table).ravel())
-    return np.concatenate(tiles)[:n]
+    return np.concatenate(tiles)[start : start + n]
 
 
 def reference_accumulate_restored(out, streams, delay, gain, table, d0, start):
@@ -239,13 +243,12 @@ class TestKernelsMatchFrozenReferences:
     def test_accumulate_restored(self, seed):
         rng = np.random.default_rng(100 + seed)
         step = int(rng.choice([2, 3, 5, 16]))
-        size = _kernels.TILE_BLOCKS * step
         n_branches = int(rng.integers(2, 6))
         stream_len = int(rng.integers(40, 2500))
         n = int(rng.integers(1, 2000))
         rows = int(rng.integers(1, 6))
         streams = rng.standard_normal((n_branches, stream_len))
-        start = size * int(rng.integers(0, 4))
+        start = step * int(rng.integers(0, 4 * 64))  # any grid interval
         d0 = int(rng.integers(0, 20))
         scale = float(rng.uniform(5.0, 50.0))  # samples per meter
         d_min = float(rng.uniform(0.01, 0.3))
@@ -754,9 +757,10 @@ def traced_peak_mb(call):
 
 
 class TestChunkedWalk:
-    # chunk lengths are rounded up to whole restoration tiles of 64 h
-    # samples: 25600 at N=3200 (h=400), 128 at N=2 and 1 at N=1, so these
-    # give 3, 2 and 1 chunks over 3.5 s at N=3200 and many more at N=2
+    # chunk lengths are rounded up to whole grid intervals: 800, 30000
+    # and 10**9 at N=3200 (h=400), so these give 70, 2 and 1 chunks
+    # over 3.5 s, each starting at a grid interval; at N=2 and N=1 they
+    # stay 700, 30000 and 10**9
     CHUNKS = (700, 30000, 10**9)
 
     @pytest.mark.parametrize("factor", [3200, 2, 1])
@@ -822,8 +826,9 @@ class TestChunkedWalk:
         assert y.size > n
         # whole-array streams took 405 MB here: four (63, 160k) float64 arrays;
         # a job that copied its path window or restored whole last tiles
-        # took 4.04 MB
-        assert peak < 3.8, f"peak {peak:.2f} MB"
+        # took 4.04 MB, one that restored in 64-interval tiles of chunks
+        # of 25600 samples 3.40 MB
+        assert peak < 3.0, f"peak {peak:.2f} MB"
 
     def test_order3_ten_second_exact_render_peak_memory(
         self, filt, room_5x6x4, mic_std
@@ -876,7 +881,8 @@ class TestChunkedWalk:
             lambda: render(x, tr, room_5x6x4, mic_std, filt, cfg)
         )
         assert y.size > n
-        assert peak < 3.2, f"peak {peak:.2f} MB"
+        # 2.82 MB with chunks of 25600 samples, whole 64-interval tiles
+        assert peak < 2.4, f"peak {peak:.2f} MB"
 
     def test_five_thousand_images_render(self, filt, room_5x6x4, mic_std):
         n = 800  # 0.05 s
@@ -895,7 +901,7 @@ class TestChunkedWalk:
     ):
         # a 1 s path is one chunk, which renders on the calling thread at
         # any worker count, so the peak is fixed: one job's scratch rows,
-        # its restored rows 16000 samples long, not a 25600-sample tile
+        # its restored rows 16000 samples long, 40 grid intervals
         n = 16000
         tr = moving_traj(n, duration=1.0, seed=12)
         x = np.random.default_rng(13).standard_normal(n)

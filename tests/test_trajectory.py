@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from functools import partial
 
@@ -7,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moverb import _kernels, io_formats, trajectory
-from moverb._kernels import TILE_BLOCKS, distance_streams, restore_cubic
+from moverb._kernels import distance_streams, restore_cubic
 from moverb.room import Room, as_arrays, enumerate_images
 from moverb.synth import high_order_distances
 from moverb.trajectory import (
@@ -372,38 +377,74 @@ class TestUpsample:
     @settings(max_examples=30, deadline=None)
     @given(
         h=st.sampled_from([2, 7, 400]),
-        tiles=st.integers(0, 3),
-        out_len=st.integers(1, 4 * TILE_BLOCKS * 400),
+        first=st.integers(0, 300),
+        out_len=st.integers(1, 4 * 64 * 400),
         seed=st.integers(0, 2**16),
     )
-    def test_tile_aligned_ranges_give_the_same_bits(self, h, tiles, out_len, seed):
+    def test_interval_aligned_ranges_give_the_same_bits(self, h, first, out_len, seed):
+        # a range from any grid interval; lengths reach past 64 intervals at every h
         table = lagrange_table(h)
-        start = tiles * TILE_BLOCKS * h
+        start = first * h
         nodes = np.random.default_rng(seed).standard_normal(-(-(start + out_len) // h) + 3)
         whole = restore_cubic(nodes, table, np.empty(start + out_len + 3 * h))
-        part = restore_cubic(nodes[start // h :], table, np.empty(out_len))
+        part = restore_cubic(nodes[first:], table, np.empty(out_len))
         assert np.array_equal(part, whole[start : start + out_len])
 
     @pytest.mark.parametrize("h", [2, 7, 400])
-    @pytest.mark.parametrize("k", [1, 2, 3, 63, 64])
+    @pytest.mark.parametrize("k", [1, 2, 3, 63, 64, 65, 400])
     @pytest.mark.parametrize("short", [0, 1])
-    def test_last_tile_gives_the_whole_rows_bits(self, h, k, short):
-        # a range whose last tile reaches k grid intervals, ending on the
-        # last one's end or one sample before it, restored on its own and
-        # as the head of a longer row: a last tile of one interval still
-        # multiplies two frame rows, since a one-row product rounds
-        # differently
+    def test_a_range_of_k_intervals_gives_the_whole_rows_bits(self, h, k, short):
+        # a range that reaches k grid intervals, ending on the last one's
+        # end or one sample before it, restored on its own from an interval
+        # off any multiple of 64 and as part of a longer row: a range of
+        # one interval still multiplies two frame rows, since a one-row
+        # product rounds differently
         table = lagrange_table(h)
-        size = TILE_BLOCKS * h
-        nodes = np.random.default_rng(h * k).standard_normal(3 * TILE_BLOCKS + 3)
-        whole = restore_cubic(nodes, table, np.empty(3 * size))
-        for start in (0, size):
-            out_len = size + k * h - short
-            part = restore_cubic(nodes[start // h :], table, np.empty(out_len))
-            assert np.array_equal(part, whole[start : start + out_len])
+        nodes = np.random.default_rng(h * k).standard_normal(600)
+        whole = restore_cubic(nodes, table, np.empty(597 * h))
+        out_len = k * h - short
+        for first in (0, 1, 37, 101, 130):
+            part = restore_cubic(nodes[first:], table, np.empty(out_len))
+            assert np.array_equal(part, whole[first * h : first * h + out_len]), first
 
-    def test_a_short_range_allocates_less_than_a_tile(self):
-        # 4000 samples at h = 400 are 10 grid intervals of a 64-interval tile
+    def test_ranges_match_the_whole_row_threaded_and_on_one_thread(self):
+        # a 960000-sample row at h = 400 is a 2400-row product, above
+        # OpenBLAS's threading threshold; restored whole and in 41-interval
+        # ranges (the engine's chunks) it must give the same bits, with
+        # BLAS threads left to their default and pinned to one
+        code = textwrap.dedent(
+            """
+            import numpy as np
+            from moverb._kernels import restore_cubic
+            from moverb.trajectory import lagrange_table
+
+            h, n, size = 400, 960000, 41 * 400
+            table = lagrange_table(h)
+            nodes = np.random.default_rng(5).standard_normal(n // h + 3)
+            whole = restore_cubic(nodes, table, np.empty(n))
+            parts = [
+                restore_cubic(nodes[a // h :], table, np.empty(min(size, n - a)))
+                for a in range(0, n, size)
+            ]
+            print(np.array_equal(np.concatenate(parts), whole))
+            """
+        )
+        src = str(pathlib.Path(_kernels.__file__).parents[1])
+        env = {**os.environ}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        for threads in (None, "1"):
+            env.pop("OPENBLAS_NUM_THREADS", None)
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            done = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True,
+                env=env, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            assert done.stdout.strip() == "True", f"OPENBLAS_NUM_THREADS={threads}"
+
+    def test_a_short_range_allocates_less_than_eight_intervals(self):
+        # 4000 samples at h = 400 are 10 grid intervals, restored in place
         table = lagrange_table(400)
         nodes = np.random.default_rng(3).standard_normal(13)
         out = np.empty(4000)
@@ -414,15 +455,15 @@ class TestUpsample:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < TILE_BLOCKS * 400 * 8, f"{peak} bytes"
+        assert peak < 8 * 400, f"{peak} bytes"
 
     def test_rejects_unaligned_start(self):
-        # grid rows restore whole tiles, so their range starts on a tile
+        # grid rows restore whole grid intervals, so their range starts on one
         table = lagrange_table(7)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="grid interval"):
             _kernels.accumulate_rows(
                 np.zeros(10), np.ones((2, 40)), np.ones((1, 3)), np.zeros((9, 3)),
-                np.ones(1), 1.0, 0.1, 0, start=7, table=table,
+                np.ones(1), 1.0, 0.1, 0, start=3, table=table,
             )
 
     @pytest.mark.parametrize("factor", [2, 16, 100, 3200])
