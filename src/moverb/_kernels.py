@@ -33,6 +33,8 @@ bounds on the delays, which accumulate_rows checks before each row's
 read.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -285,6 +287,14 @@ def accumulate_held(out, streams, delay, gain, d0, start=0):
 # clamp to its last node.
 
 
+@lru_cache(maxsize=8)
+def _frame_index(rows, count):
+    """(rows, 4) node indices of the frames over count nodes; read-only, shared."""
+    index = np.minimum(np.arange(rows)[:, None] + np.arange(4), count - 1)
+    index.flags.writeable = False
+    return index
+
+
 def restore_cubic(nodes, table, out):
     """Fill out with samples 0 .. out.size - 1 of a node row.
 
@@ -299,8 +309,7 @@ def restore_cubic(nodes, table, out):
     if not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")
     rows = max(2, -(-out.shape[0] // step))
-    window = np.arange(rows)[:, None] + np.arange(4)
-    frames = nodes[np.minimum(window, nodes.shape[0] - 1)]
+    frames = nodes[_frame_index(rows, nodes.shape[0])]
     if out.shape[0] == rows * step:
         np.matmul(frames, table, out=out.reshape(rows, step))
     else:

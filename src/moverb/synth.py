@@ -24,16 +24,16 @@ restoration and the Horner evaluation run at the audio rate. Near images
 keep exact per-sample distances: their distance curves carry the
 strongest nonlinearity. The cubic's error grows as h^4 times the fourth
 derivative of the distance; prepare_streams measures it on every far
-image at the midpoint of every grid interval and refuses a render whose
-delay error exceeds DELAY_ERROR_BUDGET samples.
+image at 1/4, 1/2 and 3/4 of every grid interval and refuses a render
+whose delay error exceeds DELAY_ERROR_BUDGET samples.
 
 No per-image stream is ever held at full length. A DelayStreams value
 is a plain record of its rows in parts, in row order: each part holds
 exactly what the row kernel reads, its rows' mirrored mics and spreading
 coefficients and a path, the path's samples for exact rows, its grid
 nodes and the cubic's table for restored ones. A render's record has an
-exact part, then a restored one (two exact parts on a clip of N samples
-or less). Every row holds meters at the audio rate, cfg.audio_rate.
+exact part, then a restored one (two exact parts at N = 1). Every row
+holds meters at the audio rate, cfg.audio_rate.
 synthesize never asks the record for a distance; terms(i), row(i) and d
 form whole rows for dumps and checks, through the kernel's own
 row_terms.
@@ -50,9 +50,7 @@ restored from, and its delay and gain are restored in chunk-long
 scratch rows, so it never holds a per-sample distance. Past the path's
 end every row holds its delay and gain at the path's last sample; the
 tail adds them on the calling thread. Chunks run on a pool of `workers`
-threads; a path of one chunk renders on the calling thread. A clip of N
-samples or less restores nothing: its far rows are exact, as at
-decimation 1.
+threads; a path of one chunk renders on the calling thread.
 
 Before the walk, every row's delay is bounded from the parts alone
 (_delay_bounds), and the output is allocated once, at its longest.
@@ -102,17 +100,17 @@ class SynthesisConfig:
     """Engine knobs.
 
     audio_rate: output sample rate. order_split: images with order <= K
-    stay at full rate. decimation: N, which caps the grid step of
+    stay at full rate. decimation: N, which sets only the grid step of
     high-order distances: they are exact every h = min(N, 400) samples
     and restored by a Lagrange cubic in between; N = 1 keeps every
-    distance exact. max_order: image enumeration bound. t60: optional cull of
-    images whose initial path length exceeds c * t60. d_min: distance
-    floor for the gain (never for the delay). The gain scales the delayed
-    signal at arrival time. workers: threads that walk the output's time
-    chunks (CHUNK_SAMPLES rounded up to whole grid intervals: 16400
-    samples, 41 intervals, when h = 400); a path of one chunk renders on
-    the calling thread whatever workers is.
-    eval_budget: cap on brute-force distance evaluations.
+    distance exact. max_order: image enumeration bound. t60: optional
+    cull of images whose initial path length exceeds c * t60. d_min:
+    distance floor for the gain (never for the delay). The gain scales
+    the delayed signal at arrival time. workers: threads that walk the
+    output's time chunks (CHUNK_SAMPLES rounded up to whole grid
+    intervals: 16400 samples, 41 intervals, when h = 400); a path of one
+    chunk renders on the calling thread whatever workers is. eval_budget:
+    cap on brute-force distance evaluations.
     """
 
     audio_rate: float = 16000.0
@@ -436,45 +434,41 @@ def select_images(room, traj, mic, cfg):
     return images
 
 
-def _far_factor(cfg, n_samples):
-    """Decimation of the far rows: N, or 1 when the clip is N samples or less.
-
-    A clip that short renders exactly, as at decimation 1.
-    """
-    return cfg.decimation if n_samples > cfg.decimation else 1
-
-
 def _check_delay_error(rows, traj, cfg):
     """Refuse restored far rows whose delay misses the exact one too far.
 
     rows: the restored part of a path's streams. Every row is checked at
-    the midpoint of every grid interval the path reaches, where the
-    cubic's error kernel peaks (at the path's last sample if it ends
-    sooner): the cubic through the interval's four node distances against
-    the exact distance there. Rows are checked in blocks of about
-    DISTANCE_BLOCK node distances, keeping the running maximum. Raises
-    ValueError when the worst error exceeds DELAY_ERROR_BUDGET.
+    1/4, 1/2 and 3/4 of every grid interval the path reaches (clamped to
+    its last sample): the cubic through the interval's four node
+    distances against the exact distance there. The cubic's error peaks
+    at the midpoint; the quarter points catch motion that is zero at the
+    nodes and midpoints. Rows go in blocks of about DISTANCE_BLOCK node
+    or probe distances, whichever are more. Raises ValueError when the
+    worst error exceeds DELAY_ERROR_BUDGET.
     """
     step = rows.table.shape[1]
-    n = len(traj)
-    probes = np.minimum(np.arange(-(-n // step)) * step + step // 2, n - 1)
+    starts = np.arange(0, len(traj), step)[:, None]
+    probes = np.minimum(starts + np.arange(1, 4) * step // 4, len(traj) - 1).ravel()
     block, phase = np.divmod(probes, step)
     at = traj.positions[probes]
-    size = max(1, _kernels.DISTANCE_BLOCK // rows.positions.shape[0])
+    size = max(1, _kernels.DISTANCE_BLOCK // max(rows.positions.shape[0], probes.size))
     worst = 0.0
     for a in range(0, rows.q.shape[0], size):
         pick = slice(a, a + size)
         nodes = rows.distances(pick)
         miss = _kernels.mic_distances(rows.q[pick], at)
+        term = np.empty_like(miss)
         for k in range(4):
-            miss -= nodes[:, block + k] * rows.table[k, phase]
-        worst = max(worst, float(np.abs(miss).max()))
+            nodes.take(block + k, axis=1, out=term)
+            term *= rows.table[k, phase]
+            miss -= term
+        worst = max(worst, float(np.abs(miss, out=miss).max()))
     err = worst * (traj.rate / cfg.sound_speed)
     if err > DELAY_ERROR_BUDGET:
         raise ValueError(
             f"far-image delay error {err:.3g} samples exceeds the "
             f"{DELAY_ERROR_BUDGET} sample budget at grid step {step}; "
-            "lower decimation"
+            f"lower decimation below {step}"
         )
 
 
@@ -483,10 +477,8 @@ def prepare_streams(traj, room, mic, cfg, images=None):
 
     images, if given, are sorted into enumeration order first, so the
     rows and their summation order do not depend on the order of the
-    list. Far rows are restored from grid nodes (see decimate), except on
-    a clip of N samples or less, where they are exact (see _far_factor).
-    Raises ValueError when any far row's delay error, checked at the
-    midpoint of every grid interval, exceeds DELAY_ERROR_BUDGET.
+    list. Far rows are restored from grid nodes at any clip length when
+    N > 1; raises ValueError when one's delay error is over budget.
     """
     if traj.rate != cfg.audio_rate:
         raise ValueError("trajectory rate must equal the audio rate")
@@ -498,7 +490,7 @@ def prepare_streams(traj, room, mic, cfg, images=None):
     low = [sp for sp in images if sp.order <= cfg.order_split]
     high = [sp for sp in images if sp.order > cfg.order_split]
     low_streams = low_order_distances(low, traj, mic, room)
-    factor = _far_factor(cfg, len(traj))
+    factor = cfg.decimation
     nodes = decimate(traj, factor)
     high_streams = high_order_distances(high, nodes, mic, room, len(traj), factor)
     for part in high_streams.parts:
@@ -526,13 +518,11 @@ def cost_report(cfg, images, duration):
     and hierarchical distance-evaluation totals, their ratio, the
     high-order-only ratio and the far images' grid step. Far images count
     as render evaluates them: ceil(T / h) + 3 grid nodes each, or every
-    sample on a clip of N samples or less (grid step 1). The per-sample
-    work that dominates a render is counted too: restored_samples, the
-    delay and gain samples the engine restores (2 per far image and
-    sample, none at grid step 1; a clip that ends inside a grid interval
-    restores that interval whole, less than h more per row and signal),
-    and accumulated_samples, the image samples the Horner pass
-    accumulates (images x samples).
+    sample at grid step 1. The per-sample work that dominates a render is
+    counted too: restored_samples, the delay and gain samples the engine
+    restores (2 per far image and sample of ceil(T / h) whole grid
+    intervals, none at grid step 1), and accumulated_samples, the image
+    samples the Horner pass accumulates (images x samples).
     """
     n_samples = int(round(duration * cfg.audio_rate))
     if isinstance(images, int):
@@ -542,7 +532,7 @@ def cost_report(cfg, images, duration):
         total = len(images)
         low = sum(1 for sp in images if sp.order <= cfg.order_split)
     high = total - low
-    step = grid_step(_far_factor(cfg, n_samples))
+    step = grid_step(cfg.decimation)
     nodes = n_samples if step == 1 else -(-n_samples // step) + 3
     naive = total * n_samples
     hierarchical = low * n_samples + high * nodes
@@ -558,6 +548,6 @@ def cost_report(cfg, images, duration):
         "hierarchical_evals": hierarchical,
         "reduction_ratio": naive / hierarchical if hierarchical else float("inf"),
         "high_order_reduction": (high_naive / high_hier) if high_hier else float("inf"),
-        "restored_samples": 0 if step == 1 else 2 * high * n_samples,
+        "restored_samples": 0 if step == 1 else 2 * high * (nodes - 3) * step,
         "accumulated_samples": total * n_samples,
     }

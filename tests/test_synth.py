@@ -1,5 +1,9 @@
 import concurrent.futures
+import os
+import pathlib
+import subprocess
 import sys
+import textwrap
 import tracemalloc
 from dataclasses import replace
 from functools import partial
@@ -897,24 +901,55 @@ class TestChunkedWalk:
         assert peak < 50.0, f"peak {peak:.1f} MB"
 
     def test_dense_render_peak_is_bounded_with_two_workers(
-        self, filt, room_5x6x4, mic_std
+        self, room_5x6x4, mic_std
     ):
         # a 1 s path is one chunk, which renders on the calling thread at
         # any worker count, so the peak is fixed: one job's scratch rows,
-        # its restored rows 16000 samples long, 40 grid intervals
-        n = 16000
-        tr = moving_traj(n, duration=1.0, seed=12)
-        x = np.random.default_rng(13).standard_normal(n)
-        cfg = SynthesisConfig(max_order=8, order_split=2, t60=0.07, workers=2)
+        # its restored rows 16000 samples long, 40 grid intervals. Each
+        # peak is taken in a fresh process, where tracemalloc sees no
+        # thread left behind by another test.
+        tr = moving_traj(16000, duration=1.0, seed=12)
+        cfg = SynthesisConfig(max_order=8, order_split=2, t60=0.07)
         assert len(select_images(room_5x6x4, tr, mic_std, cfg)) > 400
-        render(x, tr, room_5x6x4, mic_std, filt, cfg)  # warm-up
+        code = textwrap.dedent(
+            """
+            import sys
+            import tracemalloc
+
+            import numpy as np
+            from moverb import farrow
+            from moverb.room import MicPosition, Room
+            from moverb.synth import SynthesisConfig, render
+            from moverb.trajectory import TrajectorySpec, generate
+
+            room = Room(dims=np.array([5.0, 6.0, 4.0]), wall_reflection=np.full(6, 0.9))
+            mic = MicPosition(pos=np.array([1.25, 2.6, 2.75]))
+            spec = TrajectorySpec(
+                kind="sine", duration=1.0, bandwidth_limit=2.0, speed_max=1.0, seed=12
+            )
+            tr = generate(spec, 16000.0, room)
+            x = np.random.default_rng(13).standard_normal(16000)
+            cfg = SynthesisConfig(
+                max_order=8, order_split=2, t60=0.07, workers=int(sys.argv[1])
+            )
+            filt = farrow.design(3, 8, 0.8)
+            render(x, tr, room, mic, filt, cfg)  # warm-up
+            tracemalloc.start()
+            render(x, tr, room, mic, filt, cfg)
+            print(tracemalloc.get_traced_memory()[1] / 1e6)
+            """
+        )
+        src = str(pathlib.Path(_kernels.__file__).parents[1])
+        env = {**os.environ}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         peaks = {}
         for workers in (1, 2):
-            _, peaks[workers] = traced_peak_mb(
-                lambda: render(
-                    x, tr, room_5x6x4, mic_std, filt, replace(cfg, workers=workers)
-                )
+            done = subprocess.run(
+                [sys.executable, "-c", code, str(workers)], capture_output=True,
+                text=True, env=env, timeout=120,
             )
+            assert done.returncode == 0, done.stderr
+            peaks[workers] = float(done.stdout)
             assert peaks[workers] < 1.7, f"peak {peaks[workers]:.2f} MB"
         assert abs(peaks[2] - peaks[1]) <= 0.01 * peaks[1], peaks
 
@@ -1105,25 +1140,53 @@ class TestRowTerms:
 
 
 class TestShortClips:
-    def test_clip_of_n_samples_or_less_renders_far_rows_exactly(
-        self, filt, room_5x6x4, mic_std
+    """N sets only the grid step: far rows are restored at any clip length."""
+
+    @pytest.mark.parametrize("n", [16000, 1600])
+    def test_decimation_past_the_grid_step_changes_no_bits(
+        self, n, filt, room_5x6x4, mic_std
     ):
-        # one coarse sample would hold every far image at its first distance
-        n = 800  # 0.05 s
+        # every N >= 400 is h = 400, on a clip longer or shorter than N
         tr = moving_traj(n, duration=n / RATE, seed=14)
         x = np.random.default_rng(15).standard_normal(n)
-        cfg = SynthesisConfig(max_order=3, decimation=3200)
-        got = render(x, tr, room_5x6x4, mic_std, filt, cfg)
-        want = render(x, tr, room_5x6x4, mic_std, filt, replace(cfg, decimation=1))
-        assert np.array_equal(got, want)
+        cfg = SynthesisConfig(max_order=3)
+        want = render(x, tr, room_5x6x4, mic_std, filt, replace(cfg, decimation=400))
+        for factor in (3200, 10**6):
+            got = render(
+                x, tr, room_5x6x4, mic_std, filt, replace(cfg, decimation=factor)
+            )
+            assert got.tobytes() == want.tobytes(), f"decimation {factor}"
 
-    def test_cost_report_counts_short_clip_far_rows_at_full_rate(self, room_5x6x4):
-        cfg = SynthesisConfig(max_order=3, decimation=3200)
+    @pytest.mark.parametrize("kind", ["sine", "line", "circle"])
+    @pytest.mark.parametrize("n", [1, 10, 100, 399, 400, 800, 3200])
+    def test_short_clip_is_restored_and_matches_the_exact_render(
+        self, n, kind, filt, room_5x6x4, mic_std
+    ):
+        # a clip shorter than one grid interval is restored through the
+        # ghost nodes, measured as TestWholeClipFidelity measures
+        spec = TrajectorySpec(
+            kind=kind, duration=n / RATE, bandwidth_limit=2.0, speed_max=1.0, seed=n
+        )
+        tr = generate(spec, RATE, room_5x6x4)
+        x = np.random.default_rng(n).standard_normal(n)
+        cfg = SynthesisConfig(max_order=3, order_split=1, decimation=3200)
+        streams = prepare_streams(tr, room_5x6x4, mic_std, cfg)
+        assert any(p.table is not None for p in streams.parts)
+        got = synthesize(x, streams, filt, cfg)
+        want = render(x, tr, room_5x6x4, mic_std, filt, replace(cfg, decimation=1))
+        assert got.size == want.size
+        interior = (filt.branch_len + 0.5) / min(got.size, want.size)
+        rep = compare(got, want, rate=RATE, interior=interior)
+        assert rep.snr_db >= 40.0, f"{rep.snr_db:.1f} dB"
+
+    def test_cost_report_counts_short_clip_far_rows_at_grid_nodes(self, room_5x6x4):
+        cfg = SynthesisConfig(max_order=3, order_split=1, decimation=3200)
         images = enumerate_images(room_5x6x4, 3)
-        short = cost_report(cfg, images, 0.05)
-        assert short["hierarchical_evals"] == short["naive_evals"]
-        longer = cost_report(cfg, images, 0.5)
-        assert longer["hierarchical_evals"] < longer["naive_evals"]
+        short = cost_report(cfg, images, 0.05)  # 800 samples, 2 grid intervals
+        assert short["grid_step"] == 400
+        far = short["images_high"]
+        assert short["hierarchical_evals"] == 7 * 800 + far * (2 + 3)
+        assert short["restored_samples"] == 2 * far * 800
 
 
 class TestWholeClipFidelity:
@@ -1210,6 +1273,37 @@ class TestDelayErrorGuard:
         # the check reads the true worst over every sample
         with pytest.raises(ValueError, match=f"delay error {worst:.3g} samples"):
             prepare_streams(tr, room_5x6x4, mic_std, cfg)
+
+    @pytest.mark.parametrize("amplitude", [0.2e-3, 0.45e-3])
+    def test_motion_at_the_node_rate_is_refused(self, amplitude, monkeypatch):
+        # a 40 Hz wobble on a 0.15 m/s line crosses zero at every grid node
+        # (40 Hz at h = 400) and at every interval midpoint; the quarter
+        # points see its peaks
+        room = Room(dims=np.array([6.0, 5.0, 3.0]), wall_reflection=np.full(6, 0.9))
+        mic = MicPosition(pos=np.array([1.5, 2.0, 1.4]))
+        t = np.arange(2 * int(RATE)) / RATE
+        pos = np.empty((t.size, 3))
+        pos[:, 0] = 2.0 + 0.15 * t + amplitude * np.sin(2.0 * np.pi * 40.0 * t)
+        pos[:, 1], pos[:, 2] = 2.5, 1.5
+        tr = Trajectory(rate=RATE, positions=pos)
+        cfg = SynthesisConfig(max_order=3, order_split=1, decimation=3200)
+        with monkeypatch.context() as patch:
+            patch.setattr(synth, "DELAY_ERROR_BUDGET", 1.0)
+            streams = prepare_streams(tr, room, mic, cfg)
+        e = sum(p.q.shape[0] for p in streams.parts if p.table is None)
+        offset, sign, _, _ = as_arrays(streams.specs[e:], room)
+        exact = _kernels.distance_streams(offset, sign, mic.pos, pos)
+        worst = max(
+            float(np.abs(streams.row(e + i) - exact[i]).max())
+            for i in range(exact.shape[0])
+        )
+        worst *= RATE / cfg.sound_speed
+        assert worst > synth.DELAY_ERROR_BUDGET  # 0.0119 and 0.0269 samples
+        with pytest.raises(ValueError, match="lower decimation below 400") as refused:
+            prepare_streams(tr, room, mic, cfg)
+        # the probed worst, printed to 3 digits, within 2% of the true worst
+        reported = float(str(refused.value).split()[3])
+        assert 0.98 * worst <= reported <= 1.005 * worst, (reported, worst)
 
     @pytest.mark.parametrize("block", [1, 500])
     def test_blocks_of_rows_report_the_same_error(
@@ -1386,13 +1480,13 @@ class TestCostReport:
         assert rep["restored_samples"] == 2 * (len(images) - 7) * 32000
         assert rep["accumulated_samples"] == len(images) * 32000
 
-    @pytest.mark.parametrize("n", [16000, 32000, 24123])
+    @pytest.mark.parametrize("n", [100, 800, 16000, 24123, 32000])
     def test_counts_what_the_engine_restores(
         self, n, filt, room_5x6x4, mic_std, monkeypatch
     ):
-        # every restore_cubic call of a render, summed: whole grid intervals
-        # per row and signal, so a clip that ends mid-interval restores
-        # less than one interval more per row and signal than it uses
+        # every restore_cubic call of a render, summed: chunks are whole
+        # grid intervals, so each row and signal restores ceil(n / h) of
+        # them at any chunk length, the last one whole
         restore, sizes = _kernels.restore_cubic, []
 
         def counted(nodes, table, out):
@@ -1405,12 +1499,10 @@ class TestCostReport:
         images = select_images(room_5x6x4, tr, mic_std, cfg)
         render(np.ones(n), tr, room_5x6x4, mic_std, filt, cfg)
         rep = cost_report(cfg, images, n / RATE)
-        assert rep["restored_samples"] == 2 * rep["images_high"] * n
-        if n % rep["grid_step"] == 0:
-            assert sum(sizes) == rep["restored_samples"]
-        else:
-            extra = sum(sizes) - rep["restored_samples"]
-            assert 0 < extra < 4 * rep["grid_step"] * rep["images_high"]
+        intervals = -(-n // rep["grid_step"])
+        want = 2 * rep["images_high"] * intervals * rep["grid_step"]
+        assert rep["restored_samples"] == want
+        assert sum(sizes) == want
 
     def test_n1_has_no_reduction(self):
         cfg = SynthesisConfig(order_split=1, decimation=1)

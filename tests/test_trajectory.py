@@ -457,6 +457,13 @@ class TestUpsample:
             tracemalloc.stop()
         assert peak < 8 * 400, f"{peak} bytes"
 
+    def test_frame_index_is_shared_per_shape_and_read_only(self):
+        # restore_cubic builds one node index per (rows, node count) shape
+        index = _kernels._frame_index(5, 6)
+        assert _kernels._frame_index(5, 6) is index
+        assert not index.flags.writeable
+        assert np.array_equal(index, np.minimum(np.arange(5)[:, None] + np.arange(4), 5))
+
     def test_rejects_unaligned_start(self):
         # grid rows restore whole grid intervals, so their range starts on one
         table = lagrange_table(7)
