@@ -15,11 +15,12 @@ tables (mic_distances) are built in blocks of rows of at most
 DISTANCE_BLOCK elements. Both read a path axis by axis, from the rows of
 its (3, T) transpose, which trajectory.Trajectory stores contiguous, so
 neither copies the path. A row's delay and gain have one home,
-row_terms, which the render and the stream record's rows read: it forms
-them from the row's mirrored mic and spreading coefficient on a path,
-the path's samples for an exact (near) row, its grid nodes for a far
-row, whose delay and gain are then restored by one product over the
-grid intervals the range reaches, never fewer than two (restore_cubic),
+row_terms, which the render and the stream record's rows read. It takes
+a part of the record (Rows): mirrored mics and spreading coefficients on
+a path, the path's samples for exact (near) rows, its grid nodes for far
+rows, whose delay and gain are then restored by one product over the
+grid intervals the range reaches, never fewer than two (restore_cubic).
+It cuts the positions a range of output samples is formed from itself,
 so no row holds an array longer than the range's whole grid intervals,
 and a range may start at any grid interval. Accumulation runs one
 image row at a time through one Horner pass (_horner_row), in one
@@ -33,6 +34,7 @@ bounds on the delays, which accumulate_rows checks before each row's
 read.
 """
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -163,48 +165,64 @@ def _horner_row(out, streams, x, gain, scratch):
     out += acc
 
 
-def row_terms(q, path, coef, scale, d_min, n, start=0, table=None):
-    """Each row's delay and gain over n output samples, in row order.
+@dataclass(frozen=True)
+class Rows:
+    """Image rows on one path, exact at its samples or restored from its nodes.
 
-    q: (S, 3) mirrored mics (mirrored_mics), coef: (S,) spreading
-    coefficients attenuation(beta, 1) = beta / (4 pi), scale: rate / c
-    in samples per meter.
+    The row kernel's one input: q, (S, 3) mirrored mics (mirrored_mics),
+    coef, (S,) spreading coefficients attenuation(beta, 1), and
+    positions, (P, 3). With table None, positions is the path at every
+    sample; with table, the (4, h) cubic weights, it is the path at the
+    grid nodes (trajectory.decimate's layout) and a row is the cubic
+    restoration of its node values.
+    """
 
-    Per row, scratch rows as long as path receive the distance
-    d = |p - q| (the arithmetic of mic_distances), the delay
-    tau = d * scale and the gain coef / max(d, d_min), which is
-    attenuation(beta, max(d, d_min)) bit for bit. path is read axis by
-    axis from path.T as it lies, with no copy: a window of a Trajectory's
-    positions, whose axes are contiguous. With table None, path
-    is (n, 3), the path at the range's samples, and those rows are
-    yielded as they are. With table, the (4, h) cubic weights, path holds
-    the grid nodes output samples start .. start + n - 1 are restored
-    from, nodes start // h up to ceil((start + n) / h) + 3 (fewer at the
-    path's end), and restore_cubic fills rows of tau and gain over the
-    ceil(n / h) grid intervals the range reaches, of which the first n
-    samples are yielded; start must then begin a grid interval, a
-    multiple of h (ValueError otherwise).
+    q: np.ndarray
+    coef: np.ndarray
+    positions: np.ndarray
+    table: np.ndarray = None
+
+
+def row_terms(rows, scale, d_min, start, stop):
+    """Each row's delay and gain at output samples start .. stop - 1, in order.
+
+    rows: a Rows part, scale: rate / c in samples per meter. Per row,
+    scratch rows receive the distance d = |p - q| (the arithmetic of
+    mic_distances), the delay tau = d * scale and the gain
+    coef / max(d, d_min), which is attenuation(beta, max(d, d_min)) bit
+    for bit. The positions are cut here and read axis by axis, with no
+    copy (a Trajectory's axes are contiguous). An exact part's rows are
+    formed on the path's samples in the range (fewer past the path's end)
+    and yielded as they are. A restored part's are formed on the grid
+    nodes the range is restored from, nodes start // h up to
+    ceil(stop / h) + 3 (fewer at the path's end), and restore_cubic fills
+    rows of tau and gain over the grid intervals the range reaches, of
+    which the first stop - start samples are yielded; start must then
+    begin a grid interval, a multiple of h (ValueError otherwise).
 
     Yields (tau, gain) per row, in scratch that the next row overwrites; a
     caller may overwrite it too.
     """
-    pos_t = path.T
-    m = pos_t.shape[1]
-    x, g = np.empty(m), np.empty(m)
-    if table is not None:
+    table = rows.table
+    if table is None:
+        pos_t = rows.positions[start:stop].T
+    else:
         step = table.shape[1]
         if start % step or start < 0:
             raise ValueError(
                 f"start {start} does not begin a grid interval (h = {step})"
             )
+        pos_t = rows.positions[start // step : -(-stop // step) + 3].T
+        n = stop - start
         xs = np.empty(-(-n // step) * step)
         gs = np.empty_like(xs)
-    for i in range(q.shape[0]):
+    x, g = np.empty(pos_t.shape[1]), np.empty(pos_t.shape[1])
+    for q, coef in zip(rows.q, rows.coef):
         # g holds the distance until it becomes the gain; x is its scratch
-        _distance_rows(q[i], pos_t, g, x)
+        _distance_rows(q, pos_t, g, x)
         np.multiply(g, scale, out=x)
         np.maximum(g, d_min, out=g)
-        np.divide(coef[i], g, out=g)
+        np.divide(coef, g, out=g)
         if table is None:
             yield x, g
         else:
@@ -212,20 +230,19 @@ def row_terms(q, path, coef, scale, d_min, n, start=0, table=None):
 
 
 def accumulate_rows(
-    out, streams, q, path, coef, scale, d_min, d0, start=0, last=None, table=None,
-    bounds=None,
+    out, streams, rows, scale, d_min, d0, start=0, last=None, bounds=None
 ):
-    """Sum image rows, formed from the path, into out.
+    """Sum a part's image rows into out.
 
     out: (T,) accumulator for output indices start .. start + T - 1,
     streams: (M+1, Ls) guarded branch streams shared by all rows
-    (farrow.guarded_branches), scale: rate / c in samples per meter,
-    d0: the bank's latency D0, less the first guarded index streams
-    holds when they are a window of the whole streams. start only moves
-    the read index, so a range of output samples gets the same bits as
-    the whole stream does. q, path, coef, d_min and table form each row's
-    delay and gain over the range as in row_terms; one Horner pass per
-    row reads the streams.
+    (farrow.guarded_branches), rows: a Rows part, scale: rate / c in
+    samples per meter, d0: the bank's latency D0, less the first guarded
+    index streams holds when they are a window of the whole streams.
+    Each row's delay and gain over the range are formed as in row_terms,
+    which cuts the part's positions for the range, and one Horner pass
+    per row reads the streams, so a range of output samples gets the same
+    bits as the whole stream does.
 
     last, if given, is an (S, 2) array that receives each row's delay and
     gain at the range's final sample. bounds, if given, is the (lower,
@@ -234,12 +251,11 @@ def accumulate_rows(
     delay (-inf when there is nothing to add).
     """
     n = out.shape[0]
-    if n == 0 or q.shape[0] == 0:
+    if n == 0 or rows.q.shape[0] == 0:
         return -np.inf
     scratch = _scratch(n, start + d0)
-    terms = row_terms(q, path, coef, scale, d_min, n, start, table)
     top = -np.inf
-    for i, (tau, g) in enumerate(terms):
+    for i, (tau, g) in enumerate(row_terms(rows, scale, d_min, start, start + n)):
         if last is not None:
             last[i] = tau[-1], g[-1]
         peak = float(tau.max())

@@ -156,17 +156,29 @@ class EngineConfig:
     margin: float
 
 
+# each synth.* key's SynthesisConfig field and type; an absent key keeps
+# the field's default
+_SYNTH_FIELDS = {
+    "synth.rate": ("audio_rate", float),
+    "synth.N": ("decimation", int),
+    "synth.K": ("order_split", int),
+    "synth.max_order": ("max_order", int),
+    "synth.t60": ("t60", float),
+    "synth.c": ("sound_speed", float),
+    "synth.d_min": ("d_min", float),
+    "synth.workers": ("workers", int),
+    "synth.budget": ("eval_budget", float),
+}
+
 # every key engine_config_from_table reads
 CONFIG_KEYS = frozenset(
     """
     room.dims room.reflection mic.pos
     traj.kind traj.duration traj.bandwidth traj.speed traj.seed
     traj.direction traj.start traj.file traj.margin
-    synth.rate synth.N synth.K synth.max_order synth.t60 synth.c
-    synth.d_min synth.workers synth.budget
     farrow.M farrow.L farrow.alpha farrow.grid farrow.file
     """.split()
-)
+).union(_SYNTH_FIELDS)
 
 
 def engine_config_from_table(table):
@@ -194,17 +206,8 @@ def engine_config_from_table(table):
         wall_reflection=np.array(reflection),
     )
     mic = MicPosition(pos=np.array(_floats(table["mic.pos"])))
-    synth = SynthesisConfig(
-        audio_rate=float(table.get("synth.rate", 16000)),
-        order_split=int(table.get("synth.K", 1)),
-        decimation=int(table.get("synth.N", 3200)),
-        max_order=int(table.get("synth.max_order", 3)),
-        t60=float(table["synth.t60"]) if "synth.t60" in table else None,
-        sound_speed=float(table.get("synth.c", 343.0)),
-        d_min=float(table.get("synth.d_min", 0.05)),
-        workers=int(table.get("synth.workers", 1)),
-        eval_budget=float(table.get("synth.budget", 2.0e9)),
-    )
+    fields = _SYNTH_FIELDS.items()
+    synth = SynthesisConfig(**{f: t(table[k]) for k, (f, t) in fields if k in table})
     spec = TrajectorySpec(
         kind=table.get("traj.kind", "line"),
         duration=float(table.get("traj.duration", 2.0)),

@@ -29,8 +29,6 @@ class StaticRIR:
 
     rate: float
     taps: np.ndarray
-    image_count: int
-    max_order: int
 
 
 @dataclass(frozen=True)
@@ -92,9 +90,7 @@ def static_rir(room, source_pos, mic, rate, max_order, c=343.0, d_min=0.05):
     # unbuffered and in index order, so each tap sums its images in order
     inside = idx >= 0
     np.add.at(taps, idx[inside], kernels[inside])
-    return StaticRIR(
-        rate=float(rate), taps=taps, image_count=len(images), max_order=max_order
-    )
+    return StaticRIR(rate=float(rate), taps=taps)
 
 
 def static_render(s, rir):

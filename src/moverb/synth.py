@@ -28,12 +28,12 @@ image at 1/4, 1/2 and 3/4 of every grid interval and refuses a render
 whose delay error exceeds DELAY_ERROR_BUDGET samples.
 
 No per-image stream is ever held at full length. A DelayStreams value
-is a plain record of its rows in parts, in row order: each part holds
-exactly what the row kernel reads, its rows' mirrored mics and spreading
-coefficients and a path, the path's samples for exact rows, its grid
-nodes and the cubic's table for restored ones. A render's record has an
-exact part, then a restored one (two exact parts at N = 1). Every row
-holds meters at the audio rate, cfg.audio_rate.
+is a plain record of its rows in parts, in row order: each part is the
+row kernel's input (_kernels.Rows), its rows' mirrored mics and
+spreading coefficients and a path, the path's samples for exact rows,
+its grid nodes and the cubic's table for restored ones. A render's
+record has an exact part, then a restored one (two exact parts at
+N = 1). Every row holds meters at the audio rate, cfg.audio_rate.
 synthesize never asks the record for a distance; terms(i), row(i) and d
 form whole rows for dumps and checks, through the kernel's own
 row_terms.
@@ -42,15 +42,16 @@ synthesize walks the output in fixed time chunks of CHUNK_SAMPLES,
 rounded up to whole grid intervals (16400 samples at h = 400), so every
 chunk starts on a grid interval of each restored part. One job per
 chunk adds every row, one at a time in row order, straight into the
-chunk's slice of the output, through one kernel: near and far rows
-differ only in the path it reads. An exact row's distance, delay and
-gain are formed in chunk-long scratch rows from the path's samples in
-the chunk; a far row's are formed at the grid nodes the chunk is
-restored from, and its delay and gain are restored in chunk-long
-scratch rows, so it never holds a per-sample distance. Past the path's
-end every row holds its delay and gain at the path's last sample; the
-tail adds them on the calling thread. Chunks run on a pool of `workers`
-threads; a path of one chunk renders on the calling thread.
+chunk's slice of the output, through one kernel, which takes the
+whole part and cuts the positions the chunk is formed from: near and
+far rows differ only in the path it reads. An exact row's distance,
+delay and gain are formed in chunk-long scratch rows from the path's
+samples in the chunk; a far row's are formed at the grid nodes the
+chunk is restored from, and its delay and gain are restored in
+chunk-long scratch rows, so it never holds a per-sample distance. Past
+the path's end every row holds its delay and gain at the path's last
+sample; the tail adds them on the calling thread. Chunks run on a pool
+of `workers` threads; a path of one chunk renders on the calling thread.
 
 Before the walk, every row's delay is bounded from the parts alone
 (_delay_bounds), and the output is allocated once, at its longest.
@@ -77,7 +78,7 @@ the output bits.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -144,44 +145,11 @@ class SynthesisConfig:
             raise ValueError("eval_budget must be > 0")
 
 
-@dataclass(frozen=True)
-class _Rows:
-    """Image rows on one path, exact at its samples or restored from its nodes.
-
-    What the row kernel reads (_kernels.row_terms): q, (S, 3) mirrored
-    mics, coef, (S,) spreading coefficients attenuation(beta, 1), and
-    positions, (P, 3). With table None, positions is the path at every
-    sample; with table, the (4, h) cubic weights, it is the path at the
-    grid nodes (decimate's layout) and a row is the cubic restoration of
-    its node values.
-    """
-
-    q: np.ndarray
-    coef: np.ndarray
-    positions: np.ndarray
-    table: np.ndarray = None
-
-    def window(self, start, stop):
-        """The positions output samples start .. stop - 1 are formed from.
-
-        The path's samples in the range, or the grid nodes it is restored
-        from.
-        """
-        if self.table is None:
-            return self.positions[start:stop]
-        step = self.table.shape[1]
-        return self.positions[start // step : -(-stop // step) + 3]
-
-    def distances(self, rows=slice(None)):
-        """Distances of the picked rows at every position, (S', P)."""
-        return _kernels.mic_distances(self.q[rows], self.positions)
-
-
 def _part(images, room, mic, positions, table=None):
     """The part of a record that holds images' rows on positions."""
     offset, sign, beta, _ = as_arrays(images, room)
     q = _kernels.mirrored_mics(offset, sign, mic.pos)
-    return _Rows(q, attenuation(beta, 1.0), positions, table)
+    return _kernels.Rows(q, attenuation(beta, 1.0), positions, table)
 
 
 @dataclass(frozen=True)
@@ -189,12 +157,12 @@ class DelayStreams:
     """Per-image distance streams, described rather than stored.
 
     Row i belongs to specs[i] and holds meters at the audio rate for
-    `length` samples. parts holds the rows in row order, each part a
-    _Rows record of the row kernel's inputs. terms(i, ...) forms one
-    whole row's delay and gain as a render does, row(i) its
-    distance, d the whole (S, length) distance array. eval_count tallies
-    the distance evaluations the streams stand for (grid-node evaluations
-    for decimated images), for cost reporting.
+    `length` samples. parts holds the rows in row order, each part the
+    row kernel's input, a _kernels.Rows. terms(i, ...) forms one whole
+    row's delay and gain as a render does, row(i) its distance, d the
+    whole (S, length) distance array. eval_count tallies the distance
+    evaluations the streams stand for (grid-node evaluations for
+    decimated images), for cost reporting.
     """
 
     specs: list
@@ -216,14 +184,8 @@ class DelayStreams:
         """
         for part in self.parts:
             if i < part.q.shape[0]:
-                pick = slice(i, i + 1)
-                path = part.window(0, self.length)
-                return next(
-                    _kernels.row_terms(
-                        part.q[pick], path, part.coef[pick], scale, d_min,
-                        self.length, 0, part.table,
-                    )
-                )
+                row = replace(part, q=part.q[i : i + 1], coef=part.coef[i : i + 1])
+                return next(_kernels.row_terms(row, scale, d_min, 0, self.length))
             i -= part.q.shape[0]
         raise IndexError("row index out of range")
 
@@ -314,22 +276,23 @@ def _delay_bounds(parts, scale):
     each coordinate's distance to the mirrored mic, and rounding keeps
     that order, so on the box the positions span an exact row's distance
     lies between its distances to the box's nearest point and to its
-    farthest corner, formed with the kernel's arithmetic. A restored row
-    mixes its node delays with cubic weights whose absolute values sum to
-    at most w (1.25), so it stays within w times the nodes' half-range of
-    their mid-range, widened here by a margin for rounding.
+    farthest corner, the farther face on each axis, formed with the
+    kernel's arithmetic. A restored row mixes its node delays with cubic
+    weights whose absolute values sum to at most w (1.25), so it stays
+    within w times the nodes' half-range of their mid-range, widened here
+    by a margin for rounding.
     """
     lows, highs = [], []
     for part in parts:
         if part.q.shape[0] == 0:
             continue
         axes = part.positions.T  # (3, P), contiguous axis rows
-        box = np.stack([axes.min(axis=1), axes.max(axis=1)])
-        corners = np.stack(np.meshgrid(*box.T, indexing="ij"), axis=-1).reshape(-1, 3)
-        far = _kernels.mic_distances(part.q, corners).max(axis=1)
-        near = np.empty_like(far)
-        nearest = np.clip(part.q, box[0], box[1])
-        _kernels._distance_rows(part.q.T, nearest.T, near, np.empty_like(far))
+        lo, hi = axes.min(axis=1), axes.max(axis=1)
+        near, far, tmp = (np.empty(part.q.shape[0]) for _ in range(3))
+        nearest = np.clip(part.q, lo, hi)
+        farthest = np.where(np.abs(lo - part.q) >= np.abs(hi - part.q), lo, hi)
+        _kernels._distance_rows(part.q.T, nearest.T, near, tmp)
+        _kernels._distance_rows(part.q.T, farthest.T, far, tmp)
         low, high = near * scale, far * scale
         if part.table is not None:
             w = np.abs(part.table).sum(axis=0).max()
@@ -359,12 +322,12 @@ def synthesize(s, streams, f, cfg):
     guarded indices start + D0 + 1 - floor(upper) up to
     stop + D0 + 1 - floor(lower), clipped to the streams and at least one
     sample long, and adds every row, in row order, into its slice of the
-    output through accumulate_rows, part by part, each on the positions
-    its window gives for the chunk: an exact part's path samples, a
-    restored part's grid nodes. Each row's distance to its mirrored mic,
-    delay and gain are formed there (_kernels.row_terms), in the kernel's
-    scratch rows; a far row's are formed at its nodes and restored, so it
-    never holds a per-sample distance. The tail holds every row at its
+    output through accumulate_rows, part by part, which reads each part
+    on the positions the chunk is formed from: an exact part's path
+    samples, a restored part's grid nodes. Each row's distance to its
+    mirrored mic, delay and gain are formed there (_kernels.row_terms),
+    in the kernel's scratch rows; a far row's are formed at its nodes and
+    restored, so it never holds a per-sample distance. The tail holds every row at its
     delay and gain at the path's end, and one accumulate_held call on the
     calling thread adds it from a window of its own. Raises RuntimeError
     if a row's delay leaves the bounds, before that row is read.
@@ -402,9 +365,8 @@ def synthesize(s, streams, f, cfg):
         top = -np.inf  # the chunk's largest delay
         for part, last in zip(parts, held_parts):
             peak = _kernels.accumulate_rows(
-                out[start:stop], branch, part.q, part.window(start, stop),
-                part.coef, scale, cfg.d_min, d0 - first, start,
-                last if stop == length else None, part.table, bounds,
+                out[start:stop], branch, part, scale, cfg.d_min, d0 - first,
+                start, last if stop == length else None, bounds,
             )
             top = max(top, peak)
         return top
@@ -455,7 +417,7 @@ def _check_delay_error(rows, traj, cfg):
     worst = 0.0
     for a in range(0, rows.q.shape[0], size):
         pick = slice(a, a + size)
-        nodes = rows.distances(pick)
+        nodes = _kernels.mic_distances(rows.q[pick], rows.positions)
         miss = _kernels.mic_distances(rows.q[pick], at)
         term = np.empty_like(miss)
         for k in range(4):

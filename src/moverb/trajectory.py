@@ -355,13 +355,6 @@ def decimate(traj, factor):
     return Trajectory(rate=traj.rate / step, positions=nodes)
 
 
-def velocity(traj):
-    """Central-difference velocity (one-sided at the ends), m/s."""
-    if len(traj) < 2:
-        raise ValueError("velocity needs at least 2 positions")
-    return np.gradient(traj.positions, 1.0 / traj.rate, axis=0)
-
-
 def speed_max(traj):
     """Largest finite-difference speed along the path, m/s."""
     if len(traj) < 2:

@@ -18,7 +18,7 @@ from moverb.io_formats import (
     write_trajectory,
     write_wav,
 )
-from moverb._kernels import distance_streams, restore_cubic
+from moverb._kernels import distance_streams, mic_distances, restore_cubic
 from moverb.room import as_arrays
 from moverb.synth import SynthesisConfig, prepare_streams
 from moverb.trajectory import Trajectory, TrajectorySpec, generate
@@ -207,6 +207,10 @@ class TestConfigParsing:
         assert cfg.synth.order_split == 1
         assert cfg.room.dims[1] == 6.0
         assert cfg.trajectory_spec.kind == "sine"
+
+    def test_synth_defaults_are_the_engine_defaults(self):
+        table = parse_config_text("room.dims = 5 6 4\nmic.pos = 1 2 2\n")
+        assert engine_config_from_table(table).synth == SynthesisConfig()
 
     def test_six_wall_reflections(self):
         table = parse_config_text(
@@ -442,7 +446,8 @@ class TestImageDebugDump:
         for i in (n_exact, streams.image_count() - 1):
             io_formats.write_image_debug_csv(csv, streams, i, cfg)
             got = np.loadtxt(csv, delimiter=",", skiprows=1)[:, 3]
-            nodes = rows.distances(slice(i - n_exact, i - n_exact + 1))[0]
+            j = i - n_exact
+            nodes = mic_distances(rows.q[j : j + 1], rows.positions)[0]
             gain = streams.specs[i].beta / (4.0 * np.pi) / np.maximum(nodes, cfg.d_min)
             want = restore_cubic(gain, rows.table, np.empty(streams.length))
             np.testing.assert_allclose(got, want, rtol=1e-11, atol=0)

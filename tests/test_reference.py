@@ -30,17 +30,13 @@ def static_traj(pos, n):
 
 class TestStaticRender:
     def test_unit_impulse_rir_is_identity(self):
-        rir = reference.StaticRIR(
-            rate=RATE, taps=np.array([1.0]), image_count=1, max_order=0
-        )
+        rir = reference.StaticRIR(rate=RATE, taps=np.array([1.0]))
         x = np.arange(10.0)
         y = static_render(x, rir)
         assert np.allclose(y, x)
 
     def test_two_tap_rir_is_two_shifted_copies(self):
-        rir = reference.StaticRIR(
-            rate=RATE, taps=np.array([0.5, 0.0, 0.25]), image_count=2, max_order=1
-        )
+        rir = reference.StaticRIR(rate=RATE, taps=np.array([0.5, 0.0, 0.25]))
         x = np.array([1.0, 2.0, 3.0])
         y = static_render(x, rir)
         want = 0.5 * np.array([1, 2, 3, 0, 0.0]) + 0.25 * np.array([0, 0, 1, 2, 3.0])
@@ -50,7 +46,7 @@ class TestStaticRender:
         rng = np.random.default_rng(0)
         x = rng.standard_normal(400)
         taps = rng.standard_normal(37)
-        rir = reference.StaticRIR(rate=RATE, taps=taps, image_count=1, max_order=0)
+        rir = reference.StaticRIR(rate=RATE, taps=taps)
         y = static_render(x, rir)
         naive = np.zeros(x.size + taps.size - 1)
         for i, v in enumerate(x):
@@ -100,7 +96,6 @@ class TestStaticRIR:
         d = float(np.linalg.norm(src - mic_std.pos))
         tau = RATE * d / 343.0
         amp = 1.0 / (4 * np.pi * d)
-        assert rir.image_count == 1
         # taps integrate to the image amplitude (sinc kernel sums to ~1)
         assert np.sum(rir.taps) == pytest.approx(amp, rel=1e-3)
         # energy concentrates around the fractional tap location
@@ -124,13 +119,6 @@ class TestStaticRIR:
     def test_source_outside_raises(self, room_5x6x4, mic_std):
         with pytest.raises(ValueError):
             static_rir(room_5x6x4, np.array([9.0, 1.0, 1.0]), mic_std, RATE, 1)
-
-    def test_image_count_grows_with_order(self, room_5x6x4, mic_std):
-        src = np.array([2.0, 3.5, 2.0])
-        r0 = static_rir(room_5x6x4, src, mic_std, RATE, 0)
-        r2 = static_rir(room_5x6x4, src, mic_std, RATE, 2)
-        assert r0.image_count == 1
-        assert r2.image_count == 1 + 6 + 18
 
 
 class TestMovingOracle:

@@ -71,6 +71,14 @@ def reference_distance_row(q, pos):
     return np.sqrt(dx * dx + dy * dy + dz * dz)
 
 
+def reference_farthest_corner(q, positions):
+    """q's largest distance to the eight corners of the positions' box, frozen here."""
+    lo, hi = positions.min(axis=0), positions.max(axis=0)
+    x, y, z = zip(lo, hi)
+    corners = np.array([[a, b, c] for a in x for b in y for c in z])
+    return reference_distance_row(q, corners).max()
+
+
 def reference_distance_streams(offset, sign, mic, pos):
     """The distance kernel as plain whole-row expressions, frozen here."""
     q = sign * (mic - offset)
@@ -298,10 +306,9 @@ class TestKernelsMatchFrozenReferences:
             want, streams, delay, gain, table, d0, start
         )
         got, last = init.copy(), np.empty((rows, 2))
-        window = path[start // step : -(-(start + n) // step) + 3]
         top = _kernels.accumulate_rows(
-            got, guarded(streams), q, window, coef, scale, d_min, d0, start,
-            last, table,
+            got, guarded(streams), _kernels.Rows(q, coef, path, table), scale,
+            d_min, d0, start, last,
         )
         assert same_bits(got, want)
         assert top == want_top
@@ -348,8 +355,12 @@ class TestKernelsMatchFrozenReferences:
             want, streams, q, pos, coef, scale, d_min, d0, start
         )
         got, last = init.copy(), np.empty((rows, 2))
+        # the path runs from sample 0; a read of its samples ahead of start
+        # would carry their NaNs into the sum
+        path = np.concatenate([np.full((start, 3), np.nan), pos])
         top = _kernels.accumulate_rows(
-            got, guarded(streams), q, pos, coef, scale, d_min, d0, start, last
+            got, guarded(streams), _kernels.Rows(q, coef, path), scale, d_min,
+            d0, start, last,
         )
         assert same_bits(got, want)
         # rounding is monotone, so the largest delay is the largest distance's
@@ -371,10 +382,8 @@ class TestKernelsMatchFrozenReferences:
         d_min = float(rng.uniform(0.01, 0.3))
         streams = rng.standard_normal((4, 4000))
         last = np.empty((rows, 2))
-        _kernels.accumulate_rows(
-            np.zeros(n), streams, q, pos, attenuation(beta, 1.0), 20.0, d_min, 8,
-            0, last,
-        )
+        rows = _kernels.Rows(q, attenuation(beta, 1.0), pos)
+        _kernels.accumulate_rows(np.zeros(n), streams, rows, 20.0, d_min, 8, 0, last)
         d = np.array([reference_distance_row(qi, pos[-1:])[0] for qi in q])
         assert same_bits(last[:, 1], attenuation(beta, np.maximum(d, d_min)))
         assert last[0, 1] == attenuation(beta[0], d_min)
@@ -694,7 +703,7 @@ def restored_row(streams, i, part, j, cfg):
     rows form them per sample, and restored whole with
     bandlimited_upsample.
     """
-    nodes = part.distances(slice(j, j + 1))[0]
+    nodes = _kernels.mic_distances(part.q[j : j + 1], part.positions)[0]
     step = part.table.shape[1]
     delay = nodes * (cfg.audio_rate / cfg.sound_speed)
     gain = streams.specs[i].beta / (4.0 * np.pi) / np.maximum(nodes, cfg.d_min)
@@ -987,13 +996,32 @@ class TestDelayBounds:
         q[0] = positions[int(rng.integers(0, k))]
         coef = rng.uniform(0.0, 0.1, size=rows)
         table = lagrange_table(step) if restored else None
-        part = synth._Rows(q, coef, positions, table)
+        part = _kernels.Rows(q, coef, positions, table)
         length = (k - 3) * step if restored else k
         streams = DelayStreams(list(range(rows)), max(length, 1), (part,))
         lower, upper = synth._delay_bounds((part,), scale)
         for i in range(rows):
             tau, _ = streams.terms(i, scale, 0.05)
             assert lower <= tau.min() and tau.max() <= upper, (i, lower, upper)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_upper_bound_is_the_farthest_corner(self, seed):
+        # the farther face on each axis gives the largest of the box's eight
+        # corner distances, bit for bit; on a quarter-meter grid (even
+        # seeds) a mirrored mic often lies as far from both faces
+        rng = np.random.default_rng(1350 + seed)
+        k = int(rng.integers(1, 50))
+        if seed % 2 == 0:
+            positions = rng.integers(0, 24, size=(k, 3)) / 4.0
+            q = rng.integers(-40, 64, size=(40, 3)) / 4.0
+        else:
+            positions = rng.uniform(0.0, 6.0, size=3) + rng.uniform(-1.0, 1.0, (k, 3))
+            q = rng.uniform(-20.0, 26.0, size=(40, 3))
+        scale = float(rng.uniform(5.0, 50.0))
+        for qi in q:
+            part = _kernels.Rows(qi[None], np.array([0.01]), positions)
+            _, upper = synth._delay_bounds((part,), scale)
+            assert upper == reference_farthest_corner(qi, positions) * scale, qi
 
     def test_the_restored_bounds_are_reached(self):
         # node delays lo, hi, hi, lo peak at hi + (hi - lo) / 8 at the middle
@@ -1003,7 +1031,7 @@ class TestDelayBounds:
         x = np.array([0.0, 2.0, 2.0, 0.0, 0.0, 2.0, 2.0, 0.0])
         positions = np.column_stack([1.0 + x, np.full(8, 2.0), np.full(8, 1.5)])
         q = np.array([[-3.0, 2.0, 1.5]])  # on the path's line, 4 to 6 m away
-        part = synth._Rows(q, np.array([0.01]), positions, lagrange_table(step))
+        part = _kernels.Rows(q, np.array([0.01]), positions, lagrange_table(step))
         streams = DelayStreams([0], 5 * step, (part,))
         lower, upper = synth._delay_bounds((part,), scale)
         tau, _ = streams.terms(0, scale, 0.05)
