@@ -117,16 +117,8 @@ def _cmd_simulate(args):
             s, traj, cfg.room, cfg.mic, hop, args.crossfade, cfg.synth
         )
     else:  # static: freeze the trajectory start position
-        rir = reference.static_rir(
-            cfg.room,
-            traj.positions[0],
-            cfg.mic,
-            cfg.synth.audio_rate,
-            cfg.synth.max_order,
-            c=cfg.synth.sound_speed,
-            d_min=cfg.synth.d_min,
-        )
-        out = reference.static_render(s, rir)
+        taps = reference.static_rir(cfg.room, traj.positions[0], cfg.mic, cfg.synth)
+        out = reference.static_render(s, taps)
     io_formats.write_wav(args.out, cfg.synth.audio_rate, out)
     print(f"wrote {args.out} ({out.size} samples, mode {args.mode})")
     if args.dump_image is not None:
@@ -176,7 +168,7 @@ def _cmd_cost(args):
     else:
         dims = np.array([float(v) for v in args.room.split()])
         room = Room(dims=dims, wall_reflection=np.full(6, 0.9))
-        images = estimate_image_count(room, args.t60, c=343.0)
+        images = estimate_image_count(room, args.t60, c=cfg.sound_speed)
     for key, value in synth.cost_report(cfg, images, args.duration).items():
         print(f"{key}={value}")
     return EXIT_OK

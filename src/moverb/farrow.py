@@ -47,26 +47,41 @@ _W_SHARPNESS = 12.0
 
 @dataclass(frozen=True)
 class FarrowFilter:
-    """Immutable branch-filter bank.
+    """Immutable branch-filter bank: its coefficients and its passband.
 
-    poly_order: M, branch_len: L taps per branch, branches: (M+1, L)
-    coefficients, nominal_delay: integer D0 = (L-1)//2, passband: fraction
-    of Nyquist the design covers.
+    branches: (M+1, L) finite coefficients, L >= M+1 >= 2. passband: the
+    fraction of Nyquist the design covers, in (0, 1). M, L and the latency
+    D0 = (L-1)//2 are read off the branches, so they cannot disagree.
     """
 
-    poly_order: int
-    branch_len: int
     branches: np.ndarray
-    nominal_delay: int
     passband: float
 
     def __post_init__(self):
-        b = np.asarray(self.branches, dtype=np.float64)
-        if b.shape != (self.poly_order + 1, self.branch_len):
-            raise ValueError("branches must have shape (M+1, L)")
-        b = b.copy()
+        b = np.array(self.branches, dtype=np.float64)
+        if b.ndim != 2 or not 2 <= b.shape[0] <= b.shape[1]:
+            raise ValueError("branches must have shape (M+1, L) with L >= M+1 >= 2")
+        if not np.all(np.isfinite(b)):
+            raise ValueError("branches must be finite")
+        if not 0.0 < self.passband < 1.0:
+            raise ValueError("passband must be in (0, 1)")
         b.flags.writeable = False
         object.__setattr__(self, "branches", b)
+
+    @property
+    def poly_order(self):
+        """M, the order of the delay polynomial."""
+        return self.branches.shape[0] - 1
+
+    @property
+    def branch_len(self):
+        """L, the taps per branch."""
+        return self.branches.shape[1]
+
+    @property
+    def nominal_delay(self):
+        """D0 = (L-1)//2, the latency the moment constraints fix."""
+        return (self.branch_len - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -143,13 +158,7 @@ def design(M, L, alpha, grid=64):
     if reduced_rank < null_basis.shape[1]:
         raise ValueError("degenerate design grid: singular least-squares system")
     coeffs = (c_part + null_basis @ y).reshape(M + 1, L)
-    return FarrowFilter(
-        poly_order=M,
-        branch_len=L,
-        branches=coeffs,
-        nominal_delay=d0,
-        passband=float(alpha),
-    )
+    return FarrowFilter(branches=coeffs, passband=float(alpha))
 
 
 def response_at(f, omegas, mu):
@@ -173,15 +182,16 @@ def group_delay(f, omegas, mu):
     return -np.gradient(phase, omegas)
 
 
-def quality_summary(f, n_points=1024):
+def quality_summary(f):
     """Passband quality numbers used by tests and the design command.
 
-    Measures over omega in (0, passband*pi] and a dense mu grid:
+    Measures over 1024 points of omega in (0, passband*pi] and the mu
+    grid 0, 0.01, .., 1:
     magnitude ripple (dB) and group-delay error (samples) at mu = 0,
     group-delay error at mu = 0.5, and the worst ripple and group-delay
     error over the whole mu grid.
     """
-    omegas = np.linspace(1e-4, f.passband * np.pi, n_points)
+    omegas = np.linspace(1e-4, f.passband * np.pi, 1024)
     mus = [i / 100.0 for i in range(101)]
     worst_rip = 0.0
     worst_gd = 0.0

@@ -94,6 +94,7 @@ def write_filter(path, f):
 
 
 def read_filter(path):
+    """The bank write_filter wrote; FarrowFilter checks what it holds."""
     with open(path) as fh:
         head = fh.readline().split()
         if len(head) != 3:
@@ -103,13 +104,7 @@ def read_filter(path):
     branches = np.array(rows)
     if branches.shape != (m + 1, l_taps):
         raise ValueError("filter file has the wrong coefficient shape")
-    return FarrowFilter(
-        poly_order=m,
-        branch_len=l_taps,
-        branches=branches,
-        nominal_delay=(l_taps - 1) // 2,
-        passband=alpha,
-    )
+    return FarrowFilter(branches=branches, passband=alpha)
 
 
 # ---------------------------------------------------------------------------

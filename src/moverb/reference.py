@@ -24,14 +24,6 @@ SINC_KAISER_BETA = 7.857
 
 
 @dataclass(frozen=True)
-class StaticRIR:
-    """Discrete impulse response of a frozen source/mic/room configuration."""
-
-    rate: float
-    taps: np.ndarray
-
-
-@dataclass(frozen=True)
 class ComparisonReport:
     """Numeric proxies for amplitude and phase fidelity.
 
@@ -59,26 +51,28 @@ def kaiser_sinc(arg):
     return np.sinc(arg) * window
 
 
-def static_rir(room, source_pos, mic, rate, max_order, c=343.0, d_min=0.05):
-    """Tap train of the frozen configuration with fractional placement.
+def static_rir(room, source_pos, mic, cfg):
+    """Taps of the frozen configuration at cfg.audio_rate, as an array.
 
-    Each image contributes amplitude attenuation(beta, max(d, d_min)) at
-    delay d * (rate / c) samples, spread over a windowed-sinc kernel rather
-    than rounded to the nearest sample (rounding would inject up to half a
-    sample of delay error and mask fine delay accuracy downstream). The
-    distances are the engine's (distance_streams); the kernels are added
-    image by image in enumeration order.
+    cfg is the render's SynthesisConfig: its audio_rate, max_order,
+    sound_speed c and d_min. Each image contributes amplitude
+    attenuation(beta, max(d, d_min)) at delay d * (rate / c) samples,
+    spread over a windowed-sinc kernel rather than rounded to the nearest
+    sample (rounding would inject up to half a sample of delay error and
+    mask fine delay accuracy downstream). The distances are the engine's
+    (distance_streams); the kernels are added image by image in
+    enumeration order.
     """
     source_pos = np.asarray(source_pos, dtype=np.float64)
     if not room.contains(source_pos):
         raise ValueError("source position must be inside the room")
     mic = as_mic(mic)
     mic.require_inside(room)
-    images = enumerate_images(room, max_order)
+    images = enumerate_images(room, cfg.max_order)
     offset, sign, beta, _ = as_arrays(images, room)
     d = distance_streams(offset, sign, mic.pos, source_pos[None])[:, 0]
-    taus = d * (rate / c)
-    amp = attenuation(beta, np.maximum(d, d_min))
+    taus = d * (cfg.audio_rate / cfg.sound_speed)
+    amp = attenuation(beta, np.maximum(d, cfg.d_min))
     base = np.floor(taus)
     hw = SINC_HALFWIDTH
     # entry (i, k) is image i's kernel at tap base_i + k - hw
@@ -90,22 +84,23 @@ def static_rir(room, source_pos, mic, rate, max_order, c=343.0, d_min=0.05):
     # unbuffered and in index order, so each tap sums its images in order
     inside = idx >= 0
     np.add.at(taps, idx[inside], kernels[inside])
-    return StaticRIR(rate=float(rate), taps=taps)
+    return taps
 
 
-def static_render(s, rir):
-    """Plain convolution with a static impulse response.
+def static_render(s, taps):
+    """Plain convolution of s with static impulse-response taps.
 
     Output length is len(s) + len(taps) - 1. Small products use exact
     direct convolution; larger ones switch to FFT convolution (equal to
     direct within roundoff).
     """
     s = np.asarray(s, dtype=np.float64)
-    if s.size * rir.taps.size <= _DIRECT_CONV_LIMIT:
-        return np.convolve(s, rir.taps)
+    taps = np.asarray(taps, dtype=np.float64)
+    if s.size * taps.size <= _DIRECT_CONV_LIMIT:
+        return np.convolve(s, taps)
     from scipy.signal import fftconvolve
 
-    return fftconvolve(s, rir.taps)
+    return fftconvolve(s, taps)
 
 
 def full_rate_moving_oracle(s, traj, room, mic, f, cfg):
@@ -132,12 +127,13 @@ def full_rate_moving_oracle(s, traj, room, mic, f, cfg):
 def splice_baseline(s, traj, room, mic, block_hop, crossfade, cfg):
     """Block-frozen render: static response per block, overlap-added.
 
-    The source position is frozen at each block start. crossfade = 0
-    butt-joins the blocks (the pure splice, with its phase discontinuities
-    and gain sawtooth); crossfade > 0 linearly fades between neighbors
-    with windows that sum to one. Each block convolves only its support,
-    from its start to the end of its fade-out, into one output buffer, so
-    memory grows with the clip, not with blocks x clip.
+    Each block's response is static_rir under cfg, with the source frozen
+    at the block's start. crossfade = 0 butt-joins the blocks (the pure
+    splice, with its phase discontinuities and gain sawtooth); crossfade
+    > 0 linearly fades between neighbors with windows that sum to one.
+    Each block convolves only its support, from its start to the end of
+    its fade-out, into one output buffer, so memory grows with the clip,
+    not with blocks x clip.
     """
     s = np.asarray(s, dtype=np.float64)
     if block_hop < 1 or int(block_hop) != block_hop:
@@ -162,20 +158,11 @@ def splice_baseline(s, traj, room, mic, block_hop, crossfade, cfg):
             head = min(crossfade, stop - start)
             window[:head] = ramp[:head]
         window[stop - start :] = 1.0 - ramp[: end - stop]
-        src = traj.positions[min(start, len(traj) - 1)]
-        rir = static_rir(
-            room,
-            src,
-            mic,
-            cfg.audio_rate,
-            cfg.max_order,
-            c=cfg.sound_speed,
-            d_min=cfg.d_min,
-        )
-        blocks.append((start, end, window, rir))
-    out = np.zeros(n + max(rir.taps.size for *_, rir in blocks) - 1)
-    for start, end, window, rir in blocks:
-        piece = static_render(s[start:end] * window, rir)
+        taps = static_rir(room, traj.positions[min(start, len(traj) - 1)], mic, cfg)
+        blocks.append((start, end, window, taps))
+    out = np.zeros(n + max(taps.size for *_, taps in blocks) - 1)
+    for start, end, window, taps in blocks:
+        piece = static_render(s[start:end] * window, taps)
         out[start : start + piece.size] += piece
     return out
 

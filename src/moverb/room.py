@@ -51,9 +51,10 @@ class Room:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "wall_reflection", walls)
 
-    def contains(self, pos, margin=0.0):
+    def contains(self, pos):
+        """Whether pos lies strictly inside the walls."""
         p = np.asarray(pos, dtype=np.float64)
-        return bool(np.all(p > margin) and np.all(p < self.dims - margin))
+        return bool(np.all(p > 0) and np.all(p < self.dims))
 
 
 @dataclass(frozen=True)

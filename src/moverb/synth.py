@@ -125,24 +125,21 @@ class SynthesisConfig:
     eval_budget: float = 2.0e9
 
     def __post_init__(self):
-        if self.audio_rate <= 0:
-            raise ValueError("audio_rate must be > 0")
-        if self.decimation < 1 or int(self.decimation) != self.decimation:
+        # each check states what passes, so NaN fails it
+        for name in ("audio_rate", "sound_speed", "d_min", "t60"):
+            value = getattr(self, name)
+            if not (value is None and name == "t60" or 0 < value < math.inf):
+                raise ValueError(f"{name} must be finite and > 0")
+        if not self.decimation >= 1 or int(self.decimation) != self.decimation:
             raise ValueError("decimation must be a positive integer")
-        if self.order_split < 0:
+        if not self.order_split >= 0:
             raise ValueError("order_split must be >= 0")
-        if self.max_order < 0:
+        if not self.max_order >= 0:
             raise ValueError("max_order must be >= 0")
-        if self.t60 is not None and self.t60 <= 0:
-            raise ValueError("t60 must be > 0 when set")
-        if self.sound_speed <= 0:
-            raise ValueError("sound_speed must be > 0")
-        if self.d_min <= 0:
-            raise ValueError("d_min must be > 0")
-        if self.workers < 1:
+        if not self.workers >= 1:
             raise ValueError("workers must be >= 1")
-        if self.eval_budget <= 0:
-            raise ValueError("eval_budget must be > 0")
+        if not self.eval_budget > 0:
+            raise ValueError("eval_budget must be > 0 (inf: no cap)")
 
 
 def _part(images, room, mic, positions, table=None):
@@ -484,10 +481,16 @@ def cost_report(cfg, images, duration):
     counted too: restored_samples, the delay and gain samples the engine
     restores (2 per far image and sample of ceil(T / h) whole grid
     intervals, none at grid step 1), and accumulated_samples, the image
-    samples the Horner pass accumulates (images x samples).
+    samples the Horner pass accumulates (images x samples). Raises
+    ValueError for a negative or non-finite duration and a negative image
+    count.
     """
+    if not 0 <= duration < math.inf:
+        raise ValueError("duration must be finite and >= 0")
     n_samples = int(round(duration * cfg.audio_rate))
     if isinstance(images, int):
+        if images < 0:
+            raise ValueError("image count must be >= 0")
         total = images
         low = min(total, _count_order_leq(cfg.order_split))
     else:

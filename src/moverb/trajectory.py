@@ -43,8 +43,8 @@ class Trajectory:
     positions: np.ndarray
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError("trajectory rate must be > 0")
+        if not 0 < self.rate < np.inf:
+            raise ValueError("trajectory rate must be finite and > 0")
         p = np.asarray(self.positions, dtype=np.float64)
         if p.ndim != 2 or p.shape[1] != 3 or p.shape[0] < 1:
             raise ValueError("positions must be a (T, 3) array with T >= 1")
@@ -71,8 +71,8 @@ class TrajectorySpec:
     duration: seconds. bandwidth_limit: Hz, target upper edge of the
     displacement spectrum. speed_max: m/s cap on the path speed. seed:
     RNG seed for every random choice. Optional direction/start pin the
-    analytic kinds to exact geometry instead of seeded random choices;
-    waypoint_count sizes the spline kind.
+    analytic kinds to exact geometry instead of seeded random choices.
+    The spline kind has 6 random knots.
     """
 
     kind: str
@@ -82,7 +82,6 @@ class TrajectorySpec:
     seed: int = 0
     direction: tuple = None
     start: tuple = None
-    waypoint_count: int = 6
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -220,16 +219,15 @@ def generate(spec, rate, room, margin=0.3):
         disp = _fit_displacement(axes.T, center, room, margin, spec.speed_max, rate)
         return _placed(center, disp, rate)
 
-    # waypoint-spline: random knots in the middle 60% of the usable box so
-    # spline overshoot and low-pass ringing stay inside before rescaling
-    count = max(2, spec.waypoint_count)
+    # waypoint-spline: 6 random knots in the middle 60% of the usable box
+    # so spline overshoot and low-pass ringing stay inside before rescaling
     usable = room.dims - 2 * margin
-    waypoints = margin + (0.2 + 0.6 * rng.random((count, 3))) * usable
+    waypoints = margin + (0.2 + 0.6 * rng.random((6, 3))) * usable
     if spec.speed_max == 0 and not np.allclose(waypoints, waypoints[0]):
         raise ValueError("speed_max = 0 cannot visit distinct waypoints")
     from scipy.interpolate import CubicSpline
 
-    times = np.linspace(0.0, spec.duration, count)
+    times = np.linspace(0.0, spec.duration, len(waypoints))
     spline = CubicSpline(times, waypoints, axis=0)
     pos = spline(np.clip(t, 0.0, times[-1]))
     if spec.bandwidth_limit > 0:
@@ -362,14 +360,12 @@ def speed_max(traj):
     return _top_speed(traj.positions.T, traj.rate)
 
 
-def bandwidth_estimate(traj, energy_fraction=0.99):
-    """Smallest frequency containing the requested energy fraction.
+def bandwidth_estimate(traj):
+    """Smallest frequency below which 99% of the path's energy lies, Hz.
 
     Mean-removed displacement periodogram per axis; returns the largest of
     the three per-axis results. A constant trajectory reports 0 Hz.
     """
-    if not 0.0 < energy_fraction < 1.0:
-        raise ValueError("energy_fraction must be in (0, 1)")
     pos = traj.positions
     n = pos.shape[0]
     if n < 2:
@@ -383,6 +379,6 @@ def bandwidth_estimate(traj, energy_fraction=0.99):
         if total <= 0:
             continue
         cum = np.cumsum(power) / total
-        idx = int(np.searchsorted(cum, energy_fraction))
+        idx = int(np.searchsorted(cum, 0.99))
         worst = max(worst, float(freqs[min(idx, freqs.size - 1)]))
     return worst

@@ -78,8 +78,10 @@ def test_criterion_1_static_limit(filt, announce):
     y = synth.render(x, traj, ROOM, MIC, filt, cfg)
     runtime = time.perf_counter() - t0
 
-    rir = reference.static_rir(ROOM, SRC, MIC, RATE, 3)
-    ref = reference.static_render(x, rir)
+    taps = reference.static_rir(
+        ROOM, SRC, MIC, SynthesisConfig(audio_rate=RATE, max_order=3)
+    )
+    ref = reference.static_render(x, taps)
     rep = compare(y, ref, passband=0.8, rate=RATE, interior=0.05)
 
     ok = rep.snr_db >= 60.0 and runtime <= 10.0

@@ -128,6 +128,12 @@ class TestTrajectoryFile:
         with pytest.raises(ValueError):
             read_trajectory(path)
 
+    def test_nan_rate_raises(self, tmp_path):
+        path = tmp_path / "nan.txt"
+        path.write_text("rate_hz=nan\n1 2 3\n")
+        with pytest.raises(ValueError, match="rate"):
+            read_trajectory(path)
+
 
 class TestFilterFile:
     def test_round_trip_preserves_response(self, tmp_path, filt):
@@ -138,6 +144,29 @@ class TestFilterFile:
         assert back.branch_len == filt.branch_len
         assert back.nominal_delay == filt.nominal_delay
         assert np.allclose(back.branches, filt.branches, atol=1e-15)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_round_trip_keeps_every_designed_shape(self, tmp_path, order):
+        for taps in range(order + 1, 13):
+            f = farrow.design(order, taps, 0.7)
+            write_filter(tmp_path / "f.txt", f)
+            back = read_filter(tmp_path / "f.txt")
+            want = (order, taps, (taps - 1) // 2, 0.7)
+            for bank in (f, back):
+                got = (bank.poly_order, bank.branch_len, bank.nominal_delay)
+                assert (*got, bank.passband) == want
+            assert back.branches.tobytes() == f.branches.tobytes()
+
+    @pytest.mark.parametrize("alpha", ["5.0", "nan"])
+    def test_passband_outside_the_band_raises(self, tmp_path, filt, alpha):
+        # a passband past Nyquist would make quality_summary read past it
+        path = tmp_path / "f.txt"
+        write_filter(path, filt)
+        lines = path.read_text().splitlines()
+        lines[0] = f"3 8 {alpha}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="passband"):
+            read_filter(path)
 
     def test_significant_digits(self, tmp_path, filt):
         path = tmp_path / "f.txt"
@@ -340,6 +369,32 @@ class TestCliSimulate:
         assert r.returncode == 2
         assert "synth.n" in r.stderr
 
+    def test_nan_d_min_exits_2_without_writing(self, workdir):
+        cfg = workdir / "nan.cfg"
+        cfg.write_text((workdir / "engine.cfg").read_text() + "synth.d_min = nan\n")
+        out = workdir / "nan.wav"
+        r = run_cli(
+            "simulate", "--config", cfg, "--in", workdir / "in.wav", "--out", out,
+        )
+        assert r.returncode == 2
+        assert "d_min" in r.stderr
+        assert not out.exists()
+
+    def test_filter_file_past_nyquist_exits_2(self, workdir, filt):
+        bank = workdir / "wide.txt"
+        write_filter(bank, filt)
+        lines = bank.read_text().splitlines()
+        bank.write_text("\n".join(["3 8 5.0", *lines[1:]]) + "\n")
+        cfg = workdir / "wide.cfg"
+        cfg.write_text((workdir / "engine.cfg").read_text() + f"farrow.file = {bank}\n")
+        out = workdir / "wide.wav"
+        r = run_cli(
+            "simulate", "--config", cfg, "--in", workdir / "in.wav", "--out", out,
+        )
+        assert r.returncode == 2
+        assert "passband" in r.stderr
+        assert not out.exists()
+
     def test_budget_refusal_exits_4(self, workdir):
         cfg = workdir / "huge.cfg"
         cfg.write_text(
@@ -486,6 +541,16 @@ class TestCliCompareAndCost:
         assert naive == pytest.approx(7.2e8, rel=0.15)
         assert float(lines["images_total"]) == pytest.approx(45000, rel=0.5)
         assert float(lines["high_order_reduction"]) >= 100.0
+
+    @pytest.mark.parametrize(
+        "args",
+        [("--duration", -1, "--images", 100), ("--duration", "inf"), ("--images", -5)],
+    )
+    def test_cost_refuses_out_of_range_inputs(self, args):
+        r = run_cli("cost", *args)
+        assert r.returncode == 2
+        assert "invalid" in r.stderr.lower()
+        assert r.stdout == ""
 
     def test_cost_with_explicit_image_count(self):
         r = run_cli("cost", "--images", 45000, "--duration", 1.0)

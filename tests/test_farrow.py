@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields
 from math import comb
 
 import numpy as np
@@ -78,6 +79,49 @@ class TestDesignStructure:
         assert h[filt.nominal_delay] == pytest.approx(1.0, abs=0.02)
         others = np.delete(h, filt.nominal_delay)
         assert np.max(np.abs(others)) < 0.02
+
+
+class TestBankContract:
+    """A bank is its coefficients and passband; M, L and D0 are read off."""
+
+    def test_fields_are_branches_and_passband(self, filt):
+        assert [f.name for f in fields(filt)] == ["branches", "passband"]
+
+    @pytest.mark.parametrize("name", ["poly_order", "branch_len", "nominal_delay"])
+    def test_derived_values_cannot_be_set(self, name):
+        # the names perfbench reads, pinned to the default design
+        f = design(3, 8, 0.8)
+        assert (f.poly_order, f.branch_len, f.nominal_delay) == (3, 8, 3)
+        with pytest.raises(AttributeError):
+            setattr(f, name, 0)
+        with pytest.raises(TypeError):
+            farrow.FarrowFilter(branches=f.branches, passband=0.8, **{name: 0})
+
+    @pytest.mark.parametrize(
+        "shape", [(8,), (1, 8), (4, 3), (5, 4), (3, 2, 2), (0, 0)]
+    )
+    def test_refuses_shapes_design_cannot_make(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            farrow.FarrowFilter(branches=np.zeros(shape), passband=0.8)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refuses_non_finite_coefficients(self, filt, bad):
+        b = filt.branches.copy()
+        b[2, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            farrow.FarrowFilter(branches=b, passband=0.8)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.5, 5.0, np.nan])
+    def test_refuses_a_passband_outside_the_band(self, filt, alpha):
+        with pytest.raises(ValueError, match="passband"):
+            farrow.FarrowFilter(branches=filt.branches, passband=alpha)
+
+    def test_keeps_its_own_read_only_copy(self, filt):
+        b = filt.branches.copy()
+        f = farrow.FarrowFilter(branches=b, passband=0.8)
+        b[0, 0] = 7.0
+        assert f.branches.tobytes() == filt.branches.tobytes()
+        assert not f.branches.flags.writeable
 
 
 def dense_design(M, L, alpha, grid=64):
@@ -242,11 +286,7 @@ class TestBranchFilter:
         order = int(rng.integers(1, 5))
         taps = int(rng.integers(order + 1, 11))
         f = farrow.FarrowFilter(
-            poly_order=order,
-            branch_len=taps,
-            branches=rng.standard_normal((order + 1, taps)),
-            nominal_delay=(taps - 1) // 2,
-            passband=0.8,
+            branches=rng.standard_normal((order + 1, taps)), passband=0.8
         )
         x = rng.standard_normal(1 if seed < 3 else int(rng.integers(2, 500)))
         g = guarded_branches(x, f)
@@ -267,11 +307,7 @@ class TestBranchFilter:
         order = int(rng.integers(1, 5))
         taps = int(rng.integers(order + 1, 11))
         f = farrow.FarrowFilter(
-            poly_order=order,
-            branch_len=taps,
-            branches=rng.standard_normal((order + 1, taps)),
-            nominal_delay=(taps - 1) // 2,
-            passband=0.8,
+            branches=rng.standard_normal((order + 1, taps)), passband=0.8
         )
         if seed % 4 == 0:  # shorter than L
             n = int(rng.integers(1, taps))

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from moverb import reference, synth
+from moverb import synth
 from moverb.reference import (
     SINC_HALFWIDTH,
     SINC_KAISER_BETA,
@@ -30,15 +30,13 @@ def static_traj(pos, n):
 
 class TestStaticRender:
     def test_unit_impulse_rir_is_identity(self):
-        rir = reference.StaticRIR(rate=RATE, taps=np.array([1.0]))
         x = np.arange(10.0)
-        y = static_render(x, rir)
+        y = static_render(x, np.array([1.0]))
         assert np.allclose(y, x)
 
     def test_two_tap_rir_is_two_shifted_copies(self):
-        rir = reference.StaticRIR(rate=RATE, taps=np.array([0.5, 0.0, 0.25]))
         x = np.array([1.0, 2.0, 3.0])
-        y = static_render(x, rir)
+        y = static_render(x, np.array([0.5, 0.0, 0.25]))
         want = 0.5 * np.array([1, 2, 3, 0, 0.0]) + 0.25 * np.array([0, 0, 1, 2, 3.0])
         assert np.allclose(y, want)
 
@@ -46,8 +44,7 @@ class TestStaticRender:
         rng = np.random.default_rng(0)
         x = rng.standard_normal(400)
         taps = rng.standard_normal(37)
-        rir = reference.StaticRIR(rate=RATE, taps=taps)
-        y = static_render(x, rir)
+        y = static_render(x, taps)
         naive = np.zeros(x.size + taps.size - 1)
         for i, v in enumerate(x):
             naive[i : i + taps.size] += v * taps
@@ -78,37 +75,37 @@ def reference_mirrored_distance(spec, src, mic, room):
 class TestStaticRIR:
     def test_taps_match_frozen_kernel(self, room_5x6x4, mic_std):
         src = np.array([2.0, 3.5, 2.0])
-        rir = static_rir(room_5x6x4, src, mic_std, RATE, 2)
+        taps = static_rir(room_5x6x4, src, mic_std, SynthesisConfig(max_order=2))
         hw = SINC_HALFWIDTH
-        want = np.zeros_like(rir.taps)
+        want = np.zeros_like(taps)
         for sp in enumerate_images(room_5x6x4, 2):
             d = reference_mirrored_distance(sp, src, mic_std, room_5x6x4)
             tau = d * (RATE / 343.0)
             base = int(np.floor(tau))
             kernel = sp.beta / (4.0 * np.pi) / d * reference_sinc_kernel(tau - base)
             want[base - hw : base + hw + 1] += kernel
-        assert rir.taps.tobytes() == want.tobytes()
+        assert taps.tobytes() == want.tobytes()
 
 
     def test_direct_tap_amplitude_and_delay(self, room_5x6x4, mic_std):
         src = np.array([2.0, 3.5, 2.0])
-        rir = static_rir(room_5x6x4, src, mic_std, RATE, 0)
+        taps = static_rir(room_5x6x4, src, mic_std, SynthesisConfig(max_order=0))
         d = float(np.linalg.norm(src - mic_std.pos))
         tau = RATE * d / 343.0
         amp = 1.0 / (4 * np.pi * d)
         # taps integrate to the image amplitude (sinc kernel sums to ~1)
-        assert np.sum(rir.taps) == pytest.approx(amp, rel=1e-3)
+        assert np.sum(taps) == pytest.approx(amp, rel=1e-3)
         # energy concentrates around the fractional tap location
-        centroid = np.sum(np.arange(rir.taps.size) * rir.taps) / np.sum(rir.taps)
+        centroid = np.sum(np.arange(taps.size) * taps) / np.sum(taps)
         assert centroid == pytest.approx(tau, abs=0.05)
 
     def test_fractional_placement_delays_a_sine_correctly(
         self, room_5x6x4, mic_std
     ):
         src = np.array([2.0, 3.5, 2.0])
-        rir = static_rir(room_5x6x4, src, mic_std, RATE, 0)
+        taps = static_rir(room_5x6x4, src, mic_std, SynthesisConfig(max_order=0))
         x = sine(900.0, 0.5, RATE)
-        y = static_render(x, rir)
+        y = static_render(x, taps)
         d = float(np.linalg.norm(src - mic_std.pos))
         amp = 1.0 / (4 * np.pi * d)
         t_out = np.arange(y.size) / RATE
@@ -118,7 +115,10 @@ class TestStaticRIR:
 
     def test_source_outside_raises(self, room_5x6x4, mic_std):
         with pytest.raises(ValueError):
-            static_rir(room_5x6x4, np.array([9.0, 1.0, 1.0]), mic_std, RATE, 1)
+            static_rir(
+                room_5x6x4, np.array([9.0, 1.0, 1.0]), mic_std,
+                SynthesisConfig(max_order=1),
+            )
 
 
 class TestMovingOracle:
@@ -142,8 +142,7 @@ class TestMovingOracle:
         x = sine(1000.0, n / RATE, RATE)
         cfg = SynthesisConfig(max_order=2, decimation=1)
         y = full_rate_moving_oracle(x, traj, room_5x6x4, mic_std, filt, cfg)
-        rir = static_rir(room_5x6x4, src, mic_std, RATE, 2)
-        ref = static_render(x, rir)
+        ref = static_render(x, static_rir(room_5x6x4, src, mic_std, cfg))
         rep = compare(y, ref, passband=0.8, rate=RATE)
         assert rep.snr_db >= 60.0
 
@@ -191,8 +190,7 @@ class TestSpliceBaseline:
         x = sine(700.0, n / RATE, RATE)
         cfg = SynthesisConfig(max_order=1, decimation=1)
         y = splice_baseline(x, traj, room_5x6x4, mic_std, 640, 0, cfg)
-        rir = static_rir(room_5x6x4, src, mic_std, RATE, 1)
-        ref = static_render(x, rir)
+        ref = static_render(x, static_rir(room_5x6x4, src, mic_std, cfg))
         m = min(y.size, ref.size)
         assert np.allclose(y[:m], ref[:m], atol=1e-12)
 
@@ -254,11 +252,7 @@ def whole_window_splice_baseline(s, traj, room, mic, block_hop, crossfade, cfg):
                 ramp = (np.arange(n - stop) + 0.5) / crossfade
                 window[stop:] = np.maximum(0.0, 1.0 - ramp)
         src = traj.positions[min(start, len(traj) - 1)]
-        rir = static_rir(
-            room, src, mic, cfg.audio_rate, cfg.max_order, c=cfg.sound_speed,
-            d_min=cfg.d_min,
-        )
-        pieces.append(static_render(s * window, rir))
+        pieces.append(static_render(s * window, static_rir(room, src, mic, cfg)))
     out = np.zeros(max(piece.size for piece in pieces))
     for piece in pieces:
         out[: piece.size] += piece

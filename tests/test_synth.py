@@ -190,11 +190,7 @@ class TestKernelsMatchFrozenReferences:
         order = int(rng.integers(1, 5))
         taps = int(rng.integers(order + 1, 11))
         f = farrow.FarrowFilter(
-            poly_order=order,
-            branch_len=taps,
-            branches=rng.standard_normal((order + 1, taps)),
-            nominal_delay=(taps - 1) // 2,
-            passband=0.8,
+            branches=rng.standard_normal((order + 1, taps)), passband=0.8
         )
         x = rng.standard_normal(int(rng.integers(1, 2000)))
         n = int(rng.integers(1, 2500))
@@ -421,11 +417,22 @@ class TestConfigValidation:
             {"workers": 0},
             {"eval_budget": 0.0},
             {"t60": -1.0},
+            # a NaN d_min would render all-NaN audio, a NaN t60 would cull
+            # every image, and a NaN budget would lift the oracle's cap
+            *(
+                {name: value}
+                for name in ("audio_rate", "sound_speed", "d_min", "t60")
+                for value in (float("nan"), float("inf"))
+            ),
+            {"eval_budget": float("nan")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             SynthesisConfig(**kwargs)
+
+    def test_infinite_budget_means_no_cap(self):
+        assert SynthesisConfig(eval_budget=float("inf")).eval_budget == float("inf")
 
 
 class TestDistanceStreams:
@@ -1531,6 +1538,19 @@ class TestCostReport:
         want = 2 * rep["images_high"] * intervals * rep["grid_step"]
         assert rep["restored_samples"] == want
         assert sum(sizes) == want
+
+    @pytest.mark.parametrize("images", [100, [], None])
+    def test_rejects_out_of_range_duration(self, room_5x6x4, images):
+        cfg = SynthesisConfig()
+        images = enumerate_images(room_5x6x4, 1) if images is None else images
+        for duration in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="duration"):
+                cost_report(cfg, images, duration)
+
+    def test_rejects_negative_image_count(self):
+        with pytest.raises(ValueError, match="image count"):
+            cost_report(SynthesisConfig(), -5, 1.0)
+        assert cost_report(SynthesisConfig(), 0, 1.0)["naive_evals"] == 0
 
     def test_n1_has_no_reduction(self):
         cfg = SynthesisConfig(order_split=1, decimation=1)

@@ -76,6 +76,11 @@ class TestTrajectoryContainer:
         with pytest.raises(ValueError):
             Trajectory(rate=0.0, positions=np.zeros((10, 3)))
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_rejects_non_finite_rate(self, rate):
+        with pytest.raises(ValueError, match="rate"):
+            Trajectory(rate=rate, positions=np.zeros((10, 3)))
+
 
 ALL_KINDS = ["line", "circle", "sine", "filtered-noise", "waypoint-spline"]
 
