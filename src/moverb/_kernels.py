@@ -24,11 +24,10 @@ It cuts the positions a range of output samples is formed from itself,
 so no row holds an array longer than the range's whole grid intervals,
 and a range may start at any grid interval. Accumulation runs one
 image row at a time through one Horner pass (_horner_row), in one
-kernel (accumulate_rows).
-Rows held at one delay and gain past the path's end take the same pass
-(accumulate_held), as farrow.delay_stream's one per-sample delay does.
-The pass reads guarded branch streams (farrow.guarded_branches): a
-clipped read outside the input lands on a zero guard, so no caller
+kernel (accumulate_rows). Past the path's end a row holds its delay and
+gain at the path's last sample, so a range may lie anywhere in the
+output. The pass reads guarded branch streams (farrow.guarded_branches):
+a clipped read outside the input lands on a zero guard, so no caller
 masks a read. A render's jobs read windows of the streams, cut for
 bounds on the delays, which accumulate_rows checks before each row's
 read.
@@ -183,81 +182,85 @@ class Rows:
     table: np.ndarray = None
 
 
-def row_terms(rows, scale, d_min, start, stop):
+def row_terms(rows, scale, d_min, start, stop, length):
     """Each row's delay and gain at output samples start .. stop - 1, in order.
 
-    rows: a Rows part, scale: rate / c in samples per meter. Per row,
-    scratch rows receive the distance d = |p - q| (the arithmetic of
-    mic_distances), the delay tau = d * scale and the gain
-    coef / max(d, d_min), which is attenuation(beta, max(d, d_min)) bit
-    for bit. The positions are cut here and read axis by axis, with no
-    copy (a Trajectory's axes are contiguous). An exact part's rows are
-    formed on the path's samples in the range (fewer past the path's end)
-    and yielded as they are. A restored part's are formed on the grid
-    nodes the range is restored from, nodes start // h up to
-    ceil(stop / h) + 3 (fewer at the path's end), and restore_cubic fills
-    rows of tau and gain over the grid intervals the range reaches, of
-    which the first stop - start samples are yielded; start must then
-    begin a grid interval, a multiple of h (ValueError otherwise).
+    rows: a Rows part on a path of length samples, scale: rate / c in
+    samples per meter. Per row, scratch rows receive the distance
+    d = |p - q| (the arithmetic of mic_distances), the delay
+    tau = d * scale and the gain coef / max(d, d_min), which is
+    attenuation(beta, max(d, d_min)) bit for bit. The positions are cut
+    here and read axis by axis, with no copy (a Trajectory's axes are
+    contiguous). An exact part's rows are formed on the path's samples in
+    the range. A restored part's are formed on the grid nodes the range
+    is restored from, nodes start // h up to ceil(min(stop, length) / h)
+    + 3, and restore_cubic fills rows of tau and gain over the grid
+    intervals the range reaches on the path; a range that starts on the
+    path must begin a grid interval, a multiple of h (ValueError
+    otherwise). From sample length - 1 on a row holds its delay and gain
+    there, so a range that starts past the path forms that one sample, or
+    restores the grid interval that holds it.
 
     Yields (tau, gain) per row, in scratch that the next row overwrites; a
     caller may overwrite it too.
     """
     table = rows.table
+    step = 1 if table is None else table.shape[1]
+    if start < 0 or (start < length and start % step):
+        raise ValueError(f"start {start} does not begin a grid interval (h = {step})")
+    # past the path's end a row holds its values at sample length - 1
+    at = min(start, length - 1)
+    first, end = at - at % step, min(stop, length)  # the samples formed
+    n, formed, off = stop - start, end - first, at - first
     if table is None:
-        pos_t = rows.positions[start:stop].T
+        pos_t = rows.positions[first:end].T
+        xs, gs = np.empty(n), np.empty(n)
+        x, g = xs[:formed], gs[:formed]
     else:
-        step = table.shape[1]
-        if start % step or start < 0:
-            raise ValueError(
-                f"start {start} does not begin a grid interval (h = {step})"
-            )
-        pos_t = rows.positions[start // step : -(-stop // step) + 3].T
-        n = stop - start
-        xs = np.empty(-(-n // step) * step)
+        pos_t = rows.positions[first // step : -(-end // step) + 3].T
+        x, g = np.empty(pos_t.shape[1]), np.empty(pos_t.shape[1])
+        whole = -(-formed // step) * step
+        xs = np.empty(max(whole, off + n))
         gs = np.empty_like(xs)
-    x, g = np.empty(pos_t.shape[1]), np.empty(pos_t.shape[1])
     for q, coef in zip(rows.q, rows.coef):
         # g holds the distance until it becomes the gain; x is its scratch
         _distance_rows(q, pos_t, g, x)
         np.multiply(g, scale, out=x)
         np.maximum(g, d_min, out=g)
         np.divide(coef, g, out=g)
-        if table is None:
-            yield x, g
-        else:
-            yield restore_cubic(x, table, xs)[:n], restore_cubic(g, table, gs)[:n]
+        if table is not None:
+            restore_cubic(x, table, xs[:whole])
+            restore_cubic(g, table, gs[:whole])
+        xs[formed : off + n] = xs[formed - 1]
+        gs[formed : off + n] = gs[formed - 1]
+        yield xs[off : off + n], gs[off : off + n]
 
 
-def accumulate_rows(
-    out, streams, rows, scale, d_min, d0, start=0, last=None, bounds=None
-):
+def accumulate_rows(out, streams, rows, scale, d_min, d0, start, length, bounds=None):
     """Sum a part's image rows into out.
 
     out: (T,) accumulator for output indices start .. start + T - 1,
     streams: (M+1, Ls) guarded branch streams shared by all rows
-    (farrow.guarded_branches), rows: a Rows part, scale: rate / c in
-    samples per meter, d0: the bank's latency D0, less the first guarded
-    index streams holds when they are a window of the whole streams.
-    Each row's delay and gain over the range are formed as in row_terms,
-    which cuts the part's positions for the range, and one Horner pass
-    per row reads the streams, so a range of output samples gets the same
-    bits as the whole stream does.
+    (farrow.guarded_branches), rows: a Rows part on a path of length
+    samples, scale: rate / c in samples per meter, d0: the bank's latency
+    D0, less the first guarded index streams holds when they are a window
+    of the whole streams. Each row's delay and gain over the range are
+    formed as in row_terms, which cuts the part's positions for the range
+    and holds a row past the path's end, and one Horner pass per row
+    reads the streams, so a range of output samples gets the same bits as
+    the whole stream does.
 
-    last, if given, is an (S, 2) array that receives each row's delay and
-    gain at the range's final sample. bounds, if given, is the (lower,
-    upper) delay range a window of streams was cut for: a row whose delay
-    leaves it raises RuntimeError before it is read. Returns the largest
-    delay (-inf when there is nothing to add).
+    bounds, if given, is the (lower, upper) delay range a window of
+    streams was cut for: a row whose delay leaves it raises RuntimeError
+    before it is read. Returns the largest delay (-inf when there is
+    nothing to add).
     """
     n = out.shape[0]
     if n == 0 or rows.q.shape[0] == 0:
         return -np.inf
     scratch = _scratch(n, start + d0)
     top = -np.inf
-    for i, (tau, g) in enumerate(row_terms(rows, scale, d_min, start, start + n)):
-        if last is not None:
-            last[i] = tau[-1], g[-1]
+    for tau, g in row_terms(rows, scale, d_min, start, start + n, length):
         peak = float(tau.max())
         if bounds is not None and not bounds[0] <= tau.min() <= peak <= bounds[1]:
             raise RuntimeError(
@@ -267,22 +270,6 @@ def accumulate_rows(
         top = max(top, peak)
         _horner_row(out, streams, tau, g, scratch)
     return top
-
-
-def accumulate_held(out, streams, delay, gain, d0, start=0):
-    """Sum rows held at one delay and gain into out.
-
-    delay, gain: (S,) per-row delay in samples and gain, constant over
-    the range; the rest is as in accumulate_rows. This is the tail past a
-    path's end, where each row keeps its last values: a row filled with
-    its delay goes through the one Horner pass.
-    """
-    n = out.shape[0]
-    x = np.empty(n)
-    scratch = _scratch(n, start + d0)
-    for tau, g in zip(delay.tolist(), gain.tolist()):
-        x.fill(tau)
-        _horner_row(out, streams, x, g, scratch)
 
 
 # ---------------------------------------------------------------------------

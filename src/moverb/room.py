@@ -10,6 +10,7 @@ coefficients raised to the number of hits on that wall.
 Everything here is an immutable value; all operations are pure functions.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,10 +209,12 @@ def estimate_image_count(room, t60, c=343.0):
     image lattice bijects onto integer triples m with path length
     sqrt(sum (m_k * L_k)^2); the result is the exact count of lattice
     points inside that ball (roughly (4 pi / 3) (c t60)^3 / volume).
-    Intended for cost estimates, not for enumeration.
+    Intended for cost estimates, not for enumeration. Raises ValueError
+    unless t60 and c are finite and > 0.
     """
-    if t60 <= 0:
-        raise ValueError("t60 must be > 0")
+    for name, value in (("t60", t60), ("c", c)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0")
     radius = c * t60
     lx, ly, lz = (float(d) for d in room.dims)
     r2 = radius * radius

@@ -38,35 +38,37 @@ synthesize never asks the record for a distance; terms(i), row(i) and d
 form whole rows for dumps and checks, through the kernel's own
 row_terms.
 
-synthesize walks the output in fixed time chunks of CHUNK_SAMPLES,
-rounded up to whole grid intervals (16400 samples at h = 400), so every
-chunk starts on a grid interval of each restored part. One job per
-chunk adds every row, one at a time in row order, straight into the
-chunk's slice of the output, through one kernel, which takes the
-whole part and cuts the positions the chunk is formed from: near and
-far rows differ only in the path it reads. An exact row's distance,
+synthesize walks the whole output in fixed time chunks of
+CHUNK_SAMPLES, rounded up to whole grid intervals (16400 samples at
+h = 400), so every chunk starts on a grid interval of each restored
+part; a last piece shorter than the delay span joins the one before.
+One job per chunk adds every row, one at a time in row order, straight
+into the chunk's slice of the output, through one kernel, which takes
+the whole part and cuts the positions the chunk is formed from: near
+and far rows differ only in the path it reads. An exact row's distance,
 delay and gain are formed in chunk-long scratch rows from the path's
 samples in the chunk; a far row's are formed at the grid nodes the
 chunk is restored from, and its delay and gain are restored in
 chunk-long scratch rows, so it never holds a per-sample distance. Past
-the path's end every row holds its delay and gain at the path's last
-sample; the tail adds them on the calling thread. Chunks run on a pool
-of `workers` threads; a path of one chunk renders on the calling thread.
+the path's end the kernel holds every row at its delay and gain at the
+path's last sample, so a chunk there is the same kind of job, and no
+job shares state with another. Chunks run on a pool of `workers`
+threads; an output of one chunk renders on the calling thread.
 
 Before the walk, every row's delay is bounded from the parts alone
 (_delay_bounds), and the output is allocated once, at its longest.
 Each job convolves only the window of the input that its chunk's reads
 can reach, chunk + delay span + L samples of the branch streams
-(farrow.guarded_branches over a range); the tail cuts one window of its
-own. A row whose delay leaves the bounds would read outside its window,
+(farrow.guarded_branches over a range). A row whose delay leaves the
+bounds would read outside its window,
 so it raises RuntimeError before it is read. A job reads the path's
 axes where the Trajectory stores them, contiguous rows of a (3, T)
 array, so it copies no path window, and it restores a far row's delay
 and gain by one product over only the ceil(n / h) grid intervals its n
 samples reach. Beyond the input, the output and the path, no array
 longer than a chunk plus the delay span is held: memory is
-O(workers x (chunk + delay span)) whatever the image count or the clip
-length.
+O(workers x (chunk + delay span)) whatever the image count, the clip
+length or the path's length.
 
 Summation order is fixed per output sample: ((0 + r_0) + r_1) + ... over
 the rows in enumeration order, as a loop over the images adds them.
@@ -109,8 +111,8 @@ class SynthesisConfig:
     distance floor for the gain (never for the delay). The gain scales
     the delayed signal at arrival time. workers: threads that walk the
     output's time chunks (CHUNK_SAMPLES rounded up to whole grid
-    intervals: 16400 samples, 41 intervals, when h = 400); a path of one
-    chunk renders on the calling thread whatever workers is. eval_budget:
+    intervals: 16400 samples, 41 intervals, when h = 400); an output of
+    one chunk renders on the calling thread whatever workers is. eval_budget:
     cap on brute-force distance evaluations.
     """
 
@@ -182,7 +184,8 @@ class DelayStreams:
         for part in self.parts:
             if i < part.q.shape[0]:
                 row = replace(part, q=part.q[i : i + 1], coef=part.coef[i : i + 1])
-                return next(_kernels.row_terms(row, scale, d_min, 0, self.length))
+                length = self.length
+                return next(_kernels.row_terms(row, scale, d_min, 0, length, length))
             i -= part.q.shape[0]
         raise IndexError("row index out of range")
 
@@ -314,20 +317,21 @@ def synthesize(s, streams, f, cfg):
 
     Every row's delay is bounded first (_delay_bounds), and the output is
     allocated once, at max(len(streams), len(s) + ceil(upper) + L); the
-    render is its first output-length samples. One job per time chunk
-    convolves the window of the branch streams its reads can reach,
-    guarded indices start + D0 + 1 - floor(upper) up to
-    stop + D0 + 1 - floor(lower), clipped to the streams and at least one
-    sample long, and adds every row, in row order, into its slice of the
-    output through accumulate_rows, part by part, which reads each part
-    on the positions the chunk is formed from: an exact part's path
-    samples, a restored part's grid nodes. Each row's distance to its
-    mirrored mic, delay and gain are formed there (_kernels.row_terms),
-    in the kernel's scratch rows; a far row's are formed at its nodes and
-    restored, so it never holds a per-sample distance. The tail holds every row at its
-    delay and gain at the path's end, and one accumulate_held call on the
-    calling thread adds it from a window of its own. Raises RuntimeError
-    if a row's delay leaves the bounds, before that row is read.
+    render is its first output-length samples. The walk cuts that whole
+    allocation into time chunks, a last piece shorter than the delay span
+    upper - lower joining the one before. One job per chunk convolves
+    the window of the branch streams its reads can reach, guarded indices
+    start + D0 + 1 - floor(upper) up to stop + D0 + 1 - floor(lower),
+    clipped to the streams and at least one sample long, and adds every
+    row, in row order, into its slice of the output through
+    accumulate_rows, part by part, which reads each part on the positions
+    the chunk is formed from: an exact part's path samples, a restored
+    part's grid nodes. Each row's distance to its mirrored mic, delay and
+    gain are formed there (_kernels.row_terms), in the kernel's scratch
+    rows, held at the path's last sample past its end; a far row's are
+    formed at its nodes and restored, so it never holds a per-sample
+    distance. Raises RuntimeError if a row's delay leaves the bounds,
+    before that row is read.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
@@ -342,44 +346,33 @@ def synthesize(s, streams, f, cfg):
     length = streams.length
     parts = streams.parts
     bounds = _delay_bounds(parts, scale)
-    held = np.empty((n_images, 2))  # delay and gain at the path's end
-    held_parts = np.split(held, np.cumsum([p.q.shape[0] for p in parts])[:-1])
     out = np.zeros(max(length, s.size + math.ceil(bounds[1]) + f.branch_len))
     size = s.size + f.branch_len + 1  # guarded branch stream samples
 
-    def window(start, stop):
-        """The branch streams outputs start .. stop - 1 read, and its first index.
-
-        Output n reads guarded index n + D0 + 1 - floor(tau). Clipped to
-        the streams, a window keeps a zero guard where reads leave them.
-        """
+    def job(start, stop):
+        # the window of the branch streams outputs start .. stop - 1 read:
+        # output n reads guarded index n + D0 + 1 - floor(tau), and a
+        # window clipped to the streams keeps a zero guard where reads leave
         first = min(max(start + d0 + 1 - math.floor(bounds[1]), 0), size - 1)
         end = max(min(stop + d0 + 1 - math.floor(bounds[0]), size), first + 1)
-        return farrow.guarded_branches(s, f, first, end), first
-
-    def path_job(start, stop):
-        branch, first = window(start, stop)
-        top = -np.inf  # the chunk's largest delay
-        for part, last in zip(parts, held_parts):
-            peak = _kernels.accumulate_rows(
+        branch = farrow.guarded_branches(s, f, first, end)
+        return max(
+            _kernels.accumulate_rows(
                 out[start:stop], branch, part, scale, cfg.d_min, d0 - first,
-                start, last if stop == length else None, bounds,
+                start, length, bounds,
             )
-            top = max(top, peak)
-        return top
+            for part in parts
+        )
 
     # whole grid intervals of every restored part
     chunk = math.lcm(*(p.table.shape[1] for p in parts if p.table is not None))
     chunk *= -(-CHUNK_SAMPLES // chunk)
-    pieces = [(t, min(t + chunk, length)) for t in range(0, length, chunk)]
-    tau_max = max(_run(path_job, pieces, cfg.workers))
-    out_len = s.size + int(np.ceil(tau_max)) + f.branch_len
-    if out_len > length:
-        branch, first = window(length, out_len)
-        _kernels.accumulate_held(
-            out[length:out_len], branch, held[:, 0], held[:, 1], d0 - first, length
-        )
-    return out[:out_len]
+    starts = list(range(0, out.size, chunk))
+    if len(starts) > 1 and out.size - starts[-1] < bounds[1] - bounds[0]:
+        del starts[-1]  # a last piece shorter than the delay span joins the one before
+    pieces = list(zip(starts, starts[1:] + [out.size]))
+    tau_max = max(_run(job, pieces, cfg.workers))
+    return out[: s.size + math.ceil(tau_max) + f.branch_len]
 
 
 def select_images(room, traj, mic, cfg):

@@ -13,6 +13,7 @@ cubic has its four nodes in every grid interval, the first and last
 included. Restoration needs no guard band at either end.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -72,7 +73,8 @@ class TrajectorySpec:
     displacement spectrum. speed_max: m/s cap on the path speed. seed:
     RNG seed for every random choice. Optional direction/start pin the
     analytic kinds to exact geometry instead of seeded random choices.
-    The spline kind has 6 random knots.
+    The spline kind has 6 random knots. duration must be finite and > 0,
+    the two rates finite and >= 0 (ValueError otherwise).
     """
 
     kind: str
@@ -86,10 +88,12 @@ class TrajectorySpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
-        if self.duration <= 0:
-            raise ValueError("duration must be > 0")
-        if self.bandwidth_limit < 0 or self.speed_max < 0:
-            raise ValueError("bandwidth_limit and speed_max must be >= 0")
+        # each check states what passes, so NaN fails it
+        if not 0 < self.duration < math.inf:
+            raise ValueError("duration must be finite and > 0")
+        for name in ("bandwidth_limit", "speed_max"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
 
 
 def _unit_direction(rng, pinned):

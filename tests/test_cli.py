@@ -380,6 +380,19 @@ class TestCliSimulate:
         assert "d_min" in r.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_duration_exits_2_without_writing(self, workdir, value):
+        cfg = workdir / f"duration_{value}.cfg"
+        text = (workdir / "engine.cfg").read_text()
+        cfg.write_text(text.replace("traj.duration = 1", f"traj.duration = {value}"))
+        out = workdir / f"duration_{value}.wav"
+        r = run_cli(
+            "simulate", "--config", cfg, "--in", workdir / "in.wav", "--out", out,
+        )
+        assert r.returncode == 2, r.stderr
+        assert "duration" in r.stderr
+        assert not out.exists()
+
     def test_filter_file_past_nyquist_exits_2(self, workdir, filt):
         bank = workdir / "wide.txt"
         write_filter(bank, filt)
@@ -550,6 +563,13 @@ class TestCliCompareAndCost:
         r = run_cli("cost", *args)
         assert r.returncode == 2
         assert "invalid" in r.stderr.lower()
+        assert r.stdout == ""
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_cost_refuses_non_finite_t60_naming_it(self, value):
+        r = run_cli("cost", "--t60", value)
+        assert r.returncode == 2
+        assert "t60" in r.stderr
         assert r.stdout == ""
 
     def test_cost_with_explicit_image_count(self):

@@ -279,6 +279,15 @@ class TestImageCountEstimate:
         r = make_room()
         assert estimate_image_count(r, 1e-9) == 1
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), 0.0, -1.0])
+    @pytest.mark.parametrize("field", ["t60", "c"])
+    def test_rejects_out_of_range_inputs(self, field, value):
+        # a non-finite t60 or c failed converting NaN to an integer, in a
+        # message that named neither
+        kwargs = {"t60": 0.5, "c": 343.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            estimate_image_count(make_room(), **kwargs)
+
 
 class TestSpecOrdering:
     def test_spec_tuple_ordering_is_total(self):

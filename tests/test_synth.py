@@ -1,4 +1,5 @@
 import concurrent.futures
+import math
 import os
 import pathlib
 import subprocess
@@ -150,20 +151,32 @@ def reference_restore(nodes, table, start, n):
     return np.concatenate(tiles)[start : start + n]
 
 
-def reference_accumulate_restored(out, streams, delay, gain, table, d0, start):
+def reference_accumulate_restored(out, streams, delay, gain, table, d0, start, length):
     """The far-row kernel as plain whole-row expressions, frozen here.
 
-    Returns the largest restored delay and each row's last delay and gain.
+    Each row is restored over the path's length samples and holds its
+    value at sample length - 1 past them. Returns the largest restored
+    delay in the range and each row's delay and gain at sample length - 1.
     """
     n = out.shape[0]
     top, last = -np.inf, np.empty((delay.shape[0], 2))
     for i in range(delay.shape[0]):
-        tau = reference_restore(delay[i], table, start, n)
-        g = reference_restore(gain[i], table, start, n)
-        top = max(top, tau.max())
+        tau = reference_restore(delay[i], table, 0, length)
+        g = reference_restore(gain[i], table, 0, length)
         last[i] = tau[-1], g[-1]
+        tau, g = edge_padded(tau, start + n)[start:], edge_padded(g, start + n)[start:]
+        top = max(top, tau.max())
         reference_accumulate_delayed(out, streams, tau, g, d0, start)
     return top, last
+
+
+def assert_held(part, scale, d_min, start, n, length, last):
+    """Row terms from sample length - 1 on hold last's delay and gain, bit for bit."""
+    held = slice(max(length - 1 - start, 0), None)
+    terms = _kernels.row_terms(part, scale, d_min, start, start + n, length)
+    for (tau, g), (x, a) in zip(terms, last):
+        assert same_bits(tau[held], np.full(n, x)[held])
+        assert same_bits(g[held], np.full(n, a)[held])
 
 
 def guarded(streams):
@@ -260,8 +273,20 @@ class TestKernelsMatchFrozenReferences:
         d0 = int(rng.integers(0, 20))
         scale = float(rng.uniform(5.0, 50.0))  # samples per meter
         d_min = float(rng.uniform(0.01, 0.3))
-        # as many nodes as the range needs, or fewer (the last one holds)
-        k = int(rng.integers(start // step + 1, (start + n) // step + 5))
+        # the path ends at or past the range's end, inside the range, or
+        # before it starts; past its end a row holds its last value
+        ends = seed // 3 % 3
+        if ends == 0:
+            length = start + n + int(rng.integers(0, 3 * step))
+        elif (ends == 1 and n > 1) or start == 0:
+            length = start + int(rng.integers(1, max(n, 2)))
+        else:
+            length = int(rng.integers(1, start + 1))
+        # the range's last sample on the path, counted from start (< 0 when
+        # the path ends before it); the samples after it hold its delay
+        t_h = min(n, length - start) - 1
+        # as many nodes as the path's grid has, or fewer (the last one holds)
+        k = int(rng.integers((length - 1) // step + 2, -(-length // step) + 4))
         table = lagrange_table(step)
         t = (np.arange(k) - 1.0) * step - start  # node sample indices from start
         # a straight node path along u whose delay moves `slope` samples per
@@ -274,7 +299,7 @@ class TestKernelsMatchFrozenReferences:
             # the streams at either end
             slope, side = float(rng.uniform(-0.9, 0.9)), 0.05
             read = rng.uniform(-60.0, stream_len + 60.0, size=rows)
-            tau0 = start + d0 - read
+            tau0 = start + d0 - read - slope * min(t_h, 0)
         else:
             # reads move 1 +- 0.05 samples per sample, as for a moving
             # source, and end within 30 samples of the streams' end: past
@@ -285,7 +310,7 @@ class TestKernelsMatchFrozenReferences:
             if seed % 3 == 0:
                 slope, side = 1.0, 0.0
                 read = np.minimum(read, stream_len - 6.0)
-            tau0 = start + n - 1 + d0 - read - slope * (n - 1)
+            tau0 = start + n - 1 + d0 - read - slope * t_h
         r = np.maximum(tau0, 0.0) / scale
         p0 = rng.uniform(0.0, 6.0, size=3)
         path = p0 + np.outer(t * slope / scale, u)
@@ -299,16 +324,16 @@ class TestKernelsMatchFrozenReferences:
         init = rng.standard_normal(n)
         want = init.copy()
         want_top, want_last = reference_accumulate_restored(
-            want, streams, delay, gain, table, d0, start
+            want, streams, delay, gain, table, d0, start, length
         )
-        got, last = init.copy(), np.empty((rows, 2))
+        got = init.copy()
+        part = _kernels.Rows(q, coef, path, table)
         top = _kernels.accumulate_rows(
-            got, guarded(streams), _kernels.Rows(q, coef, path, table), scale,
-            d_min, d0, start, last,
+            got, guarded(streams), part, scale, d_min, d0, start, length
         )
         assert same_bits(got, want)
         assert top == want_top
-        assert same_bits(last, want_last)
+        assert_held(part, scale, d_min, start, n, length, want_last)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_accumulate_exact(self, seed):
@@ -320,11 +345,19 @@ class TestKernelsMatchFrozenReferences:
         d0 = int(rng.integers(0, 20))
         scale = float(rng.uniform(5.0, 50.0))  # samples per meter
         d_min = float(rng.uniform(0.01, 0.3))
-        # a straight path; the first row's mirrored mic lies on it, so its
-        # distance passes through 0 and inside d_min (at the last sample
-        # when kind == 1); the second starts over 5 m away
+        # a straight path over the range; its first `on` samples lie on the
+        # path, which ends with the range, inside it, or (ends == 2) before
+        # it starts, and the rest hold the path's last sample
         t = np.arange(n)[:, None]
         pos = rng.uniform(0.0, 6.0, size=3) + rng.uniform(-1e-3, 1e-3, size=3) * t
+        ends = seed // 4 % 3
+        on = n if ends == 0 else 1
+        if ends == 1 and n > 1:
+            on = int(rng.integers(1, n))
+        pos[on:] = pos[on - 1]
+        # the first row's mirrored mic lies on the path, so its distance
+        # passes through 0 and inside d_min (at the last sample when
+        # kind == 1); the second starts over 5 m away
         q = pos[0] + rng.uniform(-4.0, 4.0, size=(rows, 3))
         q[0] = pos[-1 if kind == 1 else int(rng.integers(0, n))]
         if rows > 1:
@@ -350,18 +383,23 @@ class TestKernelsMatchFrozenReferences:
         want_top, want_last = reference_accumulate_exact(
             want, streams, q, pos, coef, scale, d_min, d0, start
         )
-        got, last = init.copy(), np.empty((rows, 2))
-        # the path runs from sample 0; a read of its samples ahead of start
-        # would carry their NaNs into the sum
-        path = np.concatenate([np.full((start, 3), np.nan), pos])
+        # the path runs from sample 0; a read of its samples ahead of start,
+        # or (ends == 2) ahead of its last one, would carry their NaNs into
+        # the sum
+        if ends == 2 and start > 0:
+            length = int(rng.integers(1, start + 1))
+        else:
+            length = start + on
+        path = np.concatenate([np.full((length - on, 3), np.nan), pos[:on]])
+        got = init.copy()
+        part = _kernels.Rows(q, coef, path)
         top = _kernels.accumulate_rows(
-            got, guarded(streams), _kernels.Rows(q, coef, path), scale, d_min,
-            d0, start, last,
+            got, guarded(streams), part, scale, d_min, d0, start, length
         )
         assert same_bits(got, want)
         # rounding is monotone, so the largest delay is the largest distance's
         assert top == want_top * scale
-        assert same_bits(last, want_last)
+        assert_held(part, scale, d_min, start, n, length, want_last)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_exact_gain_is_attenuation(self, seed):
@@ -376,27 +414,16 @@ class TestKernelsMatchFrozenReferences:
         q[0] = pos[-1]
         beta = rng.uniform(0.01, 1.0, size=rows)
         d_min = float(rng.uniform(0.01, 0.3))
-        streams = rng.standard_normal((4, 4000))
-        last = np.empty((rows, 2))
-        rows = _kernels.Rows(q, attenuation(beta, 1.0), pos)
-        _kernels.accumulate_rows(np.zeros(n), streams, rows, 20.0, d_min, 8, 0, last)
+        start = int(rng.integers(0, n + 300))
+        stop = max(start, n) + int(rng.integers(1, 300))
+        part = _kernels.Rows(q, attenuation(beta, 1.0), pos)
         d = np.array([reference_distance_row(qi, pos[-1:])[0] for qi in q])
-        assert same_bits(last[:, 1], attenuation(beta, np.maximum(d, d_min)))
-        assert last[0, 1] == attenuation(beta[0], d_min)
-
-    def test_accumulate_held(self):
-        # a held row is a whole row of its last value
-        rng = np.random.default_rng(7)
-        streams = rng.standard_normal((4, 900))
-        delay, gain = np.array([-3.25, 401.5, 1000.75]), np.array([0.5, -1.5, 2.0])
-        got = np.zeros(700)
-        _kernels.accumulate_held(got, guarded(streams), delay, gain, 8, 300)
-        want = np.zeros(700)
-        for x, g in zip(delay, gain):
-            reference_accumulate_delayed(
-                want, streams, np.full(700, x), np.full(700, g), 8, 300
-            )
-        assert same_bits(got, want)
+        want = attenuation(beta, np.maximum(d, d_min))
+        assert want[0] == attenuation(beta[0], d_min)
+        held = max(n - 1 - start, 0)
+        terms = _kernels.row_terms(part, 20.0, d_min, start, stop, n)
+        for (_, g), a in zip(terms, want):
+            assert same_bits(g[held:], np.full(stop - start - held, a))
 
 
 class TestConfigValidation:
@@ -824,6 +851,46 @@ class TestChunkedWalk:
         finally:
             sys.setswitchinterval(interval)
 
+    # (path samples, input samples, CHUNK_SAMPLES) of walks whose pieces
+    # meet the path's end in different ways; every chunk is whole grid
+    # intervals at N=3200 (h=400), and the delay span is about 900 samples
+    WALKS = {
+        # pieces from 2400 on lie wholly past the path's end
+        "pieces_past_the_end": (2000, 8000, 1200),
+        # the last piece, 8800 .. ~8940, is shorter than the delay span
+        "short_last_piece": (8000, 8000, 4400),
+        # the path ends inside 2400 .. 3200; its tail crosses 3200 and 4000
+        "tail_across_chunks": (3000, 4000, 800),
+        "one_sample_path": (1, 3000, 800),
+        "path_longer_than_the_output": (12000, 6000, 1600),
+    }
+
+    @pytest.mark.parametrize("factor", [3200, 1])
+    @pytest.mark.parametrize("case", WALKS)
+    def test_the_walk_covers_the_whole_output(
+        self, case, factor, filt, room_5x6x4, mic_std, monkeypatch
+    ):
+        t_len, n, chunk = self.WALKS[case]
+        tr = moving_traj(t_len, duration=t_len / RATE, seed=21)
+        cfg = SynthesisConfig(max_order=3, decimation=factor)
+        x = np.random.default_rng(22).standard_normal(n)
+        streams = prepare_streams(tr, room_5x6x4, mic_std, cfg)
+        lower, upper = synth._delay_bounds(streams.parts, RATE / cfg.sound_speed)
+        size = max(t_len, n + math.ceil(upper) + filt.branch_len)  # the walk's span
+        if case == "pieces_past_the_end":
+            assert size - t_len > 2 * chunk
+        if case == "short_last_piece":
+            assert 0 < size % chunk < upper - lower and size > chunk
+        if case == "tail_across_chunks":
+            assert t_len % chunk and size > (t_len // chunk + 2) * chunk
+        want = whole_array_render(x, streams, filt, cfg)
+        assert (want.size < t_len) == (case == "path_longer_than_the_output")
+        for samples in (chunk, 10**9):
+            monkeypatch.setattr(synth, "CHUNK_SAMPLES", samples)
+            for workers in (1, 2, 3):
+                got = synthesize(x, streams, filt, replace(cfg, workers=workers))
+                assert np.array_equal(got, want), (samples, workers)
+
     def test_output_length_when_every_distance_is_clamped(
         self, filt, room_5x6x4, mic_std
     ):
@@ -849,6 +916,27 @@ class TestChunkedWalk:
         # took 4.04 MB, one that restored in 64-interval tiles of chunks
         # of 25600 samples 3.40 MB
         assert peak < 3.0, f"peak {peak:.2f} MB"
+
+    def test_short_path_under_long_audio_peaks_as_a_whole_path(
+        self, filt, room_5x6x4, mic_std
+    ):
+        # past the path's end rows hold their last values in the same
+        # chunk-long scratch as on it, so a 1 s path under 10 s of audio
+        # holds no tail-long array (11.74 MB against 2.66 MB for a 10 s path
+        # when the tail was rendered in one pass)
+        n = 10 * 16000
+        x = np.random.default_rng(24).standard_normal(n)
+        cfg = SynthesisConfig(max_order=3)
+        peaks = {}
+        for seconds in (1.0, 10.0):
+            tr = moving_traj(int(seconds * RATE), duration=seconds)
+            render(x, tr, room_5x6x4, mic_std, filt, cfg)  # warm-up
+            y, peaks[seconds] = traced_peak_mb(
+                lambda: render(x, tr, room_5x6x4, mic_std, filt, cfg)
+            )
+            assert y.size > n
+        assert peaks[1.0] <= 1.1 * peaks[10.0], peaks
+        assert peaks[1.0] < 3.0, peaks
 
     def test_order3_ten_second_exact_render_peak_memory(
         self, filt, room_5x6x4, mic_std
@@ -981,6 +1069,26 @@ class TestChunkedWalk:
         x = np.random.default_rng(15).standard_normal(n)
         cfg = SynthesisConfig(max_order=3, decimation=1, workers=2)
         assert render(x, tr, room_5x6x4, mic_std, filt, cfg).size > n
+
+    def test_a_last_piece_shorter_than_the_delay_span_builds_no_thread_pool(
+        self, filt, room_5x6x4, mic_std, monkeypatch
+    ):
+        # a 1 s input's output runs a few hundred samples past one chunk
+        # (16400 samples at h = 400); those join the chunk, so the render
+        # is one job on the calling thread
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-chunk render built a thread pool")
+
+        n = 16000
+        tr = moving_traj(n, duration=1.0, seed=25)
+        x = np.random.default_rng(26).standard_normal(n)
+        cfg = SynthesisConfig(max_order=3, workers=2)
+        streams = prepare_streams(tr, room_5x6x4, mic_std, cfg)
+        lower, upper = synth._delay_bounds(streams.parts, RATE / cfg.sound_speed)
+        size = n + math.ceil(upper) + filt.branch_len
+        assert 16400 < size < 16400 + upper - lower
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        assert synthesize(x, streams, filt, cfg).size > n
 
 
 class TestDelayBounds:

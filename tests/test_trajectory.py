@@ -228,6 +228,15 @@ class TestGenerate:
                 kind="line", duration=0.0, bandwidth_limit=2.0, speed_max=1.0
             )
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("field", ["duration", "bandwidth_limit", "speed_max"])
+    def test_rejects_non_finite_values(self, field, value):
+        # an infinite duration overflowed in generate, a NaN one failed
+        # there converting NaN to an integer
+        kwargs = dict(kind="line", duration=1.0, bandwidth_limit=2.0, speed_max=1.0)
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            TrajectorySpec(**{**kwargs, field: value})
+
     def test_margin_too_large_raises(self):
         room = make_room(dims=(1.0, 1.0, 1.0))
         spec = TrajectorySpec(
@@ -474,7 +483,8 @@ class TestUpsample:
         rows = _kernels.Rows(np.ones((1, 3)), np.ones(1), np.zeros((9, 3)), table)
         with pytest.raises(ValueError, match="grid interval"):
             _kernels.accumulate_rows(
-                np.zeros(10), np.ones((2, 40)), rows, 1.0, 0.1, 0, start=3
+                np.zeros(10), np.ones((2, 40)), rows, 1.0, 0.1, 0, start=3,
+                length=40,
             )
 
     @pytest.mark.parametrize("factor", [2, 16, 100, 3200])
