@@ -9,12 +9,14 @@ Exit codes: 0 success, 2 usage or invalid parameters, 3 I/O failure,
 """
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
 import numpy as np
 
 from . import farrow, io_formats, reference, synth, trajectory
+from .room import Room, estimate_image_count
 from .synth import BudgetError
 
 EXIT_OK = 0
@@ -42,23 +44,18 @@ def _cmd_design(args):
     return EXIT_OK
 
 
-def _room_from_args(args):
-    from .room import Room
-
-    dims = np.array([float(v) for v in args.room.split()])
-    return Room(dims=dims, wall_reflection=np.full(6, args.reflection))
-
-
 def _cmd_trajectory(args):
-    room = _room_from_args(args)
+    # generate reads only the room's box, never its walls
+    room = Room(dims=np.array(args.room.split(), dtype=float), wall_reflection=1.0)
     spec = trajectory.TrajectorySpec(
         kind=args.kind,
         duration=args.duration,
         bandwidth_limit=args.bandwidth,
         speed_max=args.speed,
         seed=args.seed,
+        margin=args.margin,
     )
-    traj = trajectory.generate(spec, args.rate, room, margin=args.margin)
+    traj = trajectory.generate(spec, args.rate, room)
     io_formats.write_trajectory(args.out, traj)
     print(f"wrote {args.out} ({len(traj)} samples at {traj.rate} Hz)")
     print(f"bandwidth_hz={trajectory.bandwidth_estimate(traj):.4f}")
@@ -81,9 +78,7 @@ def _load_engine(args):
     if cfg.trajectory_file:
         traj = io_formats.read_trajectory(cfg.trajectory_file)
     else:
-        traj = trajectory.generate(
-            cfg.trajectory_spec, cfg.synth.audio_rate, cfg.room, margin=cfg.margin
-        )
+        traj = trajectory.generate(cfg.trajectory_spec, cfg.synth.audio_rate, cfg.room)
     if cfg.farrow_file:
         filt = io_formats.read_filter(cfg.farrow_file)
     else:
@@ -99,6 +94,9 @@ def _cmd_simulate(args):
             f"--dump-image describes a moving render; mode {args.mode} "
             "freezes the source"
         )
+    # states what passes, so NaN fails it
+    if args.mode == "splice" and not 0 < args.hop_hz < math.inf:
+        raise ValueError("--hop-hz must be finite and > 0")
     cfg, traj, filt = _load_engine(args)
     rate, s = io_formats.read_wav(args.infile)
     if rate != cfg.synth.audio_rate:
@@ -156,8 +154,6 @@ def _cmd_compare(args):
 
 
 def _cmd_cost(args):
-    from .room import Room, estimate_image_count
-
     cfg = synth.SynthesisConfig(
         audio_rate=args.rate,
         order_split=args.K,
@@ -196,8 +192,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rate", type=float, default=16000.0)
     p.add_argument("--room", default="5 6 4", help="dims in meters, quoted")
-    p.add_argument("--reflection", type=float, default=0.9)
-    p.add_argument("--margin", type=float, default=0.3)
+    p.add_argument("--margin", type=float, default=trajectory.TrajectorySpec.margin)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_trajectory)
 

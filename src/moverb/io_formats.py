@@ -148,7 +148,6 @@ class EngineConfig:
     farrow_alpha: float
     farrow_grid: int
     farrow_file: str
-    margin: float
 
 
 # each synth.* key's SynthesisConfig field and type; an absent key keeps
@@ -182,9 +181,10 @@ def engine_config_from_table(table):
     Recognized keys (CONFIG_KEYS, all optional unless noted): room.dims
     (required, three numbers), room.reflection (one or six numbers),
     mic.pos (required), traj.kind/duration/bandwidth/speed/seed/direction/
-    start, traj.file, traj.margin, synth.rate/N/K/max_order/t60/c/d_min/
-    workers/budget, farrow.M/L/alpha/grid, farrow.file. Any other key
-    raises ValueError naming it, so a typo never falls back to a default.
+    start/margin (the TrajectorySpec), traj.file, synth.rate/N/K/max_order/
+    t60/c/d_min/workers/budget, farrow.M/L/alpha/grid, farrow.file. Any
+    other key raises ValueError naming it, so a typo never falls back to a
+    default.
     """
     unknown = sorted(set(table) - CONFIG_KEYS)
     if unknown:
@@ -213,6 +213,7 @@ def engine_config_from_table(table):
         if "traj.direction" in table
         else None,
         start=tuple(_floats(table["traj.start"])) if "traj.start" in table else None,
+        margin=float(table.get("traj.margin", TrajectorySpec.margin)),
     )
     return EngineConfig(
         room=room,
@@ -225,7 +226,6 @@ def engine_config_from_table(table):
         farrow_alpha=float(table.get("farrow.alpha", 0.8)),
         farrow_grid=int(table.get("farrow.grid", 64)),
         farrow_file=table.get("farrow.file", ""),
-        margin=float(table.get("traj.margin", 0.3)),
     )
 
 

@@ -92,9 +92,12 @@ def static_render(s, taps):
 
     Output length is len(s) + len(taps) - 1. Small products use exact
     direct convolution; larger ones switch to FFT convolution (equal to
-    direct within roundoff).
+    direct within roundoff). A non-finite s raises ValueError with
+    synthesize's message, rather than spreading NaN through the output.
     """
     s = np.asarray(s, dtype=np.float64)
+    if not np.all(np.isfinite(s)):
+        raise ValueError("input must be finite")
     taps = np.asarray(taps, dtype=np.float64)
     if s.size * taps.size <= _DIRECT_CONV_LIMIT:
         return np.convolve(s, taps)
@@ -192,10 +195,13 @@ def compare(a, b, passband=0.8, rate=16000.0, interior=0.05):
     fraction at each end (edge transients and hold-extrapolated regions are
     excluded by construction there). Envelope and instantaneous frequency
     come from the analytic signal of the raw trimmed a; the frequency track
-    is smoothed over 10 ms. SNR is capped at 200 dB.
+    is smoothed over 10 ms. SNR is capped at 200 dB. A non-finite sample
+    in a or b raises ValueError (the cap would read a NaN error as 200 dB).
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("signals must be finite")
     n = min(a.size, b.size)
     if n < 16:
         raise ValueError("signals too short to compare")

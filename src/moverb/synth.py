@@ -113,7 +113,10 @@ class SynthesisConfig:
     output's time chunks (CHUNK_SAMPLES rounded up to whole grid
     intervals: 16400 samples, 41 intervals, when h = 400); an output of
     one chunk renders on the calling thread whatever workers is. eval_budget:
-    cap on brute-force distance evaluations.
+    cap on brute-force distance evaluations. decimation, order_split,
+    max_order and workers must be whole numbers (2.0 passes, 2.5 does
+    not); audio_rate, sound_speed, d_min and a set t60 finite and > 0
+    (ValueError otherwise).
     """
 
     audio_rate: float = 16000.0
@@ -132,14 +135,12 @@ class SynthesisConfig:
             value = getattr(self, name)
             if not (value is None and name == "t60" or 0 < value < math.inf):
                 raise ValueError(f"{name} must be finite and > 0")
-        if not self.decimation >= 1 or int(self.decimation) != self.decimation:
-            raise ValueError("decimation must be a positive integer")
-        if not self.order_split >= 0:
-            raise ValueError("order_split must be >= 0")
-        if not self.max_order >= 0:
-            raise ValueError("max_order must be >= 0")
-        if not self.workers >= 1:
-            raise ValueError("workers must be >= 1")
+        counts = (("decimation", 1), ("order_split", 0), ("max_order", 0), ("workers", 1))
+        for name, least in counts:
+            value = getattr(self, name)
+            # a whole number's float is_integer; NaN's and inf's are not
+            if not float(value).is_integer() or not value >= least:
+                raise ValueError(f"{name} must be >= {least} and whole")
         if not self.eval_budget > 0:
             raise ValueError("eval_budget must be > 0 (inf: no cap)")
 

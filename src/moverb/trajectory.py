@@ -66,15 +66,16 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class TrajectorySpec:
-    """Recipe for generate().
+    """Recipe for generate(): the whole path but its rate and room.
 
     kind: one of line, circle, sine, filtered-noise, waypoint-spline.
     duration: seconds. bandwidth_limit: Hz, target upper edge of the
     displacement spectrum. speed_max: m/s cap on the path speed. seed:
     RNG seed for every random choice. Optional direction/start pin the
     analytic kinds to exact geometry instead of seeded random choices.
-    The spline kind has 6 random knots. duration must be finite and > 0,
-    the two rates finite and >= 0 (ValueError otherwise).
+    The spline kind has 6 random knots. margin: meters the path keeps
+    from every wall. duration must be finite and > 0, the two rates and
+    margin finite and >= 0 (ValueError otherwise).
     """
 
     kind: str
@@ -84,6 +85,7 @@ class TrajectorySpec:
     seed: int = 0
     direction: tuple = None
     start: tuple = None
+    margin: float = 0.3
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -91,7 +93,7 @@ class TrajectorySpec:
         # each check states what passes, so NaN fails it
         if not 0 < self.duration < math.inf:
             raise ValueError("duration must be finite and > 0")
-        for name in ("bandwidth_limit", "speed_max"):
+        for name in ("bandwidth_limit", "speed_max", "margin"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0")
 
@@ -153,25 +155,32 @@ def _placed(center, disp, rate):
     return Trajectory(rate=rate, positions=(center[:, None] + disp.T).T)
 
 
-def generate(spec, rate, room, margin=0.3):
-    """Build a band-limited trajectory inside the room.
+def generate(spec, rate, room):
+    """Build a band-limited trajectory inside the room, reading only its box.
 
-    The path keeps at least `margin` meters from every wall, its
+    rate must be finite, > 0 and at least twice spec.bandwidth_limit. The
+    path keeps at least spec.margin meters from every wall, its
     finite-difference speed stays within speed_max * (1 + 1e-3), and for
     the oscillatory kinds at least 99% of the displacement spectral energy
     lies below bandwidth_limit (a constant-velocity line has an unbounded
     window spectrum and carries no such guarantee). Deterministic per seed.
-    The analytic and noise kinds are built axis-major, one (T,) row per
-    axis, as Trajectory stores them.
+    A line that leaves the margins raises; every other kind is built as a
+    displacement about a center, axis-major as Trajectory stores it, which
+    one fit scales into the margins and under the speed cap.
     """
+    # each check states what passes, so NaN fails it
+    if not 0 < rate < math.inf:
+        raise ValueError("rate must be finite and > 0")
     if rate < 2 * spec.bandwidth_limit:
         raise ValueError("rate must be at least twice the bandwidth limit")
-    if margin < 0 or np.any(2 * margin >= room.dims):
-        raise ValueError("margin must be >= 0 and leave interior space")
+    margin = spec.margin
+    if np.any(2 * margin >= room.dims):
+        raise ValueError("margin must leave interior space")
     rng = np.random.default_rng(spec.seed)
     n = max(2, int(round(spec.duration * rate)))
     t = np.arange(n) / rate
     center = room.dims / 2.0
+    f = spec.bandwidth_limit
 
     if spec.kind == "line":
         direction = _unit_direction(rng, spec.direction)
@@ -187,31 +196,36 @@ def generate(spec, rate, room, margin=0.3):
         return Trajectory(rate=rate, positions=axes.T)
 
     if spec.kind == "sine":
+        # drawn before the zero-motion test, so a zero direction still raises
         direction = _unit_direction(rng, spec.direction)
-        f = spec.bandwidth_limit
-        if f == 0 or spec.speed_max == 0:
-            axes = np.zeros((3, n))
-        else:
-            amp = spec.speed_max / (2 * np.pi * f)
-            axes = direction[:, None] * (amp * np.sin(2 * np.pi * f * t))
-        disp = _fit_displacement(axes.T, center, room, margin, spec.speed_max, rate)
-        return _placed(center, disp, rate)
+    if spec.kind == "waypoint-spline":
+        # 6 random knots in the middle 60% of the usable box so spline
+        # overshoot and low-pass ringing stay inside before rescaling
+        usable = room.dims - 2 * margin
+        waypoints = margin + (0.2 + 0.6 * rng.random((6, 3))) * usable
+        if spec.speed_max == 0 and not np.allclose(waypoints, waypoints[0]):
+            raise ValueError("speed_max = 0 cannot visit distinct waypoints")
+        from scipy.interpolate import CubicSpline
 
-    if spec.kind == "circle":
-        f = spec.bandwidth_limit
-        if f == 0 or spec.speed_max == 0:
-            axes = np.zeros((3, n))
-        else:
-            radius = spec.speed_max / (2 * np.pi * f)
-            phase = 2 * np.pi * f * t
-            axes = np.stack([radius * np.cos(phase), radius * np.sin(phase), np.zeros(n)])
-        disp = _fit_displacement(axes.T, center, room, margin, spec.speed_max, rate)
-        return _placed(center, disp, rate)
-
-    if spec.kind == "filtered-noise":
+        times = np.linspace(0.0, spec.duration, len(waypoints))
+        pos = CubicSpline(times, waypoints, axis=0)(np.clip(t, 0.0, times[-1]))
+        if f > 0:
+            pos = _lowpass_columns(pos, rate, f)
+        center = pos.mean(axis=0)
+        axes = (pos - center).T
+    elif f == 0 or spec.speed_max == 0:
         axes = np.zeros((3, n))
-        k_max = int(np.floor(0.95 * spec.bandwidth_limit * n / rate))
-        if k_max >= 1 and spec.speed_max > 0:
+    elif spec.kind == "sine":
+        amp = spec.speed_max / (2 * np.pi * f)
+        axes = direction[:, None] * (amp * np.sin(2 * np.pi * f * t))
+    elif spec.kind == "circle":
+        radius = spec.speed_max / (2 * np.pi * f)
+        phase = 2 * np.pi * f * t
+        axes = np.stack([radius * np.cos(phase), radius * np.sin(phase), np.zeros(n)])
+    else:  # filtered-noise
+        axes = np.zeros((3, n))
+        k_max = int(np.floor(0.95 * f * n / rate))
+        if k_max >= 1:
             for axis in range(3):
                 spectrum = np.zeros(n // 2 + 1, dtype=complex)
                 live = rng.normal(size=k_max) + 1j * rng.normal(size=k_max)
@@ -220,25 +234,8 @@ def generate(spec, rate, room, margin=0.3):
             vmax = _top_speed(axes, rate)
             if vmax > 0:
                 axes = axes * (0.999 * spec.speed_max / vmax)
-        disp = _fit_displacement(axes.T, center, room, margin, spec.speed_max, rate)
-        return _placed(center, disp, rate)
-
-    # waypoint-spline: 6 random knots in the middle 60% of the usable box
-    # so spline overshoot and low-pass ringing stay inside before rescaling
-    usable = room.dims - 2 * margin
-    waypoints = margin + (0.2 + 0.6 * rng.random((6, 3))) * usable
-    if spec.speed_max == 0 and not np.allclose(waypoints, waypoints[0]):
-        raise ValueError("speed_max = 0 cannot visit distinct waypoints")
-    from scipy.interpolate import CubicSpline
-
-    times = np.linspace(0.0, spec.duration, len(waypoints))
-    spline = CubicSpline(times, waypoints, axis=0)
-    pos = spline(np.clip(t, 0.0, times[-1]))
-    if spec.bandwidth_limit > 0:
-        pos = _lowpass_columns(pos, rate, spec.bandwidth_limit)
-    mean = pos.mean(axis=0)
-    disp = _fit_displacement(pos - mean, mean, room, margin, spec.speed_max, rate)
-    return _placed(mean, disp, rate)
+    disp = _fit_displacement(axes.T, center, room, margin, spec.speed_max, rate)
+    return _placed(center, disp, rate)
 
 
 def _lowpass_columns(x, rate, cutoff):

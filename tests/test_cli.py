@@ -237,6 +237,15 @@ class TestConfigParsing:
         assert cfg.room.dims[1] == 6.0
         assert cfg.trajectory_spec.kind == "sine"
 
+    def test_traj_margin_fills_the_spec(self):
+        base = "room.dims = 5 6 4\nmic.pos = 1 2 2\n"
+        spec = engine_config_from_table(parse_config_text(base)).trajectory_spec
+        assert spec.margin == TrajectorySpec.margin
+        table = parse_config_text(base + "traj.margin = 0.5\n")
+        assert engine_config_from_table(table).trajectory_spec.margin == 0.5
+        with pytest.raises(ValueError, match="^margin must be finite"):
+            engine_config_from_table(parse_config_text(base + "traj.margin = nan\n"))
+
     def test_synth_defaults_are_the_engine_defaults(self):
         table = parse_config_text("room.dims = 5 6 4\nmic.pos = 1 2 2\n")
         assert engine_config_from_table(table).synth == SynthesisConfig()
@@ -330,6 +339,26 @@ class TestCliTrajectory:
         tr = read_trajectory(out)
         assert len(tr) == 8000
 
+    @pytest.mark.parametrize(
+        "option, value", [("--rate", "inf"), ("--rate", "nan"), ("--margin", "nan")]
+    )
+    def test_non_finite_input_exits_2_without_writing(self, tmp_path, option, value):
+        # --rate inf ended in an OverflowError traceback, --rate nan failed
+        # converting NaN to an integer, and --margin nan wrote a path
+        out = tmp_path / "traj.txt"
+        r = run_cli("trajectory", "--kind", "sine", option, value, "--out", out)
+        assert r.returncode == 2, r.stderr
+        assert f"{option[2:]} must be finite" in r.stderr
+        assert not out.exists()
+
+    def test_has_no_reflection_option(self, tmp_path):
+        # generate reads only the room's box, so wall reflections change nothing
+        out = tmp_path / "traj.txt"
+        r = run_cli("trajectory", "--reflection", 0.2, "--out", out)
+        assert r.returncode == 2
+        assert "--reflection" in r.stderr
+        assert not out.exists()
+
 
 class TestCliSimulate:
     @pytest.mark.parametrize("mode", ["hierarchical", "oracle", "splice", "static"])
@@ -391,6 +420,35 @@ class TestCliSimulate:
         )
         assert r.returncode == 2, r.stderr
         assert "duration" in r.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["static", "splice"])
+    def test_nan_input_exits_2_without_writing(self, workdir, mode):
+        # both modes wrote a WAV with a run of NaN samples
+        x = sine(440.0, 0.125, RATE) * 0.5
+        x[1000] = np.nan
+        dry = workdir / f"nan_in_{mode}.wav"
+        write_wav(dry, RATE, x)
+        out = workdir / f"nan_out_{mode}.wav"
+        r = run_cli(
+            "simulate", "--config", workdir / "engine.cfg",
+            "--in", dry, "--out", out, "--mode", mode,
+        )
+        assert r.returncode == 2, r.stderr
+        assert "input must be finite" in r.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-5", "nan"])
+    def test_bad_hop_rate_exits_2_naming_it(self, workdir, value):
+        # 0 divided by zero, -5 rendered 1-sample blocks, nan failed
+        # converting NaN to an integer
+        out = workdir / f"hop_{value}.wav"
+        r = run_cli(
+            "simulate", "--config", workdir / "engine.cfg", "--in", workdir / "in.wav",
+            "--out", out, "--mode", "splice", "--hop-hz", value,
+        )
+        assert r.returncode == 2, r.stderr
+        assert "--hop-hz must be finite and > 0" in r.stderr
         assert not out.exists()
 
     def test_filter_file_past_nyquist_exits_2(self, workdir, filt):
@@ -539,6 +597,19 @@ class TestCliCompareAndCost:
         assert "envelope_max_jump" in table
         header = csv_path.read_text().splitlines()[0]
         assert header == "n,envelope,inst_freq"
+
+    @pytest.mark.parametrize("bad", ["a", "b"])
+    def test_compare_refuses_a_nan_sample(self, workdir, bad):
+        # it printed snr_db=200.000 and exited 0
+        x = sine(440.0, 0.25, RATE) * 0.5
+        clean, dirty = workdir / "cmp_clean.wav", workdir / "cmp_nan.wav"
+        write_wav(clean, RATE, x)
+        x[1000] = np.nan
+        write_wav(dirty, RATE, x)
+        r = run_cli("compare", *((dirty, clean) if bad == "a" else (clean, dirty)))
+        assert r.returncode == 2, r.stderr
+        assert "signals must be finite" in r.stderr
+        assert r.stdout == ""
 
     def test_compare_missing_file_exits_3(self, workdir):
         r = run_cli("compare", workdir / "in.wav", workdir / "missing.wav")

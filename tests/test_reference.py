@@ -51,6 +51,14 @@ class TestStaticRender:
         rel = np.max(np.abs(y - naive)) / np.max(np.abs(naive))
         assert rel <= 1e-10
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_a_non_finite_input(self, value):
+        # it smeared the sample over a taps-long run of NaN output
+        x = np.ones(2000)
+        x[1000] = value
+        with pytest.raises(ValueError, match="^input must be finite"):
+            static_render(x, np.ones(341))
+
 
 def reference_sinc_kernel(frac):
     """The static response's fractional tap kernel, frozen here."""
@@ -364,3 +372,14 @@ class TestCompare:
     def test_rejects_short_signals(self):
         with pytest.raises(ValueError):
             compare(np.ones(4), np.ones(4))
+
+    @pytest.mark.parametrize("passband", [0.8, 1.0])
+    @pytest.mark.parametrize("bad", ["a", "b"])
+    def test_rejects_a_nan_sample(self, bad, passband):
+        # min(200, nan) is 200, so a NaN error energy read as a perfect match
+        x = sine(440.0, 0.25, RATE)
+        y = x.copy()
+        y[1000] = np.nan
+        a, b = (y, x) if bad == "a" else (x, y)
+        with pytest.raises(ValueError, match="^signals must be finite"):
+            compare(a, b, passband=passband, rate=RATE)

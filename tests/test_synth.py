@@ -452,6 +452,12 @@ class TestConfigValidation:
                 for value in (float("nan"), float("inf"))
             ),
             {"eval_budget": float("nan")},
+            # counts are whole numbers: a fractional max_order reached
+            # enumerate_images and raised TypeError there
+            {"max_order": 2.5},
+            {"order_split": 1.5},
+            {"workers": 1.5},
+            *({name: float("inf")} for name in ("decimation", "max_order", "workers")),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -1007,10 +1013,11 @@ class TestChunkedWalk:
     def test_dense_render_peak_is_bounded_with_two_workers(
         self, room_5x6x4, mic_std
     ):
-        # a 1 s path is one chunk, which renders on the calling thread at
-        # any worker count, so the peak is fixed: one job's scratch rows,
-        # its restored rows 16000 samples long, 40 grid intervals. Each
-        # peak is taken in a fresh process, where tracemalloc sees no
+        # the walk covers the whole output: a 1 s path and its tail, 17129
+        # samples here, are one piece, which renders on the calling thread
+        # at any worker count, so the peak is fixed (about 1.57 MB): one
+        # job's scratch rows, its restored rows 43 grid intervals long.
+        # Each peak is taken in a fresh process, where tracemalloc sees no
         # thread left behind by another test.
         tr = moving_traj(16000, duration=1.0, seed=12)
         cfg = SynthesisConfig(max_order=8, order_split=2, t60=0.07)

@@ -150,16 +150,18 @@ class TestPathLayout:
 
 
 class TestGenerate:
+    @pytest.mark.parametrize("margin", [0.3, 0.6])
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_stays_inside_with_margin(self, kind):
+    def test_stays_inside_with_margin(self, kind, margin):
         room = make_room()
         spec = TrajectorySpec(
-            kind=kind, duration=3.0, bandwidth_limit=2.0, speed_max=1.0, seed=5
+            kind=kind, duration=3.0, bandwidth_limit=2.0, speed_max=1.0, seed=5,
+            margin=margin,
         )
-        tr = generate(spec, RATE, room, margin=0.3)
+        tr = generate(spec, RATE, room)
         assert len(tr) == int(3.0 * RATE)
-        assert np.all(tr.positions > 0.3 - 1e-9)
-        assert np.all(tr.positions < np.array([5.0, 6.0, 4.0]) - 0.3 + 1e-9)
+        assert np.all(tr.positions > margin - 1e-9)
+        assert np.all(tr.positions < np.array([5.0, 6.0, 4.0]) - margin + 1e-9)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_respects_speed_cap(self, kind):
@@ -229,10 +231,13 @@ class TestGenerate:
             )
 
     @pytest.mark.parametrize("value", [float("inf"), float("nan")])
-    @pytest.mark.parametrize("field", ["duration", "bandwidth_limit", "speed_max"])
+    @pytest.mark.parametrize(
+        "field", ["duration", "bandwidth_limit", "speed_max", "margin"]
+    )
     def test_rejects_non_finite_values(self, field, value):
         # an infinite duration overflowed in generate, a NaN one failed
-        # there converting NaN to an integer
+        # there converting NaN to an integer; a NaN margin passed every
+        # wall test and wrote a path
         kwargs = dict(kind="line", duration=1.0, bandwidth_limit=2.0, speed_max=1.0)
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             TrajectorySpec(**{**kwargs, field: value})
@@ -240,10 +245,36 @@ class TestGenerate:
     def test_margin_too_large_raises(self):
         room = make_room(dims=(1.0, 1.0, 1.0))
         spec = TrajectorySpec(
-            kind="line", duration=1.0, bandwidth_limit=2.0, speed_max=1.0
+            kind="line", duration=1.0, bandwidth_limit=2.0, speed_max=1.0, margin=0.6
         )
-        with pytest.raises(ValueError):
-            generate(spec, RATE, room, margin=0.6)
+        with pytest.raises(ValueError, match="^margin must leave interior space"):
+            generate(spec, RATE, room)
+
+    def test_rejects_a_negative_margin(self):
+        with pytest.raises(ValueError, match="^margin must be finite and >= 0"):
+            TrajectorySpec("sine", 1.0, 2.0, 1.0, margin=-0.1)
+
+    @pytest.mark.parametrize("rate", [float("inf"), float("nan"), 0.0, -16000.0])
+    def test_rejects_a_rate_that_is_not_finite_and_positive(self, rate):
+        # an infinite rate overflowed converting the sample count to an
+        # integer, a NaN one failed there; at zero bandwidth a zero or
+        # negative rate passes the Nyquist check too
+        spec = TrajectorySpec("sine", 1.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="^rate must be finite and > 0"):
+            generate(spec, rate, make_room())
+
+    @pytest.mark.parametrize("bandwidth, speed", [(0.0, 1.0), (2.0, 0.0)])
+    def test_a_zero_sine_direction_raises_without_motion(self, bandwidth, speed):
+        spec = TrajectorySpec("sine", 1.0, bandwidth, speed, direction=(0, 0, 0))
+        with pytest.raises(ValueError, match="^direction must be nonzero"):
+            generate(spec, RATE, make_room())
+
+    @pytest.mark.parametrize("kind", ["sine", "circle", "filtered-noise"])
+    @pytest.mark.parametrize("bandwidth, speed", [(0.0, 1.0), (2.0, 0.0)])
+    def test_no_motion_stays_at_the_center(self, kind, bandwidth, speed):
+        room = make_room()
+        tr = generate(TrajectorySpec(kind, 1.0, bandwidth, speed), RATE, room)
+        assert np.array_equal(tr.positions, np.tile(room.dims / 2.0, (len(tr), 1)))
 
 
 def fit_displacement_by_norm(disp, center, room, margin, speed_max, rate, fired):
