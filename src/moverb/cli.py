@@ -25,8 +25,18 @@ EXIT_IO = 3
 EXIT_BUDGET = 4
 
 
+def _given(args, *names):
+    """The named options the command line set, by name."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
+def _box(dims):
+    """A room of quoted dims; generate and estimate_image_count read only its box."""
+    return Room(dims=np.array(dims.split(), dtype=float), wall_reflection=1.0)
+
+
 def _cmd_design(args):
-    filt = farrow.design(args.M, args.L, args.alpha, grid=args.grid)
+    filt = farrow.design(**_given(args, "M", "L", "alpha", "grid"))
     io_formats.write_filter(args.out, filt)
     q = farrow.quality_summary(filt)
     print(f"wrote {args.out}")
@@ -45,17 +55,9 @@ def _cmd_design(args):
 
 
 def _cmd_trajectory(args):
-    # generate reads only the room's box, never its walls
-    room = Room(dims=np.array(args.room.split(), dtype=float), wall_reflection=1.0)
-    spec = trajectory.TrajectorySpec(
-        kind=args.kind,
-        duration=args.duration,
-        bandwidth_limit=args.bandwidth,
-        speed_max=args.speed,
-        seed=args.seed,
-        margin=args.margin,
-    )
-    traj = trajectory.generate(spec, args.rate, room)
+    fields = "kind", "duration", "bandwidth_limit", "speed_max", "seed", "margin"
+    spec = trajectory.TrajectorySpec(**_given(args, *fields))
+    traj = trajectory.generate(spec, args.rate, _box(args.room))
     io_formats.write_trajectory(args.out, traj)
     print(f"wrote {args.out} ({len(traj)} samples at {traj.rate} Hz)")
     print(f"bandwidth_hz={trajectory.bandwidth_estimate(traj):.4f}")
@@ -64,28 +66,9 @@ def _cmd_trajectory(args):
 
 
 def _load_engine(args):
-    table = io_formats.read_config(args.config)
-    cfg = io_formats.engine_config_from_table(table)
-    overrides = {}
-    if args.N is not None:
-        overrides["decimation"] = args.N
-    if args.K is not None:
-        overrides["order_split"] = args.K
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if overrides:
-        cfg = replace(cfg, synth=replace(cfg.synth, **overrides))
-    if cfg.trajectory_file:
-        traj = io_formats.read_trajectory(cfg.trajectory_file)
-    else:
-        traj = trajectory.generate(cfg.trajectory_spec, cfg.synth.audio_rate, cfg.room)
-    if cfg.farrow_file:
-        filt = io_formats.read_filter(cfg.farrow_file)
-    else:
-        filt = farrow.design(
-            cfg.farrow_m, cfg.farrow_l, cfg.farrow_alpha, grid=cfg.farrow_grid
-        )
-    return cfg, traj, filt
+    cfg = io_formats.engine_config_from_table(io_formats.read_config(args.config))
+    overrides = _given(args, "decimation", "order_split", "workers")
+    return replace(cfg, synth=replace(cfg.synth, **overrides))
 
 
 def _cmd_simulate(args):
@@ -97,34 +80,40 @@ def _cmd_simulate(args):
     # states what passes, so NaN fails it
     if args.mode == "splice" and not 0 < args.hop_hz < math.inf:
         raise ValueError("--hop-hz must be finite and > 0")
-    cfg, traj, filt = _load_engine(args)
+    cfg = _load_engine(args)
+    # a subnormal rate passes the check above, but its hop overflows
+    if args.mode == "splice" and not cfg.synth.audio_rate / args.hop_hz < math.inf:
+        raise ValueError("--hop-hz is so small that audio_rate / hop_hz is inf")
     rate, s = io_formats.read_wav(args.infile)
     if rate != cfg.synth.audio_rate:
         raise ValueError(
             f"input rate {rate} does not match configured rate {cfg.synth.audio_rate}"
         )
+    if args.dump_image is not None:
+        # the streams the render used: the oracle's are all exact; checked
+        # before anything is rendered or written
+        dumped = replace(cfg.synth, decimation=1) if args.mode == "oracle" else cfg.synth
+        streams = synth.prepare_streams(cfg.traj, cfg.room, cfg.mic, dumped)
+        if not 0 <= args.dump_image < streams.image_count():
+            raise ValueError("image index out of range")
     if args.mode == "hierarchical":
-        out = synth.render(s, traj, cfg.room, cfg.mic, filt, cfg.synth)
+        out = synth.render(s, cfg.traj, cfg.room, cfg.mic, cfg.filt, cfg.synth)
     elif args.mode == "oracle":
         out = reference.full_rate_moving_oracle(
-            s, traj, cfg.room, cfg.mic, filt, cfg.synth
+            s, cfg.traj, cfg.room, cfg.mic, cfg.filt, cfg.synth
         )
     elif args.mode == "splice":
         hop = max(1, int(round(cfg.synth.audio_rate / args.hop_hz)))
         out = reference.splice_baseline(
-            s, traj, cfg.room, cfg.mic, hop, args.crossfade, cfg.synth
+            s, cfg.traj, cfg.room, cfg.mic, hop, args.crossfade, cfg.synth
         )
     else:  # static: freeze the trajectory start position
-        taps = reference.static_rir(cfg.room, traj.positions[0], cfg.mic, cfg.synth)
+        start = cfg.traj.positions[0]
+        taps = reference.static_rir(cfg.room, start, cfg.mic, cfg.synth)
         out = reference.static_render(s, taps)
     io_formats.write_wav(args.out, cfg.synth.audio_rate, out)
     print(f"wrote {args.out} ({out.size} samples, mode {args.mode})")
     if args.dump_image is not None:
-        # the streams the render used: the oracle's are all exact
-        dumped = cfg.synth
-        if args.mode == "oracle":
-            dumped = replace(dumped, decimation=1)
-        streams = synth.prepare_streams(traj, cfg.room, cfg.mic, dumped)
         io_formats.write_image_debug_csv(
             args.dump_csv, streams, args.dump_image, dumped
         )
@@ -138,7 +127,7 @@ def _cmd_compare(args):
     if rate_a != rate_b:
         raise ValueError("sample rates differ")
     report = reference.compare(
-        a, b, passband=args.passband, rate=rate_a, interior=args.interior
+        a, b, rate=rate_a, **_given(args, "passband", "interior")
     )
     print(f"snr_db={report.snr_db:.3f}")
     print(f"envelope_max_jump={report.envelope_max_jump:.6g}")
@@ -154,17 +143,11 @@ def _cmd_compare(args):
 
 
 def _cmd_cost(args):
-    cfg = synth.SynthesisConfig(
-        audio_rate=args.rate,
-        order_split=args.K,
-        decimation=args.N,
-    )
+    cfg = synth.SynthesisConfig(**_given(args, "audio_rate", "order_split", "decimation"))
     if args.images is not None:
         images = args.images
     else:
-        dims = np.array([float(v) for v in args.room.split()])
-        room = Room(dims=dims, wall_reflection=np.full(6, 0.9))
-        images = estimate_image_count(room, args.t60, c=cfg.sound_speed)
+        images = estimate_image_count(_box(args.room), args.t60, c=cfg.sound_speed)
     for key, value in synth.cost_report(cfg, images, args.duration).items():
         print(f"{key}={value}")
     return EXIT_OK
@@ -176,27 +159,34 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("design", help="design and export a branch-filter bank")
-    p.add_argument("--M", type=int, default=3, help="polynomial order (1..4)")
-    p.add_argument("--L", type=int, default=8, help="taps per branch")
-    p.add_argument("--alpha", type=float, default=0.8, help="passband fraction")
-    p.add_argument("--grid", type=int, default=64, help="mu grid points")
+    def add(name, help):
+        # an option with no default of its own is absent from args when
+        # left out, so the library type it fills keeps its own default
+        return sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+
+    p = add("design", "design and export a branch-filter bank")
+    p.add_argument("--M", type=int, help="polynomial order (1..4)")
+    p.add_argument("--L", type=int, help="taps per branch")
+    p.add_argument("--alpha", type=float, help="passband fraction")
+    p.add_argument("--grid", type=int, help="mu grid points")
     p.add_argument("--out", required=True, help="output filter file")
     p.set_defaults(func=_cmd_design)
 
-    p = sub.add_parser("trajectory", help="generate a source path file")
-    p.add_argument("--kind", default="line", help="line|circle|sine|filtered-noise|waypoint-spline")
-    p.add_argument("--duration", type=float, default=2.0)
-    p.add_argument("--bandwidth", type=float, default=2.0, help="Hz")
-    p.add_argument("--speed", type=float, default=1.0, help="m/s cap")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rate", type=float, default=16000.0)
+    p = add("trajectory", "generate a source path file")
+    p.add_argument("--kind", help="line|circle|sine|filtered-noise|waypoint-spline")
+    p.add_argument("--duration", type=float)
+    p.add_argument(
+        "--bandwidth", type=float, dest="bandwidth_limit", metavar="BANDWIDTH", help="Hz"
+    )
+    p.add_argument("--speed", type=float, dest="speed_max", metavar="SPEED", help="m/s cap")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--rate", type=float, default=synth.SynthesisConfig.audio_rate)
     p.add_argument("--room", default="5 6 4", help="dims in meters, quoted")
-    p.add_argument("--margin", type=float, default=trajectory.TrajectorySpec.margin)
+    p.add_argument("--margin", type=float)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_trajectory)
 
-    p = sub.add_parser("simulate", help="render audio through an engine")
+    p = add("simulate", "render audio through an engine")
     p.add_argument("--config", required=True, help="flat key=value config file")
     p.add_argument(
         "--mode",
@@ -205,32 +195,36 @@ def build_parser():
     )
     p.add_argument("--in", dest="infile", required=True, help="input mono wav")
     p.add_argument("--out", required=True, help="output wav")
-    p.add_argument("--N", type=int, default=None, help="override decimation")
-    p.add_argument("--K", type=int, default=None, help="override order split")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument(
+        "--N", type=int, dest="decimation", metavar="N", help="override decimation"
+    )
+    p.add_argument(
+        "--K", type=int, dest="order_split", metavar="K", help="override order split"
+    )
+    p.add_argument("--workers", type=int)
     p.add_argument("--hop-hz", type=float, default=25.0, help="splice update rate")
     p.add_argument("--crossfade", type=int, default=0, help="splice fade samples")
     p.add_argument("--dump-image", type=int, default=None, help="image index to dump")
     p.add_argument("--dump-csv", default="image_debug.csv")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("compare", help="fidelity metrics between two renders")
+    p = add("compare", "fidelity metrics between two renders")
     p.add_argument("file_a", help="signal under test")
     p.add_argument("file_b", help="reference signal")
-    p.add_argument("--passband", type=float, default=0.8)
-    p.add_argument("--interior", type=float, default=0.05)
+    p.add_argument("--passband", type=float)
+    p.add_argument("--interior", type=float)
     p.add_argument("--report", default="", help="write key=value record here")
     p.add_argument("--csv", default="", help="write per-sample csv here")
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("cost", help="distance evaluations and per-sample work")
+    p = add("cost", "distance evaluations and per-sample work")
     p.add_argument("--images", type=int, default=None, help="image count override")
     p.add_argument("--room", default="9 10 9", help="dims for the count estimate")
     p.add_argument("--t60", type=float, default=0.6)
     p.add_argument("--duration", type=float, default=1.0)
-    p.add_argument("--rate", type=float, default=16000.0)
-    p.add_argument("--N", type=int, default=3200)
-    p.add_argument("--K", type=int, default=1)
+    p.add_argument("--rate", type=float, dest="audio_rate", metavar="RATE")
+    p.add_argument("--N", type=int, dest="decimation", metavar="N")
+    p.add_argument("--K", type=int, dest="order_split", metavar="K")
     p.set_defaults(func=_cmd_cost)
 
     return parser

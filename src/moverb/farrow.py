@@ -92,12 +92,13 @@ class DelaySplit:
     fractional_part: float
 
 
-def design(M, L, alpha, grid=64):
+def design(M=3, L=8, alpha=0.8, grid=64):
     """Least-squares branch-filter design over the (omega, mu) grid.
 
     M: polynomial order in [1, 4]. L: taps per branch, L >= M+1.
     alpha: passband as a fraction of Nyquist, in (0, 1). grid: number of
-    mu points; the omega grid is fixed at 512 points. Deterministic.
+    mu points; the omega grid is fixed at 512 points. Deterministic. The
+    defaults are the bank of a config file or CLI call that sets none.
 
     The fit is solved on the Kronecker factors of the design matrix, whose
     (512 * grid) x (M+1)L form is never built; the rank check uses that

@@ -9,11 +9,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .farrow import FarrowFilter
+from .farrow import FarrowFilter, design
 from .reference import analytic_tracks
 from .room import MicPosition, Room
 from .synth import SynthesisConfig
-from .trajectory import Trajectory, TrajectorySpec
+from .trajectory import Trajectory, TrajectorySpec, generate
 
 
 # ---------------------------------------------------------------------------
@@ -131,27 +131,22 @@ def read_config(path):
 
 
 def _floats(value):
-    return [float(v) for v in value.split()]
+    return tuple(float(v) for v in value.split())
 
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Aggregated run description built from a config table."""
+    """A run resolved from a config table, its path and bank included."""
 
     room: Room
     mic: MicPosition
     synth: SynthesisConfig
-    trajectory_spec: TrajectorySpec
-    trajectory_file: str
-    farrow_m: int
-    farrow_l: int
-    farrow_alpha: float
-    farrow_grid: int
-    farrow_file: str
+    traj: Trajectory
+    filt: FarrowFilter
 
 
-# each synth.* key's SynthesisConfig field and type; an absent key keeps
-# the field's default
+# each key's field in the type it fills, and its parser; an absent key
+# keeps the field's default
 _SYNTH_FIELDS = {
     "synth.rate": ("audio_rate", float),
     "synth.N": ("decimation", int),
@@ -163,28 +158,47 @@ _SYNTH_FIELDS = {
     "synth.workers": ("workers", int),
     "synth.budget": ("eval_budget", float),
 }
+_TRAJ_FIELDS = {
+    "traj.kind": ("kind", str),
+    "traj.duration": ("duration", float),
+    "traj.bandwidth": ("bandwidth_limit", float),
+    "traj.speed": ("speed_max", float),
+    "traj.seed": ("seed", int),
+    "traj.direction": ("direction", _floats),
+    "traj.start": ("start", _floats),
+    "traj.margin": ("margin", float),
+}
+_FARROW_FIELDS = {
+    "farrow.M": ("M", int),
+    "farrow.L": ("L", int),
+    "farrow.alpha": ("alpha", float),
+    "farrow.grid": ("grid", int),
+}
 
 # every key engine_config_from_table reads
 CONFIG_KEYS = frozenset(
-    """
-    room.dims room.reflection mic.pos
-    traj.kind traj.duration traj.bandwidth traj.speed traj.seed
-    traj.direction traj.start traj.file traj.margin
-    farrow.M farrow.L farrow.alpha farrow.grid farrow.file
-    """.split()
-).union(_SYNTH_FIELDS)
+    "room.dims room.reflection mic.pos traj.file farrow.file".split()
+).union(_SYNTH_FIELDS, _TRAJ_FIELDS, _FARROW_FIELDS)
+
+
+def _fill(table, fields):
+    """The table's values for fields, parsed, by field name."""
+    return {f: parse(table[k]) for k, (f, parse) in fields.items() if k in table}
 
 
 def engine_config_from_table(table):
-    """Build typed run values from a flat config table.
+    """Resolve a flat config table into a run.
 
     Recognized keys (CONFIG_KEYS, all optional unless noted): room.dims
-    (required, three numbers), room.reflection (one or six numbers),
-    mic.pos (required), traj.kind/duration/bandwidth/speed/seed/direction/
-    start/margin (the TrajectorySpec), traj.file, synth.rate/N/K/max_order/
-    t60/c/d_min/workers/budget, farrow.M/L/alpha/grid, farrow.file. Any
-    other key raises ValueError naming it, so a typo never falls back to a
-    default.
+    (required, three numbers), room.reflection (one or six numbers,
+    default 0.9), mic.pos (required), traj.kind/duration/bandwidth/speed/
+    seed/direction/start/margin (TrajectorySpec's fields), synth.rate/N/K/
+    max_order/t60/c/d_min/workers/budget (SynthesisConfig's), farrow.M/L/
+    alpha/grid (design's), traj.file, farrow.file. An absent key keeps its
+    field's default. Every key is parsed and the spec checked; then a
+    nonempty traj.file or farrow.file is read, else the path is generated
+    at synth.rate and the bank designed. Any other key raises ValueError
+    naming it, so a typo never falls back to a default.
     """
     unknown = sorted(set(table) - CONFIG_KEYS)
     if unknown:
@@ -201,32 +215,13 @@ def engine_config_from_table(table):
         wall_reflection=np.array(reflection),
     )
     mic = MicPosition(pos=np.array(_floats(table["mic.pos"])))
-    fields = _SYNTH_FIELDS.items()
-    synth = SynthesisConfig(**{f: t(table[k]) for k, (f, t) in fields if k in table})
-    spec = TrajectorySpec(
-        kind=table.get("traj.kind", "line"),
-        duration=float(table.get("traj.duration", 2.0)),
-        bandwidth_limit=float(table.get("traj.bandwidth", 2.0)),
-        speed_max=float(table.get("traj.speed", 1.0)),
-        seed=int(table.get("traj.seed", 0)),
-        direction=tuple(_floats(table["traj.direction"]))
-        if "traj.direction" in table
-        else None,
-        start=tuple(_floats(table["traj.start"])) if "traj.start" in table else None,
-        margin=float(table.get("traj.margin", TrajectorySpec.margin)),
-    )
-    return EngineConfig(
-        room=room,
-        mic=mic,
-        synth=synth,
-        trajectory_spec=spec,
-        trajectory_file=table.get("traj.file", ""),
-        farrow_m=int(table.get("farrow.M", 3)),
-        farrow_l=int(table.get("farrow.L", 8)),
-        farrow_alpha=float(table.get("farrow.alpha", 0.8)),
-        farrow_grid=int(table.get("farrow.grid", 64)),
-        farrow_file=table.get("farrow.file", ""),
-    )
+    synth = SynthesisConfig(**_fill(table, _SYNTH_FIELDS))
+    spec = TrajectorySpec(**_fill(table, _TRAJ_FIELDS))
+    bank = _fill(table, _FARROW_FIELDS)
+    path, bank_file = table.get("traj.file"), table.get("farrow.file")
+    traj = read_trajectory(path) if path else generate(spec, synth.audio_rate, room)
+    filt = read_filter(bank_file) if bank_file else design(**bank)
+    return EngineConfig(room=room, mic=mic, synth=synth, traj=traj, filt=filt)
 
 
 # ---------------------------------------------------------------------------

@@ -75,13 +75,14 @@ class TrajectorySpec:
     analytic kinds to exact geometry instead of seeded random choices.
     The spline kind has 6 random knots. margin: meters the path keeps
     from every wall. duration must be finite and > 0, the two rates and
-    margin finite and >= 0 (ValueError otherwise).
+    margin finite and >= 0 (ValueError otherwise). The defaults are the
+    path of a config file or CLI call that leaves the field out.
     """
 
-    kind: str
-    duration: float
-    bandwidth_limit: float
-    speed_max: float
+    kind: str = "line"
+    duration: float = 2.0
+    bandwidth_limit: float = 2.0
+    speed_max: float = 1.0
     seed: int = 0
     direction: tuple = None
     start: tuple = None

@@ -1,5 +1,6 @@
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ from scipy.io import wavfile
 
 from moverb import farrow, io_formats
 from moverb.io_formats import (
+    CONFIG_KEYS,
     engine_config_from_table,
     parse_config_text,
     read_filter,
@@ -19,8 +21,8 @@ from moverb.io_formats import (
     write_wav,
 )
 from moverb._kernels import distance_streams, mic_distances, restore_cubic
-from moverb.room import as_arrays
-from moverb.synth import SynthesisConfig, prepare_streams
+from moverb.room import Room, as_arrays, estimate_image_count
+from moverb.synth import SynthesisConfig, cost_report, prepare_streams
 from moverb.trajectory import Trajectory, TrajectorySpec, generate
 
 from conftest import sine
@@ -29,6 +31,22 @@ RATE = 16000.0
 
 
 SRC = str(pathlib.Path(io_formats.__file__).parents[1])
+README = pathlib.Path(__file__).parents[1] / "README.md"
+
+
+def box(*dims):
+    """A room the CLI builds from --room: only its box is read."""
+    return Room(dims=np.array(dims, dtype=float), wall_reflection=1.0)
+
+
+def assert_same_path(got, want):
+    assert got.rate == want.rate
+    assert got.positions.tobytes() == want.positions.tobytes()
+
+
+def assert_same_bank(got, want):
+    assert got.passband == want.passband
+    assert got.branches.tobytes() == want.branches.tobytes()
 
 
 def run_cli(*args, cwd=None):
@@ -235,20 +253,66 @@ class TestConfigParsing:
         assert cfg.synth.decimation == 3200
         assert cfg.synth.order_split == 1
         assert cfg.room.dims[1] == 6.0
-        assert cfg.trajectory_spec.kind == "sine"
+        spec = TrajectorySpec("sine", 2.0, 2.0, 1.0)
+        assert_same_path(cfg.traj, generate(spec, RATE, cfg.room))
+        assert_same_bank(cfg.filt, farrow.design(3, 8, 0.8))
 
     def test_traj_margin_fills_the_spec(self):
-        base = "room.dims = 5 6 4\nmic.pos = 1 2 2\n"
-        spec = engine_config_from_table(parse_config_text(base)).trajectory_spec
-        assert spec.margin == TrajectorySpec.margin
-        table = parse_config_text(base + "traj.margin = 0.5\n")
-        assert engine_config_from_table(table).trajectory_spec.margin == 0.5
+        # the spline's knots keep the margin from the walls, so it moves
+        base = "room.dims = 5 6 4\nmic.pos = 1 2 2\ntraj.kind = waypoint-spline\n"
+        cfg = engine_config_from_table(parse_config_text(base + "traj.margin = 0.5\n"))
+        want = generate(TrajectorySpec("waypoint-spline", margin=0.5), RATE, cfg.room)
+        assert_same_path(cfg.traj, want)
+        default = engine_config_from_table(parse_config_text(base)).traj
+        assert default.positions.tobytes() != want.positions.tobytes()
         with pytest.raises(ValueError, match="^margin must be finite"):
             engine_config_from_table(parse_config_text(base + "traj.margin = nan\n"))
 
     def test_synth_defaults_are_the_engine_defaults(self):
         table = parse_config_text("room.dims = 5 6 4\nmic.pos = 1 2 2\n")
-        assert engine_config_from_table(table).synth == SynthesisConfig()
+        cfg = engine_config_from_table(table)
+        assert cfg.synth == SynthesisConfig()
+        want = generate(TrajectorySpec(), SynthesisConfig().audio_rate, cfg.room)
+        assert_same_path(cfg.traj, want)
+        assert_same_bank(cfg.filt, farrow.design())
+
+    def test_traj_file_resolves_to_the_files_path(self, tmp_path, room_5x6x4):
+        traj = generate(TrajectorySpec("circle", 0.25, seed=5), RATE, room_5x6x4)
+        write_trajectory(tmp_path / "t.txt", traj)
+        base = f"room.dims = 5 6 4\nmic.pos = 1 2 2\ntraj.file = {tmp_path / 't.txt'}\n"
+        # the file wins over recipe keys, but every key is still checked
+        cfg = engine_config_from_table(parse_config_text(base + "traj.kind = sine\n"))
+        assert_same_path(cfg.traj, read_trajectory(tmp_path / "t.txt"))
+        with pytest.raises(ValueError, match="^margin must be finite"):
+            engine_config_from_table(parse_config_text(base + "traj.margin = nan\n"))
+
+    def test_farrow_file_resolves_to_the_files_bank(self, tmp_path):
+        write_filter(tmp_path / "f.txt", farrow.design(2, 6, 0.7, grid=32))
+        table = parse_config_text(
+            f"room.dims = 5 6 4\nmic.pos = 1 2 2\nfarrow.file = {tmp_path / 'f.txt'}\n"
+            "farrow.M = 9\n"  # a recipe key the file overrides
+        )
+        assert_same_bank(engine_config_from_table(table).filt, read_filter(tmp_path / "f.txt"))
+
+    def test_empty_file_keys_fall_back_to_the_recipe(self):
+        table = parse_config_text(
+            "room.dims = 5 6 4\nmic.pos = 1 2 2\ntraj.file =\nfarrow.file =\n"
+        )
+        cfg = engine_config_from_table(table)
+        assert_same_path(cfg.traj, generate(TrajectorySpec(), RATE, cfg.room))
+        assert_same_bank(cfg.filt, farrow.design())
+
+    def test_readme_config_parses(self):
+        # the README's config section: its example block resolves, and every
+        # key its prose names is one the parser reads
+        text = README.read_text()
+        section = text[text.index("Config files are flat") :]
+        section = section[: section.index("\n## ")]
+        block = section.split("```")[1]
+        assert "room.dims" in block
+        engine_config_from_table(parse_config_text(block))
+        named = set(re.findall(r"`((?:room|mic|traj|synth|farrow)\.\w+)`", section))
+        assert named and named <= CONFIG_KEYS
 
     def test_six_wall_reflections(self):
         table = parse_config_text(
@@ -317,6 +381,12 @@ class TestCliDesign:
         assert r.returncode == 2
         assert "invalid" in r.stderr.lower()
 
+    def test_default_is_the_library_default(self, tmp_path):
+        r = run_cli("design", "--out", tmp_path / "cli.txt")
+        assert r.returncode == 0, r.stderr
+        write_filter(tmp_path / "lib.txt", farrow.design())
+        assert (tmp_path / "cli.txt").read_bytes() == (tmp_path / "lib.txt").read_bytes()
+
     def test_linear_interpolator(self, tmp_path):
         out = tmp_path / "lin.txt"
         r = run_cli("design", "--M", 1, "--L", 2, "--alpha", 0.01, "--out", out)
@@ -338,6 +408,13 @@ class TestCliTrajectory:
         assert "max_speed=" in r.stdout
         tr = read_trajectory(out)
         assert len(tr) == 8000
+
+    def test_default_is_the_library_default(self, tmp_path):
+        r = run_cli("trajectory", "--out", tmp_path / "cli.txt")
+        assert r.returncode == 0, r.stderr
+        rate = SynthesisConfig().audio_rate
+        write_trajectory(tmp_path / "lib.txt", generate(TrajectorySpec(), rate, box(5, 6, 4)))
+        assert (tmp_path / "cli.txt").read_bytes() == (tmp_path / "lib.txt").read_bytes()
 
     @pytest.mark.parametrize(
         "option, value", [("--rate", "inf"), ("--rate", "nan"), ("--margin", "nan")]
@@ -451,6 +528,18 @@ class TestCliSimulate:
         assert "--hop-hz must be finite and > 0" in r.stderr
         assert not out.exists()
 
+    def test_subnormal_hop_rate_exits_2_naming_it(self, workdir):
+        # its hop, audio_rate / hop_hz, overflowed to inf and ended in an
+        # OverflowError traceback
+        out = workdir / "hop_subnormal.wav"
+        r = run_cli(
+            "simulate", "--config", workdir / "engine.cfg", "--in", workdir / "in.wav",
+            "--out", out, "--mode", "splice", "--hop-hz", "5e-324",
+        )
+        assert r.returncode == 2, r.stderr
+        assert "--hop-hz" in r.stderr
+        assert not out.exists()
+
     def test_filter_file_past_nyquist_exits_2(self, workdir, filt):
         bank = workdir / "wide.txt"
         write_filter(bank, filt)
@@ -541,6 +630,20 @@ class TestCliSimulate:
         got = [line.split(",")[1] for line in csv.read_text().splitlines()[1:]]
         assert got == [f"{v:.12g}" for v in want]
 
+    @pytest.mark.parametrize("index", [999, -1])
+    def test_dump_of_a_missing_image_exits_2_without_writing(self, workdir, index):
+        # the WAV was rendered and written before the index was checked
+        out, csv = workdir / f"missing_{index}.wav", workdir / f"missing_{index}.csv"
+        r = run_cli(
+            "simulate", "--config", workdir / "engine.cfg",
+            "--in", workdir / "in.wav", "--out", out,
+            "--dump-image", index, "--dump-csv", csv,
+        )
+        assert r.returncode == 2, r.stderr
+        assert "image index out of range" in r.stderr
+        assert r.stdout == ""
+        assert not out.exists() and not csv.exists()
+
     @pytest.mark.parametrize("mode", ["splice", "static"])
     def test_dump_of_a_frozen_source_exits_2(self, workdir, mode):
         out = workdir / f"frozen_{mode}.wav"
@@ -625,6 +728,14 @@ class TestCliCompareAndCost:
         assert naive == pytest.approx(7.2e8, rel=0.15)
         assert float(lines["images_total"]) == pytest.approx(45000, rel=0.5)
         assert float(lines["high_order_reduction"]) >= 100.0
+
+    def test_cost_default_is_the_library_default(self):
+        r = run_cli("cost")
+        assert r.returncode == 0, r.stderr
+        cfg = SynthesisConfig()
+        images = estimate_image_count(box(9, 10, 9), 0.6, c=cfg.sound_speed)
+        report = cost_report(cfg, images, 1.0)
+        assert r.stdout == "".join(f"{k}={v}\n" for k, v in report.items())
 
     @pytest.mark.parametrize(
         "args",
