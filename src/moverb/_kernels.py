@@ -23,20 +23,21 @@ grid intervals the range reaches, never fewer than two (restore_cubic).
 It cuts the positions a range of output samples is formed from itself,
 so no row holds an array longer than the range's whole grid intervals,
 and a range may start at any grid interval. Accumulation runs one
-image row at a time through one Horner pass (_horner_row), in one
-kernel (accumulate_rows). Past the path's end a row holds its delay and
-gain at the path's last sample, so a range may lie anywhere in the
-output. The pass reads guarded branch streams (farrow.guarded_branches):
-a clipped read outside the input lands on a zero guard, so no caller
-masks a read. A render's jobs read windows of the streams, cut for
-bounds on the delays, which accumulate_rows checks before each row's
-read.
+image row at a time, in one kernel (accumulate_rows), through the bank's
+Horner pass (farrow.horner_add). Past the path's end a row holds its
+delay and gain at the path's last sample, so a range may lie anywhere in
+the output. A range reads the branch window farrow.branch_window cut for
+bounds on its delays, which accumulate_rows checks before each row's
+read; the window states where a delay reads, so no kernel here computes
+a branch-stream index.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from . import farrow
 
 
 def using_numba():
@@ -118,52 +119,6 @@ def distance_streams(offset, sign, mic, pos):
     return mic_distances(q, pos)
 
 
-# ---------------------------------------------------------------------------
-# fractional-delay accumulation
-#
-# For output index n an image's delay tau, in samples, reads the branch
-# streams at input time n + D0 - floor(tau), guarded index one more, at
-# fraction tau - floor(tau): farrow.split_delay's split, with the bank's
-# latency D0 the one integer offset of the read base. Horner evaluation in
-# the fraction, scaled by the image's gain, is added into out, rows in the
-# order given, which is the summation order.
-
-
-def _scratch(n, first):
-    """The per-call scratch rows of _horner_row.
-
-    Read index, sum and term, then the read base: the guarded index
-    first + 1 .. first + n of each output sample at zero delay.
-    """
-    base = np.arange(first + 1, first + 1 + n, dtype=np.int64)
-    return np.empty(n, dtype=np.int64), np.empty(n), np.empty(n), base
-
-
-def _horner_row(out, streams, x, gain, scratch):
-    """Add gain times the guarded streams read at base - floor(x), in x's fraction.
-
-    streams: guarded branch streams (farrow.guarded_branches), index
-    n + 1 holding input time n. x is overwritten with the fraction. Reads
-    gather with mode="clip", so a read outside the input lands on a zero
-    guard and adds a signed zero, which leaves every sum but -0.0 as it
-    was (a sum that starts at +0.0 never becomes -0.0).
-    """
-    n_branches = streams.shape[0]
-    idx, acc, tmp, base = scratch
-    # acc holds floor(x) until the first gather overwrites it
-    np.floor(x, out=acc)
-    x -= acc
-    np.copyto(idx, acc, casting="unsafe")
-    np.subtract(base, idx, out=idx)
-    streams[n_branches - 1].take(idx, out=acc, mode="clip")
-    for k in range(n_branches - 2, -1, -1):
-        streams[k].take(idx, out=tmp, mode="clip")
-        acc *= x
-        acc += tmp
-    acc *= gain
-    out += acc
-
-
 @dataclass(frozen=True)
 class Rows:
     """Image rows on one path, exact at its samples or restored from its nodes.
@@ -236,39 +191,37 @@ def row_terms(rows, scale, d_min, start, stop, length):
         yield xs[off : off + n], gs[off : off + n]
 
 
-def accumulate_rows(out, streams, rows, scale, d_min, d0, start, length, bounds=None):
+def accumulate_rows(out, window, base, rows, scale, d_min, start, length, bounds):
     """Sum a part's image rows into out.
 
     out: (T,) accumulator for output indices start .. start + T - 1,
-    streams: (M+1, Ls) guarded branch streams shared by all rows
-    (farrow.guarded_branches), rows: a Rows part on a path of length
-    samples, scale: rate / c in samples per meter, d0: the bank's latency
-    D0, less the first guarded index streams holds when they are a window
-    of the whole streams. Each row's delay and gain over the range are
-    formed as in row_terms, which cuts the part's positions for the range
-    and holds a row past the path's end, and one Horner pass per row
-    reads the streams, so a range of output samples gets the same bits as
-    the whole stream does.
+    window and base: the branch window these outputs read for delays in
+    bounds, the (lower, upper) pair it was cut for, and its read base
+    (farrow.branch_window), shared by all rows. rows: a Rows part on a
+    path of length samples, scale: rate / c in samples per meter. Each
+    row's delay and gain over the range are formed as in row_terms, which
+    cuts the part's positions for the range and holds a row past the
+    path's end, and one Horner pass per row (farrow.horner_add) reads the
+    window, so a range of output samples gets the same bits as the whole
+    stream does.
 
-    bounds, if given, is the (lower, upper) delay range a window of
-    streams was cut for: a row whose delay leaves it raises RuntimeError
-    before it is read. Returns the largest delay (-inf when there is
-    nothing to add).
+    A row whose delay leaves bounds raises RuntimeError before it is
+    read. Returns the largest delay (-inf when there is nothing to add).
     """
     n = out.shape[0]
     if n == 0 or rows.q.shape[0] == 0:
         return -np.inf
-    scratch = _scratch(n, start + d0)
+    scratch = farrow.horner_scratch(n, base)
     top = -np.inf
     for tau, g in row_terms(rows, scale, d_min, start, start + n, length):
         peak = float(tau.max())
-        if bounds is not None and not bounds[0] <= tau.min() <= peak <= bounds[1]:
+        if not bounds[0] <= tau.min() <= peak <= bounds[1]:
             raise RuntimeError(
                 f"delays {tau.min()} .. {peak} leave the bounds {bounds[0]} .. "
                 f"{bounds[1]} the branch window was cut for"
             )
         top = max(top, peak)
-        _horner_row(out, streams, tau, g, scratch)
+        farrow.horner_add(out, window, tau, g, scratch)
     return top
 
 

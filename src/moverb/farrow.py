@@ -9,6 +9,10 @@ taps share a single set of convolutions.
 Delays are split as total = D + D0 + mu with integer D, nominal branch
 delay D0 = (L-1)//2, and mu in [0, 1): the polynomial only ever has to
 cover a one-sample range centered on the branch bank's natural latency.
+This module owns the whole read: branch_window cuts the zero-guarded
+branch streams a range of outputs reads for its delay bounds, and
+horner_add evaluates them in each delay's fraction, for the render and
+for delay_stream alike.
 
 Design: complex least squares fit of H(omega; mu) to exp(-j omega (D0+mu))
 on a dense (omega, mu) grid over the passband [0, alpha*pi], with
@@ -32,12 +36,11 @@ For M = 1, L = 2 the constraints alone already force h = [1-mu, mu],
 plain linear interpolation, for any passband.
 """
 
+import math
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-
-from . import _kernels
 
 _N_OMEGA = 512
 _W_LOW = 1000.0
@@ -294,13 +297,73 @@ def evaluate_power_sum(streams, n, split):
     return float(sum(streams[k, idx] * mu**k for k in range(streams.shape[0])))
 
 
+def branch_window(x, f, start, stop, lower, upper):
+    """The guarded branch streams outputs start .. stop - 1 read, and the read base.
+
+    Output n at delay tau samples reads the whole guarded streams
+    (guarded_branches) at index n + D0 + 1 - floor(tau), in tau's
+    fraction: split_delay's split, with the bank's latency D0 the one
+    integer offset of the read base. For delays in [lower, upper] those
+    reads span indices start + D0 + 1 - floor(upper) up to
+    stop + D0 - floor(lower). The window is that span clipped to the
+    streams and at least one sample long, convolved from only the input
+    it reaches, so a read of such a delay that leaves the streams lands
+    on a zero guard the window holds. Returns the window and the read
+    base, the window index output start reads at zero delay: output n
+    reads base + n - start - floor(tau) (horner_add).
+    """
+    size = np.size(x) + f.branch_len + 1
+    reach = f.nominal_delay + 1
+    first = min(max(start + reach - math.floor(upper), 0), size - 1)
+    end = max(min(stop + reach - math.floor(lower), size), first + 1)
+    return guarded_branches(x, f, first, end), start + reach - first
+
+
+def horner_scratch(n, base):
+    """The scratch rows of horner_add for n outputs.
+
+    Read index, sum and term, then the read base of each output at zero
+    delay, base .. base + n - 1.
+    """
+    bases = np.arange(base, base + n, dtype=np.int64)
+    return np.empty(n, dtype=np.int64), np.empty(n), np.empty(n), bases
+
+
+def horner_add(out, streams, x, gain, scratch):
+    """Add gain times the streams read at the base less floor(x), in x's fraction.
+
+    streams: guarded branch streams, whole or a branch_window, and
+    scratch: horner_scratch at its read base. x is overwritten with the
+    fraction. The M+1 values read are summed by Horner's rule in the
+    fraction, one in-place ufunc at a time, so the call allocates
+    nothing. Reads gather with mode="clip", so a read outside the input
+    lands on a zero guard and adds a signed zero, which leaves every sum
+    but -0.0 as it was (a sum that starts at +0.0 never becomes -0.0).
+    """
+    n_branches = streams.shape[0]
+    idx, acc, tmp, base = scratch
+    # acc holds floor(x) until the first gather overwrites it
+    np.floor(x, out=acc)
+    x -= acc
+    np.copyto(idx, acc, casting="unsafe")
+    np.subtract(base, idx, out=idx)
+    streams[n_branches - 1].take(idx, out=acc, mode="clip")
+    for k in range(n_branches - 2, -1, -1):
+        streams[k].take(idx, out=tmp, mode="clip")
+        acc *= x
+        acc += tmp
+    acc *= gain
+    out += acc
+
+
 def delay_stream(x, f, tau):
     """Apply a per-sample time-varying delay to x.
 
     tau gives the requested delay in samples for each output index; all
-    values must be >= the filter latency D0. One shared branch-filter pass
+    values must be >= the filter latency D0, and x must be finite where
+    they reach it. The branch window the delays reach (branch_window)
     serves every output sample, read by the render's Horner pass
-    (_kernels._horner_row): a render's row is delay_stream times its gain.
+    (horner_add) at gain 1: a render's row is delay_stream times its gain.
     """
     tau = np.asarray(tau, dtype=np.float64)
     if tau.ndim != 1:
@@ -310,6 +373,7 @@ def delay_stream(x, f, tau):
     if np.any(tau < f.nominal_delay):
         raise ValueError("tau below the filter latency; pad the input first")
     out = np.zeros(tau.size)
-    scratch = _kernels._scratch(tau.size, f.nominal_delay)
-    _kernels._horner_row(out, guarded_branches(x, f), tau.copy(), 1.0, scratch)
+    if tau.size:
+        window, base = branch_window(x, f, 0, tau.size, tau.min(), tau.max())
+        horner_add(out, window, tau.copy(), 1.0, horner_scratch(tau.size, base))
     return out

@@ -12,9 +12,10 @@ Signal flow for one render:
         |                      -> node delay tau_k and node gain A_k
         |                      -> Lagrange cubic restores both in between
         v
-    input s -> branch filters (one shared pass) -> per-image fractional
-    delay taps (farrow.delay_stream's read, Horner in tau's fraction),
-    scaled by the gain at arrival and summed in row order
+    input s -> branch window (farrow.branch_window, one shared pass per
+    chunk) -> per-image fractional delay taps (farrow.horner_add, Horner
+    in tau's fraction), scaled by the gain at arrival and summed in row
+    order
 
 Motion changes image distances at the trajectory bandwidth (a few Hz),
 orders of magnitude below the audio rate, so a far (high-order) image
@@ -57,11 +58,11 @@ threads; an output of one chunk renders on the calling thread.
 
 Before the walk, every row's delay is bounded from the parts alone
 (_delay_bounds), and the output is allocated once, at its longest.
-Each job convolves only the window of the input that its chunk's reads
-can reach, chunk + delay span + L samples of the branch streams
-(farrow.guarded_branches over a range). A row whose delay leaves the
-bounds would read outside its window,
-so it raises RuntimeError before it is read. A job reads the path's
+Each job reads only the branch window its chunk reaches at delays in
+those bounds (farrow.branch_window), convolved from the input it needs:
+chunk + delay span + L samples of the branch streams. A row whose delay
+leaves the bounds would read outside its window, so it raises
+RuntimeError before it is read. A job reads the path's
 axes where the Trajectory stores them, contiguous rows of a (3, T)
 array, so it copies no path window, and it restores a far row's delay
 and gain by one product over only the ceil(n / h) grid intervals its n
@@ -312,21 +313,19 @@ def synthesize(s, streams, f, cfg):
     the whole streams. Past the end of the streams every row holds its
     last value (the tail rings with the final geometry); streams that run
     past the output are evaluated to their end for the maximum, then cut.
-    A row's delay d (rate / c) is read as farrow.delay_stream reads it.
-    The branch streams carry a zero guard at each end
-    (farrow.guarded_branches), so a read outside the input adds nothing.
+    A row's delay d (rate / c) is read as farrow.delay_stream reads it,
+    so a read outside the input adds nothing.
 
     Every row's delay is bounded first (_delay_bounds), and the output is
     allocated once, at max(len(streams), len(s) + ceil(upper) + L); the
     render is its first output-length samples. The walk cuts that whole
     allocation into time chunks, a last piece shorter than the delay span
-    upper - lower joining the one before. One job per chunk convolves
-    the window of the branch streams its reads can reach, guarded indices
-    start + D0 + 1 - floor(upper) up to stop + D0 + 1 - floor(lower),
-    clipped to the streams and at least one sample long, and adds every
-    row, in row order, into its slice of the output through
-    accumulate_rows, part by part, which reads each part on the positions
-    the chunk is formed from: an exact part's path samples, a restored
+    upper - lower joining the one before. One job per chunk cuts the
+    branch window its reads reach at delays in the bounds
+    (farrow.branch_window), and adds every row, in row order, into its
+    slice of the output through accumulate_rows, part by part, which
+    reads the window and each part on the positions the chunk is formed
+    from: an exact part's path samples, a restored
     part's grid nodes. Each row's distance to its mirrored mic, delay and
     gain are formed there (_kernels.row_terms), in the kernel's scratch
     rows, held at the path's last sample past its end; a far row's are
@@ -342,25 +341,18 @@ def synthesize(s, streams, f, cfg):
     n_images = streams.image_count()
     if n_images == 0:
         return np.zeros(s.size + f.branch_len)
-    d0 = f.nominal_delay
     scale = cfg.audio_rate / cfg.sound_speed
     length = streams.length
     parts = streams.parts
     bounds = _delay_bounds(parts, scale)
     out = np.zeros(max(length, s.size + math.ceil(bounds[1]) + f.branch_len))
-    size = s.size + f.branch_len + 1  # guarded branch stream samples
 
     def job(start, stop):
-        # the window of the branch streams outputs start .. stop - 1 read:
-        # output n reads guarded index n + D0 + 1 - floor(tau), and a
-        # window clipped to the streams keeps a zero guard where reads leave
-        first = min(max(start + d0 + 1 - math.floor(bounds[1]), 0), size - 1)
-        end = max(min(stop + d0 + 1 - math.floor(bounds[0]), size), first + 1)
-        branch = farrow.guarded_branches(s, f, first, end)
+        window, base = farrow.branch_window(s, f, start, stop, *bounds)
         return max(
             _kernels.accumulate_rows(
-                out[start:stop], branch, part, scale, cfg.d_min, d0 - first,
-                start, length, bounds,
+                out[start:stop], window, base, part, scale, cfg.d_min, start,
+                length, bounds,
             )
             for part in parts
         )

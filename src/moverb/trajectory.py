@@ -27,6 +27,8 @@ from . import _kernels
 GRID_STEP = 400
 
 _KINDS = ("line", "circle", "sine", "filtered-noise", "waypoint-spline")
+# the kinds that read each optional pin
+_PINNED_BY = {"direction": ("line", "sine"), "start": ("line",)}
 
 
 @dataclass(frozen=True)
@@ -71,12 +73,15 @@ class TrajectorySpec:
     kind: one of line, circle, sine, filtered-noise, waypoint-spline.
     duration: seconds. bandwidth_limit: Hz, target upper edge of the
     displacement spectrum. speed_max: m/s cap on the path speed. seed:
-    RNG seed for every random choice. Optional direction/start pin the
-    analytic kinds to exact geometry instead of seeded random choices.
-    The spline kind has 6 random knots. margin: meters the path keeps
-    from every wall. duration must be finite and > 0, the two rates and
-    margin finite and >= 0 (ValueError otherwise). The defaults are the
-    path of a config file or CLI call that leaves the field out.
+    RNG seed for every random choice. Optional direction and start pin a
+    path to exact geometry instead of seeded random choices: direction,
+    a nonzero 3-vector, is read by line and sine, start, a 3-vector, by
+    line alone. The spline kind has 6 random knots. margin: meters the
+    path keeps from every wall. duration must be finite and > 0, the two
+    rates and margin finite and >= 0, and a given direction or start
+    three finite numbers of a kind that reads it (ValueError naming the
+    field otherwise). The defaults are the path of a config file or CLI
+    call that leaves the field out.
     """
 
     kind: str = "line"
@@ -97,15 +102,26 @@ class TrajectorySpec:
         for name in ("bandwidth_limit", "speed_max", "margin"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0")
+        for name, kinds in _PINNED_BY.items():
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if self.kind not in kinds:
+                raise ValueError(f"{name} is not read by a {self.kind} path")
+            try:
+                v = np.asarray(value, dtype=np.float64)
+            except (TypeError, ValueError):
+                v = None
+            if v is None or v.shape != (3,) or not np.all(np.isfinite(v)):
+                raise ValueError(f"{name} must be three finite numbers")
+            if name == "direction" and np.linalg.norm(v) == 0:
+                raise ValueError("direction must be nonzero")
 
 
 def _unit_direction(rng, pinned):
     if pinned is not None:
         d = np.asarray(pinned, dtype=np.float64)
-        norm = np.linalg.norm(d)
-        if norm == 0:
-            raise ValueError("direction must be nonzero")
-        return d / norm
+        return d / np.linalg.norm(d)
     while True:
         d = rng.normal(size=3)
         norm = np.linalg.norm(d)
@@ -196,9 +212,6 @@ def generate(spec, rate, room):
             raise ValueError("line does not fit inside the room with this margin")
         return Trajectory(rate=rate, positions=axes.T)
 
-    if spec.kind == "sine":
-        # drawn before the zero-motion test, so a zero direction still raises
-        direction = _unit_direction(rng, spec.direction)
     if spec.kind == "waypoint-spline":
         # 6 random knots in the middle 60% of the usable box so spline
         # overshoot and low-pass ringing stay inside before rescaling
@@ -218,6 +231,7 @@ def generate(spec, rate, room):
         axes = np.zeros((3, n))
     elif spec.kind == "sine":
         amp = spec.speed_max / (2 * np.pi * f)
+        direction = _unit_direction(rng, spec.direction)
         axes = direction[:, None] * (amp * np.sin(2 * np.pi * f * t))
     elif spec.kind == "circle":
         radius = spec.speed_max / (2 * np.pi * f)

@@ -499,6 +499,23 @@ class TestCliSimulate:
         assert "duration" in r.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "line, key", [("traj.direction = 1 2", "direction"), ("traj.start = 9 9 9", "start")]
+    )
+    def test_a_bad_pin_exits_2_naming_it(self, workdir, line, key):
+        # a 2-vector direction ended in numpy's broadcast error, and a sine
+        # path rendered with exit 0 ignoring its start
+        cfg = workdir / f"pin_{key}.cfg"
+        cfg.write_text((workdir / "engine.cfg").read_text() + line + "\n")
+        out = workdir / f"pin_{key}.wav"
+        r = run_cli(
+            "simulate", "--config", cfg, "--in", workdir / "in.wav", "--out", out,
+        )
+        assert r.returncode == 2, r.stderr
+        assert key in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode", ["static", "splice"])
     def test_nan_input_exits_2_without_writing(self, workdir, mode):
         # both modes wrote a WAV with a run of NaN samples

@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 from moverb import farrow
 from moverb.farrow import (
     branch_filter,
+    branch_window,
     delay_stream,
     design,
     evaluate_power_sum,
     group_delay,
     guarded_branches,
+    horner_add,
+    horner_scratch,
     impulse_response,
     quality_summary,
     response_at,
@@ -353,6 +356,52 @@ class TestBranchFilter:
         assert guarded_branches(x, filt, 0, 500).tobytes() == want.tobytes()
         with pytest.raises(ValueError, match="finite"):
             guarded_branches(x, filt, 880, 920)
+
+
+class TestBranchWindow:
+    """branch_window cuts what a range reads, so L and D0 may grow."""
+
+    @pytest.mark.parametrize("order, taps", [(1, 2), (3, 8), (3, 16), (4, 32)])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_window_serves_every_read_of_its_bounds(self, order, taps, seed):
+        rng = np.random.default_rng(1000 * taps + seed)
+        f = farrow.FarrowFilter(
+            branches=rng.standard_normal((order + 1, taps)), passband=0.8
+        )
+        d0 = f.nominal_delay
+        for case in range(12):
+            x = rng.standard_normal(int(rng.integers(1, 3000)))
+            size = x.size + taps + 1
+            whole = guarded_branches(x, f)
+            start = int(rng.integers(0, x.size + 2 * taps + 50))
+            n = int(rng.integers(1, 2000))
+            stop = start + n
+            kind = case % 3
+            if kind == 0:  # reads inside the input's reach
+                lower = float(rng.uniform(d0, max(d0 + 1.0, start + d0)))
+            elif kind == 1:  # every read, or the last ones, past the input's end
+                lower = float(rng.uniform(0.0, 2.0))
+            else:  # every read, or the first ones, before the input's start
+                lower = float(rng.uniform(start, stop + size + 40))
+            upper = lower + float(rng.choice([0.0, rng.uniform(0.0, 400.0)]))
+            window, base = branch_window(x, f, start, stop, lower, upper)
+            first = start + d0 + 1 - base
+            end = first + window.shape[1]
+            assert 0 <= first < end <= size
+            # the window holds every guarded index a delay in the bounds reads
+            reads = np.arange(start, stop)[:, None] + d0 + 1 - np.floor([lower, upper])
+            reads = np.clip(reads, 0, size - 1)
+            assert first <= reads.min() and reads.max() < end, (start, stop, lower, upper)
+            # and is that slice of the whole streams, bit for bit
+            assert window.tobytes() == whole[:, first:end].tobytes()
+            # so a Horner read through it is the whole streams' read
+            tau = rng.uniform(lower, upper, size=n)
+            tau[: min(n, 2)] = (lower, upper)[: min(n, 2)]
+            gain = float(rng.uniform(-2.0, 2.0))
+            got, want = np.zeros(n), np.zeros(n)
+            horner_add(got, window, tau.copy(), gain, horner_scratch(n, base))
+            horner_add(want, whole, tau.copy(), gain, horner_scratch(n, start + d0 + 1))
+            assert got.tobytes() == want.tobytes()
 
 
 class TestEvaluation:

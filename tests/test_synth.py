@@ -329,7 +329,8 @@ class TestKernelsMatchFrozenReferences:
         got = init.copy()
         part = _kernels.Rows(q, coef, path, table)
         top = _kernels.accumulate_rows(
-            got, guarded(streams), part, scale, d_min, d0, start, length
+            got, guarded(streams), start + d0 + 1, part, scale, d_min, start,
+            length, (0.0, np.inf),
         )
         assert same_bits(got, want)
         assert top == want_top
@@ -394,7 +395,8 @@ class TestKernelsMatchFrozenReferences:
         got = init.copy()
         part = _kernels.Rows(q, coef, path)
         top = _kernels.accumulate_rows(
-            got, guarded(streams), part, scale, d_min, d0, start, length
+            got, guarded(streams), start + d0 + 1, part, scale, d_min, start,
+            length, (0.0, np.inf),
         )
         assert same_bits(got, want)
         # rounding is monotone, so the largest delay is the largest distance's

@@ -265,9 +265,40 @@ class TestGenerate:
 
     @pytest.mark.parametrize("bandwidth, speed", [(0.0, 1.0), (2.0, 0.0)])
     def test_a_zero_sine_direction_raises_without_motion(self, bandwidth, speed):
-        spec = TrajectorySpec("sine", 1.0, bandwidth, speed, direction=(0, 0, 0))
+        # refused with the spec, before a path without motion skips it
         with pytest.raises(ValueError, match="^direction must be nonzero"):
-            generate(spec, RATE, make_room())
+            TrajectorySpec("sine", 1.0, bandwidth, speed, direction=(0, 0, 0))
+
+    @pytest.mark.parametrize("field", ["direction", "start"])
+    @pytest.mark.parametrize(
+        "value",
+        [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0), ((1.0, 2.0, 3.0),), (float("nan"), 0.0, 1.0),
+         (float("inf"), 0.0, 0.0), ("a", "b", "c"), ((1.0,), 2.0, 3.0)],
+    )
+    def test_rejects_a_pin_that_is_not_three_finite_numbers(self, field, value):
+        # a 2-vector ended in numpy's broadcast error, a NaN direction in
+        # "line does not fit inside the room"
+        with pytest.raises(ValueError, match=f"^{field} must be three finite numbers"):
+            TrajectorySpec("line", 1.0, **{field: value})
+
+    def test_rejects_a_zero_line_direction(self):
+        with pytest.raises(ValueError, match="^direction must be nonzero"):
+            TrajectorySpec("line", 1.0, direction=(0.0, -0.0, 0.0))
+
+    @pytest.mark.parametrize("kind", trajectory._KINDS)
+    @pytest.mark.parametrize("field", ["direction", "start"])
+    def test_a_pin_is_read_or_refused_by_the_kind(self, kind, field):
+        # a pin the kind ignored gave the unpinned path's bytes, so a sine
+        # config with traj.start = 9 9 9 rendered
+        pin = {"direction": (0.0, 0.0, 1.0), "start": (2.0, 2.0, 2.0)}[field]
+        if kind not in trajectory._PINNED_BY[field]:
+            with pytest.raises(ValueError, match=f"^{field} is not read by a {kind} path"):
+                TrajectorySpec(kind, 1.0, **{field: pin})
+            return
+        room = make_room()
+        pinned = generate(TrajectorySpec(kind, 1.0, **{field: pin}), RATE, room)
+        free = generate(TrajectorySpec(kind, 1.0), RATE, room)
+        assert pinned.positions.tobytes() != free.positions.tobytes()
 
     @pytest.mark.parametrize("kind", ["sine", "circle", "filtered-noise"])
     @pytest.mark.parametrize("bandwidth, speed", [(0.0, 1.0), (2.0, 0.0)])
@@ -514,8 +545,8 @@ class TestUpsample:
         rows = _kernels.Rows(np.ones((1, 3)), np.ones(1), np.zeros((9, 3)), table)
         with pytest.raises(ValueError, match="grid interval"):
             _kernels.accumulate_rows(
-                np.zeros(10), np.ones((2, 40)), rows, 1.0, 0.1, 0, start=3,
-                length=40,
+                np.zeros(10), np.ones((2, 40)), 4, rows, 1.0, 0.1, start=3,
+                length=40, bounds=(0.0, np.inf),
             )
 
     @pytest.mark.parametrize("factor", [2, 16, 100, 3200])
