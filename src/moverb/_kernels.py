@@ -6,12 +6,12 @@ range of samples gives the same bits as evaluating the whole stream and
 slicing it. That is what lets the synthesis engine walk the output in
 chunks.
 
-The per-sample kernels work in scratch rows allocated once per call, with
-in-place ufuncs that keep each element's operands and operation order, so
-they allocate nothing per step and give the bits of the plain expressions.
-A distance is the path's distance to the image's mirrored mic
-(mirrored_mics), one shared row expression (_distance_rows); distance
-tables (mic_distances) are built in blocks of rows of at most
+The per-sample kernels work in scratch rows allocated once per call,
+with in-place ufuncs that keep each element's operands and operation
+order, so they allocate nothing per step and give the bits of the plain
+expressions. A distance is the path's distance to the image's mirrored
+mic (mirrored_mics), one shared row expression (_distance_rows);
+distance tables (mic_distances) are built in blocks of rows of at most
 DISTANCE_BLOCK elements. Both read a path axis by axis, from the rows of
 its (3, T) transpose, which trajectory.Trajectory stores contiguous, so
 neither copies the path. A row's delay and gain have one home,
@@ -19,25 +19,27 @@ row_terms, which the render and the stream record's rows read. It takes
 a part of the record (Rows): mirrored mics and spreading coefficients on
 a path, the path's samples for exact (near) rows, its grid nodes for far
 rows, whose delay and gain are then restored by one product over the
-grid intervals the range reaches, never fewer than two (restore_cubic).
-It cuts the positions a range of output samples is formed from itself,
-so no row holds an array longer than the range's whole grid intervals,
-and a range may start at any grid interval. Accumulation runs one
-image row at a time, in one kernel (accumulate_rows), through the bank's
-Horner pass (farrow.horner_add). Past the path's end a row holds its
-delay and gain at the path's last sample, so a range may lie anywhere in
-the output. A range reads the branch window farrow.branch_window cut for
-bounds on its delays, which accumulate_rows checks before each row's
-read; the window states where a delay reads, so no kernel here computes
-a branch-stream index.
+grid intervals the range reaches, never fewer than two. The grid is
+trajectory's: it names the nodes a range is restored from
+(trajectory.node_span) and restores them (trajectory.restore_cubic), so
+no kernel here computes a node index. row_terms cuts the positions a
+range of output samples is formed from itself, so no row holds an array
+longer than the range's whole grid intervals, and a range may start at
+any grid interval. Accumulation runs one image row at a time, in one
+kernel (accumulate_rows), through the bank's Horner pass
+(farrow.horner_add). Past the path's end a row holds its delay and gain
+at the path's last sample, so a range may lie anywhere in the output. A
+range reads the branch window farrow.branch_window cut for bounds on its
+delays, which accumulate_rows checks before each row's read; the window
+states where a delay reads, so no kernel here computes a branch-stream
+index.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from . import farrow
+from . import farrow, trajectory
 
 
 def using_numba():
@@ -148,13 +150,13 @@ def row_terms(rows, scale, d_min, start, stop, length):
     here and read axis by axis, with no copy (a Trajectory's axes are
     contiguous). An exact part's rows are formed on the path's samples in
     the range. A restored part's are formed on the grid nodes the range
-    is restored from, nodes start // h up to ceil(min(stop, length) / h)
-    + 3, and restore_cubic fills rows of tau and gain over the grid
-    intervals the range reaches on the path; a range that starts on the
-    path must begin a grid interval, a multiple of h (ValueError
-    otherwise). From sample length - 1 on a row holds its delay and gain
-    there, so a range that starts past the path forms that one sample, or
-    restores the grid interval that holds it.
+    is restored from (trajectory.node_span), and trajectory.restore_cubic
+    fills rows of tau and gain over the grid intervals the range reaches
+    on the path; a range that starts on the path must begin a grid
+    interval, a multiple of h (ValueError otherwise). From sample
+    length - 1 on a row holds its delay and gain there, so a range that
+    starts past the path forms that one sample, or restores the grid
+    interval that holds it.
 
     Yields (tau, gain) per row, in scratch that the next row overwrites; a
     caller may overwrite it too.
@@ -172,7 +174,7 @@ def row_terms(rows, scale, d_min, start, stop, length):
         xs, gs = np.empty(n), np.empty(n)
         x, g = xs[:formed], gs[:formed]
     else:
-        pos_t = rows.positions[first // step : -(-end // step) + 3].T
+        pos_t = rows.positions[trajectory.node_span(first, end, step)].T
         x, g = np.empty(pos_t.shape[1]), np.empty(pos_t.shape[1])
         whole = -(-formed // step) * step
         xs = np.empty(max(whole, off + n))
@@ -184,8 +186,8 @@ def row_terms(rows, scale, d_min, start, stop, length):
         np.maximum(g, d_min, out=g)
         np.divide(coef, g, out=g)
         if table is not None:
-            restore_cubic(x, table, xs[:whole])
-            restore_cubic(g, table, gs[:whole])
+            trajectory.restore_cubic(x, table, xs[:whole])
+            trajectory.restore_cubic(g, table, gs[:whole])
         xs[formed : off + n] = xs[formed - 1]
         gs[formed : off + n] = gs[formed - 1]
         yield xs[off : off + n], gs[off : off + n]
@@ -223,51 +225,3 @@ def accumulate_rows(out, window, base, rows, scale, d_min, start, length, bounds
         top = max(top, peak)
         farrow.horner_add(out, window, tau, g, scratch)
     return top
-
-
-# ---------------------------------------------------------------------------
-# Lagrange cubic restoration of a grid-node row onto the audio-rate grid
-#
-# Node k of a row sits at sample (k - 1) * h. Output sample m = j * h + p
-# lies in grid interval j, between nodes j + 1 and j + 2, and is the cubic
-# through nodes j .. j + 3 at phase p: the four node values dotted with
-# column p of a (4, h) weight table. Seen as (intervals, h), the output is
-# the matrix product frames @ table, where frames[j] holds nodes j .. j + 3.
-# A range is one product over the k grid intervals it reaches, never
-# fewer than two. Each row of a k-row product with k >= 2 holds the same
-# bits at any k and any first interval, so a range restored on its own
-# from a grid-interval boundary gives the whole row's bits there (checked
-# on OpenBLAS for k up to 3000, at h from 2 to 400, on one thread and
-# threaded). A one-row product takes BLAS's matrix-vector path and rounds
-# differently, hence the second row. Node indices past the row's end
-# clamp to its last node.
-
-
-@lru_cache(maxsize=8)
-def _frame_index(rows, count):
-    """(rows, 4) node indices of the frames over count nodes; read-only, shared."""
-    index = np.minimum(np.arange(rows)[:, None] + np.arange(4), count - 1)
-    index.flags.writeable = False
-    return index
-
-
-def restore_cubic(nodes, table, out):
-    """Fill out with samples 0 .. out.size - 1 of a node row.
-
-    nodes: (K,) grid values, table: (4, h) weights, out: C-contiguous
-    (T,) float64. One product of max(2, ceil(T / h)) frame rows, written
-    in place when T is that many whole intervals, through a product of
-    that size otherwise. A range of a longer row that starts on a grid
-    interval boundary, j * h, is restored from the row's nodes from j on,
-    with the bits of the whole row. Returns out.
-    """
-    step = table.shape[1]
-    if not out.flags.c_contiguous:
-        raise ValueError("out must be C-contiguous")
-    rows = max(2, -(-out.shape[0] // step))
-    frames = nodes[_frame_index(rows, nodes.shape[0])]
-    if out.shape[0] == rows * step:
-        np.matmul(frames, table, out=out.reshape(rows, step))
-    else:
-        out[:] = (frames @ table).ravel()[: out.shape[0]]
-    return out

@@ -181,9 +181,19 @@ CONFIG_KEYS = frozenset(
 ).union(_SYNTH_FIELDS, _TRAJ_FIELDS, _FARROW_FIELDS)
 
 
+def _parse(key, value, parse):
+    """parse(value), or a ValueError that names the key and its value."""
+    try:
+        return parse(value)
+    except ValueError as exc:
+        raise ValueError(f"config {key} = {value!r}: {exc}") from None
+
+
 def _fill(table, fields):
     """The table's values for fields, parsed, by field name."""
-    return {f: parse(table[k]) for k, (f, parse) in fields.items() if k in table}
+    return {
+        f: _parse(k, table[k], parse) for k, (f, parse) in fields.items() if k in table
+    }
 
 
 def engine_config_from_table(table):
@@ -195,7 +205,8 @@ def engine_config_from_table(table):
     seed/direction/start/margin (TrajectorySpec's fields), synth.rate/N/K/
     max_order/t60/c/d_min/workers/budget (SynthesisConfig's), farrow.M/L/
     alpha/grid (design's), traj.file, farrow.file. An absent key keeps its
-    field's default. Every key is parsed and the spec checked; then a
+    field's default. Every key is parsed, a value that does not parse
+    raising ValueError that names its key, and the spec checked; then a
     nonempty traj.file or farrow.file is read, else the path is generated
     at synth.rate and the bank designed. Any other key raises ValueError
     naming it, so a typo never falls back to a default.
@@ -205,16 +216,16 @@ def engine_config_from_table(table):
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     if "room.dims" not in table or "mic.pos" not in table:
         raise ValueError("config requires room.dims and mic.pos")
-    reflection = _floats(table.get("room.reflection", "0.9"))
+    reflection = _parse("room.reflection", table.get("room.reflection", "0.9"), _floats)
     if len(reflection) == 1:
         reflection = reflection * 6
     if len(reflection) != 6:
         raise ValueError("room.reflection needs 1 or 6 values")
     room = Room(
-        dims=np.array(_floats(table["room.dims"])),
+        dims=np.array(_parse("room.dims", table["room.dims"], _floats)),
         wall_reflection=np.array(reflection),
     )
-    mic = MicPosition(pos=np.array(_floats(table["mic.pos"])))
+    mic = MicPosition(pos=np.array(_parse("mic.pos", table["mic.pos"], _floats)))
     synth = SynthesisConfig(**_fill(table, _SYNTH_FIELDS))
     spec = TrajectorySpec(**_fill(table, _TRAJ_FIELDS))
     bank = _fill(table, _FARROW_FIELDS)

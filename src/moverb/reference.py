@@ -196,7 +196,8 @@ def compare(a, b, passband=0.8, rate=16000.0, interior=0.05):
     excluded by construction there). Envelope and instantaneous frequency
     come from the analytic signal of the raw trimmed a; the frequency track
     is smoothed over 10 ms. SNR is capped at 200 dB. A non-finite sample
-    in a or b raises ValueError (the cap would read a NaN error as 200 dB).
+    in a or b raises ValueError (the cap would read a NaN error as 200 dB),
+    as does a rate that is not finite and > 0.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -209,6 +210,8 @@ def compare(a, b, passband=0.8, rate=16000.0, interior=0.05):
         raise ValueError("passband must be in (0, 1]")
     if not 0.0 <= interior < 0.5:
         raise ValueError("interior must be in [0, 0.5)")
+    if not 0.0 < rate < np.inf:
+        raise ValueError(f"rate must be finite and > 0, not {rate}")
     a = a[:n]
     b = b[:n]
     lo = int(np.floor(interior * n))

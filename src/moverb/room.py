@@ -209,8 +209,9 @@ def estimate_image_count(room, t60, c=343.0):
     image lattice bijects onto integer triples m with path length
     sqrt(sum (m_k * L_k)^2); the result is the exact count of lattice
     points inside that ball (roughly (4 pi / 3) (c t60)^3 / volume).
-    Intended for cost estimates, not for enumeration. Raises ValueError
-    unless t60 and c are finite and > 0.
+    Intended for cost estimates, not for enumeration. The lattice is
+    counted one x-row at a time, so memory grows as c * t60, not as its
+    square. Raises ValueError unless t60 and c are finite and > 0.
     """
     for name, value in (("t60", t60), ("c", c)):
         if not 0 < value < math.inf:
@@ -220,8 +221,10 @@ def estimate_image_count(room, t60, c=343.0):
     r2 = radius * radius
     mx = np.arange(-int(radius // lx), int(radius // lx) + 1)
     my = np.arange(-int(radius // ly), int(radius // ly) + 1)
-    rem = r2 - (mx[:, None] * lx) ** 2 - (my[None, :] * ly) ** 2
-    rem = np.maximum(rem, -1.0)
-    nz = np.floor(np.sqrt(np.maximum(rem, 0.0)) / lz)
-    counts = np.where(rem >= 0.0, 2.0 * nz + 1.0, 0.0)
-    return int(counts.sum())
+    y2 = (my * ly) ** 2
+    total = 0
+    for row in r2 - (mx * lx) ** 2:
+        rem = np.maximum(row - y2, -1.0)
+        nz = np.floor(np.sqrt(np.maximum(rem, 0.0)) / lz)
+        total += int(np.where(rem >= 0.0, 2.0 * nz + 1.0, 0.0).sum())
+    return total

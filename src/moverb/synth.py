@@ -20,13 +20,15 @@ Signal flow for one render:
 Motion changes image distances at the trajectory bandwidth (a few Hz),
 orders of magnitude below the audio rate, so a far (high-order) image
 needs only two slow signals, its delay and its gain. Both are formed at
-grid nodes every h samples and restored by a local cubic; only the
-restoration and the Horner evaluation run at the audio rate. Near images
-keep exact per-sample distances: their distance curves carry the
-strongest nonlinearity. The cubic's error grows as h^4 times the fourth
-derivative of the distance; prepare_streams measures it on every far
-image at 1/4, 1/2 and 3/4 of every grid interval and refuses a render
-whose delay error exceeds DELAY_ERROR_BUDGET samples.
+grid nodes every h samples and restored by a local cubic, on the grid
+whose one home is trajectory: it places the nodes (decimate), names the
+nodes a range reads (node_span) and restores them (restore_cubic,
+restore_at). Only the restoration and the Horner evaluation run at the
+audio rate. Near images keep exact per-sample distances: their distance
+curves carry the strongest nonlinearity. The cubic's error grows as h^4
+times the fourth derivative of the distance; prepare_streams measures it
+on every far image at 1/4, 1/2 and 3/4 of every grid interval and
+refuses a render whose delay error exceeds DELAY_ERROR_BUDGET samples.
 
 No per-image stream is ever held at full length. A DelayStreams value
 is a plain record of its rows in parts, in row order: each part is the
@@ -87,7 +89,7 @@ import numpy as np
 
 from . import _kernels, farrow
 from .room import as_arrays, as_mic, attenuation, enumerate_images
-from .trajectory import decimate, grid_step, lagrange_table
+from .trajectory import decimate, grid_step, lagrange_table, node_span, restore_at
 
 # output samples per job, rounded up to whole grid intervals
 CHUNK_SAMPLES = 16384
@@ -116,8 +118,8 @@ class SynthesisConfig:
     one chunk renders on the calling thread whatever workers is. eval_budget:
     cap on brute-force distance evaluations. decimation, order_split,
     max_order and workers must be whole numbers (2.0 passes, 2.5 does
-    not); audio_rate, sound_speed, d_min and a set t60 finite and > 0
-    (ValueError otherwise).
+    not), stored as int; audio_rate, sound_speed, d_min and a set t60
+    finite and > 0 (ValueError otherwise).
     """
 
     audio_rate: float = 16000.0
@@ -142,6 +144,7 @@ class SynthesisConfig:
             # a whole number's float is_integer; NaN's and inf's are not
             if not float(value).is_integer() or not value >= least:
                 raise ValueError(f"{name} must be >= {least} and whole")
+            object.__setattr__(self, name, int(value))
         if not self.eval_budget > 0:
             raise ValueError("eval_budget must be > 0 (inf: no cap)")
 
@@ -217,7 +220,7 @@ def high_order_distances(images, nodes, mic, room, out_len, factor):
     """Distances on the grid nodes, restored to out_len samples.
 
     nodes is decimate(traj, factor). Per image the number of distance
-    evaluations is the node count, ceil(out_len / h) + 3 with
+    evaluations is the node count, node_span(0, out_len, h).stop with
     h = grid_step(factor), instead of out_len. Nothing is evaluated here:
     the rows hold the node positions and the cubic's table, synthesize
     forms each chunk's node delays and gains from the nodes it reads, and
@@ -384,17 +387,16 @@ def _check_delay_error(rows, traj, cfg):
 
     rows: the restored part of a path's streams. Every row is checked at
     1/4, 1/2 and 3/4 of every grid interval the path reaches (clamped to
-    its last sample): the cubic through the interval's four node
-    distances against the exact distance there. The cubic's error peaks
-    at the midpoint; the quarter points catch motion that is zero at the
-    nodes and midpoints. Rows go in blocks of about DISTANCE_BLOCK node
-    or probe distances, whichever are more. Raises ValueError when the
-    worst error exceeds DELAY_ERROR_BUDGET.
+    its last sample): its node distances restored there
+    (trajectory.restore_at) against the exact distance. The cubic's error
+    peaks at the midpoint; the quarter points catch motion that is zero at
+    the nodes and midpoints. Rows go in blocks of about DISTANCE_BLOCK
+    node or probe distances, whichever are more. Raises ValueError when
+    the worst error exceeds DELAY_ERROR_BUDGET.
     """
     step = rows.table.shape[1]
     starts = np.arange(0, len(traj), step)[:, None]
     probes = np.minimum(starts + np.arange(1, 4) * step // 4, len(traj) - 1).ravel()
-    block, phase = np.divmod(probes, step)
     at = traj.positions[probes]
     size = max(1, _kernels.DISTANCE_BLOCK // max(rows.positions.shape[0], probes.size))
     worst = 0.0
@@ -402,11 +404,7 @@ def _check_delay_error(rows, traj, cfg):
         pick = slice(a, a + size)
         nodes = _kernels.mic_distances(rows.q[pick], rows.positions)
         miss = _kernels.mic_distances(rows.q[pick], at)
-        term = np.empty_like(miss)
-        for k in range(4):
-            nodes.take(block + k, axis=1, out=term)
-            term *= rows.table[k, phase]
-            miss -= term
+        miss -= restore_at(nodes, rows.table, probes)
         worst = max(worst, float(np.abs(miss, out=miss).max()))
     err = worst * (traj.rate / cfg.sound_speed)
     if err > DELAY_ERROR_BUDGET:
@@ -462,14 +460,14 @@ def cost_report(cfg, images, duration):
     budget arithmetic beyond enumerable sizes). Returns a dict with naive
     and hierarchical distance-evaluation totals, their ratio, the
     high-order-only ratio and the far images' grid step. Far images count
-    as render evaluates them: ceil(T / h) + 3 grid nodes each, or every
-    sample at grid step 1. The per-sample work that dominates a render is
-    counted too: restored_samples, the delay and gain samples the engine
-    restores (2 per far image and sample of ceil(T / h) whole grid
-    intervals, none at grid step 1), and accumulated_samples, the image
-    samples the Horner pass accumulates (images x samples). Raises
-    ValueError for a negative or non-finite duration and a negative image
-    count.
+    as render evaluates them: a T-sample path's grid nodes each
+    (node_span), or every sample at grid step 1. The per-sample work
+    that dominates a render is counted too: restored_samples, the delay
+    and gain samples the engine restores (2 per far image and sample of
+    ceil(T / h) whole grid intervals, none at grid step 1), and
+    accumulated_samples, the image samples the Horner pass accumulates
+    (images x samples). Raises ValueError for a negative or non-finite
+    duration and a negative image count.
     """
     if not 0 <= duration < math.inf:
         raise ValueError("duration must be finite and >= 0")
@@ -484,7 +482,8 @@ def cost_report(cfg, images, duration):
         low = sum(1 for sp in images if sp.order <= cfg.order_split)
     high = total - low
     step = grid_step(cfg.decimation)
-    nodes = n_samples if step == 1 else -(-n_samples // step) + 3
+    nodes = n_samples if step == 1 else node_span(0, n_samples, step).stop
+    whole = 0 if step == 1 else -(-n_samples // step) * step
     naive = total * n_samples
     hierarchical = low * n_samples + high * nodes
     high_naive = high * n_samples
@@ -499,6 +498,6 @@ def cost_report(cfg, images, duration):
         "hierarchical_evals": hierarchical,
         "reduction_ratio": naive / hierarchical if hierarchical else float("inf"),
         "high_order_reduction": (high_naive / high_hier) if high_hier else float("inf"),
-        "restored_samples": 0 if step == 1 else 2 * high * (nodes - 3) * step,
+        "restored_samples": 2 * high * whole,
         "accumulated_samples": total * n_samples,
     }

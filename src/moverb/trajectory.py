@@ -2,10 +2,14 @@
 
 Generation (analytic lines/circles/sines, shaped noise, smoothed waypoint
 splines), rate changes, finite-difference kinematics, and an empirical
-spectral bandwidth estimator. decimate places the grid nodes on which the
-synthesis engine evaluates slowly varying image distances, every
-h = min(N, GRID_STEP) audio samples; bandlimited_upsample restores the
-samples in between with a 4-tap Lagrange cubic.
+spectral bandwidth estimator.
+
+This module is the one home of the grid on which the synthesis engine
+evaluates slowly varying image distances, every h = min(N, GRID_STEP)
+audio samples: decimate places its nodes, node_span names the nodes a
+range of samples is restored from, and the 4-tap Lagrange cubic restores
+the samples in between, over whole grid intervals (restore_cubic,
+bandlimited_upsample) or at given samples (restore_at).
 
 Edge policy: decimate adds one grid node before the path and two past its
 end, placed on a constant-acceleration extension of the path, so the
@@ -18,8 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from . import _kernels
 
 # largest grid step of far-image distances, in audio samples; the cubic's
 # delay error grows as h^4 and is about 1e-3 samples at h = 400 on a
@@ -299,6 +301,83 @@ def lagrange_table(step):
     return table
 
 
+# ---------------------------------------------------------------------------
+# Lagrange cubic restoration of a grid-node row onto the audio-rate grid
+#
+# Node k of a row sits at sample (k - 1) * h. Output sample m = j * h + p
+# lies in grid interval j, between nodes j + 1 and j + 2, and is the cubic
+# through nodes j .. j + 3 at phase p: the four node values dotted with
+# column p of a (4, h) weight table. Seen as (intervals, h), the output is
+# the matrix product frames @ table, where frames[j] holds nodes j .. j + 3.
+# A range is one product over the k grid intervals it reaches, never
+# fewer than two. Each row of a k-row product with k >= 2 holds the same
+# bits at any k and any first interval, so a range restored on its own
+# from a grid-interval boundary gives the whole row's bits there (checked
+# on OpenBLAS for k up to 3000, at h from 2 to 400, on one thread and
+# threaded). A one-row product takes BLAS's matrix-vector path and rounds
+# differently, hence the second row. Node indices past the row's end
+# clamp to its last node.
+
+
+def node_span(first, end, step):
+    """The grid nodes samples first .. end - 1 of a path are restored from.
+
+    A slice of the node layout decimate places at grid step h = step:
+    nodes first // h up to ceil(end / h) + 3, the frames of every grid
+    interval the samples reach. node_span(0, T, h).stop is a T-sample
+    path's node count.
+    """
+    return slice(first // step, -(-end // step) + 3)
+
+
+@lru_cache(maxsize=8)
+def _frame_index(rows, count):
+    """(rows, 4) node indices of the frames over count nodes; read-only, shared."""
+    index = np.minimum(np.arange(rows)[:, None] + np.arange(4), count - 1)
+    index.flags.writeable = False
+    return index
+
+
+def restore_cubic(nodes, table, out):
+    """Fill out with samples 0 .. out.size - 1 of a node row.
+
+    nodes: (K,) grid values, table: (4, h) weights, out: C-contiguous
+    (T,) float64. One product of max(2, ceil(T / h)) frame rows, written
+    in place when T is that many whole intervals, through a product of
+    that size otherwise. A range of a longer row that starts on a grid
+    interval boundary, j * h, is restored from the row's nodes from j on,
+    with the bits of the whole row. Returns out.
+    """
+    step = table.shape[1]
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    rows = max(2, -(-out.shape[0] // step))
+    frames = nodes[_frame_index(rows, nodes.shape[0])]
+    if out.shape[0] == rows * step:
+        np.matmul(frames, table, out=out.reshape(rows, step))
+    else:
+        out[:] = (frames @ table).ravel()[: out.shape[0]]
+    return out
+
+
+def restore_at(nodes, table, samples):
+    """Node rows restored at the given samples, by restore_cubic's frames.
+
+    nodes: (R, K) rows of grid values, table: (4, h) weights, samples:
+    (P,) sample indices on the path. Each sample is the cubic through its
+    grid interval's four nodes at its phase, summed term by term in node
+    order. Returns (R, P) float64.
+    """
+    frame, phase = np.divmod(samples, table.shape[1])
+    out = np.zeros((nodes.shape[0], samples.shape[0]))
+    term = np.empty_like(out)
+    for k in range(4):
+        nodes.take(np.minimum(frame + k, nodes.shape[1] - 1), axis=1, out=term)
+        term *= table[k, phase]
+        out += term
+    return out
+
+
 def bandlimited_upsample(samples, factor, out_len):
     """Restore out_len audio-rate samples from grid nodes by decimation N.
 
@@ -306,7 +385,7 @@ def bandlimited_upsample(samples, factor, out_len):
     (k - 1) * h, h = grid_step(factor). Sample m is the Lagrange cubic
     through the four nodes around it; nodes missing past the end hold the
     last one. Exact on cubic polynomials. The cubic restores whole grid
-    intervals in one product (_kernels.restore_cubic), of which the first
+    intervals in one product (restore_cubic), of which the first
     out_len samples are returned, so no second row-length array is made;
     a sample's value depends neither on what else is being restored nor
     on out_len. At factor 1 the samples are the path's own, edge-padded
@@ -323,7 +402,7 @@ def bandlimited_upsample(samples, factor, out_len):
             return x[:out_len].copy()
         return np.concatenate([x, np.full(out_len - x.size, x[-1])])
     out = np.empty(-(-out_len // step) * step)
-    return _kernels.restore_cubic(x, lagrange_table(step), out)[:out_len]
+    return restore_cubic(x, lagrange_table(step), out)[:out_len]
 
 
 def _extend(pos, steps):
@@ -347,8 +426,8 @@ def _extend(pos, steps):
 def decimate(traj, factor):
     """Grid nodes of a path for decimation factor N.
 
-    With h = grid_step(N) and J = ceil(len(traj) / h), node k sits at
-    sample (k - 1) * h for k = 0 .. J + 2: the path at every h-th sample,
+    With h = grid_step(N), node k sits at sample (k - 1) * h for every
+    node of node_span(0, len(traj), h): the path at every h-th sample,
     one ghost node before the start and two past the end, on the path
     extended at constant acceleration. The nodes' rate is the path's
     divided by h. factor = 1 returns the trajectory unchanged.
@@ -360,12 +439,12 @@ def decimate(traj, factor):
         return traj
     pos = traj.positions
     n = len(traj)
-    blocks = -(-n // step)
-    nodes = np.empty((3, blocks + 3)).T  # axis-major, as Trajectory stores it
+    # axis-major, as Trajectory stores it
+    nodes = np.empty((3, node_span(0, n, step).stop)).T
     nodes[0] = _extend(pos[:3], [step])[0]
-    nodes[1 : blocks + 1] = pos[::step]
-    past = blocks * step - (n - 1)
-    nodes[blocks + 1 :] = _extend(pos[: -4 : -1], [past, past + step])
+    nodes[1:-2] = pos[::step]
+    past = step - (n - 1) % step  # samples from the last one to the next node
+    nodes[-2:] = _extend(pos[: -4 : -1], [past, past + step])
     return Trajectory(rate=traj.rate / step, positions=nodes)
 
 

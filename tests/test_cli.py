@@ -20,10 +20,10 @@ from moverb.io_formats import (
     write_trajectory,
     write_wav,
 )
-from moverb._kernels import distance_streams, mic_distances, restore_cubic
+from moverb._kernels import distance_streams, mic_distances
 from moverb.room import Room, as_arrays, estimate_image_count
 from moverb.synth import SynthesisConfig, cost_report, prepare_streams
-from moverb.trajectory import Trajectory, TrajectorySpec, generate
+from moverb.trajectory import Trajectory, TrajectorySpec, generate, restore_cubic
 
 from conftest import sine
 
@@ -474,6 +474,29 @@ class TestCliSimulate:
         )
         assert r.returncode == 2
         assert "synth.n" in r.stderr
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("room.reflection", "0.9 x"),
+            ("mic.pos", "1.25 2.6 y"),
+            ("traj.seed", "abc"),
+            ("traj.direction", "1 a 2"),
+            ("synth.N", "2.5"),
+            ("farrow.M", "x"),
+        ],
+    )
+    def test_unparsed_value_exits_2_naming_its_key(self, workdir, key, value):
+        # each ended with Python's message alone, naming neither
+        cfg = workdir / f"unparsed_{key}.cfg"
+        cfg.write_text((workdir / "engine.cfg").read_text() + f"{key} = {value}\n")
+        out = workdir / f"unparsed_{key}.wav"
+        r = run_cli(
+            "simulate", "--config", cfg, "--in", workdir / "in.wav", "--out", out,
+        )
+        assert r.returncode == 2, r.stderr
+        assert f"{key} = {value!r}" in r.stderr
+        assert not out.exists()
 
     def test_nan_d_min_exits_2_without_writing(self, workdir):
         cfg = workdir / "nan.cfg"

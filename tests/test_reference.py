@@ -369,6 +369,15 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare(x, x, passband=1.1)
 
+    @pytest.mark.parametrize("rate", [0.0, np.inf, np.nan, -RATE])
+    def test_rejects_a_rate_not_finite_and_positive(self, rate):
+        # 0 and inf divided by zero, NaN failed converting to an integer,
+        # and -16000 gave an SNR 0.1 dB off the one at +16000
+        x = sine(440.0, 0.25, RATE)
+        y = x + 1e-3 * sine(5000.0, 0.25, RATE)
+        with pytest.raises(ValueError, match="^rate must be finite and > 0"):
+            compare(y, x, rate=rate)
+
     def test_rejects_short_signals(self):
         with pytest.raises(ValueError):
             compare(np.ones(4), np.ones(4))

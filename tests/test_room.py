@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -274,6 +276,44 @@ class TestImageCountEstimate:
         large = Room(dims=np.array([8.0, 10.0, 6.0]), wall_reflection=np.full(6, 0.9))
         ratio = estimate_image_count(small, 0.5) / estimate_image_count(large, 0.5)
         assert ratio == pytest.approx(8.0, rel=0.05)
+
+    @staticmethod
+    def whole_plane_count(room, t60, c=343.0):
+        """The count from the whole (x, y) plane of the lattice at once, frozen here."""
+        radius = c * t60
+        lx, ly, lz = (float(d) for d in room.dims)
+        r2 = radius * radius
+        mx = np.arange(-int(radius // lx), int(radius // lx) + 1)
+        my = np.arange(-int(radius // ly), int(radius // ly) + 1)
+        rem = r2 - (mx[:, None] * lx) ** 2 - (my[None, :] * ly) ** 2
+        rem = np.maximum(rem, -1.0)
+        nz = np.floor(np.sqrt(np.maximum(rem, 0.0)) / lz)
+        return int(np.where(rem >= 0.0, 2.0 * nz + 1.0, 0.0).sum())
+
+    @pytest.mark.parametrize(
+        "dims, t60s",
+        [
+            ((9.0, 10.0, 9.0), (0.05, 0.6, 2.0, 5.0, 20.0)),
+            ((5.0, 6.0, 4.0), (0.05, 0.6, 2.0, 5.0)),
+            ((3.1, 7.3, 2.9), (0.01, 0.6, 2.0, 5.0)),
+            ((3.43, 6.86, 1.715), (0.1, 1.0, 3.0)),
+        ],
+    )
+    def test_rows_count_as_the_whole_plane(self, dims, t60s):
+        room = make_room(dims)
+        for t60 in t60s:
+            assert estimate_image_count(room, t60) == self.whole_plane_count(room, t60)
+
+    def test_memory_grows_with_reach_not_its_square(self):
+        # the whole (x, y) plane at once took 69 MB in this room at t60 = 20 s
+        room = make_room((9.0, 10.0, 9.0))
+        tracemalloc.start()
+        try:
+            estimate_image_count(room, 20.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, f"{peak / 1e6:.2f} MB"
 
     def test_zero_reach_counts_only_direct(self):
         r = make_room()

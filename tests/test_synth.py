@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moverb import _kernels, farrow, synth
-from moverb.reference import compare
+from moverb import _kernels, farrow, synth, trajectory
+from moverb.reference import compare, full_rate_moving_oracle, static_rir
 from moverb.room import (
     MicPosition,
     Room,
@@ -468,6 +468,27 @@ class TestConfigValidation:
 
     def test_infinite_budget_means_no_cap(self):
         assert SynthesisConfig(eval_budget=float("inf")).eval_budget == float("inf")
+
+    @pytest.mark.parametrize("kind", [float, np.int64])
+    @pytest.mark.parametrize("name", ["decimation", "order_split", "max_order", "workers"])
+    def test_whole_counts_are_stored_as_int(self, name, kind, filt, room_5x6x4, mic_std):
+        # a whole float max_order passed the check, then raised TypeError
+        # in enumerate_images, and a float order_split in cost_report
+        base = SynthesisConfig(max_order=2, order_split=1, decimation=200, workers=2)
+        cfg = replace(base, **{name: kind(getattr(base, name))})
+        assert type(getattr(cfg, name)) is int
+        assert cfg == base
+        tr = moving_traj(4000, duration=0.25)
+        x = np.random.default_rng(4).standard_normal(len(tr))
+        for run in (render, full_rate_moving_oracle):
+            got = run(x, tr, room_5x6x4, mic_std, filt, cfg)
+            assert same_bits(got, run(x, tr, room_5x6x4, mic_std, filt, base))
+        at = tr.positions[0]
+        got = static_rir(room_5x6x4, at, mic_std, cfg)
+        assert same_bits(got, static_rir(room_5x6x4, at, mic_std, base))
+        images = enumerate_images(room_5x6x4, 2)
+        for count in (100, images):
+            assert cost_report(cfg, count, 0.25) == cost_report(base, count, 0.25)
 
 
 class TestDistanceStreams:
@@ -1639,13 +1660,13 @@ class TestCostReport:
         # every restore_cubic call of a render, summed: chunks are whole
         # grid intervals, so each row and signal restores ceil(n / h) of
         # them at any chunk length, the last one whole
-        restore, sizes = _kernels.restore_cubic, []
+        restore, sizes = trajectory.restore_cubic, []
 
         def counted(nodes, table, out):
             sizes.append(out.size)
             return restore(nodes, table, out)
 
-        monkeypatch.setattr(_kernels, "restore_cubic", counted)
+        monkeypatch.setattr(trajectory, "restore_cubic", counted)
         tr = moving_traj(n, duration=n / RATE)
         cfg = SynthesisConfig(max_order=3, order_split=1, decimation=3200)
         images = select_images(room_5x6x4, tr, mic_std, cfg)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moverb import _kernels, io_formats, trajectory
-from moverb._kernels import distance_streams, restore_cubic
+from moverb._kernels import distance_streams
 from moverb.room import Room, as_arrays, enumerate_images
 from moverb.synth import high_order_distances
 from moverb.trajectory import (
@@ -24,6 +24,7 @@ from moverb.trajectory import (
     generate,
     grid_step,
     lagrange_table,
+    restore_cubic,
     speed_max,
 )
 
@@ -490,8 +491,7 @@ class TestUpsample:
         code = textwrap.dedent(
             """
             import numpy as np
-            from moverb._kernels import restore_cubic
-            from moverb.trajectory import lagrange_table
+            from moverb.trajectory import lagrange_table, restore_cubic
 
             h, n, size = 400, 960000, 41 * 400
             table = lagrange_table(h)
@@ -534,8 +534,8 @@ class TestUpsample:
 
     def test_frame_index_is_shared_per_shape_and_read_only(self):
         # restore_cubic builds one node index per (rows, node count) shape
-        index = _kernels._frame_index(5, 6)
-        assert _kernels._frame_index(5, 6) is index
+        index = trajectory._frame_index(5, 6)
+        assert trajectory._frame_index(5, 6) is index
         assert not index.flags.writeable
         assert np.array_equal(index, np.minimum(np.arange(5)[:, None] + np.arange(4), 5))
 
