@@ -10,7 +10,7 @@ The per-sample kernels work in scratch rows allocated once per call,
 with in-place ufuncs that keep each element's operands and operation
 order, so they allocate nothing per step and give the bits of the plain
 expressions. A distance is the path's distance to the image's mirrored
-mic (mirrored_mics), one shared row expression (_distance_rows);
+mic (mirrored_mics), one shared row expression (distance_rows);
 distance tables (mic_distances) are built in blocks of rows of at most
 DISTANCE_BLOCK elements. Both read a path axis by axis, from the rows of
 its (3, T) transpose, which trajectory.Trajectory stores contiguous, so
@@ -68,7 +68,7 @@ def mirrored_mics(offset, sign, mic):
     return sign * (mic - offset)
 
 
-def _distance_rows(q, pos_t, out, tmp):
+def distance_rows(q, pos_t, out, tmp):
     """Fill out with |p - q|: (dx^2 + dy^2) + dz^2 with dx = p_x - q_x, rooted.
 
     pos_t: (3, T) path, axis by axis; q[ax] broadcasts against pos_t[ax]
@@ -102,7 +102,7 @@ def mic_distances(q, pos):
     q_cols = q.T[:, :, None]
     for a in range(0, n_rows, step):
         rows = out[a : a + step]
-        _distance_rows(q_cols[:, a : a + step], pos_t, rows, tmp[: rows.shape[0]])
+        distance_rows(q_cols[:, a : a + step], pos_t, rows, tmp[: rows.shape[0]])
     return out
 
 
@@ -181,7 +181,7 @@ def row_terms(rows, scale, d_min, start, stop, length):
         gs = np.empty_like(xs)
     for q, coef in zip(rows.q, rows.coef):
         # g holds the distance until it becomes the gain; x is its scratch
-        _distance_rows(q, pos_t, g, x)
+        distance_rows(q, pos_t, g, x)
         np.multiply(g, scale, out=x)
         np.maximum(g, d_min, out=g)
         np.divide(coef, g, out=g)

@@ -31,8 +31,15 @@ def _given(args, *names):
 
 
 def _box(dims):
-    """A room of quoted dims; generate and estimate_image_count read only its box."""
-    return Room(dims=np.array(dims.split(), dtype=float), wall_reflection=1.0)
+    """A room of quoted dims; generate and estimate_image_count read only its box.
+
+    Raises ValueError naming --room and its value unless dims is three
+    finite numbers > 0.
+    """
+    try:
+        return Room(dims=np.array(dims.split(), dtype=float), wall_reflection=1.0)
+    except ValueError as exc:
+        raise ValueError(f"--room {dims!r}: {exc}") from None
 
 
 def _cmd_design(args):
@@ -108,8 +115,7 @@ def _cmd_simulate(args):
             s, cfg.traj, cfg.room, cfg.mic, hop, args.crossfade, cfg.synth
         )
     else:  # static: freeze the trajectory start position
-        start = cfg.traj.positions[0]
-        taps = reference.static_rir(cfg.room, start, cfg.mic, cfg.synth)
+        taps = reference.static_rir(cfg.room, cfg.traj.positions[0], cfg.mic, cfg.synth)
         out = reference.static_render(s, taps)
     io_formats.write_wav(args.out, cfg.synth.audio_rate, out)
     print(f"wrote {args.out} ({out.size} samples, mode {args.mode})")
@@ -144,9 +150,8 @@ def _cmd_compare(args):
 
 def _cmd_cost(args):
     cfg = synth.SynthesisConfig(**_given(args, "audio_rate", "order_split", "decimation"))
-    if args.images is not None:
-        images = args.images
-    else:
+    images = args.images
+    if images is None:
         images = estimate_image_count(_box(args.room), args.t60, c=cfg.sound_speed)
     for key, value in synth.cost_report(cfg, images, args.duration).items():
         print(f"{key}={value}")

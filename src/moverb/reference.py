@@ -12,10 +12,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._kernels import distance_streams
-from .room import as_arrays, as_mic, attenuation, enumerate_images
-from .synth import (
-    BudgetError, _count_order_leq, prepare_streams, select_images, synthesize,
-)
+from .room import as_arrays, as_mic, attenuation
+from .synth import render, select_images
+from .trajectory import Trajectory
 
 _DIRECT_CONV_LIMIT = 5_000_000  # ops bound below which exact O(n m) is used
 SINC_HALFWIDTH = 32
@@ -54,8 +53,11 @@ def kaiser_sinc(arg):
 def static_rir(room, source_pos, mic, cfg):
     """Taps of the frozen configuration at cfg.audio_rate, as an array.
 
-    cfg is the render's SynthesisConfig: its audio_rate, max_order,
-    sound_speed c and d_min. Each image contributes amplitude
+    cfg is the render's SynthesisConfig: its audio_rate, max_order, t60,
+    sound_speed c, d_min and eval_budget. The images are those a render
+    chooses at source_pos, select_images on a one-sample path, so a set
+    t60 culls them by the render's rule (and BudgetError is raised as it
+    raises it). Each image contributes amplitude
     attenuation(beta, max(d, d_min)) at delay d * (rate / c) samples,
     spread over a windowed-sinc kernel rather than rounded to the nearest
     sample (rounding would inject up to half a sample of delay error and
@@ -68,8 +70,8 @@ def static_rir(room, source_pos, mic, cfg):
         raise ValueError("source position must be inside the room")
     mic = as_mic(mic)
     mic.require_inside(room)
-    images = enumerate_images(room, cfg.max_order)
-    offset, sign, beta, _ = as_arrays(images, room)
+    path = Trajectory(rate=cfg.audio_rate, positions=source_pos[None])
+    offset, sign, beta, _ = as_arrays(select_images(room, path, mic, cfg), room)
     d = distance_streams(offset, sign, mic.pos, source_pos[None])[:, 0]
     taus = d * (cfg.audio_rate / cfg.sound_speed)
     amp = attenuation(beta, np.maximum(d, cfg.d_min))
@@ -107,31 +109,23 @@ def static_render(s, taps):
 
 
 def full_rate_moving_oracle(s, traj, room, mic, f, cfg):
-    """Brute force: every image's distance evaluated at every sample.
+    """Brute force: render at N = 1, every image's distance exact at every sample.
 
-    Identical pipeline to the hierarchical engine with decimation 1, so
-    the engine at N = 1 matches this bit for bit. Refuses jobs whose
-    distance-evaluation count exceeds cfg.eval_budget: the path's samples
-    times the images the render uses, those select_images keeps when
-    cfg.t60 is set.
+    render(s, traj, room, mic, f, replace(cfg, decimation=1)), so the
+    engine at N = 1 matches this bit for bit. Its images are the ones
+    select_images chooses, culled when cfg.t60 is set, and it refuses a
+    job whose distance-evaluation count, the path's samples times those
+    images, exceeds cfg.eval_budget (BudgetError), as every render does.
     """
-    cfg = replace(cfg, decimation=1)
-    images = None if cfg.t60 is None else select_images(room, traj, as_mic(mic), cfg)
-    n_images = _count_order_leq(cfg.max_order) if images is None else len(images)
-    evals = n_images * len(traj)
-    if evals > cfg.eval_budget:
-        raise BudgetError(
-            f"oracle render needs {evals:.3g} distance evaluations, "
-            f"budget is {cfg.eval_budget:.3g}"
-        )
-    return synthesize(s, prepare_streams(traj, room, mic, cfg, images), f, cfg)
+    return render(s, traj, room, mic, f, replace(cfg, decimation=1))
 
 
 def splice_baseline(s, traj, room, mic, block_hop, crossfade, cfg):
     """Block-frozen render: static response per block, overlap-added.
 
     Each block's response is static_rir under cfg, with the source frozen
-    at the block's start. crossfade = 0 butt-joins the blocks (the pure
+    at the block's start, so a set cfg.t60 culls each block's images at
+    its frozen position. crossfade = 0 butt-joins the blocks (the pure
     splice, with its phase discontinuities and gain sawtooth); crossfade
     > 0 linearly fades between neighbors with windows that sum to one.
     Each block convolves only its support, from its start to the end of

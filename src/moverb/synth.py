@@ -83,6 +83,7 @@ the output bits.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -116,10 +117,13 @@ class SynthesisConfig:
     output's time chunks (CHUNK_SAMPLES rounded up to whole grid
     intervals: 16400 samples, 41 intervals, when h = 400); an output of
     one chunk renders on the calling thread whatever workers is. eval_budget:
-    cap on brute-force distance evaluations. decimation, order_split,
-    max_order and workers must be whole numbers (2.0 passes, 2.5 does
-    not), stored as int; audio_rate, sound_speed, d_min and a set t60
-    finite and > 0 (ValueError otherwise).
+    cap on the distance evaluations any render performs (select_images
+    checks it), which at N = 1 is the brute-force count, images x
+    samples. Every field but an unset t60 must be a real number, not a
+    bool or a string; decimation, order_split, max_order and workers
+    must be whole numbers (2.0 passes, 2.5 does not), stored as int;
+    audio_rate, sound_speed, d_min and a set t60 finite and > 0
+    (ValueError naming the field otherwise).
     """
 
     audio_rate: float = 16000.0
@@ -133,6 +137,10 @@ class SynthesisConfig:
     eval_budget: float = 2.0e9
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                if value is not None or name != "t60":
+                    raise ValueError(f"{name} must be a real number, not {value!r}")
         # each check states what passes, so NaN fails it
         for name in ("audio_rate", "sound_speed", "d_min", "t60"):
             value = getattr(self, name)
@@ -166,7 +174,8 @@ class DelayStreams:
     row's delay and gain as a render does, row(i) its distance, d the
     whole (S, length) distance array. eval_count tallies the distance
     evaluations the streams stand for (grid-node evaluations for
-    decimated images), for cost reporting.
+    decimated images): cost_report's hierarchical_evals, which
+    select_images holds to cfg.eval_budget before any stream is built.
     """
 
     specs: list
@@ -189,8 +198,7 @@ class DelayStreams:
         for part in self.parts:
             if i < part.q.shape[0]:
                 row = replace(part, q=part.q[i : i + 1], coef=part.coef[i : i + 1])
-                length = self.length
-                return next(_kernels.row_terms(row, scale, d_min, 0, length, length))
+                return next(_kernels.row_terms(row, scale, d_min, 0, self.length, self.length))
             i -= part.q.shape[0]
         raise IndexError("row index out of range")
 
@@ -296,8 +304,8 @@ def _delay_bounds(parts, scale):
         near, far, tmp = (np.empty(part.q.shape[0]) for _ in range(3))
         nearest = np.clip(part.q, lo, hi)
         farthest = np.where(np.abs(lo - part.q) >= np.abs(hi - part.q), lo, hi)
-        _kernels._distance_rows(part.q.T, nearest.T, near, tmp)
-        _kernels._distance_rows(part.q.T, farthest.T, far, tmp)
+        _kernels.distance_rows(part.q.T, nearest.T, near, tmp)
+        _kernels.distance_rows(part.q.T, farthest.T, far, tmp)
         low, high = near * scale, far * scale
         if part.table is not None:
             w = np.abs(part.table).sum(axis=0).max()
@@ -372,14 +380,32 @@ def synthesize(s, streams, f, cfg):
 
 
 def select_images(room, traj, mic, cfg):
-    """Enumerate and optionally cull the image set for a render."""
-    images = enumerate_images(room, cfg.max_order)
+    """The images a render over traj uses: every renderer's one image set.
+
+    Every image up to cfg.max_order, in enumeration order; when cfg.t60 is
+    set, only those within c * t60 of the mic at the path's first sample.
+    The engine, the oracle (render at N = 1) and the static references (a
+    one-sample path) all choose their images here. Raises BudgetError
+    when the distance evaluations a render over traj makes with them,
+    cost_report's hierarchical_evals, which is the eval_count of its
+    streams, exceed cfg.eval_budget. With no cull the count is known
+    before enumeration, so an oversized render is refused without it.
+    """
+    # the images, or their number until a cull lists them: cost_report
+    # counts either
+    images = _count_order_leq(cfg.max_order)
     if cfg.t60 is not None:
-        reach = cfg.sound_speed * cfg.t60
-        offset, sign, _, _ = as_arrays(images, room)
-        d = _kernels.distance_streams(offset, sign, mic.pos, traj.positions[:1])
-        images = [sp for sp, di in zip(images, d[:, 0]) if di <= reach]
-    return images
+        specs = enumerate_images(room, cfg.max_order)
+        offset, sign, _, _ = as_arrays(specs, room)
+        d = _kernels.distance_streams(offset, sign, mic.pos, traj.positions[:1])[:, 0]
+        images = [sp for sp, di in zip(specs, d) if di <= cfg.sound_speed * cfg.t60]
+    evals = cost_report(cfg, images, len(traj) / cfg.audio_rate)["hierarchical_evals"]
+    if evals > cfg.eval_budget:
+        raise BudgetError(
+            f"render needs {evals:.3g} distance evaluations, "
+            f"budget is {cfg.eval_budget:.3g}"
+        )
+    return enumerate_images(room, cfg.max_order) if cfg.t60 is None else images
 
 
 def _check_delay_error(rows, traj, cfg):
@@ -420,8 +446,10 @@ def prepare_streams(traj, room, mic, cfg, images=None):
 
     images, if given, are sorted into enumeration order first, so the
     rows and their summation order do not depend on the order of the
-    list. Far rows are restored from grid nodes at any clip length when
-    N > 1; raises ValueError when one's delay error is over budget.
+    list; if not, select_images chooses them, which raises BudgetError
+    for a render over cfg.eval_budget before any stream is built. Far
+    rows are restored from grid nodes at any clip length when N > 1;
+    raises ValueError when one's delay error is over budget.
     """
     if traj.rate != cfg.audio_rate:
         raise ValueError("trajectory rate must equal the audio rate")
@@ -433,9 +461,8 @@ def prepare_streams(traj, room, mic, cfg, images=None):
     low = [sp for sp in images if sp.order <= cfg.order_split]
     high = [sp for sp in images if sp.order > cfg.order_split]
     low_streams = low_order_distances(low, traj, mic, room)
-    factor = cfg.decimation
-    nodes = decimate(traj, factor)
-    high_streams = high_order_distances(high, nodes, mic, room, len(traj), factor)
+    nodes = decimate(traj, cfg.decimation)
+    high_streams = high_order_distances(high, nodes, mic, room, len(traj), cfg.decimation)
     for part in high_streams.parts:
         if part.table is not None:
             _check_delay_error(part, traj, cfg)
@@ -444,8 +471,7 @@ def prepare_streams(traj, room, mic, cfg, images=None):
 
 def render(s, traj, room, mic, f, cfg):
     """End-to-end: trajectory in, reverberant moving-source audio out."""
-    streams = prepare_streams(traj, room, mic, cfg)
-    return synthesize(s, streams, f, cfg)
+    return synthesize(s, prepare_streams(traj, room, mic, cfg), f, cfg)
 
 
 def _count_order_leq(k):
@@ -456,26 +482,28 @@ def _count_order_leq(k):
 def cost_report(cfg, images, duration):
     """Work counts of a render: distance evaluations and per-sample work.
 
-    images: either the enumerated spec list or a plain image count (for
-    budget arithmetic beyond enumerable sizes). Returns a dict with naive
-    and hierarchical distance-evaluation totals, their ratio, the
-    high-order-only ratio and the far images' grid step. Far images count
-    as render evaluates them: a T-sample path's grid nodes each
-    (node_span), or every sample at grid step 1. The per-sample work
-    that dominates a render is counted too: restored_samples, the delay
-    and gain samples the engine restores (2 per far image and sample of
-    ceil(T / h) whole grid intervals, none at grid step 1), and
-    accumulated_samples, the image samples the Horner pass accumulates
-    (images x samples). Raises ValueError for a negative or non-finite
-    duration and a negative image count.
+    images: either the enumerated spec list or an image count, a numpy
+    integer included (for budget arithmetic beyond enumerable sizes).
+    select_images checks a render's budget against this report. Returns
+    a dict with naive and hierarchical distance-evaluation totals, their
+    ratio, the high-order-only ratio and the far images' grid step. Far
+    images count as render evaluates them: a T-sample path's grid nodes
+    each (node_span), or every sample at grid step 1, so
+    hierarchical_evals is the eval_count of a render's streams. The
+    per-sample work that dominates a render is counted too:
+    restored_samples, the delay and gain samples the engine restores (2
+    per far image and sample of ceil(T / h) whole grid intervals, none at
+    grid step 1), and accumulated_samples, the image samples the Horner
+    pass accumulates (images x samples). Raises ValueError for a negative
+    or non-finite duration and a negative image count.
     """
     if not 0 <= duration < math.inf:
         raise ValueError("duration must be finite and >= 0")
     n_samples = int(round(duration * cfg.audio_rate))
-    if isinstance(images, int):
+    if isinstance(images, numbers.Integral):
         if images < 0:
             raise ValueError("image count must be >= 0")
-        total = images
+        total = int(images)
         low = min(total, _count_order_leq(cfg.order_split))
     else:
         total = len(images)
@@ -486,8 +514,6 @@ def cost_report(cfg, images, duration):
     whole = 0 if step == 1 else -(-n_samples // step) * step
     naive = total * n_samples
     hierarchical = low * n_samples + high * nodes
-    high_naive = high * n_samples
-    high_hier = high * nodes
     return {
         "images_total": total,
         "images_low": low,
@@ -497,7 +523,7 @@ def cost_report(cfg, images, duration):
         "naive_evals": naive,
         "hierarchical_evals": hierarchical,
         "reduction_ratio": naive / hierarchical if hierarchical else float("inf"),
-        "high_order_reduction": (high_naive / high_hier) if high_hier else float("inf"),
+        "high_order_reduction": n_samples / nodes if high * nodes else float("inf"),
         "restored_samples": 2 * high * whole,
-        "accumulated_samples": total * n_samples,
+        "accumulated_samples": naive,
     }

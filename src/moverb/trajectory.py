@@ -18,6 +18,7 @@ included. Restoration needs no guard band at either end.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -75,7 +76,8 @@ class TrajectorySpec:
     kind: one of line, circle, sine, filtered-noise, waypoint-spline.
     duration: seconds. bandwidth_limit: Hz, target upper edge of the
     displacement spectrum. speed_max: m/s cap on the path speed. seed:
-    RNG seed for every random choice. Optional direction and start pin a
+    RNG seed for every random choice, an integer >= 0 (a bool or a float
+    is refused). Optional direction and start pin a
     path to exact geometry instead of seeded random choices: direction,
     a nonzero 3-vector, is read by line and sine, start, a 3-vector, by
     line alone. The spline kind has 6 random knots. margin: meters the
@@ -104,6 +106,9 @@ class TrajectorySpec:
         for name in ("bandwidth_limit", "speed_max", "margin"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, not {seed!r}")
         for name, kinds in _PINNED_BY.items():
             value = getattr(self, name)
             if value is None:
@@ -209,8 +214,7 @@ def generate(spec, rate, room):
         else:
             start = center - direction * travel / 2.0
         axes = start[:, None] + direction[:, None] * (spec.speed_max * t)
-        inside = np.all(axes > margin) and np.all(axes < (room.dims - margin)[:, None])
-        if not inside:
+        if not (np.all(axes > margin) and np.all(axes < (room.dims - margin)[:, None])):
             raise ValueError("line does not fit inside the room with this margin")
         return Trajectory(rate=rate, positions=axes.T)
 

@@ -428,6 +428,27 @@ class TestCliTrajectory:
         assert f"{option[2:]} must be finite" in r.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["trajectory", "cost"])
+    @pytest.mark.parametrize("room", ["5 x 4", "5 6", "5 6 nan"])
+    def test_a_bad_room_exits_2_naming_it(self, tmp_path, command, room):
+        # "5 x 4" ended with float()'s message alone, "5 6" with Room's
+        # "dims must be a 3-vector": neither named --room
+        out = tmp_path / "traj.txt"
+        args = ("--out", out) if command == "trajectory" else ()
+        r = run_cli(command, "--room", room, *args)
+        assert r.returncode == 2, r.stderr
+        assert f"--room {room!r}" in r.stderr
+        assert r.stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_negative_seed_exits_2_naming_it(self, tmp_path):
+        # numpy refused it with "expected non-negative integer"
+        out = tmp_path / "traj.txt"
+        r = run_cli("trajectory", "--seed", -1, "--out", out)
+        assert r.returncode == 2, r.stderr
+        assert "seed must be an integer >= 0" in r.stderr
+        assert not out.exists()
+
     def test_has_no_reflection_option(self, tmp_path):
         # generate reads only the room's box, so wall reflections change nothing
         out = tmp_path / "traj.txt"
@@ -619,6 +640,37 @@ class TestCliSimulate:
         )
         assert r.returncode == 4
         assert "budget" in r.stderr.lower()
+
+    @pytest.mark.parametrize("budget, code", [("111999", 4), ("112000", 0)])
+    @pytest.mark.parametrize("dump", [False, True])
+    def test_every_render_is_held_to_the_budget(self, workdir, budget, code, dump):
+        # 7 images x 16000 samples at N = 1 is 112000 evaluations; the
+        # hierarchical mode rendered and wrote its WAV whatever the budget
+        cfg = workdir / f"budget_{budget}.cfg"
+        cfg.write_text((workdir / "engine.cfg").read_text() + f"synth.budget = {budget}\n")
+        out, csv = (workdir / f"budget_{budget}_{dump}.{ext}" for ext in ("wav", "csv"))
+        extra = ("--dump-image", 1, "--dump-csv", csv) if dump else ()
+        r = run_cli(
+            "simulate", "--config", cfg, "--mode", "hierarchical", "--N", 1,
+            "--in", workdir / "in.wav", "--out", out, *extra,
+        )
+        assert r.returncode == code, r.stderr
+        if code == 4:
+            assert "render needs 1.12e+05 distance evaluations" in r.stderr
+            assert r.stdout == ""
+        assert out.exists() == (code == 0)
+        assert csv.exists() == (code == 0 and dump)
+
+    def test_a_negative_seed_exits_2_naming_it(self, workdir):
+        cfg = workdir / "seed.cfg"
+        cfg.write_text((workdir / "engine.cfg").read_text() + "traj.seed = -1\n")
+        out = workdir / "seed.wav"
+        r = run_cli(
+            "simulate", "--config", cfg, "--in", workdir / "in.wav", "--out", out,
+        )
+        assert r.returncode == 2, r.stderr
+        assert "seed must be an integer >= 0" in r.stderr
+        assert not out.exists()
 
     def test_image_debug_dump(self, workdir):
         csv = workdir / "img.csv"

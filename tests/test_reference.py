@@ -128,6 +128,24 @@ class TestStaticRIR:
                 SynthesisConfig(max_order=1),
             )
 
+    def test_culls_as_a_render_does(self, filt, room_5x6x4, mic_std):
+        # t60 = 0.05 keeps 174 of the 377 images up to order 6 at this
+        # source. The static response kept all 377, so the render read
+        # 25.1 dB against it, where with no cull it reads 75.9 dB
+        src = np.array([0.8, 4.1, 2.75])
+        n = 8000
+        traj = static_traj(src, n)
+        x = sine(1000.0, n / RATE, RATE)
+        snr = {}
+        for t60 in (None, 0.05):
+            cfg = SynthesisConfig(max_order=6, t60=t60, decimation=1)
+            y = synth.render(x, traj, room_5x6x4, mic_std, filt, cfg)
+            ref = static_render(x, static_rir(room_5x6x4, src, mic_std, cfg))
+            snr[t60] = compare(y, ref, passband=0.4, rate=RATE).snr_db
+        assert len(synth.select_images(room_5x6x4, traj, mic_std, cfg)) == 174
+        assert snr[None] > 70.0
+        assert abs(snr[0.05] - snr[None]) < 1.0
+
 
 class TestMovingOracle:
     def test_matches_engine_bit_for_bit_at_n1(
@@ -162,6 +180,39 @@ class TestMovingOracle:
         with pytest.raises(BudgetError):
             full_rate_moving_oracle(x, traj, room_5x6x4, mic_std, filt, cfg)
 
+    def test_is_render_at_n1_and_refuses_with_its_count(
+        self, filt, room_5x6x4, mic_std
+    ):
+        # one budget check serves every render: at N = 1 it counts the
+        # oracle's images x samples, 63 x 4000 here
+        n = 4000
+        traj = static_traj([2.0, 3.0, 2.0], n)
+        x = np.random.default_rng(3).standard_normal(n)
+        evals = 63 * n
+        cfg = SynthesisConfig(max_order=3, eval_budget=evals)
+        y = full_rate_moving_oracle(x, traj, room_5x6x4, mic_std, filt, cfg)
+        at_n1 = replace(cfg, decimation=1)
+        assert np.array_equal(y, synth.render(x, traj, room_5x6x4, mic_std, filt, at_n1))
+        for run, run_cfg in ((full_rate_moving_oracle, cfg), (synth.render, at_n1)):
+            over = replace(run_cfg, eval_budget=evals - 1)
+            with pytest.raises(BudgetError, match=re.escape(f"needs {evals:.3g} ")):
+                run(x, traj, room_5x6x4, mic_std, filt, over)
+
+    def test_refuses_before_enumerating_when_nothing_is_culled(
+        self, filt, room_5x6x4, mic_std, monkeypatch
+    ):
+        # 88641 images up to order 40 over a 2 s path need 2.84e9
+        # evaluations at N = 1: the count is known without enumerating them
+        def enumerated(*args):
+            raise AssertionError("enumerated the images before refusing")
+
+        monkeypatch.setattr(synth, "enumerate_images", enumerated)
+        n = 32000
+        traj = static_traj([2.0, 3.0, 2.0], n)
+        cfg = SynthesisConfig(max_order=40)
+        with pytest.raises(BudgetError, match=re.escape(f"needs {88641 * n:.3g} ")):
+            full_rate_moving_oracle(np.ones(n), traj, room_5x6x4, mic_std, filt, cfg)
+
     def test_budget_counts_the_images_a_t60_cull_keeps(
         self, filt, room_5x6x4, mic_std
     ):
@@ -188,7 +239,11 @@ class TestMovingOracle:
 
 
 class TestSpliceBaseline:
-    def test_static_trajectory_equals_static_render(self, room_5x6x4, mic_std):
+    # t60 = 0.015 keeps 3 of the 7 images: each block culls as a render does
+    @pytest.mark.parametrize("t60", [None, 0.015])
+    def test_static_trajectory_equals_static_render(
+        self, t60, filt, room_5x6x4, mic_std
+    ):
         # frozen geometry: every block renders the same response, and the
         # block windows sum to one, so the splice collapses to the static
         # render by linearity
@@ -196,11 +251,16 @@ class TestSpliceBaseline:
         n = 4000
         traj = static_traj(src, n)
         x = sine(700.0, n / RATE, RATE)
-        cfg = SynthesisConfig(max_order=1, decimation=1)
+        cfg = SynthesisConfig(max_order=1, decimation=1, t60=t60)
+        kept = len(synth.select_images(room_5x6x4, traj, mic_std, cfg))
+        assert kept == (7 if t60 is None else 3)
         y = splice_baseline(x, traj, room_5x6x4, mic_std, 640, 0, cfg)
         ref = static_render(x, static_rir(room_5x6x4, src, mic_std, cfg))
         m = min(y.size, ref.size)
         assert np.allclose(y[:m], ref[:m], atol=1e-12)
+        # and both hold the images the render keeps
+        oracle = full_rate_moving_oracle(x, traj, room_5x6x4, mic_std, filt, cfg)
+        assert compare(y, oracle, passband=0.8, rate=RATE).snr_db >= 60.0
 
     def test_crossfade_windows_sum_to_one(self, room_5x6x4, mic_std):
         src = np.array([0.8, 4.1, 2.75])

@@ -2,6 +2,7 @@ import concurrent.futures
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import textwrap
@@ -465,6 +466,33 @@ class TestConfigValidation:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             SynthesisConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("decimation", "3"),
+            ("eval_budget", "1e9"),
+            ("audio_rate", "16000"),
+            ("t60", "0.5"),
+            ("max_order", None),
+            ("workers", True),
+            ("max_order", True),
+            ("order_split", False),
+            ("d_min", np.bool_(True)),
+        ],
+    )
+    def test_refuses_what_is_not_a_real_number(self, name, value):
+        # a string ended in TypeError from a comparison, and a bool count
+        # was taken for 1 or 0
+        with pytest.raises(ValueError, match=f"{name} must be a real number"):
+            SynthesisConfig(**{name: value})
+
+    def test_numpy_reals_pass(self):
+        cfg = SynthesisConfig(
+            audio_rate=np.float64(8000.0), max_order=np.int64(2), t60=np.float32(0.5),
+            eval_budget=np.int64(10**9),
+        )
+        assert (cfg.audio_rate, cfg.max_order) == (8000.0, 2)
 
     def test_infinite_budget_means_no_cap(self):
         assert SynthesisConfig(eval_budget=float("inf")).eval_budget == float("inf")
@@ -1696,3 +1724,67 @@ class TestCostReport:
         assert rep["hierarchical_evals"] == rep["naive_evals"]
         assert rep["restored_samples"] == 0
         assert rep["accumulated_samples"] == 1000 * 16000
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32])
+    def test_a_numpy_integer_is_a_count(self, kind):
+        # a numpy integer was taken for a spec list: len() raised TypeError
+        for cfg in (SynthesisConfig(), SynthesisConfig(decimation=1, order_split=0)):
+            rep = cost_report(cfg, kind(100), 1.0)
+            assert rep == cost_report(cfg, 100, 1.0)
+            assert type(rep["images_total"]) is int
+        with pytest.raises(ValueError, match="image count"):
+            cost_report(SynthesisConfig(), kind(-5), 1.0)
+
+    @pytest.mark.parametrize(
+        "max_order, order_split, decimation, seconds, t60",
+        # the benchmark scenes: far_field, brute_force, dense_images
+        [(3, 1, 3200, 10.0, None), (3, 1, 1, 10.0, None), (8, 2, 3200, 1.0, 0.07)],
+    )
+    def test_hierarchical_evals_is_the_streams_eval_count(
+        self, max_order, order_split, decimation, seconds, t60, room_5x6x4, mic_std
+    ):
+        # the count the budget is checked against, before any stream is
+        # built, is the count the streams stand for
+        spec = TrajectorySpec(
+            kind="sine", duration=seconds, bandwidth_limit=2.0, speed_max=1.0,
+            direction=(0.3, -0.8, 0.5),
+        )
+        tr = generate(spec, RATE, room_5x6x4)
+        cfg = SynthesisConfig(
+            max_order=max_order, order_split=order_split, decimation=decimation, t60=t60
+        )
+        images = select_images(room_5x6x4, tr, mic_std, cfg)
+        # with no cull select_images counts the images without listing them
+        count = len(images) if t60 is None else images
+        streams = prepare_streams(tr, room_5x6x4, mic_std, cfg)
+        rep = cost_report(cfg, count, len(tr) / RATE)
+        assert rep["hierarchical_evals"] == streams.eval_count
+
+
+class TestBudget:
+    @pytest.mark.parametrize(
+        "max_order, order_split, t60", [(3, 1, None), (8, 2, 0.07)]
+    )
+    def test_a_render_refuses_above_its_eval_count_and_renders_at_it(
+        self, max_order, order_split, t60, filt, room_5x6x4, mic_std
+    ):
+        # a hierarchical render ran unchecked whatever eval_budget was
+        tr = moving_traj(4000, seed=5)
+        x = np.random.default_rng(6).standard_normal(len(tr))
+        cfg = SynthesisConfig(max_order=max_order, order_split=order_split, t60=t60)
+        evals = prepare_streams(tr, room_5x6x4, mic_std, cfg).eval_count
+        y = render(x, tr, room_5x6x4, mic_std, filt, replace(cfg, eval_budget=evals))
+        assert np.array_equal(y, render(x, tr, room_5x6x4, mic_std, filt, cfg))
+        over = replace(cfg, eval_budget=evals - 1)
+        with pytest.raises(synth.BudgetError, match=re.escape(f"needs {evals:.3g} distance")):
+            render(x, tr, room_5x6x4, mic_std, filt, over)
+        with pytest.raises(synth.BudgetError):
+            prepare_streams(tr, room_5x6x4, mic_std, over)
+
+    def test_the_static_references_are_held_to_it(self, room_5x6x4, mic_std):
+        # a static response is a render over a one-sample path
+        src = np.array([0.8, 4.1, 2.75])
+        cfg = SynthesisConfig(max_order=3, decimation=1, eval_budget=62)
+        with pytest.raises(synth.BudgetError, match="needs 63 distance"):
+            static_rir(room_5x6x4, src, mic_std, cfg)
+        static_rir(room_5x6x4, src, mic_std, replace(cfg, eval_budget=63))

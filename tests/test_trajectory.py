@@ -282,6 +282,20 @@ class TestGenerate:
         with pytest.raises(ValueError, match=f"^{field} must be three finite numbers"):
             TrajectorySpec("line", 1.0, **{field: value})
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, False, 2.0, "3", None, (1, 2)])
+    def test_rejects_a_seed_that_is_not_an_integer_at_least_0(self, seed):
+        # -1 reached numpy's "expected non-negative integer", 1.5 a TypeError
+        # inside generate, and True was taken for 1
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
+            TrajectorySpec("sine", 1.0, seed=seed)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.uint8])
+    def test_a_numpy_integer_seed_is_its_int(self, kind):
+        room = make_room()
+        got = generate(TrajectorySpec("filtered-noise", 0.5, seed=kind(7)), RATE, room)
+        want = generate(TrajectorySpec("filtered-noise", 0.5, seed=7), RATE, room)
+        assert got.positions.tobytes() == want.positions.tobytes()
+
     def test_rejects_a_zero_line_direction(self):
         with pytest.raises(ValueError, match="^direction must be nonzero"):
             TrajectorySpec("line", 1.0, direction=(0.0, -0.0, 0.0))
