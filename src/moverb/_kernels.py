@@ -4,11 +4,11 @@ Every kernel is elementwise along time or restores grid intervals whose
 bits do not depend on which of them a product covers, so evaluating a
 range of samples gives the same bits as evaluating the whole stream and
 slicing it. That is what lets the synthesis engine walk the output in
-chunks.
+chunks and tiles.
 
-The per-sample kernels work in scratch rows allocated once per call,
-with in-place ufuncs that keep each element's operands and operation
-order, so they allocate nothing per step and give the bits of the plain
+The per-sample kernels work in scratch allocated once per call, with
+in-place ufuncs that keep each element's operands and operation order,
+so they allocate nothing per step and give the bits of the plain
 expressions. A distance is the path's distance to the image's mirrored
 mic (mirrored_mics), one shared row expression (distance_rows);
 distance tables (mic_distances) are built in blocks of rows of at most
@@ -25,14 +25,18 @@ trajectory's: it names the nodes a range is restored from
 no kernel here computes a node index. row_terms cuts the positions a
 range of output samples is formed from itself, so no row holds an array
 longer than the range's whole grid intervals, and a range may start at
-any grid interval. Accumulation runs one image row at a time, in one
-kernel (accumulate_rows), through the bank's Horner pass
-(farrow.horner_add). Past the path's end a row holds its delay and gain
-at the path's last sample, so a range may lie anywhere in the output. A
-range reads the branch window farrow.branch_window cut for bounds on its
-delays, which accumulate_rows checks before each row's read; the window
-states where a delay reads, so no kernel here computes a branch-stream
-index.
+any grid interval. It forms a part's rows in blocks of r rows with
+r x n about ROW_BLOCK row-samples for a range of n samples, so a short
+range takes many rows per numpy call and a long one few, and the
+scratch is one block's worth whatever n is. Accumulation runs a block
+at a time, in one kernel (accumulate_rows), through the bank's Horner
+pass (farrow.horner_add), which adds the block's rows into the output
+one at a time, in row order. Past the path's end a row holds its delay
+and gain at the path's last sample, so a range may lie anywhere in the
+output. A range reads the branch window farrow.branch_window cut for
+bounds on its delays, which accumulate_rows checks for each row before
+its block is read; the window states where a delay reads, so no kernel
+here computes a branch-stream index.
 """
 
 from dataclasses import dataclass
@@ -139,27 +143,40 @@ class Rows:
     table: np.ndarray = None
 
 
+# row-samples per block of the row kernel: a range of n output samples
+# takes max(1, ROW_BLOCK // n) image rows at a time, n at least the two
+# grid intervals a restored row's product covers
+ROW_BLOCK = 2**14
+# node values per signal formed at once for a restored part's blocks
+NODE_BLOCK = 2**9
+
+
 def row_terms(rows, scale, d_min, start, stop, length):
     """Each row's delay and gain at output samples start .. stop - 1, in order.
 
     rows: a Rows part on a path of length samples, scale: rate / c in
-    samples per meter. Per row, scratch rows receive the distance
-    d = |p - q| (the arithmetic of mic_distances), the delay
-    tau = d * scale and the gain coef / max(d, d_min), which is
-    attenuation(beta, max(d, d_min)) bit for bit. The positions are cut
-    here and read axis by axis, with no copy (a Trajectory's axes are
-    contiguous). An exact part's rows are formed on the path's samples in
-    the range. A restored part's are formed on the grid nodes the range
-    is restored from (trajectory.node_span), and trajectory.restore_cubic
-    fills rows of tau and gain over the grid intervals the range reaches
-    on the path; a range that starts on the path must begin a grid
-    interval, a multiple of h (ValueError otherwise). From sample
+    samples per meter. Rows go in blocks of r = max(1, ROW_BLOCK // n)
+    for n = stop - start (at least 2h for a restored part), so a block
+    holds about ROW_BLOCK row-samples whatever the range's length; the
+    last block may hold fewer rows. A row's delay is its distance
+    d = |p - q| (the arithmetic of mic_distances) times scale, its gain
+    coef / max(d, d_min), which is attenuation(beta, max(d, d_min)) bit
+    for bit. The positions are cut here and read axis by axis, with no
+    copy (a Trajectory's axes are contiguous). An exact part's rows are
+    formed on the path's samples in the range, a block at a time. A
+    restored part's are formed on the grid nodes the range is restored
+    from (trajectory.node_span), for about NODE_BLOCK node values at a
+    time, and trajectory.restore_cubic fills a block's rows of delay and
+    gain, stacked in one product, over the grid intervals the range
+    reaches on the path; a range that starts on the path must begin a
+    grid interval, a multiple of h (ValueError otherwise). From sample
     length - 1 on a row holds its delay and gain there, so a range that
     starts past the path forms that one sample, or restores the grid
     interval that holds it.
 
-    Yields (tau, gain) per row, in scratch that the next row overwrites; a
-    caller may overwrite it too.
+    Yields (tau, gain) per block, each (r, n) with one row per image row,
+    in scratch that the next block overwrites; a caller may overwrite it
+    too.
     """
     table = rows.table
     step = 1 if table is None else table.shape[1]
@@ -169,28 +186,45 @@ def row_terms(rows, scale, d_min, start, stop, length):
     at = min(start, length - 1)
     first, end = at - at % step, min(stop, length)  # the samples formed
     n, formed, off = stop - start, end - first, at - first
-    if table is None:
-        pos_t = rows.positions[first:end].T
-        xs, gs = np.empty(n), np.empty(n)
-        x, g = xs[:formed], gs[:formed]
-    else:
-        pos_t = rows.positions[trajectory.node_span(first, end, step)].T
-        x, g = np.empty(pos_t.shape[1]), np.empty(pos_t.shape[1])
-        whole = -(-formed // step) * step
-        xs = np.empty(max(whole, off + n))
-        gs = np.empty_like(xs)
-    for q, coef in zip(rows.q, rows.coef):
+    count = rows.q.shape[0]
+    # a restoration multiplies at least two grid intervals per row
+    size = max(1, min(ROW_BLOCK // max(n, 2 * step), count))
+    q_cols, coefs = rows.q.T[:, :, None], rows.coef[:, None]
+
+    def form(pick, out):
+        """Fill out with the picked rows' delays, then their gains, on pos_t."""
+        x, g = out
         # g holds the distance until it becomes the gain; x is its scratch
-        distance_rows(q, pos_t, g, x)
+        distance_rows(q_cols[:, pick], pos_t, g, x)
         np.multiply(g, scale, out=x)
         np.maximum(g, d_min, out=g)
-        np.divide(coef, g, out=g)
-        if table is not None:
-            trajectory.restore_cubic(x, table, xs[:whole])
-            trajectory.restore_cubic(g, table, gs[:whole])
-        xs[formed : off + n] = xs[formed - 1]
-        gs[formed : off + n] = gs[formed - 1]
-        yield xs[off : off + n], gs[off : off + n]
+        np.divide(coefs[pick], g, out=g)
+
+    if table is None:
+        pos_t = rows.positions[first:end].T
+        terms = np.empty((2, size, n))
+    else:
+        pos_t = rows.positions[trajectory.node_span(first, end, step)].T
+        whole = -(-formed // step) * step
+        terms = np.empty((2, size, max(whole, off + n)))
+        # whole blocks of rows whose node terms are formed at once
+        group = size * max(1, NODE_BLOCK // (size * pos_t.shape[1]))
+        nodes = np.empty((2, min(group, count), pos_t.shape[1]))
+    for a in range(0, count, size):
+        r = min(size, count - a)  # a last block may hold fewer rows
+        block = terms[:, :r]
+        if table is None:
+            form(slice(a, a + r), block[..., :formed])
+        else:
+            j = a % group
+            if j == 0:
+                form(slice(a, a + group), nodes[:, : count - a])
+            trajectory.restore_cubic(nodes[:, j : j + r], table, block[..., :whole])
+        if formed < off + n:
+            # a copy of the held column, since numpy would copy the
+            # broadcast source it reads from the block it writes
+            block[..., formed : off + n] = block[..., formed - 1 : formed].copy()
+        yield block[0, :, off : off + n], block[1, :, off : off + n]
 
 
 def accumulate_rows(out, window, base, rows, scale, d_min, start, length, bounds):
@@ -201,27 +235,34 @@ def accumulate_rows(out, window, base, rows, scale, d_min, start, length, bounds
     bounds, the (lower, upper) pair it was cut for, and its read base
     (farrow.branch_window), shared by all rows. rows: a Rows part on a
     path of length samples, scale: rate / c in samples per meter. Each
-    row's delay and gain over the range are formed as in row_terms, which
-    cuts the part's positions for the range and holds a row past the
-    path's end, and one Horner pass per row (farrow.horner_add) reads the
-    window, so a range of output samples gets the same bits as the whole
-    stream does.
+    block of rows' delays and gains over the range are formed as in
+    row_terms, which cuts the part's positions for the range and holds a
+    row past the path's end, and one Horner pass per block
+    (farrow.horner_add) reads the window and adds the rows into out one
+    at a time, in row order, so a range of output samples gets the same
+    bits as the whole stream does. Its scratch is one block's worth,
+    about ROW_BLOCK row-samples, whatever T is.
 
-    A row whose delay leaves bounds raises RuntimeError before it is
-    read. Returns the largest delay (-inf when there is nothing to add).
+    A row whose delay leaves bounds raises RuntimeError, naming its
+    delays, before its block is read. Returns the largest delay (-inf
+    when there is nothing to add).
     """
     n = out.shape[0]
     if n == 0 or rows.q.shape[0] == 0:
         return -np.inf
-    scratch = farrow.horner_scratch(n, base)
-    top = -np.inf
+    scratch, top = None, -np.inf
     for tau, g in row_terms(rows, scale, d_min, start, start + n, length):
+        if scratch is None:  # the first block is the largest
+            scratch = farrow.horner_scratch(tau.shape, base)
         peak = float(tau.max())
         if not bounds[0] <= tau.min() <= peak <= bounds[1]:
-            raise RuntimeError(
-                f"delays {tau.min()} .. {peak} leave the bounds {bounds[0]} .. "
-                f"{bounds[1]} the branch window was cut for"
-            )
+            for row in tau:  # the first row out of bounds
+                low, high = row.min(), float(row.max())
+                if not bounds[0] <= low <= high <= bounds[1]:
+                    raise RuntimeError(
+                        f"delays {low} .. {high} leave the bounds {bounds[0]} .. "
+                        f"{bounds[1]} the branch window was cut for"
+                    )
         top = max(top, peak)
         farrow.horner_add(out, window, tau, g, scratch)
     return top

@@ -319,29 +319,39 @@ def branch_window(x, f, start, stop, lower, upper):
     return guarded_branches(x, f, first, end), start + reach - first
 
 
-def horner_scratch(n, base):
-    """The scratch rows of horner_add for n outputs.
+def horner_scratch(shape, base):
+    """The scratch of horner_add for blocks of up to r rows of n outputs.
 
-    Read index, sum and term, then the read base of each output at zero
-    delay, base .. base + n - 1.
+    shape: n, for one row, or (r, n). Read index, sum and term, (r, n)
+    each, then the read base of each output at zero delay,
+    base .. base + n - 1.
     """
+    rows, n = shape if isinstance(shape, tuple) else (1, shape)
     bases = np.arange(base, base + n, dtype=np.int64)
-    return np.empty(n, dtype=np.int64), np.empty(n), np.empty(n), bases
+    idx = np.empty((rows, n), dtype=np.int64)
+    return idx, np.empty((rows, n)), np.empty((rows, n)), bases
 
 
 def horner_add(out, streams, x, gain, scratch):
     """Add gain times the streams read at the base less floor(x), in x's fraction.
 
-    streams: guarded branch streams, whole or a branch_window, and
-    scratch: horner_scratch at its read base. x is overwritten with the
-    fraction. The M+1 values read are summed by Horner's rule in the
-    fraction, one in-place ufunc at a time, so the call allocates
-    nothing. Reads gather with mode="clip", so a read outside the input
-    lands on a zero guard and adds a signed zero, which leaves every sum
-    but -0.0 as it was (a sum that starts at +0.0 never becomes -0.0).
+    out: (n,) outputs. x: (n,), one row of delays, or (r, n), a block of
+    r rows; gain: a scalar or x's rows' gains. streams: guarded branch
+    streams, whole or a branch_window, and scratch: horner_scratch for n
+    outputs and at least r rows, at its read base. x is overwritten with
+    the fraction. The block is read once per branch and its M+1 values
+    are summed by Horner's rule in the fraction, one in-place ufunc at a
+    time, so the call allocates nothing; then its rows are added into out
+    one at a time, in order, so a block adds the bits of r one-row calls.
+    Reads gather with mode="clip", so a read outside the input lands on a
+    zero guard and adds a signed zero, which leaves every sum but -0.0 as
+    it was (a sum that starts at +0.0 never becomes -0.0).
     """
     n_branches = streams.shape[0]
+    x = x.reshape(-1, out.shape[0])
     idx, acc, tmp, base = scratch
+    rows = x.shape[0]
+    idx, acc, tmp = idx[:rows], acc[:rows], tmp[:rows]
     # acc holds floor(x) until the first gather overwrites it
     np.floor(x, out=acc)
     x -= acc
@@ -353,7 +363,8 @@ def horner_add(out, streams, x, gain, scratch):
         acc *= x
         acc += tmp
     acc *= gain
-    out += acc
+    for row in acc:
+        out += row
 
 
 def delay_stream(x, f, tau):

@@ -81,7 +81,7 @@ def as_mic(value):
     return MicPosition(pos=np.asarray(value, dtype=np.float64))
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class ImageSourceSpec:
     """One mirrored source.
 
@@ -89,6 +89,8 @@ class ImageSourceSpec:
     combined reflection attenuation in (0, 1], order: total reflection count.
     Field order makes tuple comparison follow the canonical enumeration
     order (ascending order, then lexicographic lattice, then parity).
+    Slotted, with no per-instance dict, since a high-order list holds
+    thousands of them.
     """
 
     order: int

@@ -13,7 +13,7 @@ Signal flow for one render:
         |                      -> Lagrange cubic restores both in between
         v
     input s -> branch window (farrow.branch_window, one shared pass per
-    chunk) -> per-image fractional delay taps (farrow.horner_add, Horner
+    tile) -> per-image fractional delay taps (farrow.horner_add, Horner
     in tau's fraction), scaled by the gain at arrival and summed in row
     order
 
@@ -45,41 +45,55 @@ synthesize walks the whole output in fixed time chunks of
 CHUNK_SAMPLES, rounded up to whole grid intervals (16400 samples at
 h = 400), so every chunk starts on a grid interval of each restored
 part; a last piece shorter than the delay span joins the one before.
-One job per chunk adds every row, one at a time in row order, straight
-into the chunk's slice of the output, through one kernel, which takes
-the whole part and cuts the positions the chunk is formed from: near
-and far rows differ only in the path it reads. An exact row's distance,
-delay and gain are formed in chunk-long scratch rows from the path's
-samples in the chunk; a far row's are formed at the grid nodes the
-chunk is restored from, and its delay and gain are restored in
-chunk-long scratch rows, so it never holds a per-sample distance. Past
+Chunks are the pool's unit of work: they run on a pool of `workers`
+threads, and an output of one chunk renders on the calling thread.
+One job per chunk walks it in tiles of TILE_SAMPLES, rounded down to
+whole grid intervals (8000 samples at h = 400), cut from the chunk's
+start and again from the grid interval that holds the path's last
+sample, so the tile that reaches the path's end starts on that interval
+rather than past it, where it would restore the interval again.
+Each tile reads one branch window and adds every row, in row order,
+straight into the tile's slice of the output, through one kernel, which
+takes the whole part and cuts the positions the tile is formed from:
+near and far rows differ only in the path it reads. The kernel takes a
+part's rows in blocks of r with r x tile about ROW_BLOCK (16384)
+row-samples, so every numpy call still covers about 16k row-samples
+while the window is one tile long, and a range shorter than a tile (a
+short clip, the tail past the path) takes more rows per call. An exact
+row's distance, delay and gain are formed in the block's scratch rows
+from the path's samples in the tile; a far row's are formed at the grid
+nodes the tile is restored from, and its delay and gain are restored in
+the block's scratch rows, so it never holds a per-sample distance. Past
 the path's end the kernel holds every row at its delay and gain at the
-path's last sample, so a chunk there is the same kind of job, and no
-job shares state with another. Chunks run on a pool of `workers`
-threads; an output of one chunk renders on the calling thread.
+path's last sample, so a tile there is the same kind of work, and no job
+shares state with another.
 
 Before the walk, every row's delay is bounded from the parts alone
 (_delay_bounds), and the output is allocated once, at its longest.
-Each job reads only the branch window its chunk reaches at delays in
-those bounds (farrow.branch_window), convolved from the input it needs:
-chunk + delay span + L samples of the branch streams. A row whose delay
-leaves the bounds would read outside its window, so it raises
-RuntimeError before it is read. A job reads the path's
-axes where the Trajectory stores them, contiguous rows of a (3, T)
-array, so it copies no path window, and it restores a far row's delay
-and gain by one product over only the ceil(n / h) grid intervals its n
-samples reach. Beyond the input, the output and the path, no array
-longer than a chunk plus the delay span is held: memory is
-O(workers x (chunk + delay span)) whatever the image count, the clip
-length or the path's length.
+Each tile reads only the branch window it reaches at delays in those
+bounds (farrow.branch_window), convolved from the input it needs: tile +
+delay span + L samples of the branch streams. A row whose delay leaves
+the bounds would read outside its window, so it raises RuntimeError
+before its block is read. A job reads the path's axes where the
+Trajectory stores them, contiguous rows of a (3, T) array, so it copies
+no path window, and it restores a far row's delay and gain by one
+product over only the ceil(n / h) grid intervals its n samples reach.
+Beyond the input, the output and the path, a job holds about ROW_BLOCK
+row-samples of scratch rows (delay, gain, and the Horner pass's index,
+sum and term) plus (M + 1) x (tile + delay span) samples of branch
+window: memory is O(workers x (ROW_BLOCK + (M + 1) x (tile + delay
+span))) whatever the image count, the clip length or the path's length.
+The streaming renderer's ring of branch samples would be one tile's
+window.
 
 Summation order is fixed per output sample: ((0 + r_0) + r_1) + ... over
-the rows in enumeration order, as a loop over the images adds them.
-Every per-sample step is elementwise, restoration gives a sample the
-same bits whatever run of grid intervals it is restored in, and chunks
-write disjoint slices of the output. Chunk length and worker count
-change only the scheduling, never the arithmetic, so they never change
-the output bits.
+the rows in enumeration order, as a loop over the images adds them; a
+block adds its rows one at a time. Every per-sample step is
+elementwise, restoration gives a sample the same bits whatever run of
+grid intervals or stack of rows it is restored in, and tiles write
+disjoint slices of the output. Chunk and tile length, row block and
+worker count change only the scheduling, never the arithmetic, so they
+never change the output bits.
 """
 
 import math
@@ -94,6 +108,8 @@ from .trajectory import decimate, grid_step, lagrange_table, node_span, restore_
 
 # output samples per job, rounded up to whole grid intervals
 CHUNK_SAMPLES = 16384
+# output samples per branch window, rounded down to whole grid intervals
+TILE_SAMPLES = CHUNK_SAMPLES // 2
 # largest far-image delay error a render accepts, in samples
 DELAY_ERROR_BUDGET = 0.01
 
@@ -198,7 +214,9 @@ class DelayStreams:
         for part in self.parts:
             if i < part.q.shape[0]:
                 row = replace(part, q=part.q[i : i + 1], coef=part.coef[i : i + 1])
-                return next(_kernels.row_terms(row, scale, d_min, 0, self.length, self.length))
+                terms = _kernels.row_terms(row, scale, d_min, 0, self.length, self.length)
+                tau, gain = next(terms)
+                return tau[0], gain[0]
             i -= part.q.shape[0]
         raise IndexError("row index out of range")
 
@@ -231,7 +249,7 @@ def high_order_distances(images, nodes, mic, room, out_len, factor):
     evaluations is the node count, node_span(0, out_len, h).stop with
     h = grid_step(factor), instead of out_len. Nothing is evaluated here:
     the rows hold the node positions and the cubic's table, synthesize
-    forms each chunk's node delays and gains from the nodes it reads, and
+    forms each tile's node delays and gains from the nodes it reads, and
     row() restores a distance row. At factor 1 nodes is the path itself
     and the rows are exact (no table), so out_len must equal its length:
     raises ValueError otherwise.
@@ -331,18 +349,19 @@ def synthesize(s, streams, f, cfg):
     allocated once, at max(len(streams), len(s) + ceil(upper) + L); the
     render is its first output-length samples. The walk cuts that whole
     allocation into time chunks, a last piece shorter than the delay span
-    upper - lower joining the one before. One job per chunk cuts the
-    branch window its reads reach at delays in the bounds
-    (farrow.branch_window), and adds every row, in row order, into its
-    slice of the output through accumulate_rows, part by part, which
-    reads the window and each part on the positions the chunk is formed
-    from: an exact part's path samples, a restored
-    part's grid nodes. Each row's distance to its mirrored mic, delay and
-    gain are formed there (_kernels.row_terms), in the kernel's scratch
-    rows, held at the path's last sample past its end; a far row's are
-    formed at its nodes and restored, so it never holds a per-sample
-    distance. Raises RuntimeError if a row's delay leaves the bounds,
-    before that row is read.
+    upper - lower joining the one before, and one job per chunk cuts it
+    into tiles. Per tile it cuts the branch window the tile's reads reach
+    at delays in the bounds (farrow.branch_window), and adds every row,
+    in row order, into the tile's slice of the output through
+    accumulate_rows, part by part, which reads the window and each part
+    on the positions the tile is formed from: an exact part's path
+    samples, a restored part's grid nodes. Each block of rows' distances
+    to their mirrored mics, delays and gains are formed there
+    (_kernels.row_terms), in the kernel's scratch rows, held at the
+    path's last sample past its end; a far row's are formed at its nodes
+    and restored, so it never holds a per-sample distance. Raises
+    RuntimeError if a row's delay leaves the bounds, before its block is
+    read.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
@@ -358,7 +377,15 @@ def synthesize(s, streams, f, cfg):
     bounds = _delay_bounds(parts, scale)
     out = np.zeros(max(length, s.size + math.ceil(bounds[1]) + f.branch_len))
 
-    def job(start, stop):
+    # whole grid intervals of every restored part
+    unit = math.lcm(*(p.table.shape[1] for p in parts if p.table is not None))
+    chunk = unit * -(-CHUNK_SAMPLES // unit)
+    tile = unit * max(1, TILE_SAMPLES // unit)
+    # the start of the grid interval that holds the path's last sample:
+    # a tile that began past it would restore that interval again
+    last = (length - 1) // unit * unit
+
+    def add_tile(start, stop):
         window, base = farrow.branch_window(s, f, start, stop, *bounds)
         return max(
             _kernels.accumulate_rows(
@@ -368,9 +395,13 @@ def synthesize(s, streams, f, cfg):
             for part in parts
         )
 
-    # whole grid intervals of every restored part
-    chunk = math.lcm(*(p.table.shape[1] for p in parts if p.table is not None))
-    chunk *= -(-CHUNK_SAMPLES // chunk)
+    def job(start, stop):
+        # tiles from the chunk's start, and again from the path's last
+        # interval on
+        cuts = [*range(start, min(last, stop), tile)]
+        cuts += range(max(last, start), stop, tile)
+        return max(add_tile(a, b) for a, b in zip(cuts, cuts[1:] + [stop]))
+
     starts = list(range(0, out.size, chunk))
     if len(starts) > 1 and out.size - starts[-1] < bounds[1] - bounds[0]:
         del starts[-1]  # a last piece shorter than the delay span joins the one before

@@ -319,8 +319,10 @@ def lagrange_table(step):
 # from a grid-interval boundary gives the whole row's bits there (checked
 # on OpenBLAS for k up to 3000, at h from 2 to 400, on one thread and
 # threaded). A one-row product takes BLAS's matrix-vector path and rounds
-# differently, hence the second row. Node indices past the row's end
-# clamp to its last node.
+# differently, hence the second row. Stacked node rows are one batched
+# product, the same (k, 4) @ (4, h) product per row, so each row keeps
+# the bits it has restored alone. Node indices past the row's end clamp
+# to its last node.
 
 
 def node_span(first, end, step):
@@ -343,24 +345,27 @@ def _frame_index(rows, count):
 
 
 def restore_cubic(nodes, table, out):
-    """Fill out with samples 0 .. out.size - 1 of a node row.
+    """Fill out with samples 0 .. T - 1 of a node row, or of stacked rows.
 
-    nodes: (K,) grid values, table: (4, h) weights, out: C-contiguous
-    (T,) float64. One product of max(2, ceil(T / h)) frame rows, written
-    in place when T is that many whole intervals, through a product of
-    that size otherwise. A range of a longer row that starts on a grid
-    interval boundary, j * h, is restored from the row's nodes from j on,
-    with the bits of the whole row. Returns out.
+    nodes: (K,) grid values, or (r, K) rows of them, table: (4, h)
+    weights, out: (T,) or (r, T) float64 whose rows are contiguous. One
+    product over every row, of max(2, ceil(T / h)) frame rows per node
+    row, written in place when T is that many whole intervals, through a
+    product of that size otherwise. A range of a longer row that starts
+    on a grid interval boundary, j * h, is restored from the row's nodes
+    from j on, with the bits of the whole row, and a stacked row has the
+    bits of the row restored alone. Returns out.
     """
     step = table.shape[1]
-    if not out.flags.c_contiguous:
-        raise ValueError("out must be C-contiguous")
-    rows = max(2, -(-out.shape[0] // step))
-    frames = nodes[_frame_index(rows, nodes.shape[0])]
-    if out.shape[0] == rows * step:
-        np.matmul(frames, table, out=out.reshape(rows, step))
+    if out.strides[-1] != out.itemsize:
+        raise ValueError("out's rows must be contiguous")
+    rows = max(2, -(-out.shape[-1] // step))
+    # (..., rows, 4): a batch of one (rows, 4) product per node row
+    frames = nodes.take(_frame_index(rows, nodes.shape[-1]), axis=-1)
+    if out.shape[-1] == rows * step:
+        np.matmul(frames, table, out=out.reshape(*out.shape[:-1], rows, step))
     else:
-        out[:] = (frames @ table).ravel()[: out.shape[0]]
+        out[...] = (frames @ table).reshape(*out.shape[:-1], -1)[..., : out.shape[-1]]
     return out
 
 

@@ -427,6 +427,29 @@ class TestEvaluation:
         y = delay_stream(x, filt, np.full(v.shape[1] + 20, 5.5))
         assert np.all(y[v.shape[1] + 10 :] == 0.0)
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_a_block_adds_the_bits_of_its_rows_in_order(self, filt, seed):
+        # r rows read as one (r, n) block, from scratch for more rows than
+        # the block holds, add what r one-row calls add one after another;
+        # reads leave the streams at either end
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(int(rng.integers(1, 400)))
+        streams = guarded_branches(x, filt)
+        r, n = int(rng.integers(1, 9)), int(rng.integers(1, 500))
+        base = int(rng.integers(0, streams.shape[1]))
+        tau = rng.uniform(-50.0, streams.shape[1] + 50.0, size=(r, n))
+        gain = rng.standard_normal((r, n))
+        init = rng.standard_normal(n)
+        want = init.copy()
+        for row, g in zip(tau, gain):
+            horner_add(want, streams, row.copy(), g, horner_scratch(n, base))
+        got = init.copy()
+        block = tau.copy()
+        horner_add(got, streams, block, gain, horner_scratch((r + 2, n), base))
+        assert got.tobytes() == want.tobytes()
+        # and leaves the block's fractions in place, as a one-row call does
+        assert block.tobytes() == (tau - np.floor(tau)).tobytes()
+
 
 class TestDelayStream:
     def test_constant_delay_sine_snr(self, filt):

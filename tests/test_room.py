@@ -339,3 +339,20 @@ class TestSpecOrdering:
         )
         assert a < b
         assert sorted([b, a]) == [a, b]
+
+    def test_a_spec_holds_no_instance_dict(self):
+        spec = enumerate_images(make_room(), 1)[0]
+        assert not hasattr(spec, "__dict__")
+
+    def test_order8_list_is_small(self):
+        # 833 slotted specs hold 0.083 MB; with no slots they held 0.116 MB
+        room = make_room()
+        enumerate_images(room, 8)  # warm-up
+        tracemalloc.start()
+        try:
+            specs = enumerate_images(room, 8)
+            held = tracemalloc.get_traced_memory()[0] / 1e6
+        finally:
+            tracemalloc.stop()
+        assert len(specs) == 833
+        assert held < 0.1, f"{held:.3f} MB"

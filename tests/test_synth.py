@@ -171,10 +171,16 @@ def reference_accumulate_restored(out, streams, delay, gain, table, d0, start, l
     return top, last
 
 
+def row_by_row(terms):
+    """row_terms' blocks of rows, one image row at a time."""
+    for taus, gains in terms:
+        yield from zip(taus, gains)
+
+
 def assert_held(part, scale, d_min, start, n, length, last):
     """Row terms from sample length - 1 on hold last's delay and gain, bit for bit."""
     held = slice(max(length - 1 - start, 0), None)
-    terms = _kernels.row_terms(part, scale, d_min, start, start + n, length)
+    terms = row_by_row(_kernels.row_terms(part, scale, d_min, start, start + n, length))
     for (tau, g), (x, a) in zip(terms, last):
         assert same_bits(tau[held], np.full(n, x)[held])
         assert same_bits(g[held], np.full(n, a)[held])
@@ -404,6 +410,36 @@ class TestKernelsMatchFrozenReferences:
         assert top == want_top * scale
         assert_held(part, scale, d_min, start, n, length, want_last)
 
+    @pytest.mark.parametrize("block", [1, 3000, 2**14])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_blocks_hold_each_rows_terms_alone(self, block, seed, monkeypatch):
+        # a part's 7 rows go in blocks of ROW_BLOCK // n rows: one at a
+        # time, a few that do not divide 7, or all of them; each block row
+        # holds the terms of its row formed alone, on the path or past
+        # its end, exact or restored
+        rng = np.random.default_rng(600 + seed)
+        step = (1, 5)[seed % 2]
+        length = int(rng.integers(1, 800))
+        path = rng.uniform(0.0, 6.0, size=3) + rng.uniform(-1e-3, 1e-3, size=(length, 3))
+        positions = path if step == 1 else decimate(Trajectory(RATE, path), step).positions
+        table = None if step == 1 else lagrange_table(step)
+        q = rng.uniform(-20.0, 20.0, size=(7, 3))
+        coef = rng.uniform(0.01, 0.1, size=7)
+        part = _kernels.Rows(q, coef, positions, table)
+        start = (step * int(rng.integers(0, -(-length // step))), length + 37)[seed // 2 % 2]
+        n = int(rng.integers(1, 1000))
+        monkeypatch.setattr(_kernels, "ROW_BLOCK", block)
+        size = max(1, min(block // max(n, 2 * step), 7))
+        i = 0
+        for taus, gains in _kernels.row_terms(part, 20.0, 0.05, start, start + n, length):
+            assert taus.shape == gains.shape == (min(size, 7 - i), n)
+            for tau, g in zip(taus, gains):
+                row = _kernels.Rows(q[i : i + 1], coef[i : i + 1], positions, table)
+                alone = next(_kernels.row_terms(row, 20.0, 0.05, start, start + n, length))
+                assert same_bits(tau, alone[0][0]) and same_bits(g, alone[1][0]), i
+                i += 1
+        assert i == 7
+
     @pytest.mark.parametrize("seed", range(4))
     def test_exact_gain_is_attenuation(self, seed):
         # the held gain coef / max(d, d_min) with coef = attenuation(beta, 1)
@@ -424,7 +460,7 @@ class TestKernelsMatchFrozenReferences:
         want = attenuation(beta, np.maximum(d, d_min))
         assert want[0] == attenuation(beta[0], d_min)
         held = max(n - 1 - start, 0)
-        terms = _kernels.row_terms(part, 20.0, d_min, start, stop, n)
+        terms = row_by_row(_kernels.row_terms(part, 20.0, d_min, start, stop, n))
         for (_, g), a in zip(terms, want):
             assert same_bits(g[held:], np.full(stop - start - held, a))
 
@@ -866,6 +902,20 @@ class TestChunkedWalk:
     # over 3.5 s, each starting at a grid interval; at N=2 and N=1 they
     # stay 700, 30000 and 10**9
     CHUNKS = (700, 30000, 10**9)
+    # (TILE_SAMPLES, ROW_BLOCK) pairs: at h = 400, tiles of one grid
+    # interval in blocks of 20 restored rows, which do not divide the 56
+    # of max_order 3 past order 1; tiles of 12 intervals in blocks of 3
+    # rows, which divide neither part's row count (7 and 56); tiles of 3
+    # intervals in one-row blocks; one tile per chunk. At N=2 and N=1 the
+    # tiles stay 300, 5000, 1300 and 10**9 samples long.
+    TILINGS = ((300, 2**14), (5000, 2**14), (1300, 1), (10**9, 2**14))
+
+    def tilings(self, monkeypatch):
+        """Each tiling in turn, set for the walk."""
+        for tile, block in self.TILINGS:
+            monkeypatch.setattr(synth, "TILE_SAMPLES", tile)
+            monkeypatch.setattr(_kernels, "ROW_BLOCK", block)
+            yield tile, block
 
     @pytest.mark.parametrize("factor", [3200, 2, 1])
     @pytest.mark.parametrize("path", ["shorter", "same", "longer"])
@@ -883,8 +933,9 @@ class TestChunkedWalk:
             assert want.size < t_len  # the walk must cut the path's tail
         for chunk in self.CHUNKS:
             monkeypatch.setattr(synth, "CHUNK_SAMPLES", chunk)
-            got = synthesize(x, streams, filt, cfg)
-            assert np.array_equal(got, want), f"chunk {chunk} changed the output"
+            for tiling in self.tilings(monkeypatch):
+                got = synthesize(x, streams, filt, cfg)
+                assert np.array_equal(got, want), f"chunk {chunk}, {tiling} changed bits"
 
     def test_workers_do_not_change_bits_with_small_chunks(
         self, filt, room_5x6x4, mic_std, monkeypatch
@@ -922,7 +973,7 @@ class TestChunkedWalk:
         "path_longer_than_the_output": (12000, 6000, 1600),
     }
 
-    @pytest.mark.parametrize("factor", [3200, 1])
+    @pytest.mark.parametrize("factor", [3200, 2, 1])
     @pytest.mark.parametrize("case", WALKS)
     def test_the_walk_covers_the_whole_output(
         self, case, factor, filt, room_5x6x4, mic_std, monkeypatch
@@ -944,9 +995,10 @@ class TestChunkedWalk:
         assert (want.size < t_len) == (case == "path_longer_than_the_output")
         for samples in (chunk, 10**9):
             monkeypatch.setattr(synth, "CHUNK_SAMPLES", samples)
-            for workers in (1, 2, 3):
-                got = synthesize(x, streams, filt, replace(cfg, workers=workers))
-                assert np.array_equal(got, want), (samples, workers)
+            for tiling in self.tilings(monkeypatch):
+                for workers in (1, 2, 3):
+                    got = synthesize(x, streams, filt, replace(cfg, workers=workers))
+                    assert np.array_equal(got, want), (samples, tiling, workers)
 
     def test_output_length_when_every_distance_is_clamped(
         self, filt, room_5x6x4, mic_std
@@ -971,8 +1023,10 @@ class TestChunkedWalk:
         # whole-array streams took 405 MB here: four (63, 160k) float64 arrays;
         # a job that copied its path window or restored whole last tiles
         # took 4.04 MB, one that restored in 64-interval tiles of chunks
-        # of 25600 samples 3.40 MB
-        assert peak < 3.0, f"peak {peak:.2f} MB"
+        # of 25600 samples 3.40 MB, one that read its whole chunk's branch
+        # window one row at a time 2.66 MB; half-chunk tiles and blocks of
+        # rows take 2.32 MB
+        assert peak < 2.45, f"peak {peak:.2f} MB"
 
     def test_short_path_under_long_audio_peaks_as_a_whole_path(
         self, filt, room_5x6x4, mic_std
@@ -999,9 +1053,10 @@ class TestChunkedWalk:
         self, filt, room_5x6x4, mic_std
     ):
         # every row exact: each job adds into its slice of the output from
-        # one set of chunk-long scratch rows, never a group of per-row arrays,
+        # one block of scratch rows, never a group of per-row arrays,
         # reading the path's axes where they lie (3.04 MB with a copy of
-        # each chunk's path window)
+        # each chunk's path window, 2.64 MB with chunk-long windows and
+        # rows, 2.31 MB with half-chunk tiles and blocks of rows)
         n = 10 * 16000
         tr = moving_traj(n, duration=10.0)
         x = np.random.default_rng(9).standard_normal(n)
@@ -1011,7 +1066,7 @@ class TestChunkedWalk:
             lambda: render(x, tr, room_5x6x4, mic_std, filt, cfg)
         )
         assert y.size > n
-        assert peak < 3.0, f"peak {peak:.2f} MB"
+        assert peak < 2.45, f"peak {peak:.2f} MB"
 
     def test_peak_beyond_the_output_does_not_grow_with_the_clip(
         self, filt, room_5x6x4, mic_std
@@ -1066,8 +1121,10 @@ class TestChunkedWalk:
     ):
         # the walk covers the whole output: a 1 s path and its tail, 17129
         # samples here, are one piece, which renders on the calling thread
-        # at any worker count, so the peak is fixed (about 1.57 MB): one
-        # job's scratch rows, its restored rows 43 grid intervals long.
+        # at any worker count, so the peak is fixed (about 1.19 MB): one
+        # tile's branch window, 8000 samples plus the delay span, and one
+        # block of scratch rows, about 16k row-samples (1.57 MB when the
+        # job read its whole piece's window one row at a time).
         # Each peak is taken in a fresh process, where tracemalloc sees no
         # thread left behind by another test.
         tr = moving_traj(16000, duration=1.0, seed=12)
@@ -1112,7 +1169,7 @@ class TestChunkedWalk:
             )
             assert done.returncode == 0, done.stderr
             peaks[workers] = float(done.stdout)
-            assert peaks[workers] < 1.7, f"peak {peaks[workers]:.2f} MB"
+            assert peaks[workers] < 1.4, f"peak {peaks[workers]:.2f} MB"
         assert abs(peaks[2] - peaks[1]) <= 0.01 * peaks[1], peaks
 
     def test_one_chunk_render_builds_no_thread_pool(
@@ -1232,6 +1289,37 @@ class TestDelayBounds:
         monkeypatch.setattr(synth, "_delay_bounds", missed)
         with pytest.raises(RuntimeError, match="bounds"):
             synthesize(x, streams, filt, cfg)
+
+    def test_the_first_row_out_of_bounds_raises_before_its_block_is_read(
+        self, monkeypatch
+    ):
+        # rows in blocks of two: the fourth row lies far beyond the upper
+        # bound, so the second block raises naming its delays, after the
+        # first block is added and before the second is read
+        rng = np.random.default_rng(26)
+        n = 500
+        path = rng.uniform(2.0, 3.0, size=3) + rng.uniform(-1e-3, 1e-3, size=(n, 3))
+        q = path[0] + rng.uniform(-1.0, 1.0, size=(5, 3))
+        q[3] += 40.0
+        coef = np.full(5, 0.1)
+        part = _kernels.Rows(q, coef, path)
+        monkeypatch.setattr(_kernels, "ROW_BLOCK", 2 * n)
+        scale = 20.0
+        tau = [_kernels.Rows(q[i : i + 1], coef[:1], path) for i in range(5)]
+        tau = [next(_kernels.row_terms(r, scale, 0.05, 0, n, n))[0][0] for r in tau]
+        bounds = (0.0, max(t.max() for t in tau[:3]) + 1.0)
+        window = np.zeros((4, 2 * n + 200))
+        window[0, 1:-1] = 1.0  # reads 1 at any fraction
+        out = np.zeros(n)
+        message = (
+            f"delays {tau[3].min()} .. {float(tau[3].max())} leave the bounds "
+            f"{bounds[0]} .. {bounds[1]} the branch window was cut for"
+        )
+        with pytest.raises(RuntimeError, match=re.escape(message)):
+            _kernels.accumulate_rows(out, window, n + 100, part, scale, 0.05, 0, n, bounds)
+        # the first block's two rows, at gain coef / d, were added
+        first = sum(0.1 / (t / scale) for t in tau[:2])
+        assert np.allclose(out, first, rtol=1e-12)
 
 
 def snr_whole_db(got, want):

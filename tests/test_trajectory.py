@@ -497,17 +497,45 @@ class TestUpsample:
             part = restore_cubic(nodes[first:], table, np.empty(out_len))
             assert np.array_equal(part, whole[first * h : first * h + out_len]), first
 
+    @pytest.mark.parametrize("h", [2, 7, 400])
+    @pytest.mark.parametrize("k", [1, 2, 3, 20, 41])
+    @pytest.mark.parametrize("short", [0, 1])
+    def test_stacked_rows_give_each_rows_bits(self, h, k, short):
+        # r node rows restored in one product, into rows of a wider array
+        # as the row kernel's scratch is, give each row's bits restored
+        # alone, at a range of one interval (two frame rows per row) and
+        # of many
+        rng = np.random.default_rng(h * k + short)
+        table = lagrange_table(h)
+        out_len = k * h - short
+        for r in (1, 2, 5):
+            nodes = rng.standard_normal((r, k + 3 + int(rng.integers(0, 3))))
+            wide = np.full((r, out_len + 11), np.nan)
+            got = restore_cubic(nodes, table, wide[:, :out_len])
+            assert np.shares_memory(got, wide)
+            for row, got_row in zip(nodes, wide):
+                want = restore_cubic(row, table, np.empty(out_len))
+                assert np.array_equal(got_row[:out_len], want)
+                assert np.all(np.isnan(got_row[out_len:]))
+
+    def test_rejects_rows_that_are_not_contiguous(self):
+        table = lagrange_table(7)
+        with pytest.raises(ValueError, match="contiguous"):
+            restore_cubic(np.ones(5), table, np.empty(28)[::2])
+
     def test_ranges_match_the_whole_row_threaded_and_on_one_thread(self):
         # a 960000-sample row at h = 400 is a 2400-row product, above
         # OpenBLAS's threading threshold; restored whole and in 41-interval
         # ranges (the engine's chunks) it must give the same bits, with
-        # BLAS threads left to their default and pinned to one
+        # BLAS threads left to their default and pinned to one, and so
+        # must three such rows stacked in 20-interval ranges (the engine's
+        # tiles), each range one product over the three rows
         code = textwrap.dedent(
             """
             import numpy as np
             from moverb.trajectory import lagrange_table, restore_cubic
 
-            h, n, size = 400, 960000, 41 * 400
+            h, n, size, tile = 400, 960000, 41 * 400, 20 * 400
             table = lagrange_table(h)
             nodes = np.random.default_rng(5).standard_normal(n // h + 3)
             whole = restore_cubic(nodes, table, np.empty(n))
@@ -515,7 +543,17 @@ class TestUpsample:
                 restore_cubic(nodes[a // h :], table, np.empty(min(size, n - a)))
                 for a in range(0, n, size)
             ]
-            print(np.array_equal(np.concatenate(parts), whole))
+            rows = np.random.default_rng(6).standard_normal((3, n // h + 3))
+            rows[0] = nodes
+            alone = [restore_cubic(row, table, np.empty(n)) for row in rows]
+            tiles = [
+                restore_cubic(rows[:, a // h :], table, np.empty((3, min(tile, n - a))))
+                for a in range(0, n, tile)
+            ]
+            print(
+                np.array_equal(np.concatenate(parts), whole)
+                and np.array_equal(np.concatenate(tiles, axis=1), np.stack(alone))
+            )
             """
         )
         src = str(pathlib.Path(_kernels.__file__).parents[1])
